@@ -8,19 +8,16 @@ Failures exit nonzero with a single machine-parsable `error: ...` line.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 from importlib import resources
 
-import numpy as np
-
 from . import dataset as ds
 from . import lowering, pnm, servo, training
 from .model import (argmax, default_model, load_weights_file, reference_infer,
-                    save_weights_file)
-from .planes import SATURATING, AnalogPlane, DigitalPlane, NoiseModel
+                    save_weights)
+from .planes import NoiseModel
 from .program import CostModel, disassemble, estimate, execute
 
 log = logging.getLogger("scampsim")
@@ -30,14 +27,6 @@ DEFAULT_COST_RESOURCE = "default_cost.json"
 
 class CliError(Exception):
     pass
-
-
-def _atomic_write(path, data):
-    tmp = str(path) + ".tmp"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as f:
-        f.write(data)
-    os.replace(tmp, path)
 
 
 def _load_weights(args):
@@ -94,8 +83,8 @@ def cmd_train(args):
                                   epochs=args.epochs, batch_size=args.batch_size)
     model, tlog = training.train(data, config)
     os.makedirs(args.out, exist_ok=True)
-    save_weights_file(model, os.path.join(args.out, "weights.json"))
-    _atomic_write(os.path.join(args.out, "log.csv"), tlog.to_csv())
+    pnm.atomic_write(os.path.join(args.out, "weights.json"), save_weights(model))
+    pnm.atomic_write(os.path.join(args.out, "log.csv"), tlog.to_csv())
     best = tlog.records[tlog.best_epoch]
     print(f"best epoch {best.epoch}: train_acc={best.train_acc:.4f} "
           f"test_acc={best.test_acc:.4f}")
@@ -105,8 +94,8 @@ def cmd_lower(args):
     model = _load_weights(args)
     program, plan = lowering.lower_model(model)
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "program.txt"), disassemble(program))
-    _atomic_write(os.path.join(args.out, "plan.json"), plan.to_json())
+    pnm.atomic_write(os.path.join(args.out, "program.txt"), disassemble(program))
+    pnm.atomic_write(os.path.join(args.out, "plan.json"), plan.to_json())
     print(f"lowered {len(program)} instructions to {args.out}")
 
 
@@ -159,14 +148,14 @@ def cmd_loop(args):
     timeline = servo.run_loop(frames, program, cost, bank, args.duration_us,
                               args.mode, _noise(args))
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "timeline.csv"), timeline.to_csv())
+    pnm.atomic_write(os.path.join(args.out, "timeline.csv"), timeline.to_csv())
     records = servo.reaction_latency(timeline)
     latched = [r for r in records if r.latched]
     lines = ["frame_index,frame_t_us,latched,reaction_us"]
     for r in records:
         lines.append(f"{r.frame_index},{r.frame_t_us},{int(r.latched)},"
                      f"{'' if r.reaction_us is None else r.reaction_us}")
-    _atomic_write(os.path.join(args.out, "reaction.csv"), "\n".join(lines) + "\n")
+    pnm.atomic_write(os.path.join(args.out, "reaction.csv"), "\n".join(lines) + "\n")
     print(f"frames={len(frames)} latched={len(latched)} "
           f"dropped={len(records) - len(latched)} "
           f"latency_us={timeline.inference_latency_us}")
@@ -190,13 +179,13 @@ def cmd_dump(args):
         if ins.opcode == "gsum":
             name = f"fc_class_{program.sum_labels[fc_index[0]]}"
             fc_index[0] += 1
-            _atomic_write(os.path.join(args.out, f"{name}.pgm"),
-                          pnm.encode_pgm(st.areg(fc_reg)))
+            pnm.atomic_write(os.path.join(args.out, f"{name}.pgm"),
+                             pnm.encode_pgm(st.areg(fc_reg)))
         if idx in stage_end:
             stage = stage_end[idx]
             if stage in stage_reg:
-                _atomic_write(os.path.join(args.out, f"post_{stage}.pgm"),
-                              pnm.encode_pgm(st.areg(stage_reg[stage])))
+                pnm.atomic_write(os.path.join(args.out, f"post_{stage}.pgm"),
+                                 pnm.encode_pgm(st.areg(stage_reg[stage])))
 
     _, sums = execute(program, state, on_instruction=snap)
     pnm.write_gray_pgm(os.path.join(args.out, "input_64.pgm"), img * 255)

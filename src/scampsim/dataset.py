@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lowering import prepare_input
-from .pnm import PnmError, read_pgm, write_gray_pgm
+from .model import DEFAULT_CLASS_NAMES as CLASS_NAMES
+from .planes import is_binary
+from .pnm import PnmError, atomic_write, read_pgm, write_gray_pgm
 
-CLASS_NAMES = ("rock", "paper", "scissors")
 IMAGE_SIDE = 64
 
 
@@ -57,7 +58,7 @@ class GestureSample:
         if self.image.shape != (IMAGE_SIDE, IMAGE_SIDE):
             raise DatasetError(f"sample must be {IMAGE_SIDE}x{IMAGE_SIDE}, "
                                f"got {self.image.shape}")
-        if not np.all(np.isin(np.unique(self.image), (0, 1))):
+        if not is_binary(self.image):
             raise DatasetError("sample image must be strictly binary")
         if not 0 <= self.label < len(CLASS_NAMES):
             raise DatasetError(f"label {self.label} out of range")
@@ -182,11 +183,8 @@ def export_dataset(split: DatasetSplit, directory):
             name = f"{split_name}_{i:05d}_{CLASS_NAMES[s.label]}.pgm"
             write_gray_pgm(os.path.join(directory, name), s.image * 255)
             manifest[split_name].append({"file": name, "label": s.label})
-    tmp = os.path.join(directory, "manifest.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
-    os.replace(tmp, os.path.join(directory, "manifest.json"))
+    atomic_write(os.path.join(directory, "manifest.json"),
+                 json.dumps(manifest, indent=2) + "\n")
 
 
 def load_dataset(directory) -> DatasetSplit:

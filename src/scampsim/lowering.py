@@ -1,7 +1,7 @@
 """Compile a BnnModel into a plane-instruction program.
 
 The lowered program expects the binary input image in block (0,0) of analog
-register A (see HostPrep / make_input_state); it replicates the image into
+register A (see make_input_state); it replicates the image into
 every block, convolves all kernels simultaneously via whole-plane shifts and
 per-tap masked accumulates, zeroes the contaminated block borders, applies
 ReLU and the replicating 2x2 max-pool, and finally emits one global sum per
@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import PlaneGeometry
 from .model import BnnModel
 from .planes import (DEFAULT_ANALOG_REGS, DEFAULT_DIGITAL_REGS, ArrayState,
-                     NoiseModel)
+                     NoiseModel, is_binary)
 from .program import Instruction, PpaProgram
 
 # Register roles. A stages the input and doubles as the conv row register
@@ -51,25 +51,6 @@ POOL_REPLICATION = 4  # each pooled maximum appears in all 4 cells of its 2x2 bl
 
 class LoweringError(ValueError):
     pass
-
-
-@dataclass
-class HostPrep:
-    """Documented host-side preparation preceding program execution.
-
-    The captured image is thresholded, majority-downsampled to one block and
-    written into block (0,0) of `input_reg`; replication to the remaining
-    blocks happens in the instruction stream.
-    """
-
-    input_reg: str
-    block_size: int
-    threshold: int = 127
-
-    def describe(self) -> str:
-        return (f"threshold >{self.threshold}, majority-downsample to "
-                f"{self.block_size}x{self.block_size}, load into block (0,0) "
-                f"of {self.input_reg}")
 
 
 @dataclass
@@ -116,13 +97,18 @@ def prepare_input(img: np.ndarray, block_size: int = 64,
 def make_input_state(image64: np.ndarray, geometry: PlaneGeometry | None = None,
                      mode: str = "ideal",
                      noise: NoiseModel | None = None) -> ArrayState:
-    """Fresh ArrayState with the binary input placed per HostPrep."""
+    """Fresh ArrayState with the binary input in block (0,0) of REG_INPUT.
+
+    This is the host's side of the contract: prepare_input has thresholded
+    and majority-downsampled the captured image to one block; replication to
+    the remaining blocks happens in the instruction stream.
+    """
     geometry = geometry or PlaneGeometry()
     image64 = np.asarray(image64)
     bs = geometry.block_size
     if image64.shape != (bs, bs):
         raise LoweringError(f"input must be {bs}x{bs}, got {image64.shape}")
-    if not np.all(np.isin(np.unique(image64), (0, 1))):
+    if not is_binary(image64):
         raise LoweringError("input image must be strictly binary")
     state = ArrayState(geometry, mode=mode, noise=noise)
     full = np.zeros(geometry.shape, dtype=np.int64)
@@ -137,28 +123,28 @@ def make_input_state(image64: np.ndarray, geometry: PlaneGeometry | None = None,
 def block_select_pattern(geometry: PlaneGeometry, selected: np.ndarray) -> np.ndarray:
     """Full-plane bit pattern with 1s over every selected block."""
     grid, bs = geometry.block_grid, geometry.block_size
-    sel = np.asarray(selected).reshape(grid, grid).astype(np.uint8)
-    return np.kron(sel, np.ones((bs, bs), dtype=np.uint8))
+    sel = np.asarray(selected).reshape(grid, grid)
+    return np.kron(sel, np.ones((bs, bs), dtype=sel.dtype))
 
 
 def border_pattern(geometry: PlaneGeometry, k: int) -> np.ndarray:
     """1s on the (k-1)-wide contaminated frame of every block (bottom/right,
     matching top-left window anchoring)."""
     bs = geometry.block_size
-    block = np.zeros((bs, bs), dtype=np.uint8)
+    block = np.zeros((bs, bs), dtype=bool)
     if k > 1:
-        block[bs - (k - 1):, :] = 1
-        block[:, bs - (k - 1):] = 1
+        block[bs - (k - 1):, :] = True
+        block[:, bs - (k - 1):] = True
     return np.tile(block, (geometry.block_grid, geometry.block_grid))
 
 
 def parity_pattern(geometry: PlaneGeometry, axis: str, parity: int) -> np.ndarray:
     h, w = geometry.shape
-    out = np.zeros((h, w), dtype=np.uint8)
+    out = np.zeros((h, w), dtype=bool)
     if axis == "col":
-        out[:, parity::2] = 1
+        out[:, parity::2] = True
     else:
-        out[parity::2, :] = 1
+        out[parity::2, :] = True
     return out
 
 
@@ -166,18 +152,18 @@ def fc_negative_pattern(model: BnnModel, class_index: int) -> np.ndarray:
     """1 where the class's FC weight is -1, expanded to 2x2 pooled cells."""
     geometry = model.geometry
     grid, bs = geometry.block_grid, geometry.block_size
-    neg = (model.fc_weights[class_index] == -1).astype(np.uint8)  # (nb, ps, ps)
-    out = np.zeros(geometry.shape, dtype=np.uint8)
+    neg = model.fc_weights[class_index] == -1  # (nb, ps, ps)
+    out = np.zeros(geometry.shape, dtype=bool)
     for b in range(geometry.num_blocks):
         rs, cs = geometry.block_slices(b)
-        out[rs, cs] = np.kron(neg[b], np.ones((2, 2), dtype=np.uint8))
+        out[rs, cs] = np.kron(neg[b], np.ones((2, 2), dtype=bool))
     return out
 
 
 # -- stage lowering ------------------------------------------------------
 
 
-def lower_replicate(geometry: PlaneGeometry, k: int) -> tuple[list[Instruction], HostPrep]:
+def lower_replicate(geometry: PlaneGeometry, k: int) -> list[Instruction]:
     """Copy block (0,0) of the input register into every block.
 
     Doubling scheme: shift the partially replicated plane by whole blocks
@@ -203,7 +189,7 @@ def lower_replicate(geometry: PlaneGeometry, k: int) -> tuple[list[Instruction],
                                direction="E", steps=span))
         ins.append(Instruction("add", dst=REG_REPLICATED, a=REG_REPLICATED, b=REG_TAP))
         span *= 2
-    return ins, HostPrep(REG_INPUT, bs)
+    return ins
 
 
 def lower_conv(model: BnnModel) -> list[Instruction]:
@@ -317,8 +303,7 @@ def lower_model(model: BnnModel,
         )
     stages: list[tuple[str, list[Instruction]]] = []
     try:
-        rep, _prep = lower_replicate(model.geometry, model.k)
-        stages.append(("replicate", rep))
+        stages.append(("replicate", lower_replicate(model.geometry, model.k)))
         stages.append(("conv", lower_conv(model)))
         stages.append(("relu", lower_relu(model.geometry)))
         stages.append(("maxpool", lower_maxpool(model.geometry)))

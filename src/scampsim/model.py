@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import PlaneGeometry
+from .planes import is_binary
 
 WEIGHTS_VERSION = 1
 
@@ -101,11 +102,15 @@ def random_model(seed: int = 0, num_classes: int = 3, k: int = 4,
     kernels = rng.choice((-1, 1), size=(nb, k, k))
     fc = rng.choice((-1, 1), size=(num_classes, nb, ps, ps))
     if class_names is None:
-        if num_classes == len(DEFAULT_CLASS_NAMES):
-            class_names = DEFAULT_CLASS_NAMES
-        else:
-            class_names = tuple(f"class{i}" for i in range(num_classes))
+        class_names = fallback_class_names(num_classes)
     return BnnModel(kernels, fc, class_names, geometry)
+
+
+def fallback_class_names(num_classes: int) -> tuple[str, ...]:
+    """The default names for three classes, else class0, class1, ..."""
+    if num_classes == len(DEFAULT_CLASS_NAMES):
+        return DEFAULT_CLASS_NAMES
+    return tuple(f"class{i}" for i in range(num_classes))
 
 
 def default_model() -> BnnModel:
@@ -120,7 +125,7 @@ def _check_binary_input(x: np.ndarray, block_size: int) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (block_size, block_size):
         raise ModelError(f"input must be {block_size}x{block_size}, got {x.shape}")
-    if not np.all(np.isin(np.unique(x), (0, 1))):
+    if not is_binary(x):
         raise ModelError("input image must be strictly binary")
     return x.astype(np.int64)
 
@@ -246,17 +251,9 @@ def load_weights(text: str) -> BnnModel:
             f"field 'fc': expected shape (classes, {geometry.num_blocks}, {ps}, {ps}), "
             f"got {fc.shape}"
         )
-    try:
-        _check_pm1(kernels, "field 'kernels'")
-        _check_pm1(fc, "field 'fc'")
-        return BnnModel(kernels, fc, tuple(doc["classes"]), geometry)
-    except ModelError:
-        raise
-
-
-def save_weights_file(model: BnnModel, path):
-    with open(path, "w") as f:
-        f.write(save_weights(model))
+    _check_pm1(kernels, "field 'kernels'")
+    _check_pm1(fc, "field 'fc'")
+    return BnnModel(kernels, fc, tuple(doc["classes"]), geometry)
 
 
 def load_weights_file(path) -> BnnModel:

@@ -45,6 +45,11 @@ class PlaneError(ValueError):
     """Geometry or value-domain violation on a plane operation."""
 
 
+def is_binary(a: np.ndarray) -> bool:
+    """True iff every element is 0 or 1: one linear pass, no sort."""
+    return a.dtype == np.bool_ or not ((a != 0) & (a != 1)).any()
+
+
 @dataclass
 class NoiseModel:
     """Additive noise applied at the global summation only.
@@ -121,8 +126,7 @@ class DigitalPlane:
             raise PlaneError(
                 f"bits shape {self.bits.shape} != geometry {self.geometry.shape}"
             )
-        vals = np.unique(self.bits)
-        if not np.all(np.isin(vals, (0, 1))):
+        if not is_binary(self.bits):
             raise PlaneError("digital plane bits must be exactly 0 or 1")
         self.bits = self.bits.astype(np.uint8, copy=False)
 
@@ -132,7 +136,7 @@ class DigitalPlane:
 
 def threshold(plane: AnalogPlane, t: int) -> DigitalPlane:
     """Bit = 1 where the analog value is strictly greater than t."""
-    return DigitalPlane(plane.geometry, (plane.values > t).astype(np.uint8))
+    return DigitalPlane(plane.geometry, plane.values > t)
 
 
 def global_sum(plane: AnalogPlane, noise: NoiseModel | None = None,
@@ -299,7 +303,7 @@ class ArrayState:
             raise PlaneError(
                 f"pattern shape {pattern.shape} != geometry {self.geometry.shape}"
             )
-        if not np.all(np.isin(np.unique(pattern), (0, 1))):
+        if not is_binary(pattern):
             raise PlaneError("pattern bits must be 0 or 1")
         self.dreg(dst).bits[:] = pattern.astype(np.uint8)
 

@@ -1,4 +1,5 @@
-"""Binary PGM (P5) / PBM (P4) serialization for plane dumps and golden files.
+"""Binary PGM (P5) serialization for plane dumps and datasets, and the one
+atomic file writer every output goes through.
 
 Byte layout is fixed so dumps are diffable:
 
@@ -6,20 +7,33 @@ Byte layout is fixed so dumps are diffable:
        Saturating analog planes are written offset by +128 (so the full
        [-128, 127] range maps to 0..255 losslessly); ideal planes are
        clamped to [0, 255] and written as-is.
-  PBM: b"P4\\n<width> <height>\\n" + rows packed MSB-first, each row padded
-       to a whole byte. A 1 bit in the plane is written as a 1 bit.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from .geometry import PlaneGeometry
-from .planes import SATURATING, AnalogPlane, DigitalPlane
+from .planes import SATURATING, AnalogPlane
 
 
 class PnmError(ValueError):
     pass
+
+
+def atomic_write(path, data: bytes | str):
+    """Write through `<path>.tmp` and a rename: the destination ends up with
+    all of `data` or stays as it was, and no temporary file is left behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_tokens(data: bytes, n: int, start: int) -> tuple[list[bytes], int]:
@@ -68,54 +82,6 @@ def decode_pgm(data: bytes) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
 
 
-def decode_pgm_plane(data: bytes, geometry: PlaneGeometry, mode: str) -> AnalogPlane:
-    img = decode_pgm(data).astype(np.int64)
-    if img.shape != geometry.shape:
-        raise PnmError(f"PGM shape {img.shape} != geometry {geometry.shape}")
-    if mode == SATURATING:
-        img = img - 128
-    return AnalogPlane(geometry, img, mode)
-
-
-def encode_pbm(plane: DigitalPlane) -> bytes:
-    h, w = plane.geometry.shape
-    packed = np.packbits(plane.bits, axis=1)
-    return b"P4\n%d %d\n" % (w, h) + packed.tobytes()
-
-
-def decode_pbm(data: bytes) -> np.ndarray:
-    """Bit image from a binary PBM. Returns uint8 H x W of {0,1}."""
-    (magic,), i = _read_tokens(data, 1, 0)
-    if magic != b"P4":
-        raise PnmError(f"not a binary PBM (magic {magic!r})")
-    (ws, hs), i = _read_tokens(data, 2, i)
-    w, h = int(ws), int(hs)
-    i += 1
-    row_bytes = (w + 7) // 8
-    raster = data[i:i + row_bytes * h]
-    if len(raster) != row_bytes * h:
-        raise PnmError("truncated PBM raster")
-    rows = np.frombuffer(raster, dtype=np.uint8).reshape(h, row_bytes)
-    return np.unpackbits(rows, axis=1)[:, :w].copy()
-
-
-def decode_pbm_plane(data: bytes, geometry: PlaneGeometry) -> DigitalPlane:
-    bits = decode_pbm(data)
-    if bits.shape != geometry.shape:
-        raise PnmError(f"PBM shape {bits.shape} != geometry {geometry.shape}")
-    return DigitalPlane(geometry, bits)
-
-
-def write_pgm(path, plane: AnalogPlane):
-    with open(path, "wb") as f:
-        f.write(encode_pgm(plane))
-
-
-def write_pbm(path, plane: DigitalPlane):
-    with open(path, "wb") as f:
-        f.write(encode_pbm(plane))
-
-
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as f:
         return decode_pgm(f.read())
@@ -127,5 +93,4 @@ def write_gray_pgm(path, img: np.ndarray):
     if img.ndim != 2:
         raise PnmError("expected a 2-D grayscale image")
     h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h) + img.tobytes())
+    atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + img.tobytes())

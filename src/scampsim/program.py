@@ -1,9 +1,14 @@
 """Plane-instruction programs: representation, executor, listing and timing.
 
-A PpaProgram is an ordered list of instructions over an ArrayState. Execution
-is validate-then-execute: every register reference and immediate is checked
-before the first instruction runs, so a rejected program leaves the state
-bit-identical. Timing is a pure function of per-opcode costs.
+A PpaProgram is an ordered list of instructions over an ArrayState. One
+table, SPECS, describes every opcode: its operands in listing order with
+their kinds, whether it takes a trailing `mask=`, and the ArrayState call
+that runs it. Validation, execution, disassembly and listing parsing all
+read that table. Execution is validate-then-execute: every register
+reference and immediate is checked before the first instruction runs, so a
+rejected program leaves the state bit-identical. Pattern bits are checked
+once, when the Instruction is built, and kept as bool. Timing is a pure
+function of per-opcode costs.
 """
 
 from __future__ import annotations
@@ -11,13 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .planes import SHIFT_OFFSETS, ArrayState, RegisterError
-
-OPCODES = ("add", "sub", "neg", "copy", "max", "shift", "thresh", "logic",
-           "pattern", "gsum")
+from .planes import SHIFT_OFFSETS, ArrayState, is_binary
 
 LOGIC_OPS = ("and", "or", "xor", "not")
 
@@ -42,7 +45,14 @@ class Instruction:
     value: int | None = None          # threshold immediate
     logic: str | None = None          # and / or / xor / not
     label: str | None = None          # gsum result label
-    pattern: np.ndarray | None = None  # H x W bits for `pattern`
+    pattern: np.ndarray | None = None  # H x W bits for `pattern`, kept as bool
+
+    def __post_init__(self):
+        if self.pattern is not None:
+            pattern = np.asarray(self.pattern)
+            if not is_binary(pattern):
+                raise ProgramError("pattern bits must be 0 or 1")
+            self.pattern = pattern.astype(bool, copy=False)
 
     def __eq__(self, other):
         if not isinstance(other, Instruction):
@@ -82,52 +92,103 @@ class PpaProgram:
                 and self.instructions == other.instructions)
 
 
+def _pattern_to_hex(pattern: np.ndarray) -> str:
+    h, w = pattern.shape
+    return f"{h}x{w}:" + np.packbits(pattern).tobytes().hex()
+
+
+def _pattern_from_hex(text: str) -> np.ndarray:
+    try:
+        dims, hexbits = text.split(":", 1)
+        hs, ws = dims.split("x")
+        h, w = int(hs), int(ws)
+        raw = np.frombuffer(bytes.fromhex(hexbits), dtype=np.uint8)
+        return np.unpackbits(raw)[: h * w].reshape(h, w).view(bool)
+    except Exception as e:
+        raise ProgramError(f"bad pattern literal: {e}") from None
+
+
+class Kind(NamedTuple):
+    """One operand kind: the test a value must pass against the state, the
+    message when it fails (formatted with op, name, v and state), and the
+    conversions from and to one listing field."""
+
+    ok: Callable
+    error: str
+    parse: Callable = str
+    fmt: Callable = str
+
+
+AREG = Kind(lambda st, v: v in st.analog, "unknown analog register {v!r}")
+DREG = Kind(lambda st, v: v in st.digital, "unknown digital register {v!r}")
+DREG2 = Kind(*DREG)  # second input of a binary logic op; `not` has none
+DIRECTION = Kind(lambda st, v: v in SHIFT_OFFSETS, "bad shift direction {v!r}")
+NONNEG = Kind(lambda st, v: v is not None and v >= 0, "{op} {name} must be >= 0", int)
+INT = Kind(lambda st, v: v is not None, "{op} needs an immediate value", int)
+LOGIC = Kind(lambda st, v: v in LOGIC_OPS, "bad logic op {v!r}")
+LABEL = Kind(lambda st, v: v is not None, "{op} needs a label")
+PATTERN = Kind(lambda st, v: v is not None and v.shape == st.geometry.shape,
+               "{op} needs bits of the geometry's shape {state.geometry.shape}",
+               _pattern_from_hex, _pattern_to_hex)
+
+
+class OpSpec(NamedTuple):
+    operands: tuple[tuple[str, Kind], ...]  # (Instruction field, kind), listing order
+    masked: bool                            # takes a trailing mask=<dreg>
+    run: Callable                           # (state, ins) -> global sum or None
+
+
+_ARITH3 = (("dst", AREG), ("a", AREG), ("b", AREG))
+_ARITH2 = (("dst", AREG), ("a", AREG))
+
+SPECS: dict[str, OpSpec] = {
+    "add": OpSpec(_ARITH3, True, lambda s, i: s.add(i.dst, i.a, i.b, i.mask)),
+    "sub": OpSpec(_ARITH3, True, lambda s, i: s.sub(i.dst, i.a, i.b, i.mask)),
+    "neg": OpSpec(_ARITH2, True, lambda s, i: s.neg(i.dst, i.a, i.mask)),
+    "copy": OpSpec(_ARITH2, True, lambda s, i: s.copy(i.dst, i.a, i.mask)),
+    "max": OpSpec(_ARITH3, True,
+                  lambda s, i: s.max_combine(i.dst, i.a, i.b, i.mask)),
+    "shift": OpSpec(_ARITH2 + (("direction", DIRECTION), ("steps", NONNEG)), False,
+                    lambda s, i: s.shift(i.dst, i.a, i.direction, i.steps)),
+    "thresh": OpSpec((("dst", DREG), ("a", AREG), ("value", INT)), False,
+                     lambda s, i: s.threshold_into(i.dst, i.a, i.value)),
+    "logic": OpSpec((("dst", DREG), ("logic", LOGIC), ("a", DREG), ("b", DREG2)),
+                    False, lambda s, i: s.dreg_logic(i.dst, i.logic, i.a, i.b)),
+    # bits were checked when the Instruction was built, shape by validate
+    "pattern": OpSpec((("dst", DREG), ("pattern", PATTERN)), False,
+                      lambda s, i: np.copyto(s.dreg(i.dst).bits, i.pattern)),
+    "gsum": OpSpec((("a", AREG), ("label", LABEL)), False,
+                   lambda s, i: s.global_sum_of(i.a)),
+}
+
+OPCODES = tuple(SPECS)
+
+
+def _spec(op: str) -> OpSpec:
+    try:
+        return SPECS[op]
+    except KeyError:
+        raise ProgramError(f"unknown opcode {op!r}") from None
+
+
+def _listed(spec: OpSpec, logic: str | None) -> list[tuple[str, Kind]]:
+    """The operands that appear in the listing for this logic op."""
+    return [(f, k) for f, k in spec.operands if k is not DREG2 or logic != "not"]
+
+
 # -- validation and execution -------------------------------------------
 
 
 def _validate_instruction(ins: Instruction, state: ArrayState):
-    op = ins.opcode
-    if op not in OPCODES:
-        raise ProgramError(f"unknown opcode {op!r}")
-    if op in ("add", "sub", "max"):
-        for r in (ins.dst, ins.a, ins.b):
-            state.areg(r)
-    elif op in ("neg", "copy"):
-        state.areg(ins.dst)
-        state.areg(ins.a)
-    elif op == "shift":
-        state.areg(ins.dst)
-        state.areg(ins.a)
-        if ins.direction not in SHIFT_OFFSETS:
-            raise ProgramError(f"bad shift direction {ins.direction!r}")
-        if ins.steps is None or ins.steps < 0:
-            raise ProgramError("shift steps must be >= 0")
-    elif op == "thresh":
-        state.dreg(ins.dst)
-        state.areg(ins.a)
-        if ins.value is None:
-            raise ProgramError("thresh needs an immediate value")
-    elif op == "logic":
-        if ins.logic not in LOGIC_OPS:
-            raise ProgramError(f"bad logic op {ins.logic!r}")
-        state.dreg(ins.dst)
-        state.dreg(ins.a)
-        if ins.logic != "not":
-            state.dreg(ins.b)
-    elif op == "pattern":
-        state.dreg(ins.dst)
-        if ins.pattern is None:
-            raise ProgramError("pattern instruction carries no bits")
-        if ins.pattern.shape != state.geometry.shape:
-            raise ProgramError(
-                f"pattern shape {ins.pattern.shape} != geometry {state.geometry.shape}"
-            )
-    elif op == "gsum":
-        state.areg(ins.a)
-        if ins.label is None:
-            raise ProgramError("gsum needs a label")
-    if op in ("add", "sub", "neg", "copy", "max") and ins.mask is not None:
-        state.dreg(ins.mask)
+    spec = _spec(ins.opcode)
+    operands = _listed(spec, ins.logic)
+    if spec.masked and ins.mask is not None:
+        operands.append(("mask", DREG))
+    for name, kind in operands:
+        v = getattr(ins, name)
+        if not kind.ok(state, v):
+            raise ProgramError(kind.error.format(op=ins.opcode, name=name, v=v,
+                                                 state=state))
 
 
 def validate(program: PpaProgram, state: ArrayState):
@@ -135,7 +196,7 @@ def validate(program: PpaProgram, state: ArrayState):
     for idx, ins in enumerate(program.instructions):
         try:
             _validate_instruction(ins, state)
-        except (ProgramError, RegisterError) as e:
+        except ProgramError as e:
             raise ProgramError(f"instruction {idx} ({ins.opcode}): {e}") from None
 
 
@@ -149,27 +210,9 @@ def execute(program: PpaProgram, state: ArrayState,
     validate(program, state)
     sums: list[int] = []
     for idx, ins in enumerate(program.instructions):
-        op = ins.opcode
-        if op == "add":
-            state.add(ins.dst, ins.a, ins.b, ins.mask)
-        elif op == "sub":
-            state.sub(ins.dst, ins.a, ins.b, ins.mask)
-        elif op == "neg":
-            state.neg(ins.dst, ins.a, ins.mask)
-        elif op == "copy":
-            state.copy(ins.dst, ins.a, ins.mask)
-        elif op == "max":
-            state.max_combine(ins.dst, ins.a, ins.b, ins.mask)
-        elif op == "shift":
-            state.shift(ins.dst, ins.a, ins.direction, ins.steps)
-        elif op == "thresh":
-            state.threshold_into(ins.dst, ins.a, ins.value)
-        elif op == "logic":
-            state.dreg_logic(ins.dst, ins.logic, ins.a, ins.b)
-        elif op == "pattern":
-            state.write_pattern(ins.dst, ins.pattern)
-        elif op == "gsum":
-            sums.append(state.global_sum_of(ins.a))
+        result = SPECS[ins.opcode].run(state, ins)
+        if result is not None:
+            sums.append(result)
         if on_instruction is not None:
             on_instruction(idx, ins, state)
     return state, sums
@@ -178,45 +221,13 @@ def execute(program: PpaProgram, state: ArrayState,
 # -- listing format ------------------------------------------------------
 
 
-def _pattern_to_hex(pattern: np.ndarray) -> str:
-    h, w = pattern.shape
-    return f"{h}x{w}:" + np.packbits(pattern.astype(np.uint8)).tobytes().hex()
-
-
-def _pattern_from_hex(text: str) -> np.ndarray:
-    try:
-        dims, hexbits = text.split(":", 1)
-        hs, ws = dims.split("x")
-        h, w = int(hs), int(ws)
-        raw = np.frombuffer(bytes.fromhex(hexbits), dtype=np.uint8)
-        return np.unpackbits(raw)[: h * w].reshape(h, w)
-    except Exception as e:
-        raise ProgramError(f"bad pattern literal: {e}") from None
-
-
 def disassemble_instruction(ins: Instruction) -> str:
-    op = ins.opcode
-    if op in ("add", "sub", "max"):
-        line = f"{op} {ins.dst} {ins.a} {ins.b}"
-    elif op in ("neg", "copy"):
-        line = f"{op} {ins.dst} {ins.a}"
-    elif op == "shift":
-        return f"shift {ins.dst} {ins.a} {ins.direction} {ins.steps}"
-    elif op == "thresh":
-        return f"thresh {ins.dst} {ins.a} {ins.value}"
-    elif op == "logic":
-        if ins.logic == "not":
-            return f"logic {ins.dst} not {ins.a}"
-        return f"logic {ins.dst} {ins.logic} {ins.a} {ins.b}"
-    elif op == "pattern":
-        return f"pattern {ins.dst} {_pattern_to_hex(ins.pattern)}"
-    elif op == "gsum":
-        return f"gsum {ins.a} {ins.label}"
-    else:
-        raise ProgramError(f"unknown opcode {op!r}")
-    if ins.mask is not None:
-        line += f" mask={ins.mask}"
-    return line
+    spec = _spec(ins.opcode)
+    fields = [ins.opcode] + [kind.fmt(getattr(ins, name))
+                             for name, kind in _listed(spec, ins.logic)]
+    if spec.masked and ins.mask is not None:
+        fields.append(f"mask={ins.mask}")
+    return " ".join(fields)
 
 
 def disassemble(program: PpaProgram) -> str:
@@ -224,10 +235,21 @@ def disassemble(program: PpaProgram) -> str:
     return "".join(disassemble_instruction(i) + "\n" for i in program.instructions)
 
 
-def _parse_mask(fields: list[str]) -> tuple[list[str], str | None]:
-    if fields and fields[-1].startswith("mask="):
-        return fields[:-1], fields[-1][len("mask="):]
-    return fields, None
+def _parse_line(fields: list[str]) -> Instruction:
+    op, rest = fields[0], fields[1:]
+    spec = _spec(op)
+    kw = {}
+    if spec.masked and rest and rest[-1].startswith("mask="):
+        kw["mask"] = rest.pop()[len("mask="):]
+    # the logic op precedes the operand it decides on, so zipping the full
+    # operand list against the fields reads it at its listing position
+    logic = dict(zip((f for f, _ in spec.operands), rest)).get("logic")
+    listed = _listed(spec, logic)
+    if len(rest) != len(listed):
+        raise ProgramError(f"{op} takes {len(listed)} operands, got {len(rest)}")
+    for (name, kind), text in zip(listed, rest):
+        kw[name] = kind.parse(text)
+    return Instruction(op, **kw)
 
 
 def parse_listing(text: str) -> PpaProgram:
@@ -237,42 +259,10 @@ def parse_listing(text: str) -> PpaProgram:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        op, rest = fields[0], fields[1:]
         try:
-            if op in ("add", "sub", "max"):
-                rest, mask = _parse_mask(rest)
-                dst, a, b = rest
-                ins = Instruction(op, dst=dst, a=a, b=b, mask=mask)
-            elif op in ("neg", "copy"):
-                rest, mask = _parse_mask(rest)
-                dst, a = rest
-                ins = Instruction(op, dst=dst, a=a, mask=mask)
-            elif op == "shift":
-                dst, a, direction, steps = rest
-                ins = Instruction(op, dst=dst, a=a, direction=direction,
-                                  steps=int(steps))
-            elif op == "thresh":
-                dst, a, value = rest
-                ins = Instruction(op, dst=dst, a=a, value=int(value))
-            elif op == "logic":
-                if rest[1] == "not":
-                    dst, _, a = rest
-                    ins = Instruction(op, dst=dst, a=a, logic="not")
-                else:
-                    dst, lop, a, b = rest
-                    ins = Instruction(op, dst=dst, a=a, b=b, logic=lop)
-            elif op == "pattern":
-                dst, pat = rest
-                ins = Instruction(op, dst=dst, pattern=_pattern_from_hex(pat))
-            elif op == "gsum":
-                a, label = rest
-                ins = Instruction(op, a=a, label=label)
-            else:
-                raise ProgramError(f"unknown opcode {op!r}")
+            instructions.append(_parse_line(line.split()))
         except (ValueError, ProgramError) as e:
             raise ProgramError(f"line {lineno}: {e}") from None
-        instructions.append(ins)
     return PpaProgram(instructions)
 
 

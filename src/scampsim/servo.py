@@ -19,7 +19,7 @@ import numpy as np
 from .lowering import make_input_state
 from .model import argmax
 from .planes import NoiseModel
-from .program import CostModel, PpaProgram, estimate
+from .program import CostModel, PpaProgram, estimate, execute
 
 PWM_PERIOD_US = 3003          # closest integer microseconds to 1/333 Hz
 MAX_SERVOS = 5
@@ -114,8 +114,6 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
              mode: str = "ideal",
              noise: NoiseModel | None = None) -> ServoTimeline:
     """Simulate `duration_us` of the loop over timestamped binary frames."""
-    from .program import execute  # local import avoids cycle at module load
-
     if any(frames[i][0] > frames[i + 1][0] for i in range(len(frames) - 1)):
         raise ServoError("frame timestamps must be nondecreasing")
     if frames and frames[-1][0] > duration_us:

@@ -18,9 +18,7 @@ import numpy as np
 
 from .dataset import DatasetSplit, images_labels
 from .geometry import PlaneGeometry
-from .model import BnnModel, batch_predict
-
-DEFAULT_CLASS_NAMES = ("rock", "paper", "scissors")
+from .model import BnnModel, batch_predict, fallback_class_names
 
 
 class TrainingError(ValueError):
@@ -90,8 +88,7 @@ class LatentModel:
         kernels = rng.uniform(-1, 1, size=(nb, config.k, config.k))
         fc = rng.uniform(-1, 1, size=(num_classes, nb, ps, ps))
         if class_names is None:
-            class_names = DEFAULT_CLASS_NAMES if num_classes == 3 else \
-                tuple(f"class{i}" for i in range(num_classes))
+            class_names = fallback_class_names(num_classes)
         return cls(kernels, fc, geometry, class_names)
 
     def binarize(self) -> BnnModel:

@@ -18,8 +18,7 @@ def run_instructions(instructions, state):
 
 def replicated_state(x, geometry=None):
     state = make_input_state(x, geometry)
-    rep, _ = lower_replicate(state.geometry, 4)
-    run_instructions(rep, state)
+    run_instructions(lower_replicate(state.geometry, 4), state)
     return state
 
 

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scampsim.dataset import DatasetError, GestureSample
 from scampsim.geometry import GeometryError, PlaneGeometry
+from scampsim.lowering import LoweringError, make_input_state
+from scampsim.model import ModelError, default_model, reference_infer
 from scampsim.planes import (SATURATING, AnalogPlane, ArrayState, DigitalPlane,
                              NoiseModel, PlaneError, RegisterError, global_sum,
                              threshold)
+from scampsim.program import Instruction, ProgramError
 
 
 def small_geometry():
@@ -301,6 +305,32 @@ class TestStateInvariants:
             s.add("C", "A", "B")
         assert np.array_equal(np.clip(ideal.areg("C").values, -128, 127),
                               sat.areg("C").values)
+
+
+# every caller of the one 0/1 check, with the error type it raises
+BINARY_CHECKS = {
+    "digital_plane": (PlaneError,
+                      lambda a: DigitalPlane(small_geometry(), a[:16, :16])),
+    "write_pattern": (PlaneError,
+                      lambda a: make_state().write_pattern("R1", a[:16, :16])),
+    "pattern_instruction": (ProgramError,
+                            lambda a: Instruction("pattern", dst="R1", pattern=a)),
+    "reference_infer": (ModelError, lambda a: reference_infer(default_model(), a)),
+    "make_input_state": (LoweringError, lambda a: make_input_state(a)),
+    "gesture_sample": (DatasetError, lambda a: GestureSample(a, 0, "test")),
+}
+
+
+@pytest.mark.parametrize("caller", BINARY_CHECKS)
+@pytest.mark.parametrize("bad", [2, 0.5, np.nan])
+def test_binary_checks_keep_their_errors(caller, bad):
+    error, call = BINARY_CHECKS[caller]
+    img = np.zeros((64, 64))
+    call(img)
+    call(img.astype(bool))
+    img[3, 5] = bad
+    with pytest.raises(error):
+        call(img)
 
 
 def _snap_equal(s1, s2):

@@ -1,4 +1,6 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from scampsim.geometry import PlaneGeometry
 from scampsim.planes import ArrayState
-from scampsim.program import (CostError, CostModel, Instruction, PpaProgram,
-                              ProgramError, disassemble, estimate, execute,
+from scampsim.program import (OPCODES, SPECS, CostError, CostModel, Instruction,
+                              PpaProgram, ProgramError, disassemble,
+                              disassemble_instruction, estimate, execute,
                               parse_listing)
 
 
@@ -29,14 +32,25 @@ class TestExecute:
                           small_state())
         assert sums == [0]
 
-    def test_rejection_leaves_state_bit_identical(self):
+    # one bad operand per opcode, each after an instruction that would
+    # change the state if it ran
+    @pytest.mark.parametrize("bad", [
+        Instruction("add", dst="A", a="A", b="NOPE"),
+        Instruction("sub", dst="R1", a="A", b="A"),
+        Instruction("neg", dst="A", a="A", mask="NOPE"),
+        Instruction("copy", dst="A", a=None),
+        Instruction("max", dst="A", a="A", b="A", mask="B"),
+        Instruction("shift", dst="A", a="A", direction="N", steps=-1),
+        Instruction("thresh", dst="R1", a="A"),
+        Instruction("logic", dst="R1", a="R2", b="R3", logic="nand"),
+        Instruction("pattern", dst="R1", pattern=np.ones((8, 8), dtype=bool)),
+        Instruction("gsum", a="A"),
+    ], ids=lambda ins: ins.opcode)
+    def test_rejection_leaves_state_bit_identical(self, bad):
         state = small_state()
         state.areg("A").values[:] = 3
         before = state.snapshot()
-        prog = PpaProgram([
-            Instruction("add", dst="A", a="A", b="A"),
-            Instruction("add", dst="A", a="A", b="NOPE"),
-        ])
+        prog = PpaProgram([Instruction("add", dst="A", a="A", b="A"), bad])
         with pytest.raises(ProgramError):
             execute(prog, state)
         assert state.equals_snapshot(before)
@@ -104,6 +118,21 @@ class TestListing:
         with pytest.raises(ProgramError, match="line 2"):
             parse_listing("add A B C\nfrobnicate X\n")
 
+    @pytest.mark.parametrize("bad", ["add A B", "add A B C D", "shift A B N x",
+                                     "shift A B N 1 mask=R1", "logic R1 not R2 R3",
+                                     "logic R1 and R2", "pattern R1 2x2:zz",
+                                     "logic", "gsum"])
+    def test_operand_count_and_literals_checked(self, bad):
+        with pytest.raises(ProgramError, match="line 1"):
+            parse_listing(bad)
+
+    def test_bool_and_uint8_patterns_are_one_instruction(self):
+        bits = np.eye(16, dtype=np.uint8)
+        as_bool = Instruction("pattern", dst="R1", pattern=bits.astype(bool))
+        as_uint8 = Instruction("pattern", dst="R1", pattern=bits)
+        assert as_bool == as_uint8
+        assert disassemble_instruction(as_bool) == disassemble_instruction(as_uint8)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_random_programs(self, seed):
@@ -132,6 +161,13 @@ class TestCostModel:
         report = estimate(prog, CostModel({"copy": 1.0}, overhead_us=2.0))
         assert report.latency_us == 12.0
         assert report.throughput_fps_floor == 83333
+
+    def test_every_opcode_has_row_and_default_cost(self):
+        costs = json.loads(resources.files("scampsim.data")
+                           .joinpath("default_cost.json").read_text())
+        for op in OPCODES:
+            assert callable(SPECS[op].run)
+            assert op in costs
 
     def test_missing_opcode_named(self):
         prog = PpaProgram([Instruction("shift", dst="A", a="B",
