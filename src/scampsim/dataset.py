@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import is_binary
 from .lowering import prepare_input
 from .model import DEFAULT_CLASS_NAMES as CLASS_NAMES
-from .planes import is_binary
 from .pnm import PnmError, atomic_write, read_pgm, write_gray_pgm
 
 IMAGE_SIDE = 64

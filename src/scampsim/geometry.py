@@ -2,9 +2,16 @@
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class GeometryError(ValueError):
     pass
+
+
+def is_binary(a: np.ndarray) -> bool:
+    """True iff every element is 0 or 1: one linear pass, no sort."""
+    return a.dtype == np.bool_ or not ((a != 0) & (a != 1)).any()
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PlaneGeometry
+from .geometry import PlaneGeometry, is_binary
 from .model import BnnModel
 from .planes import (DEFAULT_ANALOG_REGS, DEFAULT_DIGITAL_REGS, ArrayState,
-                     NoiseModel, is_binary)
+                     NoiseModel)
 from .program import Instruction, PpaProgram
 
 # Register roles. A stages the input and doubles as the conv row register

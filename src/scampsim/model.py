@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PlaneGeometry
-from .planes import is_binary
+from .geometry import PlaneGeometry, is_binary
 
 WEIGHTS_VERSION = 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlaneGeometry
+from .geometry import PlaneGeometry, is_binary
 
 IDEAL = "ideal"
 SATURATING = "saturating"
@@ -43,11 +43,6 @@ class RegisterError(KeyError):
 
 class PlaneError(ValueError):
     """Geometry or value-domain violation on a plane operation."""
-
-
-def is_binary(a: np.ndarray) -> bool:
-    """True iff every element is 0 or 1: one linear pass, no sort."""
-    return a.dtype == np.bool_ or not ((a != 0) & (a != 1)).any()
 
 
 @dataclass
@@ -305,7 +300,7 @@ class ArrayState:
             )
         if not is_binary(pattern):
             raise PlaneError("pattern bits must be 0 or 1")
-        self.dreg(dst).bits[:] = pattern.astype(np.uint8)
+        self.dreg(dst).bits[:] = pattern
 
     # -- snapshots -------------------------------------------------------
 

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .planes import SHIFT_OFFSETS, ArrayState, is_binary
+from .geometry import is_binary
+from .planes import SHIFT_OFFSETS, ArrayState
 
 LOGIC_OPS = ("and", "or", "xor", "not")
 
@@ -154,9 +155,8 @@ SPECS: dict[str, OpSpec] = {
                      lambda s, i: s.threshold_into(i.dst, i.a, i.value)),
     "logic": OpSpec((("dst", DREG), ("logic", LOGIC), ("a", DREG), ("b", DREG2)),
                     False, lambda s, i: s.dreg_logic(i.dst, i.logic, i.a, i.b)),
-    # bits were checked when the Instruction was built, shape by validate
     "pattern": OpSpec((("dst", DREG), ("pattern", PATTERN)), False,
-                      lambda s, i: np.copyto(s.dreg(i.dst).bits, i.pattern)),
+                      lambda s, i: s.write_pattern(i.dst, i.pattern)),
     "gsum": OpSpec((("a", AREG), ("label", LABEL)), False,
                    lambda s, i: s.global_sum_of(i.a)),
 }

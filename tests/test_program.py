@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from scampsim.geometry import PlaneGeometry
 from scampsim.planes import ArrayState
-from scampsim.program import (OPCODES, SPECS, CostError, CostModel, Instruction,
+from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
                               PpaProgram, ProgramError, disassemble,
                               disassemble_instruction, estimate, execute,
                               parse_listing)
@@ -162,12 +162,10 @@ class TestCostModel:
         assert report.latency_us == 12.0
         assert report.throughput_fps_floor == 83333
 
-    def test_every_opcode_has_row_and_default_cost(self):
+    def test_default_cost_covers_every_opcode(self):
         costs = json.loads(resources.files("scampsim.data")
                            .joinpath("default_cost.json").read_text())
-        for op in OPCODES:
-            assert callable(SPECS[op].run)
-            assert op in costs
+        assert set(OPCODES) <= set(costs)
 
     def test_missing_opcode_named(self):
         prog = PpaProgram([Instruction("shift", dst="A", a="B",
