@@ -111,9 +111,7 @@ def make_input_state(image64: np.ndarray, geometry: PlaneGeometry | None = None,
     if not is_binary(image64):
         raise LoweringError("input image must be strictly binary")
     state = ArrayState(geometry, mode=mode, noise=noise)
-    full = np.zeros(geometry.shape, dtype=np.int64)
-    full[:bs, :bs] = image64
-    state.areg(REG_INPUT).values[:] = full
+    state.areg(REG_INPUT).values[:bs, :bs] = image64
     return state
 
 

@@ -1,11 +1,18 @@
 """Register planes and the primitive plane-parallel operations.
 
-AnalogPlane models the per-pixel analog registers (PIX/AREG) as signed
-integers, optionally saturating to an 8-bit-like range. DigitalPlane models
-the 1-bit DREG planes. ArrayState bundles named banks of both plus the flag
+AnalogPlane models the per-pixel analog registers (PIX/AREG) as int32,
+optionally saturating to an 8-bit-like range. DigitalPlane models the 1-bit
+DREG planes as bool. ArrayState bundles named banks of both plus the flag
 plane, and exposes the primitive operations every higher layer composes:
 elementwise arithmetic with optional digital masking, neighbour shifts,
 thresholding, bit logic, pattern writes and the global summation.
+
+Every operation writes into its destination plane in place; a masked write
+computes into one scratch plane owned by the state and blends it in, so no
+operation allocates a result plane. int32 arithmetic wraps on overflow, so
+nothing here checks magnitudes per operation: values entering a plane are
+checked against int32 (AnalogPlane, load_image), and program.execute proves
+that a whole program's intermediates stay inside int32 before it runs.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ SATURATING = "saturating"
 DEFAULT_SAT_MIN = -128
 DEFAULT_SAT_MAX = 127
 
+ANALOG_DTYPE = np.int32
+ANALOG_MIN = int(np.iinfo(ANALOG_DTYPE).min)
+ANALOG_MAX = int(np.iinfo(ANALOG_DTYPE).max)
+
 DEFAULT_ANALOG_REGS = ("A", "B", "C", "D", "E", "F", "PIX")
 DEFAULT_DIGITAL_REGS = tuple(f"R{i}" for i in range(1, 13))
 
@@ -36,6 +47,8 @@ SHIFT_OFFSETS = {
     "W": (0, 1),
 }
 
+LOGIC_UFUNCS = {"and": np.logical_and, "or": np.logical_or, "xor": np.logical_xor}
+
 
 class RegisterError(KeyError):
     """Unknown or duplicate register name."""
@@ -43,6 +56,12 @@ class RegisterError(KeyError):
 
 class PlaneError(ValueError):
     """Geometry or value-domain violation on a plane operation."""
+
+
+def fits_analog(values: np.ndarray) -> bool:
+    """True iff every value is representable in an analog register."""
+    return (np.can_cast(values.dtype, ANALOG_DTYPE) or values.size == 0
+            or (values.min() >= ANALOG_MIN and values.max() <= ANALOG_MAX))
 
 
 @dataclass
@@ -79,23 +98,21 @@ class AnalogPlane:
 
     @classmethod
     def zeros(cls, geometry: PlaneGeometry, mode: str = IDEAL, **kw) -> "AnalogPlane":
-        return cls(geometry, np.zeros(geometry.shape, dtype=np.int64), mode, **kw)
+        return cls(geometry, np.zeros(geometry.shape, dtype=ANALOG_DTYPE), mode, **kw)
 
     def __post_init__(self):
         if self.mode not in (IDEAL, SATURATING):
             raise PlaneError(f"unknown analog mode {self.mode!r}")
-        if self.values.shape != self.geometry.shape:
+        values = np.asarray(self.values)
+        if values.shape != self.geometry.shape:
             raise PlaneError(
-                f"values shape {self.values.shape} != geometry {self.geometry.shape}"
+                f"values shape {values.shape} != geometry {self.geometry.shape}"
             )
-        self.values = self.values.astype(np.int64, copy=False)
+        if not fits_analog(values):
+            raise PlaneError(f"analog values must lie in [{ANALOG_MIN}, {ANALOG_MAX}]")
+        self.values = values.astype(ANALOG_DTYPE, copy=False)
         if self.mode == SATURATING:
             np.clip(self.values, self.sat_min, self.sat_max, out=self.values)
-
-    def clamp(self, arr: np.ndarray) -> np.ndarray:
-        if self.mode == SATURATING:
-            return np.clip(arr, self.sat_min, self.sat_max)
-        return arr
 
     def copy(self) -> "AnalogPlane":
         return AnalogPlane(self.geometry, self.values.copy(), self.mode,
@@ -109,11 +126,8 @@ class DigitalPlane:
 
     @classmethod
     def zeros(cls, geometry: PlaneGeometry) -> "DigitalPlane":
-        return cls(geometry, np.zeros(geometry.shape, dtype=np.uint8))
-
-    @classmethod
-    def from_array(cls, geometry: PlaneGeometry, arr: np.ndarray) -> "DigitalPlane":
-        return cls(geometry, np.asarray(arr))
+        # bool bits pass the 0/1 check without reading them
+        return cls(geometry, np.zeros(geometry.shape, dtype=bool))
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits)
@@ -123,7 +137,7 @@ class DigitalPlane:
             )
         if not is_binary(self.bits):
             raise PlaneError("digital plane bits must be exactly 0 or 1")
-        self.bits = self.bits.astype(np.uint8, copy=False)
+        self.bits = self.bits.astype(bool, copy=False)
 
     def copy(self) -> "DigitalPlane":
         return DigitalPlane(self.geometry, self.bits.copy())
@@ -167,13 +181,22 @@ class ArrayState:
         self.geometry = geometry or PlaneGeometry()
         self.mode = mode
         self.noise = noise or NoiseModel()
+        if 2 * max(abs(sat_min), abs(sat_max)) > ANALOG_MAX:
+            raise PlaneError("saturation limits must keep the sum or difference of "
+                             "two clamped values inside int32")
+        self.sat_min, self.sat_max = sat_min, sat_max
         if len(set(analog_names)) != len(analog_names):
             raise RegisterError("duplicate analog register name")
         if len(set(digital_names)) != len(digital_names) or FLAG_REG in digital_names:
             raise RegisterError("duplicate digital register name")
+        # one zeroed block backs every analog plane plus the scratch plane
+        # that masked writes compute into; one allocation is cheaper than
+        # clearing eight planes one by one
+        block = np.zeros((len(analog_names) + 1, *self.geometry.shape),
+                         dtype=ANALOG_DTYPE)
         self.analog: dict[str, AnalogPlane] = {
-            n: AnalogPlane.zeros(self.geometry, mode, sat_min=sat_min, sat_max=sat_max)
-            for n in analog_names
+            n: AnalogPlane(self.geometry, values, mode, sat_min, sat_max)
+            for n, values in zip(analog_names, block)
         }
         self.digital: dict[str, DigitalPlane] = {
             n: DigitalPlane.zeros(self.geometry) for n in digital_names
@@ -181,6 +204,7 @@ class ArrayState:
         # The conditional-execution flag is addressable like any mask plane.
         self.digital[FLAG_REG] = DigitalPlane.zeros(self.geometry)
         self.rng = self.noise.make_rng()
+        self._scratch = block[-1]
 
     # -- register access -------------------------------------------------
 
@@ -196,19 +220,30 @@ class ArrayState:
         except KeyError:
             raise RegisterError(f"unknown digital register {name!r}") from None
 
-    def _mask_bits(self, mask: str | None) -> np.ndarray | None:
-        if mask is None:
-            return None
-        return self.dreg(mask).bits
+    def _saturate(self, values: np.ndarray):
+        if self.mode == SATURATING:
+            np.clip(values, self.sat_min, self.sat_max, out=values)
 
-    def _store(self, dst: str, result: np.ndarray, mask: str | None):
-        plane = self.areg(dst)
-        result = plane.clamp(result.astype(np.int64, copy=False))
-        bits = self._mask_bits(mask)
-        if bits is None:
-            plane.values[:] = result
-        else:
-            np.copyto(plane.values, result, where=bits.astype(bool))
+    def _write(self, ufunc, dst: str, srcs: tuple[str, ...], mask: str | None):
+        """dst = clamp(ufunc(*srcs)) where the mask is set, in place.
+
+        Unmasked, the ufunc writes straight into dst. Masked, it writes into
+        the scratch plane t, which blends in as dst += m * (t - dst): exact in
+        wrapping int32 arithmetic even where t - dst itself wraps.
+        """
+        out = self.areg(dst).values
+        args = [self.areg(s).values for s in srcs]
+        if mask is None:
+            ufunc(*args, out=out)
+            self._saturate(out)
+            return
+        m = self.dreg(mask).bits
+        t = self._scratch
+        ufunc(*args, out=t)
+        self._saturate(t)
+        t -= out
+        t *= m
+        out += t
 
     # -- analog ops ------------------------------------------------------
 
@@ -217,7 +252,7 @@ class ArrayState:
         """Acquire a grayscale image into an analog register.
 
         Pixel values map through round(v * scale + offset), then clamp in
-        saturating mode.
+        saturating mode. Mapped values outside int32 are rejected.
         """
         img = np.asarray(img)
         if img.shape != self.geometry.shape:
@@ -226,48 +261,62 @@ class ArrayState:
             )
         if img.min() < 0 or img.max() > 255:
             raise PlaneError("image pixel values must lie in [0, 255]")
-        mapped = np.rint(img.astype(np.float64) * scale + offset).astype(np.int64)
-        self._store(dest, mapped, None)
+        mapped = np.rint(img.astype(np.float64) * scale + offset)
+        if not fits_analog(mapped):
+            raise PlaneError(f"mapped image values must lie in "
+                             f"[{ANALOG_MIN}, {ANALOG_MAX}]")
+        out = self.areg(dest).values
+        out[:] = mapped
+        self._saturate(out)
 
     def add(self, dst: str, a: str, b: str, mask: str | None = None):
-        self._store(dst, self.areg(a).values + self.areg(b).values, mask)
+        self._write(np.add, dst, (a, b), mask)
 
     def sub(self, dst: str, a: str, b: str, mask: str | None = None):
-        self._store(dst, self.areg(a).values - self.areg(b).values, mask)
+        self._write(np.subtract, dst, (a, b), mask)
 
     def neg(self, dst: str, a: str, mask: str | None = None):
-        self._store(dst, -self.areg(a).values, mask)
+        self._write(np.negative, dst, (a,), mask)
 
     def copy(self, dst: str, a: str, mask: str | None = None):
-        self._store(dst, self.areg(a).values.copy(), mask)
+        self._write(np.positive, dst, (a,), mask)
 
     def max_combine(self, dst: str, a: str, b: str, mask: str | None = None):
-        self._store(dst, np.maximum(self.areg(a).values, self.areg(b).values), mask)
+        self._write(np.maximum, dst, (a, b), mask)
 
     def shift(self, dst: str, src: str, direction: str, steps: int):
         """dst(r,c) = src(r + steps*dr, c + steps*dc); zeros enter at edges.
 
         Shifts cross block boundaries: the neighbour network is a property of
-        the physical array, not of the logical block tiling.
+        the physical array, not of the logical block tiling. dst may be src.
         """
         if direction not in SHIFT_OFFSETS:
             raise PlaneError(f"unknown shift direction {direction!r}")
         if steps < 0:
             raise PlaneError("shift steps must be >= 0")
         src_vals = self.areg(src).values
-        out = np.zeros_like(src_vals)
+        out = self.areg(dst).values
         dr, dc = SHIFT_OFFSETS[direction]
         dr *= steps
         dc *= steps
         h, w = self.geometry.shape
-        r0, r1 = max(0, -dr), min(h, h - dr)
-        c0, c1 = max(0, -dc), min(w, w - dc)
-        if r0 < r1 and c0 < c1:
-            out[r0:r1, c0:c1] = src_vals[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
-        self._store(dst, out, None)
+        # rows r0:r1 and cols c0:c1 of dst have a source pixel; either range
+        # is empty when the shift moves everything off the plane
+        r0, r1 = min(h, max(0, -dr)), max(0, min(h, h - dr))
+        c0, c1 = min(w, max(0, -dc)), max(0, min(w, w - dc))
+        # numpy buffers an overlapping copy, so the move is right when dst is src
+        out[r0:r1, c0:c1] = src_vals[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
+        out[:r0] = 0
+        out[r1:] = 0
+        out[:, :c0] = 0
+        out[:, c1:] = 0
+        self._saturate(out)
 
     def threshold_into(self, dst: str, src: str, t: int):
-        self.dreg(dst).bits[:] = threshold(self.areg(src), t).bits
+        if not ANALOG_MIN <= t <= ANALOG_MAX:
+            # np.greater with out= misreads a Python int outside int32
+            raise PlaneError(f"threshold {t} outside [{ANALOG_MIN}, {ANALOG_MAX}]")
+        np.greater(self.areg(src).values, t, out=self.dreg(dst).bits)
 
     def global_sum_of(self, src: str) -> int:
         return global_sum(self.areg(src), self.noise, self.rng)
@@ -276,21 +325,16 @@ class ArrayState:
 
     def dreg_logic(self, dst: str, op: str, a: str, b: str | None = None):
         av = self.dreg(a).bits
+        out = self.dreg(dst).bits
         if op == "not":
-            res = 1 - av
-        else:
-            if b is None:
-                raise PlaneError(f"logic op {op!r} needs two operands")
-            bv = self.dreg(b).bits
-            if op == "and":
-                res = av & bv
-            elif op == "or":
-                res = av | bv
-            elif op == "xor":
-                res = av ^ bv
-            else:
-                raise PlaneError(f"unknown logic op {op!r}")
-        self.dreg(dst).bits[:] = res
+            np.logical_not(av, out=out)
+            return
+        if b is None:
+            raise PlaneError(f"logic op {op!r} needs two operands")
+        ufunc = LOGIC_UFUNCS.get(op)
+        if ufunc is None:
+            raise PlaneError(f"unknown logic op {op!r}")
+        ufunc(av, self.dreg(b).bits, out=out)
 
     def write_pattern(self, dst: str, pattern: np.ndarray):
         pattern = np.asarray(pattern)

@@ -5,10 +5,11 @@ table, SPECS, describes every opcode: its operands in listing order with
 their kinds, whether it takes a trailing `mask=`, and the ArrayState call
 that runs it. Validation, execution, disassembly and listing parsing all
 read that table. Execution is validate-then-execute: every register
-reference and immediate is checked before the first instruction runs, so a
-rejected program leaves the state bit-identical. Pattern bits are checked
-once, when the Instruction is built, and kept as bool. Timing is a pure
-function of per-opcode costs.
+reference and immediate is checked, and every analog intermediate is proven
+to fit the int32 planes, before the first instruction runs, so a rejected
+program leaves the state bit-identical. Pattern bits are checked once, when
+the Instruction is built, and kept as bool. Timing is a pure function of
+per-opcode costs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import is_binary
-from .planes import SHIFT_OFFSETS, ArrayState
+from .planes import (ANALOG_MAX, ANALOG_MIN, SATURATING, SHIFT_OFFSETS,
+                     ArrayState)
 
 LOGIC_OPS = ("and", "or", "xor", "not")
 
@@ -125,7 +127,8 @@ DREG = Kind(lambda st, v: v in st.digital, "unknown digital register {v!r}")
 DREG2 = Kind(*DREG)  # second input of a binary logic op; `not` has none
 DIRECTION = Kind(lambda st, v: v in SHIFT_OFFSETS, "bad shift direction {v!r}")
 NONNEG = Kind(lambda st, v: v is not None and v >= 0, "{op} {name} must be >= 0", int)
-INT = Kind(lambda st, v: v is not None, "{op} needs an immediate value", int)
+INT32 = Kind(lambda st, v: v is not None and ANALOG_MIN <= v <= ANALOG_MAX,
+             "{op} needs an int32 immediate value", int)
 LOGIC = Kind(lambda st, v: v in LOGIC_OPS, "bad logic op {v!r}")
 LABEL = Kind(lambda st, v: v is not None, "{op} needs a label")
 PATTERN = Kind(lambda st, v: v is not None and v.shape == st.geometry.shape,
@@ -137,21 +140,24 @@ class OpSpec(NamedTuple):
     operands: tuple[tuple[str, Kind], ...]  # (Instruction field, kind), listing order
     masked: bool                            # takes a trailing mask=<dreg>
     run: Callable                           # (state, ins) -> global sum or None
+    # bound on |value written to dst| from the list of bounds of the analog
+    # inputs `a` (and `b`): sum or max; None if no analog plane is written
+    bound: Callable | None = None
 
 
 _ARITH3 = (("dst", AREG), ("a", AREG), ("b", AREG))
 _ARITH2 = (("dst", AREG), ("a", AREG))
 
 SPECS: dict[str, OpSpec] = {
-    "add": OpSpec(_ARITH3, True, lambda s, i: s.add(i.dst, i.a, i.b, i.mask)),
-    "sub": OpSpec(_ARITH3, True, lambda s, i: s.sub(i.dst, i.a, i.b, i.mask)),
-    "neg": OpSpec(_ARITH2, True, lambda s, i: s.neg(i.dst, i.a, i.mask)),
-    "copy": OpSpec(_ARITH2, True, lambda s, i: s.copy(i.dst, i.a, i.mask)),
+    "add": OpSpec(_ARITH3, True, lambda s, i: s.add(i.dst, i.a, i.b, i.mask), sum),
+    "sub": OpSpec(_ARITH3, True, lambda s, i: s.sub(i.dst, i.a, i.b, i.mask), sum),
+    "neg": OpSpec(_ARITH2, True, lambda s, i: s.neg(i.dst, i.a, i.mask), max),
+    "copy": OpSpec(_ARITH2, True, lambda s, i: s.copy(i.dst, i.a, i.mask), max),
     "max": OpSpec(_ARITH3, True,
-                  lambda s, i: s.max_combine(i.dst, i.a, i.b, i.mask)),
+                  lambda s, i: s.max_combine(i.dst, i.a, i.b, i.mask), max),
     "shift": OpSpec(_ARITH2 + (("direction", DIRECTION), ("steps", NONNEG)), False,
-                    lambda s, i: s.shift(i.dst, i.a, i.direction, i.steps)),
-    "thresh": OpSpec((("dst", DREG), ("a", AREG), ("value", INT)), False,
+                    lambda s, i: s.shift(i.dst, i.a, i.direction, i.steps), max),
+    "thresh": OpSpec((("dst", DREG), ("a", AREG), ("value", INT32)), False,
                      lambda s, i: s.threshold_into(i.dst, i.a, i.value)),
     "logic": OpSpec((("dst", DREG), ("logic", LOGIC), ("a", DREG), ("b", DREG2)),
                     False, lambda s, i: s.dreg_logic(i.dst, i.logic, i.a, i.b)),
@@ -191,11 +197,49 @@ def _validate_instruction(ins: Instruction, state: ArrayState):
                                                  state=state))
 
 
+class _Bounds(dict):
+    """Proven magnitude bound per analog register. A register's first read
+    takes one max-abs reduction over its plane in the state."""
+
+    def __init__(self, state: ArrayState):
+        super().__init__()
+        self.state = state
+
+    def __missing__(self, reg: str) -> int:
+        values = self.state.analog[reg].values
+        # Python ints: abs() of int32's minimum would wrap
+        self[reg] = bound = max(-int(values.min()), int(values.max()))
+        return bound
+
+
+def _check_bound(ins: Instruction, spec: OpSpec, bounds: _Bounds, cap: int | None):
+    """Record the bound of the value `ins` writes; raise if it can leave int32."""
+    inputs = [bounds[getattr(ins, f)] for f, kind in spec.operands
+              if kind is AREG and f != "dst"]
+    new = spec.bound(inputs)
+    if new > ANALOG_MAX:
+        raise ProgramError(f"{ins.opcode} can reach magnitude {new}, outside int32")
+    if cap is not None:
+        new = min(new, cap)
+    if spec.masked and ins.mask is not None:
+        # unmasked pixels keep their old values
+        new = max(new, bounds[ins.dst])
+    bounds[ins.dst] = new
+
+
 def validate(program: PpaProgram, state: ArrayState):
-    """Reject the whole program before any instruction runs."""
+    """Reject the whole program before any instruction runs: every operand
+    against the state, and every analog result's magnitude against int32,
+    starting from the state's current plane values."""
+    bounds = _Bounds(state)
+    cap = (max(abs(state.sat_min), abs(state.sat_max))
+           if state.mode == SATURATING else None)
     for idx, ins in enumerate(program.instructions):
         try:
             _validate_instruction(ins, state)
+            spec = SPECS[ins.opcode]
+            if spec.bound is not None:
+                _check_bound(ins, spec, bounds, cap)
         except ProgramError as e:
             raise ProgramError(f"instruction {idx} ({ins.opcode}): {e}") from None
 

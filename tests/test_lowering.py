@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scampsim.geometry import PlaneGeometry
 from scampsim.lowering import (LoweringError, border_pattern,
@@ -8,8 +10,8 @@ from scampsim.lowering import (LoweringError, border_pattern,
                                lower_replicate, make_input_state,
                                prepare_input)
 from scampsim.model import BnnModel, random_model, reference_infer
-from scampsim.planes import ArrayState
-from scampsim.program import PpaProgram, disassemble, execute
+from scampsim.planes import SATURATING, ArrayState
+from scampsim.program import PpaProgram, disassemble, execute, parse_listing
 
 
 def run_instructions(instructions, state):
@@ -249,3 +251,40 @@ class TestLowerModel:
         _, plan = lower_model(random_model(seed=12))
         doc = json.loads(plan.to_json())
         assert "registers" in doc and "instruction_counts" in doc
+
+
+class TestValueRange:
+    """The widest lowered models stay far inside int32, and the lowering
+    matches the dense oracle over the whole configuration space."""
+
+    @pytest.mark.parametrize("grid,k", [(8, 32), (1, 64)])
+    def test_widest_kernels_pass_the_bound_pass(self, grid, k, rng):
+        g = PlaneGeometry(256, 256, grid, 256 // grid)
+        m = random_model(seed=grid * 100 + k, k=k, geometry=g)
+        prog, _ = lower_model(m)
+        x = rng.integers(0, 2, size=(g.block_size,) * 2)
+        _, sums = execute(prog, make_input_state(x, g))
+        assert sums == [4 * s for s in reference_infer(m, x).sums]
+
+    @given(grid=st.sampled_from([1, 2, 4, 8]), half=st.integers(1, 8),
+           k_frac=st.floats(0, 1), classes=st.integers(2, 8),
+           saturating=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_differential_fuzz(self, grid, half, k_frac, classes, saturating, seed):
+        """Lowered sums equal 4x the dense reference, and listings round-trip.
+
+        Saturating mode draws only k*k <= 127. Conv values reach k*k; past
+        127 they clamp while the oracle does not saturate, a known defect
+        (ROADMAP item 5: lowering accepts such models) outside this space.
+        """
+        bs = 2 * half
+        k_max = min(bs, 11) if saturating else bs
+        k = 1 + round(k_frac * (k_max - 1))
+        g = PlaneGeometry(grid * bs, grid * bs, grid, bs)
+        m = random_model(seed=seed, num_classes=classes, k=k, geometry=g)
+        prog, _ = lower_model(m)
+        assert parse_listing(disassemble(prog)) == prog
+        x = np.random.default_rng(seed).integers(0, 2, size=(bs, bs))
+        mode = SATURATING if saturating else "ideal"
+        _, sums = execute(prog, make_input_state(x, g, mode))
+        assert sums == [4 * s for s in reference_infer(m, x).sums]

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from scampsim.dataset import DatasetError, GestureSample
 from scampsim.geometry import GeometryError, PlaneGeometry
-from scampsim.lowering import LoweringError, make_input_state
+from scampsim.lowering import (LoweringError, block_select_pattern,
+                               make_input_state)
 from scampsim.model import ModelError, default_model, reference_infer
-from scampsim.planes import (SATURATING, AnalogPlane, ArrayState, DigitalPlane,
-                             NoiseModel, PlaneError, RegisterError, global_sum,
-                             threshold)
+from scampsim.planes import (ANALOG_MAX, ANALOG_MIN, SATURATING, AnalogPlane,
+                             ArrayState, DigitalPlane, NoiseModel, PlaneError,
+                             RegisterError, global_sum, threshold)
 from scampsim.program import Instruction, ProgramError
 
 
@@ -123,6 +124,111 @@ class TestArithmetic:
         state.sub("C", "B", "A")
         state.areg("B").values[:] = -100
         state.add("C", "A", "B")
+        assert np.all(state.areg("C").values == 0)
+
+
+# the masked ops, each with its numpy oracle over int64 operands
+MASKED_OPS = {
+    "add": (lambda s, d, a, b, m: s.add(d, a, b, m), lambda a, b: a + b),
+    "sub": (lambda s, d, a, b, m: s.sub(d, a, b, m), lambda a, b: a - b),
+    "neg": (lambda s, d, a, b, m: s.neg(d, a, m), lambda a, b: -a),
+    "copy": (lambda s, d, a, b, m: s.copy(d, a, m), lambda a, b: a),
+    "max": (lambda s, d, a, b, m: s.max_combine(d, a, b, m), np.maximum),
+}
+
+
+def mask_shapes():
+    g, r = small_geometry(), np.random.default_rng(3)
+    return {
+        "block_select": block_select_pattern(g, np.arange(16) % 3 == 0),
+        "col_parity": np.indices((16, 16))[1] % 2 == 1,
+        "row_parity": np.indices((16, 16))[0] % 2 == 0,
+        "random": r.integers(0, 2, (16, 16)).astype(bool),
+    }
+
+
+class TestMaskedWrite:
+    """Every masked op against np.where(m, clip(op(a, b)), old) in int64, for
+    every mask shape, both modes and every way dst can alias the inputs."""
+
+    @pytest.mark.parametrize("mode", ["ideal", SATURATING])
+    @pytest.mark.parametrize("shape", mask_shapes())
+    @pytest.mark.parametrize("op", MASKED_OPS)
+    @pytest.mark.parametrize("dst,a,b", [("C", "A", "B"), ("A", "A", "B"),
+                                         ("B", "A", "B"), ("A", "A", "A")])
+    def test_matches_numpy_oracle(self, op, shape, mode, dst, a, b):
+        run, oracle = MASKED_OPS[op]
+        r = np.random.default_rng(7)
+        # ideal: inputs whose result fits int32 but whose difference to the
+        # old value does not, so the blend's own arithmetic wraps
+        lo, hi = (-128, 127) if mode == SATURATING else (-2**30 + 1, 2**30 - 1)
+        state = make_state(mode)
+        for reg in "ABC":
+            state.areg(reg).values[:] = r.integers(lo, hi + 1, (16, 16))
+        state.areg("C").values[0, 0] = ANALOG_MIN if mode == "ideal" else -128
+        mask = mask_shapes()[shape]
+        state.write_pattern("R1", mask)
+        before = {n: p.values.astype(np.int64) for n, p in state.analog.items()}
+        new = oracle(before[a], before[b])
+        if mode == SATURATING:
+            new = np.clip(new, -128, 127)
+        run(state, dst, a, b, "R1")
+        assert np.array_equal(state.areg(dst).values, np.where(mask, new, before[dst]))
+        assert state.areg(dst).values.dtype == np.int32
+        for n, old in before.items():
+            if n != dst:
+                assert np.array_equal(state.areg(n).values, old)
+
+    @pytest.mark.parametrize("mode", ["ideal", SATURATING])
+    @pytest.mark.parametrize("direction", ["N", "S", "E", "W"])
+    @pytest.mark.parametrize("steps", [0, 1, 3, 16, 40])
+    def test_shift_in_place_matches_shift_elsewhere(self, mode, direction, steps):
+        state = make_state(mode)
+        state.areg("A").values[:] = np.random.default_rng(5).integers(-128, 128,
+                                                                       (16, 16))
+        state.shift("B", "A", direction, steps)
+        state.shift("A", "A", direction, steps)
+        assert np.array_equal(state.areg("A").values, state.areg("B").values)
+
+
+class TestInt32Boundary:
+    def test_analog_plane_rejects_values_outside_int32(self):
+        for bad in (ANALOG_MAX + 1, ANALOG_MIN - 1, np.nan):
+            vals = np.zeros((16, 16))
+            vals[2, 3] = bad
+            with pytest.raises(PlaneError, match="int32|analog values"):
+                AnalogPlane(small_geometry(), vals)
+        edge = np.full((16, 16), ANALOG_MIN, dtype=np.int64)
+        edge[0, 0] = ANALOG_MAX
+        assert np.array_equal(AnalogPlane(small_geometry(), edge).values, edge)
+
+    @pytest.mark.parametrize("mode", ["ideal", SATURATING])
+    def test_load_image_rejects_mapped_values_outside_int32(self, mode):
+        state = make_state(mode)
+        before = state.snapshot()
+        img = np.full((16, 16), 255)
+        for scale, offset in ((2.0**24, 0.0), (1.0, 2.0**31), (-(2.0**24), 0.0)):
+            with pytest.raises(PlaneError, match="int32|-2147483648"):
+                state.load_image(img, "A", scale=scale, offset=offset)
+        assert state.equals_snapshot(before)
+        state.load_image(img, "A", scale=2.0**23)
+        expect = 127 if mode == SATURATING else 255 * 2**23
+        assert np.all(state.areg("A").values == expect)
+
+    @pytest.mark.parametrize("limits", [(-2**30 - 1, 127), (-128, 2**30),
+                                        (0, 2**31 - 1)])
+    def test_state_rejects_saturation_limits_that_can_overflow(self, limits):
+        with pytest.raises(PlaneError, match="saturation limits"):
+            ArrayState(small_geometry(), SATURATING, sat_min=limits[0],
+                       sat_max=limits[1])
+
+    def test_widest_saturation_limits_accepted(self):
+        state = ArrayState(small_geometry(), SATURATING, sat_min=-2**30 + 1,
+                           sat_max=2**30 - 1)
+        state.areg("A").values[:] = 2**30 - 1
+        state.add("B", "A", "A")
+        state.sub("C", "A", "B")
+        assert np.all(state.areg("B").values == 2**30 - 1)
         assert np.all(state.areg("C").values == 0)
 
 
@@ -262,7 +368,6 @@ class TestWritePattern:
         assert np.all(state.dreg("R1").bits == 1)
 
     def test_block_mask_covers_exactly_one_block(self, geometry):
-        from scampsim.lowering import block_select_pattern
         sel = np.zeros(16, dtype=np.uint8)
         sel[0] = 1
         pat = block_select_pattern(geometry, sel)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scampsim.geometry import PlaneGeometry
-from scampsim.planes import ArrayState
+from scampsim.planes import ANALOG_MAX, SATURATING, ArrayState
 from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
                               PpaProgram, ProgramError, disassemble,
                               disassemble_instruction, estimate, execute,
@@ -72,6 +72,62 @@ class TestExecute:
         assert prog.sum_labels == ["first", "second"]
         _, sums = execute(prog, state)
         assert sums == [2, 4]
+
+
+def doubling_listing(times):
+    return "".join("add A A A\n" for _ in range(times)) + "gsum A total\n"
+
+
+class TestBoundPass:
+    """execute proves every analog intermediate fits int32 before it runs."""
+
+    def test_doubling_past_int32_rejected_before_anything_runs(self):
+        state = small_state()
+        state.areg("A").values[:] = 1
+        state.areg("B").values[:] = 2
+        before = state.snapshot()
+        # 2**30 fits, the 31st doubling reaches 2**31
+        with pytest.raises(ProgramError,
+                           match=r"instruction 30 \(add\).*2147483648.*int32"):
+            execute(parse_listing(doubling_listing(32)), state)
+        assert state.equals_snapshot(before)
+        _, sums = execute(parse_listing(doubling_listing(30)), state)
+        assert sums == [2**30 * 256]
+
+    def test_bound_starts_from_the_state_values(self):
+        prog = parse_listing("neg B A\n")
+        state = small_state()
+        state.areg("A").values[3, 3] = -ANALOG_MAX
+        execute(prog, state)
+        assert state.areg("B").values[3, 3] == ANALOG_MAX
+        state.areg("A").values[3, 3] = -ANALOG_MAX - 1
+        before = state.snapshot()
+        with pytest.raises(ProgramError, match="instruction 0 \\(neg\\)"):
+            execute(prog, state)
+        assert state.equals_snapshot(before)
+
+    def test_masked_write_keeps_the_old_bound(self):
+        # B holds 2**30; a masked copy of the small A cannot shrink B's bound,
+        # so doubling B still overflows
+        state = small_state()
+        state.areg("B").values[:] = 2**30
+        state.write_pattern("R1", np.ones((16, 16), dtype=bool))
+        prog = parse_listing("copy B A mask=R1\nadd B B B\n")
+        with pytest.raises(ProgramError, match="instruction 1"):
+            execute(prog, state)
+        execute(parse_listing("copy B A\nadd B B B\n"), state)
+        assert np.all(state.areg("B").values == 0)
+
+    def test_saturating_mode_caps_the_bound(self):
+        state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=SATURATING)
+        state.areg("A").values[:] = 1
+        _, sums = execute(parse_listing(doubling_listing(64)), state)
+        assert sums == [127 * 256]
+
+    def test_threshold_immediate_must_fit_int32(self):
+        with pytest.raises(ProgramError, match="int32 immediate"):
+            execute(parse_listing(f"thresh R1 A {ANALOG_MAX + 1}\n"),
+                    small_state())
 
 
 def _sample_instructions():
