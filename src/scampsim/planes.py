@@ -110,9 +110,23 @@ class AnalogPlane:
             )
         if not fits_analog(values):
             raise PlaneError(f"analog values must lie in [{ANALOG_MIN}, {ANALOG_MAX}]")
+        if self.mode == SATURATING and 2 * self.limit > ANALOG_MAX:
+            raise PlaneError("saturation limits must keep the sum or difference of "
+                             "two clamped values inside int32")
         self.values = values.astype(ANALOG_DTYPE, copy=False)
+        self.saturate(self.values)
+
+    @property
+    def limit(self) -> int | None:
+        """Largest magnitude the plane can hold, or None in ideal mode."""
         if self.mode == SATURATING:
-            np.clip(self.values, self.sat_min, self.sat_max, out=self.values)
+            return max(abs(self.sat_min), abs(self.sat_max))
+        return None
+
+    def saturate(self, values: np.ndarray):
+        """Clamp `values` in place to this plane's range; no-op in ideal mode."""
+        if self.mode == SATURATING:
+            np.clip(values, self.sat_min, self.sat_max, out=values)
 
     def copy(self) -> "AnalogPlane":
         return AnalogPlane(self.geometry, self.values.copy(), self.mode,
@@ -141,11 +155,6 @@ class DigitalPlane:
 
     def copy(self) -> "DigitalPlane":
         return DigitalPlane(self.geometry, self.bits.copy())
-
-
-def threshold(plane: AnalogPlane, t: int) -> DigitalPlane:
-    """Bit = 1 where the analog value is strictly greater than t."""
-    return DigitalPlane(plane.geometry, plane.values > t)
 
 
 def global_sum(plane: AnalogPlane, noise: NoiseModel | None = None,
@@ -179,12 +188,7 @@ class ArrayState:
                  sat_min: int = DEFAULT_SAT_MIN,
                  sat_max: int = DEFAULT_SAT_MAX):
         self.geometry = geometry or PlaneGeometry()
-        self.mode = mode
         self.noise = noise or NoiseModel()
-        if 2 * max(abs(sat_min), abs(sat_max)) > ANALOG_MAX:
-            raise PlaneError("saturation limits must keep the sum or difference of "
-                             "two clamped values inside int32")
-        self.sat_min, self.sat_max = sat_min, sat_max
         if len(set(analog_names)) != len(analog_names):
             raise RegisterError("duplicate analog register name")
         if len(set(digital_names)) != len(digital_names) or FLAG_REG in digital_names:
@@ -220,27 +224,25 @@ class ArrayState:
         except KeyError:
             raise RegisterError(f"unknown digital register {name!r}") from None
 
-    def _saturate(self, values: np.ndarray):
-        if self.mode == SATURATING:
-            np.clip(values, self.sat_min, self.sat_max, out=values)
-
     def _write(self, ufunc, dst: str, srcs: tuple[str, ...], mask: str | None):
         """dst = clamp(ufunc(*srcs)) where the mask is set, in place.
 
-        Unmasked, the ufunc writes straight into dst. Masked, it writes into
-        the scratch plane t, which blends in as dst += m * (t - dst): exact in
-        wrapping int32 arithmetic even where t - dst itself wraps.
+        The clamp is dst's own range. Unmasked, the ufunc writes straight
+        into dst. Masked, it writes into the scratch plane t, which blends in
+        as dst += m * (t - dst): exact in wrapping int32 arithmetic even
+        where t - dst itself wraps.
         """
-        out = self.areg(dst).values
+        plane = self.areg(dst)
+        out = plane.values
         args = [self.areg(s).values for s in srcs]
         if mask is None:
             ufunc(*args, out=out)
-            self._saturate(out)
+            plane.saturate(out)
             return
         m = self.dreg(mask).bits
         t = self._scratch
         ufunc(*args, out=t)
-        self._saturate(t)
+        plane.saturate(t)
         t -= out
         t *= m
         out += t
@@ -265,9 +267,9 @@ class ArrayState:
         if not fits_analog(mapped):
             raise PlaneError(f"mapped image values must lie in "
                              f"[{ANALOG_MIN}, {ANALOG_MAX}]")
-        out = self.areg(dest).values
-        out[:] = mapped
-        self._saturate(out)
+        plane = self.areg(dest)
+        plane.values[:] = mapped
+        plane.saturate(plane.values)
 
     def add(self, dst: str, a: str, b: str, mask: str | None = None):
         self._write(np.add, dst, (a, b), mask)
@@ -295,7 +297,8 @@ class ArrayState:
         if steps < 0:
             raise PlaneError("shift steps must be >= 0")
         src_vals = self.areg(src).values
-        out = self.areg(dst).values
+        plane = self.areg(dst)
+        out = plane.values
         dr, dc = SHIFT_OFFSETS[direction]
         dr *= steps
         dc *= steps
@@ -310,7 +313,7 @@ class ArrayState:
         out[r1:] = 0
         out[:, :c0] = 0
         out[:, c1:] = 0
-        self._saturate(out)
+        plane.saturate(out)
 
     def threshold_into(self, dst: str, src: str, t: int):
         if not ANALOG_MIN <= t <= ANALOG_MAX:

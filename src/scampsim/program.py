@@ -22,8 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import is_binary
-from .planes import (ANALOG_MAX, ANALOG_MIN, SATURATING, SHIFT_OFFSETS,
-                     ArrayState)
+from .planes import ANALOG_MAX, ANALOG_MIN, SHIFT_OFFSETS, ArrayState
 
 LOGIC_OPS = ("and", "or", "xor", "not")
 
@@ -212,15 +211,17 @@ class _Bounds(dict):
         return bound
 
 
-def _check_bound(ins: Instruction, spec: OpSpec, bounds: _Bounds, cap: int | None):
+def _check_bound(ins: Instruction, spec: OpSpec, bounds: _Bounds):
     """Record the bound of the value `ins` writes; raise if it can leave int32."""
     inputs = [bounds[getattr(ins, f)] for f, kind in spec.operands
               if kind is AREG and f != "dst"]
     new = spec.bound(inputs)
     if new > ANALOG_MAX:
         raise ProgramError(f"{ins.opcode} can reach magnitude {new}, outside int32")
-    if cap is not None:
-        new = min(new, cap)
+    # a saturating destination clamps what it stores
+    limit = bounds.state.analog[ins.dst].limit
+    if limit is not None:
+        new = min(new, limit)
     if spec.masked and ins.mask is not None:
         # unmasked pixels keep their old values
         new = max(new, bounds[ins.dst])
@@ -232,14 +233,12 @@ def validate(program: PpaProgram, state: ArrayState):
     against the state, and every analog result's magnitude against int32,
     starting from the state's current plane values."""
     bounds = _Bounds(state)
-    cap = (max(abs(state.sat_min), abs(state.sat_max))
-           if state.mode == SATURATING else None)
     for idx, ins in enumerate(program.instructions):
         try:
             _validate_instruction(ins, state)
             spec = SPECS[ins.opcode]
             if spec.bound is not None:
-                _check_bound(ins, spec, bounds, cap)
+                _check_bound(ins, spec, bounds)
         except ProgramError as e:
             raise ProgramError(f"instruction {idx} ({ins.opcode}): {e}") from None
 

@@ -10,7 +10,7 @@ from scampsim.lowering import (LoweringError, block_select_pattern,
 from scampsim.model import ModelError, default_model, reference_infer
 from scampsim.planes import (ANALOG_MAX, ANALOG_MIN, SATURATING, AnalogPlane,
                              ArrayState, DigitalPlane, NoiseModel, PlaneError,
-                             RegisterError, global_sum, threshold)
+                             RegisterError, global_sum)
 from scampsim.program import Instruction, ProgramError
 
 
@@ -63,21 +63,26 @@ class TestLoadImage:
 
 class TestThreshold:
     def test_zero_plane_strict_inequality(self, geometry):
-        p = AnalogPlane.zeros(geometry)
-        assert np.all(threshold(p, 0).bits == 0)
+        state = ArrayState(geometry)
+        state.threshold_into("R1", "A", 0)
+        assert not state.dreg("R1").bits.any()
 
     def test_ones_plane(self, geometry):
-        p = AnalogPlane(geometry, np.ones(geometry.shape, dtype=np.int64))
-        assert np.all(threshold(p, 0).bits == 1)
+        state = ArrayState(geometry)
+        state.areg("A").values[:] = 1
+        state.threshold_into("R1", "A", 0)
+        assert state.dreg("R1").bits.all()
 
     def test_matches_per_pixel_comparison(self, geometry, rng):
         vals = rng.integers(0, 256, size=geometry.shape)
-        p = AnalogPlane(geometry, vals)
-        got = threshold(p, 64).bits
+        state = ArrayState(geometry)
+        state.areg("A").values[:] = vals
+        state.threshold_into("R1", "A", 64)
+        got = state.dreg("R1").bits
         for r in range(0, 256, 37):
             for c in range(0, 256, 41):
-                assert got[r, c] == (1 if vals[r, c] > 64 else 0)
-        assert np.array_equal(got, (vals > 64).astype(np.uint8))
+                assert got[r, c] == (vals[r, c] > 64)
+        assert np.array_equal(got, vals > 64)
 
 
 class TestArithmetic:
@@ -221,6 +226,12 @@ class TestInt32Boundary:
         with pytest.raises(PlaneError, match="saturation limits"):
             ArrayState(small_geometry(), SATURATING, sat_min=limits[0],
                        sat_max=limits[1])
+
+    def test_ideal_mode_ignores_saturation_limits(self):
+        state = ArrayState(small_geometry(), sat_min=-2**31, sat_max=2**31 - 1)
+        state.areg("A").values[:] = 2**30
+        state.add("B", "A", "A", mask="R1")
+        assert not state.areg("B").values.any()
 
     def test_widest_saturation_limits_accepted(self):
         state = ArrayState(small_geometry(), SATURATING, sat_min=-2**30 + 1,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scampsim.geometry import PlaneGeometry
-from scampsim.planes import ANALOG_MAX, SATURATING, ArrayState
+from scampsim.planes import ANALOG_MAX, SATURATING, AnalogPlane, ArrayState
 from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
                               PpaProgram, ProgramError, disassemble,
                               disassemble_instruction, estimate, execute,
@@ -123,6 +123,25 @@ class TestBoundPass:
         state.areg("A").values[:] = 1
         _, sums = execute(parse_listing(doubling_listing(64)), state)
         assert sums == [127 * 256]
+
+    def test_destination_plane_owns_the_clamp(self):
+        # in an ideal state, only the saturating plane B clamps, both in the
+        # bound pass and when the program runs
+        state = small_state()
+        geo = state.geometry
+        state.analog["B"] = AnalogPlane(geo, np.zeros(geo.shape), SATURATING,
+                                        sat_min=-10, sat_max=10)
+        state.areg("A").values[:] = 1
+        state.write_pattern("R1", np.ones(geo.shape, dtype=bool))
+        listing = "".join("add B A A mask=R1\nadd A B B\n" for _ in range(40))
+        _, sums = execute(parse_listing(listing + "gsum A total\n"), state)
+        assert sums == [20 * 256]
+        assert np.all(state.areg("B").values == 10)
+        execute(parse_listing("add B B B\n" * 64), state)
+        assert np.all(state.areg("B").values == 10)
+        # A holds 20 and has no clamp: its 27th doubling leaves int32
+        with pytest.raises(ProgramError, match="instruction 26 \\(add\\)"):
+            execute(parse_listing(doubling_listing(32)), state)
 
     def test_threshold_immediate_must_fit_int32(self):
         with pytest.raises(ProgramError, match="int32 immediate"):
