@@ -89,9 +89,11 @@ def prepare_input(img: np.ndarray, block_size: int = 64,
             f"image side {side} is not a multiple of block size {block_size}"
         )
     s = side // block_size
-    bits = (img > threshold).astype(np.int64)
-    cells = bits.reshape(block_size, s, block_size, s).sum(axis=(1, 3))
-    return (2 * cells > s * s).astype(np.uint8)
+    count = np.min_scalar_type(s * s)  # holds every cell's count, up to s^2
+    bits = (img > threshold).reshape(block_size, s, block_size, s)
+    # rows of a cell first: a reduction over the tiny inner axis is slow
+    cells = bits.sum(axis=1, dtype=count).sum(axis=2, dtype=count)
+    return (cells > s * s // 2).astype(np.uint8)  # 2 * count > s^2
 
 
 def make_input_state(image64: np.ndarray, geometry: PlaneGeometry | None = None,

@@ -36,7 +36,8 @@ def argmax(scores) -> int:
 
 
 def _check_pm1(arr: np.ndarray, name: str):
-    if not np.all(np.isin(arr, (-1, 1))):
+    # a non-numeric dtype (strings, None) fails before any comparison
+    if arr.dtype.kind not in "biuf" or not (np.abs(arr) == 1).all():
         raise ModelError(f"{name} weights must be exactly -1 or +1")
 
 
@@ -120,34 +121,38 @@ def default_model() -> BnnModel:
 # -- inference -----------------------------------------------------------
 
 
-def _check_binary_input(x: np.ndarray, block_size: int) -> np.ndarray:
-    x = np.asarray(x)
-    if x.shape != (block_size, block_size):
-        raise ModelError(f"input must be {block_size}x{block_size}, got {x.shape}")
-    if not is_binary(x):
-        raise ModelError("input image must be strictly binary")
-    return x.astype(np.int64)
+def dense_forward(kernels: np.ndarray, fc: np.ndarray, xs: np.ndarray):
+    """The one dense forward pass, over a batch of binary blocks.
 
+    kernels (nb, k, k) and fc (classes, nb, bs/2, bs/2) hold {-1,+1} in any
+    numeric dtype; xs is (n, bs, bs) of {0,1}. conv[i, b, r, c] sums kernel b
+    times the k x k window of xs[i] anchored top-left at (r, c); outputs whose
+    window would cross the block edge are zero. Then ReLU, a 2x2
+    non-overlapping max-pool and the FC sum per class.
 
-def conv_block_features(model: BnnModel, x: np.ndarray) -> np.ndarray:
-    """Per-block conv with top-left anchoring and border zeroing.
-
-    Output (num_blocks, bs, bs): out[b, r, c] = sum over the k x k window of
-    kernel_b * x[r+dy, c+dx] where the window fits inside the block; output
-    pixels whose window would cross the block edge are zero.
+    Returns int64 scores (n, classes) and a dict of the float32 "conv",
+    "relu" (n, nb, bs, bs) and "pooled" (n, nb, bs/2, bs/2) tensors. The
+    conv runs in float32, exact for any k < 4096 since every partial sum is
+    an integer of magnitude <= k^2 < 2^24; the FC sum runs in int64.
     """
-    bs, k = model.geometry.block_size, model.k
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k))
-    valid = np.einsum("rcij,nij->nrc", windows, model.kernels)
-    out = np.zeros((model.geometry.num_blocks, bs, bs), dtype=np.int64)
-    out[:, : bs - k + 1, : bs - k + 1] = valid
-    return out
-
-
-def maxpool2x2(feat: np.ndarray) -> np.ndarray:
-    """(n, h, w) -> (n, h/2, w/2) non-overlapping max over aligned 2x2 cells."""
-    n, h, w = feat.shape
-    return feat.reshape(n, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+    n, bs = xs.shape[0], xs.shape[1]
+    nb, k = kernels.shape[0], kernels.shape[1]
+    v = bs - k + 1
+    rows = kernels.astype(np.float32).transpose(1, 2, 0)  # (k, k, nb)
+    # windows along the columns only, (n, bs, v, k): one matmul per kernel row
+    cols = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
+        xs.astype(np.float32), k, axis=2))
+    valid = cols[:, :v] @ rows[0]
+    for dy in range(1, k):
+        valid += cols[:, dy:dy + v] @ rows[dy]
+    conv = np.zeros((n, nb, bs, bs), dtype=np.float32)
+    conv[:, :, :v, :v] = valid.transpose(0, 3, 1, 2)
+    relu = np.maximum(conv, 0)
+    pooled = np.maximum(np.maximum(relu[..., 0::2, 0::2], relu[..., 0::2, 1::2]),
+                        np.maximum(relu[..., 1::2, 0::2], relu[..., 1::2, 1::2]))
+    scores = np.einsum("bm,cm->bc", pooled.reshape(n, -1).astype(np.int64),
+                       fc.reshape(fc.shape[0], -1).astype(np.int64))
+    return scores, {"conv": conv, "relu": relu, "pooled": pooled}
 
 
 @dataclass
@@ -165,44 +170,28 @@ def reference_infer(model: BnnModel, x: np.ndarray,
                     return_intermediates: bool = False):
     """Dense oracle inference over one binary input image.
 
-    Returns ClassScores; with return_intermediates, also a dict of the
-    post-conv, post-ReLU and post-pool tensors.
+    Returns ClassScores; with return_intermediates, also a dict of the int64
+    post-conv, post-ReLU and post-pool tensors, each (num_blocks, ...).
     """
-    x = _check_binary_input(x, model.geometry.block_size)
-    conv = conv_block_features(model, x)
-    relu = np.maximum(conv, 0)
-    pooled = maxpool2x2(relu)
-    sums = np.einsum("cnij,nij->c", model.fc_weights, pooled)
-    scores = ClassScores([int(s) for s in sums], argmax(sums.tolist()),
-                         tuple(model.class_names))
+    x, bs = np.asarray(x), model.geometry.block_size
+    if x.shape != (bs, bs):
+        raise ModelError(f"input must be {bs}x{bs}, got {x.shape}")
+    if not is_binary(x):
+        raise ModelError("input image must be strictly binary")
+    sums, inter = dense_forward(model.kernels, model.fc_weights, x[None])
+    sums = sums[0].tolist()
+    scores = ClassScores(sums, argmax(sums), tuple(model.class_names))
     if return_intermediates:
-        return scores, {"conv": conv, "relu": relu, "pooled": pooled}
+        return scores, {name: t[0].astype(np.int64) for name, t in inter.items()}
     return scores
-
-
-def batch_scores(model: BnnModel, xs: np.ndarray) -> np.ndarray:
-    """Class sums for a batch of binary inputs (n, bs, bs) -> (n, classes).
-
-    Same arithmetic as reference_infer, vectorized for evaluation speed.
-    """
-    bs, k = model.geometry.block_size, model.k
-    xs = np.asarray(xs, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(xs, (k, k), axis=(1, 2))
-    valid = np.einsum("brcij,nij->bnrc", windows, model.kernels)
-    conv = np.zeros((xs.shape[0], model.geometry.num_blocks, bs, bs), dtype=np.int64)
-    conv[:, :, : bs - k + 1, : bs - k + 1] = valid
-    relu = np.maximum(conv, 0)
-    b, n, h, w = relu.shape
-    pooled = relu.reshape(b, n, h // 2, 2, w // 2, 2).max(axis=(3, 5))
-    return np.einsum("cnij,bnij->bc", model.fc_weights, pooled)
 
 
 def batch_predict(model: BnnModel, xs: np.ndarray,
                   chunk: int = 128) -> np.ndarray:
     # chunked to bound the transient conv tensor's memory
-    preds = [batch_scores(model, xs[i:i + chunk]).argmax(axis=1)
-             for i in range(0, len(xs), chunk)]  # argmax ties -> lowest index
-    return np.concatenate(preds)
+    scores = [dense_forward(model.kernels, model.fc_weights, xs[i:i + chunk])[0]
+              for i in range(0, len(xs), chunk)]
+    return np.concatenate(scores).argmax(axis=1)  # ties -> lowest index
 
 
 # -- serialization -------------------------------------------------------
@@ -236,8 +225,10 @@ def load_weights(text: str) -> BnnModel:
         )
     grid, bsize = int(doc["block_grid"]), int(doc["block_size"])
     geometry = PlaneGeometry(grid * bsize, grid * bsize, grid, bsize)
-    kernels = np.asarray(doc["kernels"])
-    fc = np.asarray(doc["fc"])
+    try:
+        kernels, fc = np.asarray(doc["kernels"]), np.asarray(doc["fc"])
+    except ValueError:  # ragged nesting
+        raise ModelError("fields 'kernels' and 'fc' must be rectangular arrays") from None
     k = int(doc["k"])
     if kernels.shape != (geometry.num_blocks, k, k):
         raise ModelError(

@@ -1,10 +1,11 @@
 """Straight-through-estimator trainer for the binary CNN.
 
 Latent real-valued kernels and FC weights are binarized by sign (with
-sign(0) = +1) on every forward pass; the forward arithmetic is exactly the
-dense reference inference on the binarized snapshot. Softmax cross-entropy
-over scores scaled by 1/(blocks * pooled_size^2) drives plain SGD; gradients
-pass straight through the sign to the latents, which are clipped to [-1, 1].
+sign(0) = +1) on every minibatch, and the forward pass is model.dense_forward,
+the same call that reference_infer and batch_predict make, on that binarized
+snapshot. Softmax cross-entropy over scores scaled by
+1/(blocks * pooled_size^2) drives plain SGD; gradients pass straight through
+the sign to the latents, which are clipped to [-1, 1].
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dataset import DatasetSplit, images_labels
 from .geometry import PlaneGeometry
-from .model import BnnModel, batch_predict, fallback_class_names
+from .model import BnnModel, batch_predict, dense_forward, fallback_class_names
 
 
 class TrainingError(ValueError):
@@ -99,36 +100,27 @@ class LatentModel:
 def _forward_backward(latent: LatentModel, xs: np.ndarray, ys: np.ndarray):
     """One minibatch: loss plus straight-through gradients on the latents.
 
-    The forward pass uses the binarized weights and matches batch_scores
-    exactly (same windowing, border zeroing, pooling and reduction).
+    The forward pass is model.dense_forward on the binarized weights, so the
+    trainer scores exactly what reference_infer scores; the backward reuses
+    its conv, ReLU and pooled tensors and routes each pooled gradient to the
+    first maximum of its 2x2 cell.
     """
     geometry = latent.geometry
     bs = geometry.block_size
     k = latent.kernels.shape[1]
     nb = geometry.num_blocks
-    num_classes = latent.fc_weights.shape[0]
-    scale = 1.0 / (nb * (bs // 2) ** 2)
+    ps = bs // 2
+    scale = 1.0 / (nb * ps ** 2)
 
-    bk = _sign(latent.kernels).astype(np.float32)
     bf = _sign(latent.fc_weights).astype(np.float32)
-
+    sums, inter = dense_forward(_sign(latent.kernels).astype(np.float32), bf, xs)
+    conv, pooled = inter["conv"], inter["pooled"]
     batch = xs.shape[0]
-    v = bs - k + 1
-    windows = np.lib.stride_tricks.sliding_window_view(
-        xs.astype(np.float32), (k, k), axis=(1, 2))
-    windows = np.ascontiguousarray(windows).reshape(batch, v * v, k * k)
-    valid = (windows @ bk.reshape(nb, k * k).T) \
-        .transpose(0, 2, 1).reshape(batch, nb, v, v)
-    conv = np.zeros((batch, nb, bs, bs), dtype=np.float32)
-    conv[:, :, :v, :v] = valid
-    relu = np.maximum(conv, 0.0)
-    cells = relu.reshape(batch, nb, bs // 2, 2, bs // 2, 2)
-    flat = cells.transpose(0, 1, 2, 4, 3, 5).reshape(batch, nb, bs // 2, bs // 2, 4)
+    flat = inter["relu"].reshape(batch, nb, ps, 2, ps, 2) \
+        .transpose(0, 1, 2, 4, 3, 5).reshape(batch, nb, ps, ps, 4)
     arg = flat.argmax(axis=-1)
-    pooled = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
-    scores = np.einsum("cnij,bnij->bc", bf, pooled)
-    z = scores * scale
+    z = sums.astype(np.float32) * scale
     z -= z.max(axis=1, keepdims=True)
     ez = np.exp(z)
     probs = ez / ez.sum(axis=1, keepdims=True)
@@ -144,10 +136,14 @@ def _forward_backward(latent: LatentModel, xs: np.ndarray, ys: np.ndarray):
     gflat = np.zeros_like(flat)
     np.put_along_axis(gflat, arg[..., None], gpooled[..., None].astype(np.float32),
                       axis=-1)
-    grelu = gflat.reshape(batch, nb, bs // 2, bs // 2, 2, 2) \
+    grelu = gflat.reshape(batch, nb, ps, ps, 2, 2) \
         .transpose(0, 1, 2, 4, 3, 5).reshape(batch, nb, bs, bs)
     gconv = grelu * (conv > 0)
+    v = bs - k + 1
     gvalid = gconv[:, :, :v, :v].reshape(batch, nb, v * v)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xs.astype(np.float32), (k, k), axis=(1, 2))
+    windows = np.ascontiguousarray(windows).reshape(batch, v * v, k * k)
     # (nb, v*v) x (v*v, k*k) accumulated over the batch
     gkernel = np.einsum("bnp,bpq->nq", gvalid, windows).reshape(nb, k, k)
     return loss, gkernel.astype(np.float64), gfc

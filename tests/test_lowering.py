@@ -44,6 +44,23 @@ class TestPrepareInput:
         with pytest.raises(LoweringError):
             prepare_input(np.zeros((100, 100)))
 
+    def test_cell_counts_past_255_do_not_wrap(self):
+        # s = 32: a full cell counts 1024 (wraps in uint8); 511, one short
+        # of half, gives 0
+        img = np.zeros((64, 64), dtype=np.uint8)
+        img[:32, :32] = 255
+        img[32:, :32] = 255
+        img[32:48, 32:] = 255
+        img[32, 32] = 0
+        assert prepare_input(img, block_size=2).tolist() == [[1, 0], [1, 0]]
+
+    @pytest.mark.parametrize("s", [2, 4, 16, 32])
+    def test_cell_exactly_half_set_gives_zero(self, s):
+        img = np.zeros((2 * s, 2 * s), dtype=np.uint8)
+        img[:s // 2, :s] = 255          # top-left cell: exactly half set
+        img[s:s + s // 2 + 1, :s] = 255  # bottom-left: one row over half
+        assert prepare_input(img, block_size=2).tolist() == [[0, 0], [1, 0]]
+
 
 class TestReplicate:
     def test_zero_input(self):

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scampsim.model import (BnnModel, ModelError, argmax, load_weights,
-                            random_model, reference_infer, save_weights)
+from scampsim.geometry import PlaneGeometry
+from scampsim.model import (BnnModel, ModelError, argmax, batch_predict,
+                            load_weights, random_model, reference_infer,
+                            save_weights)
 
 
 def brute_force_infer(model, x):
@@ -79,13 +83,33 @@ class TestReferenceInfer:
         with pytest.raises(ModelError):
             reference_infer(m, np.full((64, 64), 2))
 
-    @pytest.mark.parametrize("seed", [0, 7, 99])
-    def test_matches_brute_force_loop_nest(self, seed):
+    @pytest.mark.parametrize("seed, grid, block_size, k", [
+        pytest.param(0, 4, 64, 4, id="0"),
+        pytest.param(7, 4, 64, 4, id="7"),
+        pytest.param(99, 4, 64, 4, id="99"),
+        # small planes; k = block size puts k^2 = 256 in a single window
+        pytest.param(1, 1, 16, 16, id="grid1-bs16-k16"),
+        pytest.param(2, 1, 18, 17, id="grid1-bs18-k17"),
+        pytest.param(3, 2, 16, 16, id="grid2-bs16-k16"),
+        pytest.param(4, 2, 16, 7, id="grid2-bs16-k7"),
+        pytest.param(5, 4, 16, 16, id="grid4-bs16-k16"),
+        pytest.param(6, 4, 8, 1, id="grid4-bs8-k1"),
+    ])
+    def test_matches_brute_force_loop_nest(self, seed, grid, block_size, k):
         rng = np.random.default_rng(seed)
-        m = random_model(seed=seed)
-        x = rng.integers(0, 2, size=(64, 64))
+        side = grid * block_size
+        m = random_model(seed=seed, k=k,
+                         geometry=PlaneGeometry(side, side, grid, block_size))
+        x = rng.integers(0, 2, size=(block_size, block_size))
         scores = reference_infer(m, x)
         assert scores.sums == brute_force_infer(m, x)
+
+    def test_batch_predict_matches_reference_across_chunks(self, rng):
+        m = random_model(seed=8)
+        xs = rng.integers(0, 2, size=(7, 64, 64)).astype(np.uint8)
+        expected = [reference_infer(m, x).predicted for x in xs]
+        assert len(set(expected)) > 1  # the chunks must not all agree trivially
+        assert batch_predict(m, xs, chunk=3).tolist() == expected
 
     def test_is_pure(self, rng):
         m = random_model(seed=4)
@@ -125,31 +149,43 @@ class TestWeightsDocument:
         m = random_model(seed=11)
         assert load_weights(save_weights(m)) == m
 
-    def test_zero_weight_rejected(self):
-        m = random_model(seed=2)
-        doc = save_weights(m).replace("[[[ ", "").replace("1", "1")
-        import json
-        parsed = json.loads(doc)
-        parsed["kernels"][0][0][0] = 0
-        with pytest.raises(ModelError, match="kernels"):
-            load_weights(json.dumps(parsed))
+    @pytest.mark.parametrize("value, accepted", [
+        pytest.param(0, False, id="0"),
+        pytest.param(2, False, id="2"),
+        pytest.param(0.5, False, id="0.5"),
+        pytest.param(float("nan"), False, id="nan"),
+        pytest.param("1", False, id="string"),
+        pytest.param(None, False, id="None"),
+        pytest.param([1, 1], False, id="ragged"),
+        pytest.param(False, False, id="false"),
+        pytest.param(True, True, id="true"),  # JSON true joins an int array as 1
+        pytest.param(1, True, id="1"),
+        pytest.param(-1, True, id="-1"),
+        pytest.param(1.0, True, id="1.0"),
+        pytest.param(-1.0, True, id="-1.0"),
+    ])
+    def test_zero_weight_rejected(self, value, accepted):
+        parsed = json.loads(save_weights(random_model(seed=2)))
+        parsed["kernels"][0][0][0] = value
+        if accepted:
+            assert load_weights(json.dumps(parsed)).kernels[0, 0, 0] == value
+        else:
+            with pytest.raises(ModelError, match="kernels"):
+                load_weights(json.dumps(parsed))
 
     def test_wrong_kernel_count_rejected(self):
-        import json
         parsed = json.loads(save_weights(random_model(seed=2)))
         parsed["kernels"] = parsed["kernels"][:15]
         with pytest.raises(ModelError, match="kernels"):
             load_weights(json.dumps(parsed))
 
     def test_version_mismatch_rejected(self):
-        import json
         parsed = json.loads(save_weights(random_model(seed=2)))
         parsed["version"] = 99
         with pytest.raises(ModelError, match="version"):
             load_weights(json.dumps(parsed))
 
     def test_missing_field_named(self):
-        import json
         parsed = json.loads(save_weights(random_model(seed=2)))
         del parsed["fc"]
         with pytest.raises(ModelError, match="fc"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scampsim.dataset import DatasetSplit, GestureSample, generate
-from scampsim.model import batch_scores, load_weights, save_weights
+from scampsim.model import load_weights, save_weights
 from scampsim.training import (LatentModel, TrainConfig, TrainingError,
                                _forward_backward, evaluate, train)
 
@@ -67,30 +67,6 @@ class TestTrain:
         model, _ = train(small_split, TrainConfig(seed=1, epochs=1,
                                                   learning_rate=1000.0))
         assert load_weights(save_weights(model)) == model
-
-    def test_forward_matches_reference_scores_exactly(self, small_split):
-        # trainer-time scores equal the dense reference on the binarized snapshot
-        from scampsim.dataset import images_labels
-        xs, ys = images_labels(small_split.train[:6])
-        latent = LatentModel.init(TrainConfig(seed=2), 3)
-        snapshot = latent.binarize()
-        loss, _, _ = _forward_backward(latent, xs, ys)
-        # recompute scores the way the trainer does, then compare as integers
-        ref = batch_scores(snapshot, xs)
-        bk = snapshot.kernels.astype(np.float32)
-        v = 61
-        windows = np.lib.stride_tricks.sliding_window_view(
-            xs.astype(np.float32), (4, 4), axis=(1, 2))
-        windows = np.ascontiguousarray(windows).reshape(len(xs), v * v, 16)
-        valid = (windows @ bk.reshape(16, 16).T).transpose(0, 2, 1) \
-            .reshape(len(xs), 16, v, v)
-        conv = np.zeros((len(xs), 16, 64, 64), dtype=np.float32)
-        conv[:, :, :v, :v] = valid
-        relu = np.maximum(conv, 0)
-        pooled = relu.reshape(len(xs), 16, 32, 2, 32, 2).max(axis=(3, 5))
-        scores = np.einsum("cnij,bnij->bc",
-                           snapshot.fc_weights.astype(np.float32), pooled)
-        assert np.array_equal(scores.astype(np.int64), ref)
 
     def test_log_csv_shape(self, small_split):
         _, log = train(small_split, TrainConfig(seed=0, epochs=2,
