@@ -4,12 +4,12 @@ model and a PWM servo control loop."""
 
 from .geometry import PlaneGeometry
 from .model import BnnModel, argmax, reference_infer
-from .planes import AnalogPlane, ArrayState, DigitalPlane, NoiseModel
+from .planes import ArrayState, NoiseModel
 from .program import CostModel, Instruction, PpaProgram, TimingReport
 
 __all__ = [
     "PlaneGeometry", "BnnModel", "argmax", "reference_infer",
-    "AnalogPlane", "ArrayState", "DigitalPlane", "NoiseModel",
+    "ArrayState", "NoiseModel",
     "CostModel", "Instruction", "PpaProgram", "TimingReport",
 ]
 

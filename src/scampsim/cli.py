@@ -51,18 +51,18 @@ def _noise(args) -> NoiseModel:
     return NoiseModel()
 
 
-def _iter_input_images(path):
-    """Yield (name, 64x64 binary image) from a PGM file or a directory."""
+def _iter_input_images(path, block_size: int):
+    """Yield (name, block-sized binary image) from a PGM file or a directory."""
     if os.path.isdir(path):
         names = sorted(n for n in os.listdir(path) if n.endswith(".pgm"))
         if not names:
             raise CliError(f"no PGM files in {path}")
         for n in names:
             img = pnm.read_pgm(os.path.join(path, n))
-            yield n, lowering.prepare_input(img)
+            yield n, lowering.prepare_input(img, block_size)
     else:
         img = pnm.read_pgm(path)
-        yield os.path.basename(path), lowering.prepare_input(img)
+        yield os.path.basename(path), lowering.prepare_input(img, block_size)
 
 
 # -- commands ------------------------------------------------------------
@@ -105,7 +105,7 @@ def cmd_infer(args):
     noise = _noise(args)
     agree = 0
     total = 0
-    for name, img in _iter_input_images(args.images):
+    for name, img in _iter_input_images(args.images, model.geometry.block_size):
         state = lowering.make_input_state(img, model.geometry, args.mode, noise)
         _, sums = execute(program, state)
         predicted = program.sum_labels[argmax(sums)]
@@ -135,7 +135,7 @@ def cmd_loop(args):
     model = _load_weights(args)
     program, _ = lowering.lower_model(model)
     cost = _load_cost(args)
-    images = list(_iter_input_images(args.frames))
+    images = list(_iter_input_images(args.frames, model.geometry.block_size))
     interval = int(round(1e6 / args.fps))
     frames = []
     t = 0
@@ -146,7 +146,7 @@ def cmd_loop(args):
         i += 1
     bank = servo.ServoBank([servo.ServoModel() for _ in range(args.servos)])
     timeline = servo.run_loop(frames, program, cost, bank, args.duration_us,
-                              args.mode, _noise(args))
+                              args.mode, _noise(args), geometry=model.geometry)
     os.makedirs(args.out, exist_ok=True)
     pnm.atomic_write(os.path.join(args.out, "timeline.csv"), timeline.to_csv())
     records = servo.reaction_latency(timeline)
@@ -164,7 +164,7 @@ def cmd_loop(args):
 def cmd_dump(args):
     model = _load_weights(args)
     program, plan = lowering.lower_model(model)
-    (_, img), = _iter_input_images(args.image)
+    (_, img), = _iter_input_images(args.image, model.geometry.block_size)
     state = lowering.make_input_state(img, model.geometry, args.mode, _noise(args))
     os.makedirs(args.out, exist_ok=True)
 
@@ -180,12 +180,12 @@ def cmd_dump(args):
             name = f"fc_class_{program.sum_labels[fc_index[0]]}"
             fc_index[0] += 1
             pnm.atomic_write(os.path.join(args.out, f"{name}.pgm"),
-                             pnm.encode_pgm(st.areg(fc_reg)))
+                             pnm.encode_pgm(st.areg(fc_reg), st.mode))
         if idx in stage_end:
             stage = stage_end[idx]
             if stage in stage_reg:
                 pnm.atomic_write(os.path.join(args.out, f"post_{stage}.pgm"),
-                                 pnm.encode_pgm(st.areg(stage_reg[stage])))
+                                 pnm.encode_pgm(st.areg(stage_reg[stage]), st.mode))
 
     _, sums = execute(program, state, on_instruction=snap)
     pnm.write_gray_pgm(os.path.join(args.out, "input_64.pgm"), img * 255)

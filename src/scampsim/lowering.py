@@ -18,8 +18,7 @@ import numpy as np
 
 from .geometry import PlaneGeometry, is_binary
 from .model import BnnModel
-from .planes import (DEFAULT_ANALOG_REGS, DEFAULT_DIGITAL_REGS, ArrayState,
-                     NoiseModel)
+from .planes import ArrayState, NoiseModel
 from .program import Instruction, PpaProgram
 
 # Register roles. A stages the input and doubles as the conv row register
@@ -41,10 +40,6 @@ MASK_ROW_EVEN = "R6"
 MASK_ROW_ODD = "R7"
 MASK_RELU = "R8"
 MASK_FC = "R9"
-
-REQUIRED_ANALOG = (REG_INPUT, REG_REPLICATED, REG_ACC, REG_TAP, REG_ZERO, REG_FC)
-REQUIRED_DIGITAL = (MASK_POS, MASK_NEG, MASK_BORDER, MASK_COL_EVEN, MASK_COL_ODD,
-                    MASK_ROW_EVEN, MASK_ROW_ODD, MASK_RELU, MASK_FC)
 
 POOL_REPLICATION = 4  # each pooled maximum appears in all 4 cells of its 2x2 block
 
@@ -113,7 +108,7 @@ def make_input_state(image64: np.ndarray, geometry: PlaneGeometry | None = None,
     if not is_binary(image64):
         raise LoweringError("input image must be strictly binary")
     state = ArrayState(geometry, mode=mode, noise=noise)
-    state.areg(REG_INPUT).values[:bs, :bs] = image64
+    state.areg(REG_INPUT)[:bs, :bs] = image64
     return state
 
 
@@ -288,19 +283,8 @@ def lower_fc(model: BnnModel) -> list[Instruction]:
     return ins
 
 
-def lower_model(model: BnnModel,
-                analog_names: tuple[str, ...] = DEFAULT_ANALOG_REGS,
-                digital_names: tuple[str, ...] = DEFAULT_DIGITAL_REGS
-                ) -> tuple[PpaProgram, LoweringPlan]:
+def lower_model(model: BnnModel) -> tuple[PpaProgram, LoweringPlan]:
     """Concatenate all stages; deterministic for equal models."""
-    missing_a = [r for r in REQUIRED_ANALOG if r not in analog_names]
-    missing_d = [r for r in REQUIRED_DIGITAL if r not in digital_names]
-    if missing_a or missing_d:
-        raise LoweringError(
-            "register budget exhausted: need analog "
-            f"{list(REQUIRED_ANALOG)} and digital {list(REQUIRED_DIGITAL)}; "
-            f"missing analog {missing_a}, digital {missing_d}"
-        )
     stages: list[tuple[str, list[Instruction]]] = []
     try:
         stages.append(("replicate", lower_replicate(model.geometry, model.k)))

@@ -38,7 +38,7 @@ def argmax(scores) -> int:
 def _check_pm1(arr: np.ndarray, name: str):
     # a non-numeric dtype (strings, None) fails before any comparison
     if arr.dtype.kind not in "biuf" or not (np.abs(arr) == 1).all():
-        raise ModelError(f"{name} weights must be exactly -1 or +1")
+        raise ModelError(f"{name}: weights must be exactly -1 or +1")
 
 
 @dataclass
@@ -51,8 +51,12 @@ class BnnModel:
     geometry: PlaneGeometry = field(default_factory=PlaneGeometry)
 
     def __post_init__(self):
-        self.kernels = np.asarray(self.kernels, dtype=np.int64)
-        self.fc_weights = np.asarray(self.fc_weights, dtype=np.int64)
+        # check the raw values: the int64 cast would turn 1.5 into 1
+        kernels, fc = np.asarray(self.kernels), np.asarray(self.fc_weights)
+        _check_pm1(kernels, "kernels")
+        _check_pm1(fc, "fc")
+        self.kernels = kernels.astype(np.int64, copy=False)
+        self.fc_weights = fc.astype(np.int64, copy=False)
         nb = self.geometry.num_blocks
         ps = self.pooled_size
         if self.kernels.ndim != 3 or self.kernels.shape[0] != nb \
@@ -69,8 +73,6 @@ class BnnModel:
             )
         if len(self.class_names) != self.num_classes:
             raise ModelError("class_names length != number of FC weight planes")
-        _check_pm1(self.kernels, "kernel")
-        _check_pm1(self.fc_weights, "fc")
 
     @property
     def k(self) -> int:
@@ -241,8 +243,6 @@ def load_weights(text: str) -> BnnModel:
             f"field 'fc': expected shape (classes, {geometry.num_blocks}, {ps}, {ps}), "
             f"got {fc.shape}"
         )
-    _check_pm1(kernels, "field 'kernels'")
-    _check_pm1(fc, "field 'fc'")
     return BnnModel(kernels, fc, tuple(doc["classes"]), geometry)
 
 

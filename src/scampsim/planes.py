@@ -1,18 +1,18 @@
-"""Register planes and the primitive plane-parallel operations.
+"""The pixel array's register file and its plane-parallel operations.
 
-AnalogPlane models the per-pixel analog registers (PIX/AREG) as int32,
-optionally saturating to an 8-bit-like range. DigitalPlane models the 1-bit
-DREG planes as bool. ArrayState bundles named banks of both plus the flag
-plane, and exposes the primitive operations every higher layer composes:
+ArrayState holds one fixed register file as plain arrays of one geometry:
+the analog registers A-F and PIX as int32 planes, and the 1-bit registers
+R1-R12 and the FLAG plane as bool planes. Ideal mode never clamps; saturating
+mode clamps every analog write to the one 8-bit-like range [SAT_MIN, SAT_MAX].
+The state exposes the primitive operations every higher layer composes:
 elementwise arithmetic with optional digital masking, neighbour shifts,
 thresholding, bit logic, pattern writes and the global summation.
 
 Every operation writes into its destination plane in place; a masked write
 computes into one scratch plane owned by the state and blends it in, so no
 operation allocates a result plane. int32 arithmetic wraps on overflow, so
-nothing here checks magnitudes per operation: values entering a plane are
-checked against int32 (AnalogPlane, load_image), and program.execute proves
-that a whole program's intermediates stay inside int32 before it runs.
+nothing here checks magnitudes per operation: program.execute proves that a
+whole program's intermediates stay inside int32 before it runs.
 """
 
 from __future__ import annotations
@@ -26,17 +26,16 @@ from .geometry import PlaneGeometry, is_binary
 IDEAL = "ideal"
 SATURATING = "saturating"
 
-DEFAULT_SAT_MIN = -128
-DEFAULT_SAT_MAX = 127
+SAT_MIN = -128
+SAT_MAX = 127
 
 ANALOG_DTYPE = np.int32
 ANALOG_MIN = int(np.iinfo(ANALOG_DTYPE).min)
 ANALOG_MAX = int(np.iinfo(ANALOG_DTYPE).max)
 
-DEFAULT_ANALOG_REGS = ("A", "B", "C", "D", "E", "F", "PIX")
-DEFAULT_DIGITAL_REGS = tuple(f"R{i}" for i in range(1, 13))
-
-FLAG_REG = "FLAG"
+ANALOG_REGS = ("A", "B", "C", "D", "E", "F", "PIX")
+# FLAG is the conditional-execution flag, addressable like any mask plane
+DIGITAL_REGS = tuple(f"R{i}" for i in range(1, 13)) + ("FLAG",)
 
 # Unit source offsets: shifting moves content toward `direction`, so the
 # destination pixel reads from the opposite neighbour.
@@ -51,17 +50,11 @@ LOGIC_UFUNCS = {"and": np.logical_and, "or": np.logical_or, "xor": np.logical_xo
 
 
 class RegisterError(KeyError):
-    """Unknown or duplicate register name."""
+    """Unknown register name."""
 
 
 class PlaneError(ValueError):
     """Geometry or value-domain violation on a plane operation."""
-
-
-def fits_analog(values: np.ndarray) -> bool:
-    """True iff every value is representable in an analog register."""
-    return (np.can_cast(values.dtype, ANALOG_DTYPE) or values.size == 0
-            or (values.min() >= ANALOG_MIN and values.max() <= ANALOG_MAX))
 
 
 @dataclass
@@ -88,76 +81,7 @@ class NoiseModel:
         return np.random.default_rng(self.seed)
 
 
-@dataclass
-class AnalogPlane:
-    geometry: PlaneGeometry
-    values: np.ndarray
-    mode: str = IDEAL
-    sat_min: int = DEFAULT_SAT_MIN
-    sat_max: int = DEFAULT_SAT_MAX
-
-    @classmethod
-    def zeros(cls, geometry: PlaneGeometry, mode: str = IDEAL, **kw) -> "AnalogPlane":
-        return cls(geometry, np.zeros(geometry.shape, dtype=ANALOG_DTYPE), mode, **kw)
-
-    def __post_init__(self):
-        if self.mode not in (IDEAL, SATURATING):
-            raise PlaneError(f"unknown analog mode {self.mode!r}")
-        values = np.asarray(self.values)
-        if values.shape != self.geometry.shape:
-            raise PlaneError(
-                f"values shape {values.shape} != geometry {self.geometry.shape}"
-            )
-        if not fits_analog(values):
-            raise PlaneError(f"analog values must lie in [{ANALOG_MIN}, {ANALOG_MAX}]")
-        if self.mode == SATURATING and 2 * self.limit > ANALOG_MAX:
-            raise PlaneError("saturation limits must keep the sum or difference of "
-                             "two clamped values inside int32")
-        self.values = values.astype(ANALOG_DTYPE, copy=False)
-        self.saturate(self.values)
-
-    @property
-    def limit(self) -> int | None:
-        """Largest magnitude the plane can hold, or None in ideal mode."""
-        if self.mode == SATURATING:
-            return max(abs(self.sat_min), abs(self.sat_max))
-        return None
-
-    def saturate(self, values: np.ndarray):
-        """Clamp `values` in place to this plane's range; no-op in ideal mode."""
-        if self.mode == SATURATING:
-            np.clip(values, self.sat_min, self.sat_max, out=values)
-
-    def copy(self) -> "AnalogPlane":
-        return AnalogPlane(self.geometry, self.values.copy(), self.mode,
-                           self.sat_min, self.sat_max)
-
-
-@dataclass
-class DigitalPlane:
-    geometry: PlaneGeometry
-    bits: np.ndarray
-
-    @classmethod
-    def zeros(cls, geometry: PlaneGeometry) -> "DigitalPlane":
-        # bool bits pass the 0/1 check without reading them
-        return cls(geometry, np.zeros(geometry.shape, dtype=bool))
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits)
-        if self.bits.shape != self.geometry.shape:
-            raise PlaneError(
-                f"bits shape {self.bits.shape} != geometry {self.geometry.shape}"
-            )
-        if not is_binary(self.bits):
-            raise PlaneError("digital plane bits must be exactly 0 or 1")
-        self.bits = self.bits.astype(bool, copy=False)
-
-    def copy(self) -> "DigitalPlane":
-        return DigitalPlane(self.geometry, self.bits.copy())
-
-
-def global_sum(plane: AnalogPlane, noise: NoiseModel | None = None,
+def global_sum(values: np.ndarray, noise: NoiseModel | None = None,
                rng: np.random.Generator | None = None) -> int:
     """Sum of all pixels, with optional integer-rounded gaussian error.
 
@@ -165,7 +89,7 @@ def global_sum(plane: AnalogPlane, noise: NoiseModel | None = None,
     making a standalone call reproducible; callers holding state (the
     program executor) pass their own stream.
     """
-    exact = int(plane.values.sum(dtype=np.int64))
+    exact = int(values.sum(dtype=np.int64))
     if noise is None or noise.kind == "none" or noise.sigma == 0:
         return exact
     if rng is None:
@@ -174,102 +98,78 @@ def global_sum(plane: AnalogPlane, noise: NoiseModel | None = None,
 
 
 class ArrayState:
-    """Named banks of analog and digital planes sharing one geometry.
+    """The register file of one array: int32 analog and bool digital planes.
 
-    Mutated by exactly one logical thread at a time; the noise RNG stream is
-    owned by the state so concurrent states never perturb each other.
+    `analog` and `digital` map each register name to its plane, a bare
+    array of the geometry's shape. One state-wide `mode` decides the clamp:
+    in saturating mode every analog write clamps to [SAT_MIN, SAT_MAX] and
+    `limit` is the largest magnitude a plane can hold; in ideal mode `limit`
+    is None. Mutated by exactly one logical thread at a time; the noise RNG
+    stream is owned by the state so concurrent states never perturb each
+    other.
     """
 
     def __init__(self, geometry: PlaneGeometry | None = None,
                  mode: str = IDEAL,
-                 noise: NoiseModel | None = None,
-                 analog_names: tuple[str, ...] = DEFAULT_ANALOG_REGS,
-                 digital_names: tuple[str, ...] = DEFAULT_DIGITAL_REGS,
-                 sat_min: int = DEFAULT_SAT_MIN,
-                 sat_max: int = DEFAULT_SAT_MAX):
+                 noise: NoiseModel | None = None):
+        if mode not in (IDEAL, SATURATING):
+            raise PlaneError(f"unknown analog mode {mode!r}")
         self.geometry = geometry or PlaneGeometry()
+        self.mode = mode
+        self.limit = max(-SAT_MIN, SAT_MAX) if mode == SATURATING else None
         self.noise = noise or NoiseModel()
-        if len(set(analog_names)) != len(analog_names):
-            raise RegisterError("duplicate analog register name")
-        if len(set(digital_names)) != len(digital_names) or FLAG_REG in digital_names:
-            raise RegisterError("duplicate digital register name")
+        shape = self.geometry.shape
         # one zeroed block backs every analog plane plus the scratch plane
         # that masked writes compute into; one allocation is cheaper than
         # clearing eight planes one by one
-        block = np.zeros((len(analog_names) + 1, *self.geometry.shape),
-                         dtype=ANALOG_DTYPE)
-        self.analog: dict[str, AnalogPlane] = {
-            n: AnalogPlane(self.geometry, values, mode, sat_min, sat_max)
-            for n, values in zip(analog_names, block)
-        }
-        self.digital: dict[str, DigitalPlane] = {
-            n: DigitalPlane.zeros(self.geometry) for n in digital_names
-        }
-        # The conditional-execution flag is addressable like any mask plane.
-        self.digital[FLAG_REG] = DigitalPlane.zeros(self.geometry)
-        self.rng = self.noise.make_rng()
+        block = np.zeros((len(ANALOG_REGS) + 1, *shape), dtype=ANALOG_DTYPE)
+        self.analog: dict[str, np.ndarray] = dict(zip(ANALOG_REGS, block))
         self._scratch = block[-1]
+        bits = np.zeros((len(DIGITAL_REGS), *shape), dtype=bool)
+        self.digital: dict[str, np.ndarray] = dict(zip(DIGITAL_REGS, bits))
+        self.rng = self.noise.make_rng()
 
     # -- register access -------------------------------------------------
 
-    def areg(self, name: str) -> AnalogPlane:
+    def areg(self, name: str) -> np.ndarray:
         try:
             return self.analog[name]
         except KeyError:
             raise RegisterError(f"unknown analog register {name!r}") from None
 
-    def dreg(self, name: str) -> DigitalPlane:
+    def dreg(self, name: str) -> np.ndarray:
         try:
             return self.digital[name]
         except KeyError:
             raise RegisterError(f"unknown digital register {name!r}") from None
 
+    def saturate(self, values: np.ndarray):
+        """Clamp `values` in place to the saturating range; no-op in ideal mode."""
+        if self.limit is not None:
+            np.clip(values, SAT_MIN, SAT_MAX, out=values)
+
     def _write(self, ufunc, dst: str, srcs: tuple[str, ...], mask: str | None):
         """dst = clamp(ufunc(*srcs)) where the mask is set, in place.
 
-        The clamp is dst's own range. Unmasked, the ufunc writes straight
-        into dst. Masked, it writes into the scratch plane t, which blends in
-        as dst += m * (t - dst): exact in wrapping int32 arithmetic even
-        where t - dst itself wraps.
+        Unmasked, the ufunc writes straight into dst. Masked, it writes into
+        the scratch plane t, which blends in as dst += m * (t - dst): exact
+        in wrapping int32 arithmetic even where t - dst itself wraps.
         """
-        plane = self.areg(dst)
-        out = plane.values
-        args = [self.areg(s).values for s in srcs]
+        out = self.areg(dst)
+        args = [self.areg(s) for s in srcs]
         if mask is None:
             ufunc(*args, out=out)
-            plane.saturate(out)
+            self.saturate(out)
             return
-        m = self.dreg(mask).bits
+        m = self.dreg(mask)
         t = self._scratch
         ufunc(*args, out=t)
-        plane.saturate(t)
+        self.saturate(t)
         t -= out
         t *= m
         out += t
 
     # -- analog ops ------------------------------------------------------
-
-    def load_image(self, img: np.ndarray, dest: str, scale: float = 1.0,
-                   offset: float = 0.0):
-        """Acquire a grayscale image into an analog register.
-
-        Pixel values map through round(v * scale + offset), then clamp in
-        saturating mode. Mapped values outside int32 are rejected.
-        """
-        img = np.asarray(img)
-        if img.shape != self.geometry.shape:
-            raise PlaneError(
-                f"image shape {img.shape} != plane geometry {self.geometry.shape}"
-            )
-        if img.min() < 0 or img.max() > 255:
-            raise PlaneError("image pixel values must lie in [0, 255]")
-        mapped = np.rint(img.astype(np.float64) * scale + offset)
-        if not fits_analog(mapped):
-            raise PlaneError(f"mapped image values must lie in "
-                             f"[{ANALOG_MIN}, {ANALOG_MAX}]")
-        plane = self.areg(dest)
-        plane.values[:] = mapped
-        plane.saturate(plane.values)
 
     def add(self, dst: str, a: str, b: str, mask: str | None = None):
         self._write(np.add, dst, (a, b), mask)
@@ -296,9 +196,8 @@ class ArrayState:
             raise PlaneError(f"unknown shift direction {direction!r}")
         if steps < 0:
             raise PlaneError("shift steps must be >= 0")
-        src_vals = self.areg(src).values
-        plane = self.areg(dst)
-        out = plane.values
+        src_vals = self.areg(src)
+        out = self.areg(dst)
         dr, dc = SHIFT_OFFSETS[direction]
         dr *= steps
         dc *= steps
@@ -313,13 +212,13 @@ class ArrayState:
         out[r1:] = 0
         out[:, :c0] = 0
         out[:, c1:] = 0
-        plane.saturate(out)
+        self.saturate(out)
 
     def threshold_into(self, dst: str, src: str, t: int):
         if not ANALOG_MIN <= t <= ANALOG_MAX:
             # np.greater with out= misreads a Python int outside int32
             raise PlaneError(f"threshold {t} outside [{ANALOG_MIN}, {ANALOG_MAX}]")
-        np.greater(self.areg(src).values, t, out=self.dreg(dst).bits)
+        np.greater(self.areg(src), t, out=self.dreg(dst))
 
     def global_sum_of(self, src: str) -> int:
         return global_sum(self.areg(src), self.noise, self.rng)
@@ -327,8 +226,8 @@ class ArrayState:
     # -- digital ops -----------------------------------------------------
 
     def dreg_logic(self, dst: str, op: str, a: str, b: str | None = None):
-        av = self.dreg(a).bits
-        out = self.dreg(dst).bits
+        av = self.dreg(a)
+        out = self.dreg(dst)
         if op == "not":
             np.logical_not(av, out=out)
             return
@@ -337,7 +236,7 @@ class ArrayState:
         ufunc = LOGIC_UFUNCS.get(op)
         if ufunc is None:
             raise PlaneError(f"unknown logic op {op!r}")
-        ufunc(av, self.dreg(b).bits, out=out)
+        ufunc(av, self.dreg(b), out=out)
 
     def write_pattern(self, dst: str, pattern: np.ndarray):
         pattern = np.asarray(pattern)
@@ -347,21 +246,21 @@ class ArrayState:
             )
         if not is_binary(pattern):
             raise PlaneError("pattern bits must be 0 or 1")
-        self.dreg(dst).bits[:] = pattern
+        self.dreg(dst)[:] = pattern
 
     # -- snapshots -------------------------------------------------------
 
     def snapshot(self) -> dict:
         """Deep copy of all plane contents, for bit-identity checks."""
         return {
-            "analog": {n: p.values.copy() for n, p in self.analog.items()},
-            "digital": {n: p.bits.copy() for n, p in self.digital.items()},
+            "analog": {n: p.copy() for n, p in self.analog.items()},
+            "digital": {n: p.copy() for n, p in self.digital.items()},
         }
 
     def equals_snapshot(self, snap: dict) -> bool:
         return (
-            all(np.array_equal(self.analog[n].values, v)
+            all(np.array_equal(self.analog[n], v)
                 for n, v in snap["analog"].items())
-            and all(np.array_equal(self.digital[n].bits, v)
+            and all(np.array_equal(self.digital[n], v)
                     for n, v in snap["digital"].items())
         )

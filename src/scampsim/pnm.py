@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .planes import SATURATING, AnalogPlane
+from .planes import SATURATING
 
 
 class PnmError(ValueError):
@@ -57,13 +57,13 @@ def _read_tokens(data: bytes, n: int, start: int) -> tuple[list[bytes], int]:
     return tokens, i
 
 
-def encode_pgm(plane: AnalogPlane) -> bytes:
-    vals = plane.values
-    if plane.mode == SATURATING:
-        vals = vals + 128
-    vals = np.clip(vals, 0, 255).astype(np.uint8)
-    h, w = plane.geometry.shape
-    return b"P5\n%d %d\n255\n" % (w, h) + vals.tobytes()
+def encode_pgm(values: np.ndarray, mode: str) -> bytes:
+    """An analog plane of a state in `mode` as a PGM."""
+    if mode == SATURATING:
+        values = values + 128
+    values = np.clip(values, 0, 255).astype(np.uint8)
+    h, w = values.shape
+    return b"P5\n%d %d\n255\n" % (w, h) + values.tobytes()
 
 
 def decode_pgm(data: bytes) -> np.ndarray:

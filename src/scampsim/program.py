@@ -205,7 +205,7 @@ class _Bounds(dict):
         self.state = state
 
     def __missing__(self, reg: str) -> int:
-        values = self.state.analog[reg].values
+        values = self.state.analog[reg]
         # Python ints: abs() of int32's minimum would wrap
         self[reg] = bound = max(-int(values.min()), int(values.max()))
         return bound
@@ -218,8 +218,8 @@ def _check_bound(ins: Instruction, spec: OpSpec, bounds: _Bounds):
     new = spec.bound(inputs)
     if new > ANALOG_MAX:
         raise ProgramError(f"{ins.opcode} can reach magnitude {new}, outside int32")
-    # a saturating destination clamps what it stores
-    limit = bounds.state.analog[ins.dst].limit
+    # a saturating state clamps what it stores
+    limit = bounds.state.limit
     if limit is not None:
         new = min(new, limit)
     if spec.masked and ins.mask is not None:

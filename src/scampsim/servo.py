@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import PlaneGeometry
 from .lowering import make_input_state
 from .model import argmax
 from .planes import NoiseModel
@@ -112,8 +113,10 @@ class ServoTimeline:
 def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
              cost: CostModel, bank: ServoBank, duration_us: int,
              mode: str = "ideal",
-             noise: NoiseModel | None = None) -> ServoTimeline:
-    """Simulate `duration_us` of the loop over timestamped binary frames."""
+             noise: NoiseModel | None = None,
+             geometry: PlaneGeometry | None = None) -> ServoTimeline:
+    """Simulate `duration_us` of the loop over timestamped binary frames,
+    each one block of `geometry` (default: PlaneGeometry())."""
     if any(frames[i][0] > frames[i + 1][0] for i in range(len(frames) - 1)):
         raise ServoError("frame timestamps must be nondecreasing")
     if frames and frames[-1][0] > duration_us:
@@ -135,7 +138,7 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
         if key is not None and key in cache:
             cls = cache[key]
         else:
-            state = make_input_state(img, mode=mode, noise=noise)
+            state = make_input_state(img, geometry, mode, noise)
             _, sums = execute(program, state)
             cls = program.sum_labels[argmax(sums)]
             if key is not None:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from scampsim.cli import main
+from scampsim.geometry import PlaneGeometry
+from scampsim.model import random_model, save_weights
 from scampsim.pnm import write_gray_pgm
 
 
@@ -125,3 +127,25 @@ class TestLoopAndDump:
             assert (out / f"post_{stage}.pgm").exists()
         for cls in ("rock", "paper", "scissors"):
             assert (out / f"fc_class_{cls}.pgm").exists()
+
+    def test_non_default_geometry_runs_infer_dump_and_loop(self, tmp_path, capsys,
+                                                           rng):
+        # a 2x2 grid of 32-pixel blocks on a 64x64 array
+        weights = tmp_path / "weights.json"
+        weights.write_text(save_weights(
+            random_model(1, geometry=PlaneGeometry(64, 64, 2, 32))))
+        img = tmp_path / "frame.pgm"
+        write_gray_pgm(img, rng.integers(0, 2, size=(64, 64)) * 255)
+        code, out, err = run_cli(capsys, "infer", "--weights", str(weights),
+                                 "--images", str(img), "--check")
+        assert (code, err) == (0, "")
+        assert "oracle agreement: 1/1" in out
+        code, _, err = run_cli(capsys, "dump", "--weights", str(weights),
+                               "--image", str(img), "--out", str(tmp_path / "dump"))
+        assert (code, err) == (0, "")
+        assert (tmp_path / "dump" / "post_maxpool.pgm").exists()
+        code, _, err = run_cli(capsys, "loop", "--weights", str(weights),
+                               "--frames", str(img), "--duration-us", "20000",
+                               "--out", str(tmp_path / "loop"))
+        assert (code, err) == (0, "")
+        assert (tmp_path / "loop" / "timeline.csv").exists()

@@ -153,6 +153,7 @@ class TestWeightsDocument:
         pytest.param(0, False, id="0"),
         pytest.param(2, False, id="2"),
         pytest.param(0.5, False, id="0.5"),
+        pytest.param(1.5, False, id="1.5"),
         pytest.param(float("nan"), False, id="nan"),
         pytest.param("1", False, id="string"),
         pytest.param(None, False, id="None"),
@@ -167,11 +168,19 @@ class TestWeightsDocument:
     def test_zero_weight_rejected(self, value, accepted):
         parsed = json.loads(save_weights(random_model(seed=2)))
         parsed["kernels"][0][0][0] = value
+
+        def direct():
+            return BnnModel(parsed["kernels"], parsed["fc"], tuple(parsed["classes"]))
+
         if accepted:
             assert load_weights(json.dumps(parsed)).kernels[0, 0, 0] == value
+            assert direct().kernels[0, 0, 0] == value
         else:
             with pytest.raises(ModelError, match="kernels"):
                 load_weights(json.dumps(parsed))
+            # numpy itself refuses ragged nesting, with a bare ValueError
+            with pytest.raises(ValueError, match="kernels|inhomogeneous"):
+                direct()
 
     def test_wrong_kernel_count_rejected(self):
         parsed = json.loads(save_weights(random_model(seed=2)))

@@ -8,9 +8,8 @@ from scampsim.geometry import GeometryError, PlaneGeometry
 from scampsim.lowering import (LoweringError, block_select_pattern,
                                make_input_state)
 from scampsim.model import ModelError, default_model, reference_infer
-from scampsim.planes import (ANALOG_MAX, ANALOG_MIN, SATURATING, AnalogPlane,
-                             ArrayState, DigitalPlane, NoiseModel, PlaneError,
-                             RegisterError, global_sum)
+from scampsim.planes import (ANALOG_MIN, SATURATING, ArrayState, NoiseModel,
+                             PlaneError, RegisterError, global_sum)
 from scampsim.program import Instruction, ProgramError
 
 
@@ -18,8 +17,8 @@ def small_geometry():
     return PlaneGeometry(16, 16, 4, 4)
 
 
-def make_state(mode="ideal", **kw):
-    return ArrayState(small_geometry(), mode=mode, **kw)
+def make_state(mode="ideal"):
+    return ArrayState(small_geometry(), mode=mode)
 
 
 class TestGeometry:
@@ -39,46 +38,24 @@ class TestGeometry:
             assert geometry.block_of(r0 + 63, c0 + 63) == b
 
 
-class TestLoadImage:
-    def test_all_black_maps_to_zero(self, geometry):
-        state = ArrayState(geometry)
-        state.load_image(np.zeros(geometry.shape), "A")
-        assert np.all(state.areg("A").values == 0)
-
-    def test_all_white_ideal_is_identity(self, geometry):
-        state = ArrayState(geometry)
-        state.load_image(np.full(geometry.shape, 255), "A")
-        assert np.all(state.areg("A").values == 255)
-
-    def test_all_white_saturating_clamps_to_127(self, geometry):
-        state = ArrayState(geometry, mode=SATURATING)
-        state.load_image(np.full(geometry.shape, 255), "A")
-        assert np.all(state.areg("A").values == 127)
-
-    def test_dimension_mismatch_rejected(self, geometry):
-        state = ArrayState(geometry)
-        with pytest.raises(PlaneError):
-            state.load_image(np.zeros((64, 64)), "A")
-
-
 class TestThreshold:
     def test_zero_plane_strict_inequality(self, geometry):
         state = ArrayState(geometry)
         state.threshold_into("R1", "A", 0)
-        assert not state.dreg("R1").bits.any()
+        assert not state.dreg("R1").any()
 
     def test_ones_plane(self, geometry):
         state = ArrayState(geometry)
-        state.areg("A").values[:] = 1
+        state.areg("A")[:] = 1
         state.threshold_into("R1", "A", 0)
-        assert state.dreg("R1").bits.all()
+        assert state.dreg("R1").all()
 
     def test_matches_per_pixel_comparison(self, geometry, rng):
         vals = rng.integers(0, 256, size=geometry.shape)
         state = ArrayState(geometry)
-        state.areg("A").values[:] = vals
+        state.areg("A")[:] = vals
         state.threshold_into("R1", "A", 64)
-        got = state.dreg("R1").bits
+        got = state.dreg("R1")
         for r in range(0, 256, 37):
             for c in range(0, 256, 41):
                 assert got[r, c] == (vals[r, c] > 64)
@@ -88,28 +65,28 @@ class TestThreshold:
 class TestArithmetic:
     def test_add_identity(self, rng):
         state = make_state()
-        state.areg("A").values[:] = rng.integers(-50, 50, size=(16, 16))
+        state.areg("A")[:] = rng.integers(-50, 50, size=(16, 16))
         state.add("C", "A", "B")  # B is all zero
-        assert np.array_equal(state.areg("C").values, state.areg("A").values)
+        assert np.array_equal(state.areg("C"), state.areg("A"))
 
     def test_sub_self_is_zero(self, rng):
         state = make_state()
-        state.areg("A").values[:] = rng.integers(-50, 50, size=(16, 16))
+        state.areg("A")[:] = rng.integers(-50, 50, size=(16, 16))
         state.sub("B", "A", "A")
-        assert np.all(state.areg("B").values == 0)
+        assert np.all(state.areg("B") == 0)
 
     def test_checkerboard_mask_frames_untouched_pixels(self, rng):
         state = make_state()
         a = rng.integers(-50, 50, size=(16, 16))
         b = rng.integers(-50, 50, size=(16, 16))
         prior = rng.integers(-50, 50, size=(16, 16))
-        state.areg("A").values[:] = a
-        state.areg("B").values[:] = b
-        state.areg("C").values[:] = prior
+        state.areg("A")[:] = a
+        state.areg("B")[:] = b
+        state.areg("C")[:] = prior
         mask = np.indices((16, 16)).sum(axis=0) % 2
         state.write_pattern("R1", mask)
         state.add("C", "A", "B", mask="R1")
-        got = state.areg("C").values
+        got = state.areg("C")
         for r in range(16):
             for c in range(16):
                 expect = a[r, c] + b[r, c] if mask[r, c] else prior[r, c]
@@ -122,14 +99,14 @@ class TestArithmetic:
 
     def test_saturating_clamps(self):
         state = make_state(mode=SATURATING)
-        state.areg("A").values[:] = 100
-        state.areg("B").values[:] = 100
+        state.areg("A")[:] = 100
+        state.areg("B")[:] = 100
         state.add("C", "A", "B")
-        assert np.all(state.areg("C").values == 127)
+        assert np.all(state.areg("C") == 127)
         state.sub("C", "B", "A")
-        state.areg("B").values[:] = -100
+        state.areg("B")[:] = -100
         state.add("C", "A", "B")
-        assert np.all(state.areg("C").values == 0)
+        assert np.all(state.areg("C") == 0)
 
 
 # the masked ops, each with its numpy oracle over int64 operands
@@ -169,139 +146,92 @@ class TestMaskedWrite:
         lo, hi = (-128, 127) if mode == SATURATING else (-2**30 + 1, 2**30 - 1)
         state = make_state(mode)
         for reg in "ABC":
-            state.areg(reg).values[:] = r.integers(lo, hi + 1, (16, 16))
-        state.areg("C").values[0, 0] = ANALOG_MIN if mode == "ideal" else -128
+            state.areg(reg)[:] = r.integers(lo, hi + 1, (16, 16))
+        state.areg("C")[0, 0] = ANALOG_MIN if mode == "ideal" else -128
         mask = mask_shapes()[shape]
         state.write_pattern("R1", mask)
-        before = {n: p.values.astype(np.int64) for n, p in state.analog.items()}
+        before = {n: p.astype(np.int64) for n, p in state.analog.items()}
         new = oracle(before[a], before[b])
         if mode == SATURATING:
             new = np.clip(new, -128, 127)
         run(state, dst, a, b, "R1")
-        assert np.array_equal(state.areg(dst).values, np.where(mask, new, before[dst]))
-        assert state.areg(dst).values.dtype == np.int32
+        assert np.array_equal(state.areg(dst), np.where(mask, new, before[dst]))
+        assert state.areg(dst).dtype == np.int32
         for n, old in before.items():
             if n != dst:
-                assert np.array_equal(state.areg(n).values, old)
+                assert np.array_equal(state.areg(n), old)
 
     @pytest.mark.parametrize("mode", ["ideal", SATURATING])
     @pytest.mark.parametrize("direction", ["N", "S", "E", "W"])
     @pytest.mark.parametrize("steps", [0, 1, 3, 16, 40])
     def test_shift_in_place_matches_shift_elsewhere(self, mode, direction, steps):
         state = make_state(mode)
-        state.areg("A").values[:] = np.random.default_rng(5).integers(-128, 128,
+        state.areg("A")[:] = np.random.default_rng(5).integers(-128, 128,
                                                                        (16, 16))
         state.shift("B", "A", direction, steps)
         state.shift("A", "A", direction, steps)
-        assert np.array_equal(state.areg("A").values, state.areg("B").values)
-
-
-class TestInt32Boundary:
-    def test_analog_plane_rejects_values_outside_int32(self):
-        for bad in (ANALOG_MAX + 1, ANALOG_MIN - 1, np.nan):
-            vals = np.zeros((16, 16))
-            vals[2, 3] = bad
-            with pytest.raises(PlaneError, match="int32|analog values"):
-                AnalogPlane(small_geometry(), vals)
-        edge = np.full((16, 16), ANALOG_MIN, dtype=np.int64)
-        edge[0, 0] = ANALOG_MAX
-        assert np.array_equal(AnalogPlane(small_geometry(), edge).values, edge)
-
-    @pytest.mark.parametrize("mode", ["ideal", SATURATING])
-    def test_load_image_rejects_mapped_values_outside_int32(self, mode):
-        state = make_state(mode)
-        before = state.snapshot()
-        img = np.full((16, 16), 255)
-        for scale, offset in ((2.0**24, 0.0), (1.0, 2.0**31), (-(2.0**24), 0.0)):
-            with pytest.raises(PlaneError, match="int32|-2147483648"):
-                state.load_image(img, "A", scale=scale, offset=offset)
-        assert state.equals_snapshot(before)
-        state.load_image(img, "A", scale=2.0**23)
-        expect = 127 if mode == SATURATING else 255 * 2**23
-        assert np.all(state.areg("A").values == expect)
-
-    @pytest.mark.parametrize("limits", [(-2**30 - 1, 127), (-128, 2**30),
-                                        (0, 2**31 - 1)])
-    def test_state_rejects_saturation_limits_that_can_overflow(self, limits):
-        with pytest.raises(PlaneError, match="saturation limits"):
-            ArrayState(small_geometry(), SATURATING, sat_min=limits[0],
-                       sat_max=limits[1])
-
-    def test_ideal_mode_ignores_saturation_limits(self):
-        state = ArrayState(small_geometry(), sat_min=-2**31, sat_max=2**31 - 1)
-        state.areg("A").values[:] = 2**30
-        state.add("B", "A", "A", mask="R1")
-        assert not state.areg("B").values.any()
-
-    def test_widest_saturation_limits_accepted(self):
-        state = ArrayState(small_geometry(), SATURATING, sat_min=-2**30 + 1,
-                           sat_max=2**30 - 1)
-        state.areg("A").values[:] = 2**30 - 1
-        state.add("B", "A", "A")
-        state.sub("C", "A", "B")
-        assert np.all(state.areg("B").values == 2**30 - 1)
-        assert np.all(state.areg("C").values == 0)
+        assert np.array_equal(state.areg("A"), state.areg("B"))
 
 
 class TestShift:
     def test_zero_steps_is_identity(self, rng):
         state = make_state()
-        state.areg("A").values[:] = rng.integers(-9, 9, size=(16, 16))
+        state.areg("A")[:] = rng.integers(-9, 9, size=(16, 16))
         state.shift("B", "A", "N", 0)
-        assert np.array_equal(state.areg("B").values, state.areg("A").values)
+        assert np.array_equal(state.areg("B"), state.areg("A"))
 
     def test_single_pixel_moves_north(self):
         state = make_state()
-        state.areg("A").values[10, 10] = 7
+        state.areg("A")[10, 10] = 7
         state.shift("B", "A", "N", 1)
-        assert state.areg("B").values[9, 10] == 7
-        assert state.areg("B").values.sum() == 7
+        assert state.areg("B")[9, 10] == 7
+        assert state.areg("B").sum() == 7
 
     def test_full_width_shift_evacuates(self, rng):
         state = make_state()
-        state.areg("A").values[:] = rng.integers(1, 9, size=(16, 16))
+        state.areg("A")[:] = rng.integers(1, 9, size=(16, 16))
         state.shift("B", "A", "E", 16)
-        assert np.all(state.areg("B").values == 0)
+        assert np.all(state.areg("B") == 0)
 
     @given(a=st.integers(0, 5), b=st.integers(0, 5))
     @settings(max_examples=20, deadline=None)
     def test_shift_composition(self, a, b):
         state = make_state()
         r = np.random.default_rng(a * 7 + b)
-        state.areg("A").values[:] = r.integers(-9, 9, size=(16, 16))
+        state.areg("A")[:] = r.integers(-9, 9, size=(16, 16))
         state.shift("B", "A", "N", a)
         state.shift("B", "B", "N", b)
         state.shift("C", "A", "N", a + b)
-        assert np.array_equal(state.areg("B").values, state.areg("C").values)
+        assert np.array_equal(state.areg("B"), state.areg("C"))
 
     def test_crosses_block_boundaries(self):
         state = make_state()
-        state.areg("A").values[4, 0] = 5  # first row of block row 1
+        state.areg("A")[4, 0] = 5  # first row of block row 1
         state.shift("B", "A", "N", 1)
-        assert state.areg("B").values[3, 0] == 5  # landed in block row 0
+        assert state.areg("B")[3, 0] == 5  # landed in block row 0
 
 
 class TestMaxCombine:
     def test_idempotent(self, rng):
         state = make_state()
-        state.areg("A").values[:] = rng.integers(-9, 9, size=(16, 16))
+        state.areg("A")[:] = rng.integers(-9, 9, size=(16, 16))
         state.max_combine("B", "A", "A")
-        assert np.array_equal(state.areg("B").values, state.areg("A").values)
+        assert np.array_equal(state.areg("B"), state.areg("A"))
 
     def test_max_with_zero_keeps_nonnegative(self, rng):
         state = make_state()
-        state.areg("A").values[:] = rng.integers(0, 9, size=(16, 16))
+        state.areg("A")[:] = rng.integers(0, 9, size=(16, 16))
         state.max_combine("C", "A", "B")
-        assert np.array_equal(state.areg("C").values, state.areg("A").values)
+        assert np.array_equal(state.areg("C"), state.areg("A"))
 
     def test_matches_scalar_oracle(self, rng):
         state = make_state()
         a = rng.integers(-50, 50, size=(16, 16))
         b = rng.integers(-50, 50, size=(16, 16))
-        state.areg("A").values[:] = a
-        state.areg("B").values[:] = b
+        state.areg("A")[:] = a
+        state.areg("B")[:] = b
         state.max_combine("C", "A", "B")
-        got = state.areg("C").values
+        got = state.areg("C")
         for r in range(16):
             for c in range(16):
                 assert got[r, c] == max(a[r, c], b[r, c])
@@ -309,37 +239,34 @@ class TestMaxCombine:
 
 class TestGlobalSum:
     def test_zero_plane(self, geometry):
-        assert global_sum(AnalogPlane.zeros(geometry)) == 0
+        assert global_sum(np.zeros(geometry.shape, dtype=np.int32)) == 0
 
     def test_single_pixel(self, geometry):
-        p = AnalogPlane.zeros(geometry)
-        p.values[3, 4] = 5
+        p = np.zeros(geometry.shape, dtype=np.int32)
+        p[3, 4] = 5
         assert global_sum(p) == 5
 
     def test_matches_scalar_accumulation_oracle(self, geometry, rng):
-        vals = rng.integers(-100, 100, size=geometry.shape)
-        p = AnalogPlane(geometry, vals)
+        vals = rng.integers(-100, 100, size=geometry.shape, dtype=np.int32)
         acc = 0
         for v in vals.flat:
             acc += int(v)
-        assert global_sum(p) == acc
+        assert global_sum(vals) == acc
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_random_planes_property(self, seed):
-        g = PlaneGeometry(16, 16, 4, 4)
-        vals = np.random.default_rng(seed).integers(-100, 100, size=(16, 16))
-        assert global_sum(AnalogPlane(g, vals)) == int(vals.sum())
+        vals = np.random.default_rng(seed).integers(-100, 100, size=(16, 16),
+                                                    dtype=np.int32)
+        assert global_sum(vals) == int(vals.sum())
 
     def test_gaussian_noise_reproducible_under_seed(self, geometry, rng):
-        vals = rng.integers(-100, 100, size=geometry.shape)
-        p = AnalogPlane(geometry, vals)
+        p = rng.integers(-100, 100, size=geometry.shape, dtype=np.int32)
         noise = NoiseModel("gaussian", sigma=8.0, seed=7)
         assert global_sum(p, noise) == global_sum(p, noise)
 
     def test_gaussian_noise_perturbs(self, geometry):
-        p = AnalogPlane.zeros(geometry)
-        noise = NoiseModel("gaussian", sigma=100.0, seed=1)
+        p = np.zeros(geometry.shape, dtype=np.int32)
         draws = {global_sum(p, NoiseModel("gaussian", 100.0, s)) for s in range(20)}
         assert len(draws) > 1
 
@@ -351,13 +278,13 @@ class TestDregOps:
         state.write_pattern("R1", bits)
         state.write_pattern("R2", np.ones((16, 16), dtype=np.uint8))
         state.dreg_logic("R3", "and", "R1", "R2")
-        assert np.array_equal(state.dreg("R3").bits, bits.astype(np.uint8))
+        assert np.array_equal(state.dreg("R3"), bits.astype(np.uint8))
 
     def test_xor_self_is_zero(self, rng):
         state = make_state()
         state.write_pattern("R1", rng.integers(0, 2, size=(16, 16)))
         state.dreg_logic("R2", "xor", "R1", "R1")
-        assert np.all(state.dreg("R2").bits == 0)
+        assert np.all(state.dreg("R2") == 0)
 
     def test_not_is_involution(self, rng):
         state = make_state()
@@ -365,18 +292,13 @@ class TestDregOps:
         state.write_pattern("R1", bits)
         state.dreg_logic("R2", "not", "R1")
         state.dreg_logic("R3", "not", "R2")
-        assert np.array_equal(state.dreg("R3").bits, bits)
-
-    def test_digital_plane_rejects_non_binary(self, geometry):
-        with pytest.raises(PlaneError):
-            DigitalPlane(geometry, np.full(geometry.shape, 2))
-
+        assert np.array_equal(state.dreg("R3"), bits)
 
 class TestWritePattern:
     def test_all_ones(self):
         state = make_state()
         state.write_pattern("R1", np.ones((16, 16), dtype=np.uint8))
-        assert np.all(state.dreg("R1").bits == 1)
+        assert np.all(state.dreg("R1") == 1)
 
     def test_block_mask_covers_exactly_one_block(self, geometry):
         sel = np.zeros(16, dtype=np.uint8)
@@ -399,9 +321,26 @@ class TestWritePattern:
 
 
 class TestStateInvariants:
+    @pytest.mark.parametrize("mode, limit", [("ideal", None), (SATURATING, 128)])
+    def test_one_fixed_register_file_of_plain_arrays(self, mode, limit):
+        state = make_state(mode)
+        assert state.mode == mode and state.limit == limit
+        assert list(state.analog) == ["A", "B", "C", "D", "E", "F", "PIX"]
+        assert list(state.digital) == [f"R{i}" for i in range(1, 13)] + ["FLAG"]
+        for name in state.analog:
+            plane = state.areg(name)
+            assert plane.dtype == np.int32 and plane.shape == (16, 16)
+            assert not plane.any()
+        for name in state.digital:
+            plane = state.dreg(name)
+            assert plane.dtype == bool and plane.shape == (16, 16)
+            assert not plane.any()
+        with pytest.raises(PlaneError, match="unknown analog mode"):
+            make_state("clamped")
+
     def test_determinism_without_noise(self, rng):
         def run(state):
-            state.areg("A").values[:] = np.arange(256).reshape(16, 16)
+            state.areg("A")[:] = np.arange(256).reshape(16, 16)
             state.shift("B", "A", "E", 2)
             state.add("C", "A", "B")
             state.write_pattern("R1", np.eye(16, dtype=np.uint8))
@@ -416,17 +355,15 @@ class TestStateInvariants:
         vals_b = rng.integers(-128, 128, size=(16, 16))
         ideal, sat = make_state(), make_state(mode=SATURATING)
         for s in (ideal, sat):
-            s.areg("A").values[:] = vals_a
-            s.areg("B").values[:] = vals_b
+            s.areg("A")[:] = vals_a
+            s.areg("B")[:] = vals_b
             s.add("C", "A", "B")
-        assert np.array_equal(np.clip(ideal.areg("C").values, -128, 127),
-                              sat.areg("C").values)
+        assert np.array_equal(np.clip(ideal.areg("C"), -128, 127),
+                              sat.areg("C"))
 
 
 # every caller of the one 0/1 check, with the error type it raises
 BINARY_CHECKS = {
-    "digital_plane": (PlaneError,
-                      lambda a: DigitalPlane(small_geometry(), a[:16, :16])),
     "write_pattern": (PlaneError,
                       lambda a: make_state().write_pattern("R1", a[:16, :16])),
     "pattern_instruction": (ProgramError,

@@ -3,32 +3,24 @@ import os
 import numpy as np
 import pytest
 
-from scampsim.geometry import PlaneGeometry
-from scampsim.planes import SATURATING, AnalogPlane
+from scampsim.planes import IDEAL, SATURATING
 from scampsim.pnm import PnmError, atomic_write, decode_pgm, encode_pgm
 
 
-@pytest.fixture
-def geo():
-    return PlaneGeometry(16, 16, 4, 4)
-
-
 class TestPgm:
-    def test_header_layout_is_fixed(self, geo):
-        data = encode_pgm(AnalogPlane.zeros(geo))
+    def test_header_layout_is_fixed(self):
+        data = encode_pgm(np.zeros((16, 16), dtype=np.int32), IDEAL)
         assert data.startswith(b"P5\n16 16\n255\n")
         assert len(data) == len(b"P5\n16 16\n255\n") + 256
 
-    def test_saturating_round_trip_is_lossless(self, geo, rng):
-        vals = rng.integers(-128, 128, size=(16, 16))
-        p = AnalogPlane(geo, vals, SATURATING)
-        back = decode_pgm(encode_pgm(p)).astype(np.int64) - 128
+    def test_saturating_round_trip_is_lossless(self, rng):
+        vals = rng.integers(-128, 128, size=(16, 16), dtype=np.int32)
+        back = decode_pgm(encode_pgm(vals, SATURATING)).astype(np.int64) - 128
         assert np.array_equal(back, vals)
 
-    def test_ideal_in_range_round_trips(self, geo, rng):
-        vals = rng.integers(0, 256, size=(16, 16))
-        p = AnalogPlane(geo, vals)
-        assert np.array_equal(decode_pgm(encode_pgm(p)), vals)
+    def test_ideal_in_range_round_trips(self, rng):
+        vals = rng.integers(0, 256, size=(16, 16), dtype=np.int32)
+        assert np.array_equal(decode_pgm(encode_pgm(vals, IDEAL)), vals)
 
     def test_comment_lines_skipped(self):
         data = b"P5\n# a comment\n2 2\n255\n\x01\x02\x03\x04"
