@@ -8,7 +8,6 @@ Failures exit nonzero with a single machine-parsable `error: ...` line.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from importlib import resources
@@ -19,8 +18,6 @@ from .model import (argmax, default_model, load_weights_file, reference_infer,
                     save_weights)
 from .planes import NoiseModel
 from .program import CostModel, disassemble, estimate, execute
-
-log = logging.getLogger("scampsim")
 
 DEFAULT_COST_RESOURCE = "default_cost.json"
 
@@ -188,7 +185,8 @@ def cmd_dump(args):
                                  pnm.encode_pgm(st.areg(stage_reg[stage]), st.mode))
 
     _, sums = execute(program, state, on_instruction=snap)
-    pnm.write_gray_pgm(os.path.join(args.out, "input_64.pgm"), img * 255)
+    pnm.write_gray_pgm(
+        os.path.join(args.out, f"input_{model.geometry.block_size}.pgm"), img * 255)
     print(f"sums={sums} predicted={program.sum_labels[argmax(sums)]} "
           f"dumped to {args.out}")
 
@@ -268,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("SCAMPSIM_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -91,7 +91,7 @@ def prepare_input(img: np.ndarray, block_size: int = 64,
     return (cells > s * s // 2).astype(np.uint8)  # 2 * count > s^2
 
 
-def make_input_state(image64: np.ndarray, geometry: PlaneGeometry | None = None,
+def make_input_state(image: np.ndarray, geometry: PlaneGeometry | None = None,
                      mode: str = "ideal",
                      noise: NoiseModel | None = None) -> ArrayState:
     """Fresh ArrayState with the binary input in block (0,0) of REG_INPUT.
@@ -101,14 +101,14 @@ def make_input_state(image64: np.ndarray, geometry: PlaneGeometry | None = None,
     the remaining blocks happens in the instruction stream.
     """
     geometry = geometry or PlaneGeometry()
-    image64 = np.asarray(image64)
+    image = np.asarray(image)
     bs = geometry.block_size
-    if image64.shape != (bs, bs):
-        raise LoweringError(f"input must be {bs}x{bs}, got {image64.shape}")
-    if not is_binary(image64):
+    if image.shape != (bs, bs):
+        raise LoweringError(f"input must be {bs}x{bs}, got {image.shape}")
+    if not is_binary(image):
         raise LoweringError("input image must be strictly binary")
     state = ArrayState(geometry, mode=mode, noise=noise)
-    state.areg(REG_INPUT)[:bs, :bs] = image64
+    state.areg(REG_INPUT)[:bs, :bs] = image
     return state
 
 

@@ -35,6 +35,13 @@ def argmax(scores) -> int:
     return scores.index(best)
 
 
+def _rectangular(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise ModelError(f"{name}: weights must be a rectangular array") from None
+
+
 def _check_pm1(arr: np.ndarray, name: str):
     # a non-numeric dtype (strings, None) fails before any comparison
     if arr.dtype.kind not in "biuf" or not (np.abs(arr) == 1).all():
@@ -52,7 +59,8 @@ class BnnModel:
 
     def __post_init__(self):
         # check the raw values: the int64 cast would turn 1.5 into 1
-        kernels, fc = np.asarray(self.kernels), np.asarray(self.fc_weights)
+        kernels = _rectangular(self.kernels, "kernels")
+        fc = _rectangular(self.fc_weights, "fc")
         _check_pm1(kernels, "kernels")
         _check_pm1(fc, "fc")
         self.kernels = kernels.astype(np.int64, copy=False)
@@ -227,10 +235,8 @@ def load_weights(text: str) -> BnnModel:
         )
     grid, bsize = int(doc["block_grid"]), int(doc["block_size"])
     geometry = PlaneGeometry(grid * bsize, grid * bsize, grid, bsize)
-    try:
-        kernels, fc = np.asarray(doc["kernels"]), np.asarray(doc["fc"])
-    except ValueError:  # ragged nesting
-        raise ModelError("fields 'kernels' and 'fc' must be rectangular arrays") from None
+    kernels = _rectangular(doc["kernels"], "kernels")
+    fc = _rectangular(doc["fc"], "fc")
     k = int(doc["k"])
     if kernels.shape != (geometry.num_blocks, k, k):
         raise ModelError(

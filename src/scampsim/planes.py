@@ -1,18 +1,23 @@
 """The pixel array's register file and its plane-parallel operations.
 
 ArrayState holds one fixed register file as plain arrays of one geometry:
-the analog registers A-F and PIX as int32 planes, and the 1-bit registers
-R1-R12 and the FLAG plane as bool planes. Ideal mode never clamps; saturating
-mode clamps every analog write to the one 8-bit-like range [SAT_MIN, SAT_MAX].
+the analog registers A-F and PIX as int16 planes, and the 1-bit registers
+R1-R12 and the FLAG plane as bool planes. `widen()` turns the analog planes
+into int32 once a program needs the room; they never narrow again. Ideal
+mode never clamps; saturating mode clamps every analog write to the one
+8-bit-like range [SAT_MIN, SAT_MAX].
 The state exposes the primitive operations every higher layer composes:
 elementwise arithmetic with optional digital masking, neighbour shifts,
 thresholding, bit logic, pattern writes and the global summation.
 
 Every operation writes into its destination plane in place; a masked write
 computes into one scratch plane owned by the state and blends it in, so no
-operation allocates a result plane. int32 arithmetic wraps on overflow, so
-nothing here checks magnitudes per operation: program.execute proves that a
-whole program's intermediates stay inside int32 before it runs.
+operation allocates a result plane. Integer arithmetic wraps on overflow,
+and so does numpy's assignment of a wider value into a plane, so nothing
+here checks magnitudes per operation: program.execute proves how large a
+whole program's intermediates can get before it runs, and widens the state
+first when int16 cannot hold them. A caller that writes values beyond int16
+into a plane directly must call `widen()` first.
 """
 
 from __future__ import annotations
@@ -29,9 +34,12 @@ SATURATING = "saturating"
 SAT_MIN = -128
 SAT_MAX = 127
 
-ANALOG_DTYPE = np.int32
-ANALOG_MIN = int(np.iinfo(ANALOG_DTYPE).min)
-ANALOG_MAX = int(np.iinfo(ANALOG_DTYPE).max)
+# analog planes start narrow and widen once; a value beyond the wide type
+# has no plane that can hold it
+NARROW_DTYPE = np.int16
+WIDE_DTYPE = np.int32
+ANALOG_MIN = int(np.iinfo(WIDE_DTYPE).min)
+ANALOG_MAX = int(np.iinfo(WIDE_DTYPE).max)
 
 ANALOG_REGS = ("A", "B", "C", "D", "E", "F", "PIX")
 # FLAG is the conditional-execution flag, addressable like any mask plane
@@ -98,10 +106,13 @@ def global_sum(values: np.ndarray, noise: NoiseModel | None = None,
 
 
 class ArrayState:
-    """The register file of one array: int32 analog and bool digital planes.
+    """The register file of one array: int16 analog and bool digital planes.
 
     `analog` and `digital` map each register name to its plane, a bare
-    array of the geometry's shape. One state-wide `mode` decides the clamp:
+    array of the geometry's shape. The analog planes are int16 until
+    `widen()` makes them int32; a direct write of a value beyond int16 must
+    come after `widen()`, since numpy wraps it silently. One state-wide
+    `mode` decides the clamp:
     in saturating mode every analog write clamps to [SAT_MIN, SAT_MAX] and
     `limit` is the largest magnitude a plane can hold; in ideal mode `limit`
     is None. Mutated by exactly one logical thread at a time; the noise RNG
@@ -122,12 +133,26 @@ class ArrayState:
         # one zeroed block backs every analog plane plus the scratch plane
         # that masked writes compute into; one allocation is cheaper than
         # clearing eight planes one by one
-        block = np.zeros((len(ANALOG_REGS) + 1, *shape), dtype=ANALOG_DTYPE)
-        self.analog: dict[str, np.ndarray] = dict(zip(ANALOG_REGS, block))
-        self._scratch = block[-1]
+        self._bind(np.zeros((len(ANALOG_REGS) + 1, *shape), dtype=NARROW_DTYPE))
         bits = np.zeros((len(DIGITAL_REGS), *shape), dtype=bool)
         self.digital: dict[str, np.ndarray] = dict(zip(DIGITAL_REGS, bits))
         self.rng = self.noise.make_rng()
+
+    def _bind(self, block: np.ndarray):
+        self._block = block
+        self.analog: dict[str, np.ndarray] = dict(zip(ANALOG_REGS, block))
+        self._scratch = block[-1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The analog planes' integer type: int16, or int32 once widened."""
+        return self._block.dtype
+
+    def widen(self):
+        """Make every analog plane int32, keeping its values. The planes are
+        new arrays, so views taken before do not see later writes."""
+        if self.dtype != WIDE_DTYPE:
+            self._bind(self._block.astype(WIDE_DTYPE))
 
     # -- register access -------------------------------------------------
 
@@ -153,7 +178,7 @@ class ArrayState:
 
         Unmasked, the ufunc writes straight into dst. Masked, it writes into
         the scratch plane t, which blends in as dst += m * (t - dst): exact
-        in wrapping int32 arithmetic even where t - dst itself wraps.
+        in the planes' wrapping arithmetic even where t - dst itself wraps.
         """
         out = self.areg(dst)
         args = [self.areg(s) for s in srcs]

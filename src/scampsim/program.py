@@ -4,12 +4,18 @@ A PpaProgram is an ordered list of instructions over an ArrayState. One
 table, SPECS, describes every opcode: its operands in listing order with
 their kinds, whether it takes a trailing `mask=`, and the ArrayState call
 that runs it. Validation, execution, disassembly and listing parsing all
-read that table. Execution is validate-then-execute: every register
-reference and immediate is checked, and every analog intermediate is proven
-to fit the int32 planes, before the first instruction runs, so a rejected
-program leaves the state bit-identical. Pattern bits are checked once, when
-the Instruction is built, and kept as bool. Timing is a pure function of
-per-opcode costs.
+read that table. Execution is validate-then-execute, and nothing runs until
+the whole program is accepted, so a rejected program leaves the state's
+values and dtype bit-identical:
+- every register reference, immediate and pattern shape is checked. The
+  register file is fixed, so these checks depend only on the program and
+  the geometry: a program that passes is recorded as checked for that
+  geometry and is not checked again; one that fails raises on every call.
+- a bound pass, starting from the state's current values, proves the
+  largest magnitude any analog result can reach. Beyond int32 the program
+  is rejected; beyond int16 the state is widened to int32 before it runs.
+Pattern bits are checked once, when the Instruction is built, and kept as
+bool. Timing is a pure function of per-opcode costs.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import is_binary
-from .planes import ANALOG_MAX, ANALOG_MIN, SHIFT_OFFSETS, ArrayState
+from .geometry import PlaneGeometry, is_binary
+from .planes import (ANALOG_MAX, ANALOG_MIN, ANALOG_REGS, DIGITAL_REGS,
+                     SHIFT_OFFSETS, ArrayState)
 
 LOGIC_OPS = ("and", "or", "xor", "not")
 
@@ -76,6 +83,9 @@ class PpaProgram:
 
     instructions: list[Instruction]
     sum_labels: list[str] = field(default_factory=list)
+    # geometries whose operand checks this program has passed
+    _checked: set[PlaneGeometry] = field(default_factory=set, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         gsum_labels = [i.label for i in self.instructions if i.opcode == "gsum"]
@@ -111,9 +121,9 @@ def _pattern_from_hex(text: str) -> np.ndarray:
 
 
 class Kind(NamedTuple):
-    """One operand kind: the test a value must pass against the state, the
-    message when it fails (formatted with op, name, v and state), and the
-    conversions from and to one listing field."""
+    """One operand kind: the test a value must pass against the geometry,
+    the message when it fails (formatted with op, name, v and geometry), and
+    the conversions from and to one listing field."""
 
     ok: Callable
     error: str
@@ -121,17 +131,17 @@ class Kind(NamedTuple):
     fmt: Callable = str
 
 
-AREG = Kind(lambda st, v: v in st.analog, "unknown analog register {v!r}")
-DREG = Kind(lambda st, v: v in st.digital, "unknown digital register {v!r}")
+AREG = Kind(lambda g, v: v in ANALOG_REGS, "unknown analog register {v!r}")
+DREG = Kind(lambda g, v: v in DIGITAL_REGS, "unknown digital register {v!r}")
 DREG2 = Kind(*DREG)  # second input of a binary logic op; `not` has none
-DIRECTION = Kind(lambda st, v: v in SHIFT_OFFSETS, "bad shift direction {v!r}")
-NONNEG = Kind(lambda st, v: v is not None and v >= 0, "{op} {name} must be >= 0", int)
-INT32 = Kind(lambda st, v: v is not None and ANALOG_MIN <= v <= ANALOG_MAX,
+DIRECTION = Kind(lambda g, v: v in SHIFT_OFFSETS, "bad shift direction {v!r}")
+NONNEG = Kind(lambda g, v: v is not None and v >= 0, "{op} {name} must be >= 0", int)
+INT32 = Kind(lambda g, v: v is not None and ANALOG_MIN <= v <= ANALOG_MAX,
              "{op} needs an int32 immediate value", int)
-LOGIC = Kind(lambda st, v: v in LOGIC_OPS, "bad logic op {v!r}")
-LABEL = Kind(lambda st, v: v is not None, "{op} needs a label")
-PATTERN = Kind(lambda st, v: v is not None and v.shape == st.geometry.shape,
-               "{op} needs bits of the geometry's shape {state.geometry.shape}",
+LOGIC = Kind(lambda g, v: v in LOGIC_OPS, "bad logic op {v!r}")
+LABEL = Kind(lambda g, v: v is not None, "{op} needs a label")
+PATTERN = Kind(lambda g, v: v is not None and v.shape == g.shape,
+               "{op} needs bits of the geometry's shape {geometry.shape}",
                _pattern_from_hex, _pattern_to_hex)
 
 
@@ -184,16 +194,16 @@ def _listed(spec: OpSpec, logic: str | None) -> list[tuple[str, Kind]]:
 # -- validation and execution -------------------------------------------
 
 
-def _validate_instruction(ins: Instruction, state: ArrayState):
+def _validate_instruction(ins: Instruction, geometry: PlaneGeometry):
     spec = _spec(ins.opcode)
     operands = _listed(spec, ins.logic)
     if spec.masked and ins.mask is not None:
         operands.append(("mask", DREG))
     for name, kind in operands:
         v = getattr(ins, name)
-        if not kind.ok(state, v):
+        if not kind.ok(geometry, v):
             raise ProgramError(kind.error.format(op=ins.opcode, name=name, v=v,
-                                                 state=state))
+                                                 geometry=geometry))
 
 
 class _Bounds(dict):
@@ -203,10 +213,11 @@ class _Bounds(dict):
     def __init__(self, state: ArrayState):
         super().__init__()
         self.state = state
+        self.peak = 0  # largest bound of any result before it is clamped
 
     def __missing__(self, reg: str) -> int:
         values = self.state.analog[reg]
-        # Python ints: abs() of int32's minimum would wrap
+        # Python ints: abs() of the dtype's minimum would wrap
         self[reg] = bound = max(-int(values.min()), int(values.max()))
         return bound
 
@@ -218,6 +229,7 @@ def _check_bound(ins: Instruction, spec: OpSpec, bounds: _Bounds):
     new = spec.bound(inputs)
     if new > ANALOG_MAX:
         raise ProgramError(f"{ins.opcode} can reach magnitude {new}, outside int32")
+    bounds.peak = max(bounds.peak, new)
     # a saturating state clamps what it stores
     limit = bounds.state.limit
     if limit is not None:
@@ -228,19 +240,34 @@ def _check_bound(ins: Instruction, spec: OpSpec, bounds: _Bounds):
     bounds[ins.dst] = new
 
 
-def validate(program: PpaProgram, state: ArrayState):
-    """Reject the whole program before any instruction runs: every operand
-    against the state, and every analog result's magnitude against int32,
-    starting from the state's current plane values."""
-    bounds = _Bounds(state)
+def _check_operands(program: PpaProgram, geometry: PlaneGeometry):
+    """Check every operand once per geometry; a failure is not recorded, so
+    it raises again on the next call."""
+    if geometry in program._checked:
+        return
     for idx, ins in enumerate(program.instructions):
         try:
-            _validate_instruction(ins, state)
-            spec = SPECS[ins.opcode]
-            if spec.bound is not None:
-                _check_bound(ins, spec, bounds)
+            _validate_instruction(ins, geometry)
         except ProgramError as e:
             raise ProgramError(f"instruction {idx} ({ins.opcode}): {e}") from None
+    program._checked.add(geometry)
+
+
+def validate(program: PpaProgram, state: ArrayState) -> int:
+    """Reject the whole program before any instruction runs: every operand
+    against the state's geometry, and every analog result's magnitude
+    against int32, starting from the state's current plane values. Returns
+    the largest magnitude any analog result can reach before it is clamped."""
+    _check_operands(program, state.geometry)
+    bounds = _Bounds(state)
+    for idx, ins in enumerate(program.instructions):
+        spec = SPECS[ins.opcode]
+        if spec.bound is not None:
+            try:
+                _check_bound(ins, spec, bounds)
+            except ProgramError as e:
+                raise ProgramError(f"instruction {idx} ({ins.opcode}): {e}") from None
+    return bounds.peak
 
 
 def execute(program: PpaProgram, state: ArrayState,
@@ -248,9 +275,11 @@ def execute(program: PpaProgram, state: ArrayState,
     """Run the program; return the mutated state and recorded global sums.
 
     `on_instruction(index, instruction, state)` is called after each
-    instruction, for tracing/dumping.
+    instruction, for tracing/dumping. The state is widened to int32 first
+    when the program's results can leave its analog dtype.
     """
-    validate(program, state)
+    if validate(program, state) > np.iinfo(state.dtype).max:
+        state.widen()
     sums: list[int] = []
     for idx, ins in enumerate(program.instructions):
         result = SPECS[ins.opcode].run(state, ins)

@@ -49,6 +49,12 @@ class TestBench:
         assert out.startswith("latency_us=124.0")
 
 
+def test_log_variable_is_ignored(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCAMPSIM_LOG", "bogus")
+    code, _, err = run_cli(capsys, "lower", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+
+
 class TestInfer:
     def test_all_black_predicts_rock(self, capsys, tmp_path, weights_file):
         img = tmp_path / "black.pgm"
@@ -144,6 +150,7 @@ class TestLoopAndDump:
                                "--image", str(img), "--out", str(tmp_path / "dump"))
         assert (code, err) == (0, "")
         assert (tmp_path / "dump" / "post_maxpool.pgm").exists()
+        assert (tmp_path / "dump" / "input_32.pgm").exists()
         code, _, err = run_cli(capsys, "loop", "--weights", str(weights),
                                "--frames", str(img), "--duration-us", "20000",
                                "--out", str(tmp_path / "loop"))

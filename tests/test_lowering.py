@@ -9,7 +9,7 @@ from scampsim.lowering import (LoweringError, border_pattern,
                                lower_maxpool, lower_model, lower_relu,
                                lower_replicate, make_input_state,
                                prepare_input)
-from scampsim.model import BnnModel, random_model, reference_infer
+from scampsim.model import BnnModel, default_model, random_model, reference_infer
 from scampsim.planes import SATURATING, ArrayState
 from scampsim.program import PpaProgram, disassemble, execute, parse_listing
 
@@ -269,14 +269,29 @@ class TestValueRange:
     """The widest lowered models stay far inside int32, and the lowering
     matches the dense oracle over the whole configuration space."""
 
-    @pytest.mark.parametrize("grid,k", [(8, 32), (1, 64)])
-    def test_widest_kernels_pass_the_bound_pass(self, grid, k, rng):
+    # (8, 32) is proven to reach 131072 and runs widened; (1, 64) is proven
+    # to stay within 4096 and runs at int16
+    @pytest.mark.parametrize("grid,k,dtype", [(8, 32, np.int32), (1, 64, np.int16)],
+                             ids=["8-32", "1-64"])
+    def test_widest_kernels_pass_the_bound_pass(self, grid, k, dtype, rng):
         g = PlaneGeometry(256, 256, grid, 256 // grid)
         m = random_model(seed=grid * 100 + k, k=k, geometry=g)
         prog, _ = lower_model(m)
         x = rng.integers(0, 2, size=(g.block_size,) * 2)
-        _, sums = execute(prog, make_input_state(x, g))
+        state = make_input_state(x, g)
+        _, sums = execute(prog, state)
         assert sums == [4 * s for s in reference_infer(m, x).sums]
+        assert state.dtype == dtype
+
+    @pytest.mark.parametrize("mode", ["ideal", SATURATING])
+    def test_default_frame_runs_at_int16(self, mode, rng):
+        m = default_model()
+        prog, _ = lower_model(m)
+        x = rng.integers(0, 2, size=(64, 64))
+        state = make_input_state(x, mode=mode)
+        _, sums = execute(prog, state)
+        assert sums == [4 * s for s in reference_infer(m, x).sums]
+        assert state.dtype == np.int16
 
     @given(grid=st.sampled_from([1, 2, 4, 8]), half=st.integers(1, 8),
            k_frac=st.floats(0, 1), classes=st.integers(2, 8),
@@ -287,7 +302,7 @@ class TestValueRange:
 
         Saturating mode draws only k*k <= 127. Conv values reach k*k; past
         127 they clamp while the oracle does not saturate, a known defect
-        (ROADMAP item 5: lowering accepts such models) outside this space.
+        (ROADMAP item 1: lowering accepts such models) outside this space.
         """
         bs = 2 * half
         k_max = min(bs, 11) if saturating else bs

@@ -8,9 +8,9 @@ from scampsim.geometry import GeometryError, PlaneGeometry
 from scampsim.lowering import (LoweringError, block_select_pattern,
                                make_input_state)
 from scampsim.model import ModelError, default_model, reference_infer
-from scampsim.planes import (ANALOG_MIN, SATURATING, ArrayState, NoiseModel,
-                             PlaneError, RegisterError, global_sum)
-from scampsim.program import Instruction, ProgramError
+from scampsim.planes import (ANALOG_MAX, ANALOG_MIN, SATURATING, ArrayState,
+                             NoiseModel, PlaneError, RegisterError, global_sum)
+from scampsim.program import Instruction, PpaProgram, ProgramError, execute
 
 
 def small_geometry():
@@ -39,6 +39,17 @@ class TestGeometry:
 
 
 class TestThreshold:
+    @pytest.mark.parametrize("t, expect", [(40000, False), (-40000, True),
+                                           (ANALOG_MAX, False), (ANALOG_MIN, True)])
+    def test_immediates_beyond_int16_on_an_int16_state(self, t, expect):
+        state = make_state()
+        state.areg("A")[:] = np.arange(-2**15, 2**15, 256).reshape(16, 16)
+        state.areg("A")[0, 0] = 2**15 - 1
+        execute(PpaProgram([Instruction("thresh", dst="R1", a="A", value=t)]),
+                state)
+        assert state.dtype == np.int16
+        assert np.all(state.dreg("R1") == expect)
+
     def test_zero_plane_strict_inequality(self, geometry):
         state = ArrayState(geometry)
         state.threshold_into("R1", "A", 0)
@@ -131,7 +142,8 @@ def mask_shapes():
 
 class TestMaskedWrite:
     """Every masked op against np.where(m, clip(op(a, b)), old) in int64, for
-    every mask shape, both modes and every way dst can alias the inputs."""
+    every mask shape, both modes, both plane dtypes and every way dst can
+    alias the inputs."""
 
     @pytest.mark.parametrize("mode", ["ideal", SATURATING])
     @pytest.mark.parametrize("shape", mask_shapes())
@@ -139,15 +151,28 @@ class TestMaskedWrite:
     @pytest.mark.parametrize("dst,a,b", [("C", "A", "B"), ("A", "A", "B"),
                                          ("B", "A", "B"), ("A", "A", "A")])
     def test_matches_numpy_oracle(self, op, shape, mode, dst, a, b):
+        for dtype in (np.int16, np.int32):
+            self._check_against_oracle(op, shape, mode, dtype, dst, a, b)
+
+    @staticmethod
+    def _check_against_oracle(op, shape, mode, dtype, dst, a, b):
         run, oracle = MASKED_OPS[op]
         r = np.random.default_rng(7)
-        # ideal: inputs whose result fits int32 but whose difference to the
-        # old value does not, so the blend's own arithmetic wraps
-        lo, hi = (-128, 127) if mode == SATURATING else (-2**30 + 1, 2**30 - 1)
         state = make_state(mode)
+        if dtype == np.int32:
+            state.widen()
+        # ideal: inputs whose result fits the dtype but whose difference to
+        # the old value (the dtype's minimum at C[0, 0]) does not, so the
+        # blend's own arithmetic wraps
+        if mode == SATURATING:
+            lo, hi, c00 = -128, 127, -128
+        elif dtype == np.int16:
+            lo, hi, c00 = -2**14 + 1, 2**14 - 1, -2**15
+        else:
+            lo, hi, c00 = -2**30 + 1, 2**30 - 1, ANALOG_MIN
         for reg in "ABC":
             state.areg(reg)[:] = r.integers(lo, hi + 1, (16, 16))
-        state.areg("C")[0, 0] = ANALOG_MIN if mode == "ideal" else -128
+        state.areg("C")[0, 0] = c00
         mask = mask_shapes()[shape]
         state.write_pattern("R1", mask)
         before = {n: p.astype(np.int64) for n, p in state.analog.items()}
@@ -156,7 +181,7 @@ class TestMaskedWrite:
             new = np.clip(new, -128, 127)
         run(state, dst, a, b, "R1")
         assert np.array_equal(state.areg(dst), np.where(mask, new, before[dst]))
-        assert state.areg(dst).dtype == np.int32
+        assert state.dtype == dtype and state.areg(dst).dtype == dtype
         for n, old in before.items():
             if n != dst:
                 assert np.array_equal(state.areg(n), old)
@@ -327,9 +352,10 @@ class TestStateInvariants:
         assert state.mode == mode and state.limit == limit
         assert list(state.analog) == ["A", "B", "C", "D", "E", "F", "PIX"]
         assert list(state.digital) == [f"R{i}" for i in range(1, 13)] + ["FLAG"]
+        assert state.dtype == np.int16
         for name in state.analog:
             plane = state.areg(name)
-            assert plane.dtype == np.int32 and plane.shape == (16, 16)
+            assert plane.dtype == np.int16 and plane.shape == (16, 16)
             assert not plane.any()
         for name in state.digital:
             plane = state.dreg(name)
@@ -337,6 +363,24 @@ class TestStateInvariants:
             assert not plane.any()
         with pytest.raises(PlaneError, match="unknown analog mode"):
             make_state("clamped")
+
+    def test_widen_keeps_values_and_goes_one_way(self, rng):
+        state = make_state()
+        vals = rng.integers(-2**15, 2**15, size=(7, 16, 16))
+        for plane, v in zip(state.analog.values(), vals):
+            plane[:] = v
+        before = state.snapshot()
+        state.widen()
+        assert state.dtype == np.int32
+        assert state.equals_snapshot(before)
+        assert all(p.dtype == np.int32 for p in state.analog.values())
+        # the masked blend computes into the scratch plane: it widened too
+        state.write_pattern("R1", np.ones((16, 16), dtype=bool))
+        state.areg("A")[:] = 2**20
+        state.add("B", "A", "A", mask="R1")
+        assert np.all(state.areg("B") == 2**21)
+        state.widen()
+        assert state.dtype == np.int32 and np.all(state.areg("B") == 2**21)
 
     def test_determinism_without_noise(self, rng):
         def run(state):

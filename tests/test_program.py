@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scampsim import program as program_module
 from scampsim.geometry import PlaneGeometry
 from scampsim.planes import ANALOG_MAX, SATURATING, ArrayState
 from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
@@ -55,6 +56,33 @@ class TestExecute:
             execute(prog, state)
         assert state.equals_snapshot(before)
 
+    def test_operand_checks_run_once_per_geometry(self, monkeypatch):
+        calls = []
+        check = program_module._validate_instruction
+        monkeypatch.setattr(program_module, "_validate_instruction",
+                            lambda ins, g: calls.append(g) or check(ins, g))
+        bits = np.eye(16, dtype=bool)
+        prog = PpaProgram([Instruction("pattern", dst="R1", pattern=bits),
+                           Instruction("gsum", a="A", label="x")])
+        for _ in range(3):
+            execute(prog, small_state())
+        assert len(calls) == 2
+        # the pattern is checked again, and fails, against another geometry
+        for _ in range(2):
+            with pytest.raises(ProgramError,
+                               match=r"instruction 0 \(pattern\).*\(256, 256\)"):
+                execute(prog, ArrayState())
+        assert len(calls) == 4
+
+    def test_failing_program_raises_the_same_error_on_every_call(self):
+        prog = parse_listing("add A A A\nadd B A NOPE\n")
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ProgramError) as err:
+                execute(prog, small_state())
+            messages.add(str(err.value))
+        assert messages == {"instruction 1 (add): unknown analog register 'NOPE'"}
+
     def test_rejection_names_instruction(self):
         prog = PpaProgram([Instruction("shift", dst="A", a="A",
                                        direction="Q", steps=1)])
@@ -79,7 +107,8 @@ def doubling_listing(times):
 
 
 class TestBoundPass:
-    """execute proves every analog intermediate fits int32 before it runs."""
+    """execute proves every analog intermediate fits int32 before it runs,
+    and widens an int16 state first when the proof leaves int16."""
 
     def test_doubling_past_int32_rejected_before_anything_runs(self):
         state = small_state()
@@ -91,12 +120,23 @@ class TestBoundPass:
                            match=r"instruction 30 \(add\).*2147483648.*int32"):
             execute(parse_listing(doubling_listing(32)), state)
         assert state.equals_snapshot(before)
+        assert state.dtype == np.int16
         _, sums = execute(parse_listing(doubling_listing(30)), state)
         assert sums == [2**30 * 256]
+        assert state.dtype == np.int32
+
+    @pytest.mark.parametrize("times, dtype", [(14, np.int16), (15, np.int32)])
+    def test_widens_only_past_int16(self, times, dtype):
+        state = small_state()
+        state.areg("A")[:] = 1
+        _, sums = execute(parse_listing(doubling_listing(times)), state)
+        assert sums == [2**times * 256]
+        assert state.dtype == dtype
 
     def test_bound_starts_from_the_state_values(self):
         prog = parse_listing("neg B A\n")
         state = small_state()
+        state.widen()
         state.areg("A")[3, 3] = -ANALOG_MAX
         execute(prog, state)
         assert state.areg("B")[3, 3] == ANALOG_MAX
@@ -110,6 +150,7 @@ class TestBoundPass:
         # B holds 2**30; a masked copy of the small A cannot shrink B's bound,
         # so doubling B still overflows
         state = small_state()
+        state.widen()
         state.areg("B")[:] = 2**30
         state.write_pattern("R1", np.ones((16, 16), dtype=bool))
         prog = parse_listing("copy B A mask=R1\nadd B B B\n")
