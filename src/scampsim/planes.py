@@ -10,14 +10,23 @@ The state exposes the primitive operations every higher layer composes:
 elementwise arithmetic with optional digital masking, neighbour shifts,
 thresholding, bit logic, pattern writes and the global summation.
 
-Every operation writes into its destination plane in place; a masked write
-computes into one scratch plane owned by the state and blends it in, so no
-operation allocates a result plane. Integer arithmetic wraps on overflow,
+Every analog operation writes into its destination plane in place; a masked
+write computes into one scratch plane owned by the state, so no analog
+operation allocates a result plane. In ideal mode a masked add or sub that
+accumulates into one of its own operands (dst = dst +/- other) takes two
+passes, dst +/-= other * m; every other masked write blends its scratch
+result in as dst += m * (t - dst). Integer arithmetic wraps on overflow,
 and so does numpy's assignment of a wider value into a plane, so nothing
 here checks magnitudes per operation: program.execute proves how large a
 whole program's intermediates can get before it runs, and widens the state
 first when int16 cannot hold them. A caller that writes values beyond int16
 into a plane directly must call `widen()` first.
+
+D-registers are read-only arrays that operations rebind rather than write
+into: `pattern` binds the pattern bits themselves (a program's patterns are
+read-only, so nothing is copied), `thresh` and `logic` bind the fresh result
+of their ufunc. As with `widen()`, a reference taken to a D-register before
+an operation does not see its result; read it through `dreg()` afterwards.
 """
 
 from __future__ import annotations
@@ -85,6 +94,11 @@ class NoiseModel:
         if self.sigma < 0:
             raise PlaneError("noise sigma must be >= 0")
 
+    @property
+    def draws(self) -> bool:
+        """Whether a global sum draws from the RNG stream at all."""
+        return self.kind != "none" and self.sigma != 0
+
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
@@ -98,11 +112,16 @@ def global_sum(values: np.ndarray, noise: NoiseModel | None = None,
     program executor) pass their own stream.
     """
     exact = int(values.sum(dtype=np.int64))
-    if noise is None or noise.kind == "none" or noise.sigma == 0:
+    if noise is None or not noise.draws:
         return exact
     if rng is None:
         rng = noise.make_rng()
     return exact + int(round(rng.normal(0.0, noise.sigma)))
+
+
+def _read_only(bits: np.ndarray) -> np.ndarray:
+    bits.flags.writeable = False
+    return bits
 
 
 class ArrayState:
@@ -115,9 +134,12 @@ class ArrayState:
     `mode` decides the clamp:
     in saturating mode every analog write clamps to [SAT_MIN, SAT_MAX] and
     `limit` is the largest magnitude a plane can hold; in ideal mode `limit`
-    is None. Mutated by exactly one logical thread at a time; the noise RNG
-    stream is owned by the state so concurrent states never perturb each
-    other.
+    is None. The digital planes are read-only: every op that sets a
+    D-register binds a new array to it, so `dreg()` after the op reads the
+    result and a plane taken before it keeps the old bits. Mutated by exactly
+    one logical thread at a time; the noise RNG stream is owned by the state,
+    built on the first global sum that draws noise, so concurrent states
+    never perturb each other.
     """
 
     def __init__(self, geometry: PlaneGeometry | None = None,
@@ -134,9 +156,11 @@ class ArrayState:
         # that masked writes compute into; one allocation is cheaper than
         # clearing eight planes one by one
         self._bind(np.zeros((len(ANALOG_REGS) + 1, *shape), dtype=NARROW_DTYPE))
-        bits = np.zeros((len(DIGITAL_REGS), *shape), dtype=bool)
-        self.digital: dict[str, np.ndarray] = dict(zip(DIGITAL_REGS, bits))
-        self.rng = self.noise.make_rng()
+        # ops rebind D-registers instead of writing into them, so all of
+        # them can start on one shared all-False plane
+        clear = _read_only(np.zeros(shape, dtype=bool))
+        self.digital: dict[str, np.ndarray] = dict.fromkeys(DIGITAL_REGS, clear)
+        self.rng: np.random.Generator | None = None
 
     def _bind(self, block: np.ndarray):
         self._block = block
@@ -173,6 +197,10 @@ class ArrayState:
         if self.limit is not None:
             np.clip(values, SAT_MIN, SAT_MAX, out=values)
 
+    def _bind_dreg(self, dst: str, bits: np.ndarray):
+        self.dreg(dst)  # reject an unknown name before binding it
+        self.digital[dst] = bits
+
     def _write(self, ufunc, dst: str, srcs: tuple[str, ...], mask: str | None):
         """dst = clamp(ufunc(*srcs)) where the mask is set, in place.
 
@@ -194,13 +222,33 @@ class ArrayState:
         t *= m
         out += t
 
+    def _accumulate(self, ufunc, dst: str, other: str, mask: str):
+        """dst = ufunc(dst, other) where the mask is set, in two passes:
+        t = other * m, then dst = ufunc(dst, t).
+
+        Exact in the planes' wrapping arithmetic, like the blend, since the
+        bound pass bounds the stored result. Ideal mode only: a clamp after
+        accumulating would also clamp an unmasked pixel that holds a value
+        out of range, which the blend keeps.
+        """
+        out = self.areg(dst)
+        t = self._scratch
+        np.multiply(self.areg(other), self.dreg(mask), out=t)
+        ufunc(out, t, out=out)
+
     # -- analog ops ------------------------------------------------------
 
     def add(self, dst: str, a: str, b: str, mask: str | None = None):
-        self._write(np.add, dst, (a, b), mask)
+        if mask is not None and self.limit is None and dst in (a, b):
+            self._accumulate(np.add, dst, b if dst == a else a, mask)
+        else:
+            self._write(np.add, dst, (a, b), mask)
 
     def sub(self, dst: str, a: str, b: str, mask: str | None = None):
-        self._write(np.subtract, dst, (a, b), mask)
+        if mask is not None and self.limit is None and dst == a:
+            self._accumulate(np.subtract, dst, b, mask)
+        else:
+            self._write(np.subtract, dst, (a, b), mask)
 
     def neg(self, dst: str, a: str, mask: str | None = None):
         self._write(np.negative, dst, (a,), mask)
@@ -243,27 +291,31 @@ class ArrayState:
         if not ANALOG_MIN <= t <= ANALOG_MAX:
             # np.greater with out= misreads a Python int outside int32
             raise PlaneError(f"threshold {t} outside [{ANALOG_MIN}, {ANALOG_MAX}]")
-        np.greater(self.areg(src), t, out=self.dreg(dst))
+        self._bind_dreg(dst, _read_only(np.greater(self.areg(src), t)))
 
     def global_sum_of(self, src: str) -> int:
+        if self.rng is None and self.noise.draws:
+            self.rng = self.noise.make_rng()
         return global_sum(self.areg(src), self.noise, self.rng)
 
     # -- digital ops -----------------------------------------------------
 
     def dreg_logic(self, dst: str, op: str, a: str, b: str | None = None):
         av = self.dreg(a)
-        out = self.dreg(dst)
         if op == "not":
-            np.logical_not(av, out=out)
-            return
-        if b is None:
-            raise PlaneError(f"logic op {op!r} needs two operands")
-        ufunc = LOGIC_UFUNCS.get(op)
-        if ufunc is None:
-            raise PlaneError(f"unknown logic op {op!r}")
-        ufunc(av, self.dreg(b), out=out)
+            bits = np.logical_not(av)
+        else:
+            if b is None:
+                raise PlaneError(f"logic op {op!r} needs two operands")
+            ufunc = LOGIC_UFUNCS.get(op)
+            if ufunc is None:
+                raise PlaneError(f"unknown logic op {op!r}")
+            bits = ufunc(av, self.dreg(b))
+        self._bind_dreg(dst, _read_only(bits))
 
     def write_pattern(self, dst: str, pattern: np.ndarray):
+        """Bind `pattern` to dst: itself if it is already read-only bool,
+        else a read-only bool copy, so later writes to it cannot reach dst."""
         pattern = np.asarray(pattern)
         if pattern.shape != self.geometry.shape:
             raise PlaneError(
@@ -271,7 +323,9 @@ class ArrayState:
             )
         if not is_binary(pattern):
             raise PlaneError("pattern bits must be 0 or 1")
-        self.dreg(dst)[:] = pattern
+        if pattern.dtype != bool or pattern.flags.writeable:
+            pattern = _read_only(pattern.astype(bool))
+        self._bind_dreg(dst, pattern)
 
     # -- snapshots -------------------------------------------------------
 

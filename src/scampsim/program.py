@@ -1,6 +1,7 @@
 """Plane-instruction programs: representation, executor, listing and timing.
 
-A PpaProgram is an ordered list of instructions over an ArrayState. One
+A PpaProgram is an ordered tuple of instructions over an ArrayState; both
+are frozen, since the checks below are recorded on the program. One
 table, SPECS, describes every opcode: its operands in listing order with
 their kinds, whether it takes a trailing `mask=`, and the ArrayState call
 that runs it. Validation, execution, disassembly and listing parsing all
@@ -14,8 +15,15 @@ values and dtype bit-identical:
 - a bound pass, starting from the state's current values, proves the
   largest magnitude any analog result can reach. Beyond int32 the program
   is rejected; beyond int16 the state is widened to int32 before it runs.
+  The pass reads the state only for the starting bound (max |value|) of
+  the registers the program reads before writing them, which the program
+  alone decides. So an accepted proof is recorded on the program per
+  saturation limit and tuple of those starting bounds, and a later state
+  that matches both takes one reduction per such register instead of the
+  pass; a failing proof is never recorded, so it raises on every call.
 Pattern bits are checked once, when the Instruction is built, and kept as
-bool. Timing is a pure function of per-opcode costs.
+a read-only bool view that a `pattern` instruction binds without copying.
+Timing is a pure function of per-opcode costs.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ class CostError(ValueError):
     """Cost table does not cover an opcode used by the program."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Instruction:
     opcode: str
     dst: str | None = None
@@ -61,7 +69,11 @@ class Instruction:
             pattern = np.asarray(self.pattern)
             if not is_binary(pattern):
                 raise ProgramError("pattern bits must be 0 or 1")
-            self.pattern = pattern.astype(bool, copy=False)
+            # a read-only view: the register a `pattern` op binds it to
+            # shares its memory, and no copy is made of bool bits
+            bits = pattern.astype(bool, copy=False).view()
+            bits.flags.writeable = False
+            object.__setattr__(self, "pattern", bits)
 
     def __eq__(self, other):
         if not isinstance(other, Instruction):
@@ -77,20 +89,25 @@ class Instruction:
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PpaProgram:
     """Immutable after construction; safely shareable across threads."""
 
-    instructions: list[Instruction]
+    instructions: tuple[Instruction, ...]
     sum_labels: list[str] = field(default_factory=list)
     # geometries whose operand checks this program has passed
     _checked: set[PlaneGeometry] = field(default_factory=set, init=False,
                                          repr=False, compare=False)
+    # per saturation limit: (the registers the bound pass reads, {their
+    # starting bounds: the peak proved from them})
+    _proofs: dict[int | None, tuple] = field(default_factory=dict, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "instructions", tuple(self.instructions))
         gsum_labels = [i.label for i in self.instructions if i.opcode == "gsum"]
         if not self.sum_labels:
-            self.sum_labels = gsum_labels
+            object.__setattr__(self, "sum_labels", gsum_labels)
         elif self.sum_labels != gsum_labels:
             raise ProgramError("sum_labels do not match gsum instructions in order")
 
@@ -206,19 +223,24 @@ def _validate_instruction(ins: Instruction, geometry: PlaneGeometry):
                                                  geometry=geometry))
 
 
+def _max_abs(values: np.ndarray) -> int:
+    # Python ints: abs() of the dtype's minimum would wrap
+    return max(-int(values.min()), int(values.max()))
+
+
 class _Bounds(dict):
     """Proven magnitude bound per analog register. A register's first read
-    takes one max-abs reduction over its plane in the state."""
+    takes one max-abs reduction over its plane in the state, recorded in
+    `starts`; it is the pass's only read of the state."""
 
     def __init__(self, state: ArrayState):
         super().__init__()
         self.state = state
+        self.starts: dict[str, int] = {}
         self.peak = 0  # largest bound of any result before it is clamped
 
     def __missing__(self, reg: str) -> int:
-        values = self.state.analog[reg]
-        # Python ints: abs() of the dtype's minimum would wrap
-        self[reg] = bound = max(-int(values.min()), int(values.max()))
+        self[reg] = self.starts[reg] = bound = _max_abs(self.state.analog[reg])
         return bound
 
 
@@ -253,12 +275,22 @@ def _check_operands(program: PpaProgram, geometry: PlaneGeometry):
     program._checked.add(geometry)
 
 
+# proofs kept per program and saturation limit before the memo starts over
+MAX_PROOFS = 64
+
+
 def validate(program: PpaProgram, state: ArrayState) -> int:
     """Reject the whole program before any instruction runs: every operand
     against the state's geometry, and every analog result's magnitude
     against int32, starting from the state's current plane values. Returns
     the largest magnitude any analog result can reach before it is clamped."""
     _check_operands(program, state.geometry)
+    proof = program._proofs.get(state.limit)
+    if proof is not None:
+        reads, peaks = proof
+        peak = peaks.get(tuple(_max_abs(state.analog[r]) for r in reads))
+        if peak is not None:
+            return peak
     bounds = _Bounds(state)
     for idx, ins in enumerate(program.instructions):
         spec = SPECS[ins.opcode]
@@ -267,6 +299,12 @@ def validate(program: PpaProgram, state: ArrayState) -> int:
                 _check_bound(ins, spec, bounds)
             except ProgramError as e:
                 raise ProgramError(f"instruction {idx} ({ins.opcode}): {e}") from None
+    if proof is None:
+        proof = program._proofs[state.limit] = (tuple(bounds.starts), {})
+    peaks = proof[1]
+    if len(peaks) >= MAX_PROOFS:
+        peaks.clear()
+    peaks[tuple(bounds.starts.values())] = bounds.peak
     return bounds.peak
 
 

@@ -298,7 +298,8 @@ class TestValueRange:
            saturating=st.booleans(), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_differential_fuzz(self, grid, half, k_frac, classes, saturating, seed):
-        """Lowered sums equal 4x the dense reference, and listings round-trip.
+        """Lowered sums equal 4x the dense reference on two fresh frames, and
+        listings round-trip.
 
         Saturating mode draws only k*k <= 127. Conv values reach k*k; past
         127 they clamp while the oracle does not saturate, a known defect
@@ -315,3 +316,6 @@ class TestValueRange:
         mode = SATURATING if saturating else "ideal"
         _, sums = execute(prog, make_input_state(x, g, mode))
         assert sums == [4 * s for s in reference_infer(m, x).sums]
+        # a second frame of the same program reuses its bound proof and binds
+        # the same pattern arrays
+        assert execute(prog, make_input_state(x, g, mode))[1] == sums

@@ -108,6 +108,17 @@ class TestArithmetic:
         with pytest.raises(RegisterError):
             state.add("A", "B", "NOPE")
 
+    def test_saturating_masked_accumulate_keeps_unmasked_pixels(self):
+        # 300 is beyond the saturating range; a masked write must not clamp
+        # the pixels it leaves alone
+        state = make_state(mode=SATURATING)
+        state.areg("C")[:] = 300
+        state.areg("A")[:] = 5
+        mask = np.indices((16, 16))[1] % 2 == 0
+        state.write_pattern("R1", mask)
+        state.add("C", "C", "A", mask="R1")
+        assert np.array_equal(state.areg("C"), np.where(mask, 127, 300))
+
     def test_saturating_clamps(self):
         state = make_state(mode=SATURATING)
         state.areg("A")[:] = 100
@@ -290,6 +301,16 @@ class TestGlobalSum:
         noise = NoiseModel("gaussian", sigma=8.0, seed=7)
         assert global_sum(p, noise) == global_sum(p, noise)
 
+    def test_state_builds_its_rng_on_the_first_noisy_draw(self, geometry):
+        quiet = ArrayState(geometry)
+        quiet.global_sum_of("A")
+        assert quiet.rng is None
+        noisy = ArrayState(geometry, noise=NoiseModel("gaussian", 8.0, seed=7))
+        assert noisy.rng is None
+        draws = np.random.default_rng(7).normal(0.0, 8.0, size=3)
+        assert [noisy.global_sum_of("A") for _ in range(3)] == \
+            [int(round(d)) for d in draws]
+
     def test_gaussian_noise_perturbs(self, geometry):
         p = np.zeros(geometry.shape, dtype=np.int32)
         draws = {global_sum(p, NoiseModel("gaussian", 100.0, s)) for s in range(20)}
@@ -318,6 +339,49 @@ class TestDregOps:
         state.dreg_logic("R2", "not", "R1")
         state.dreg_logic("R3", "not", "R2")
         assert np.array_equal(state.dreg("R3"), bits)
+
+
+class TestReadOnlyDRegisters:
+    """D-registers are read-only arrays that ops rebind: a pattern op binds
+    the instruction's own bits, and thresh/logic never write through them."""
+
+    def test_pattern_binds_the_instruction_bits(self):
+        bits = np.indices((16, 16)).sum(axis=0) % 3 == 0
+        prog = PpaProgram([Instruction("pattern", dst="R1", pattern=bits),
+                           Instruction("pattern", dst="R2", pattern=bits)])
+        state = make_state()
+        execute(prog, state)
+        pattern = prog.instructions[0].pattern
+        assert np.shares_memory(state.dreg("R1"), pattern)
+        assert np.shares_memory(state.dreg("R2"), pattern)
+        state.write_pattern("R3", np.ones((16, 16), dtype=np.uint8))
+        for name in state.digital:
+            with pytest.raises(ValueError):
+                state.dreg(name)[0, 0] = True
+
+    def test_thresh_and_logic_leave_the_pattern_alone(self, rng):
+        bits = rng.integers(0, 2, (16, 16)).astype(bool)
+        expect = bits.copy()  # the instruction's pattern is a view of bits
+        prog = PpaProgram([
+            Instruction("pattern", dst="R1", pattern=bits),
+            Instruction("copy", dst="B", a="A", mask="R1"),
+            Instruction("thresh", dst="R1", a="A", value=0),
+            Instruction("logic", dst="R2", logic="and", a="R1", b="R1"),
+            Instruction("logic", dst="R1", logic="not", a="R2"),
+            Instruction("copy", dst="C", a="A", mask="R1"),
+            Instruction("gsum", a="B", label="b"),
+            Instruction("gsum", a="C", label="c"),
+        ])
+        image = rng.integers(-9, 9, (16, 16))
+        results = []
+        for _ in range(2):
+            state = make_state()
+            state.areg("A")[:] = image
+            results.append(execute(prog, state)[1])
+            assert np.array_equal(prog.instructions[0].pattern, expect)
+        assert results[0] == results[1] == [
+            int(image[expect].sum()), int(image[image <= 0].sum())]
+
 
 class TestWritePattern:
     def test_all_ones(self):

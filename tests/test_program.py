@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -83,6 +84,21 @@ class TestExecute:
             messages.add(str(err.value))
         assert messages == {"instruction 1 (add): unknown analog register 'NOPE'"}
 
+    def test_program_is_frozen_after_execute(self):
+        prog = parse_listing("add A A A\nadd B A A\ngsum B b\n")
+        state = small_state()
+        state.areg("A")[:] = 1
+        assert execute(prog, state)[1] == [4 * 256]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.instructions[1].b = "NOPE"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.instructions = ()
+        with pytest.raises(TypeError):
+            prog.instructions[1] = Instruction("add", dst="B", a="A", b="NOPE")
+        state = small_state()
+        state.areg("A")[:] = 1
+        assert execute(prog, state)[1] == [4 * 256]
+
     def test_rejection_names_instruction(self):
         prog = PpaProgram([Instruction("shift", dst="A", a="A",
                                        direction="Q", steps=1)])
@@ -165,6 +181,45 @@ class TestBoundPass:
         _, sums = execute(parse_listing(doubling_listing(64)), state)
         assert sums == [127 * 256]
 
+    def test_memoised_proof_follows_the_starting_bounds(self):
+        prog = parse_listing(doubling_listing(14))
+        state = small_state()
+        state.areg("A")[:] = 1
+        assert execute(prog, state)[1] == [2**14 * 256]
+        assert state.dtype == np.int16
+        state = small_state()
+        state.areg("A")[:] = 4
+        assert execute(prog, state)[1] == [2**16 * 256]
+        assert state.dtype == np.int32
+
+    def test_memoised_proof_follows_the_limit(self):
+        prog = parse_listing(doubling_listing(64))
+        state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=SATURATING)
+        state.areg("A")[:] = 1
+        assert execute(prog, state)[1] == [127 * 256]
+        # a failing proof is not recorded: it raises the same way every time
+        for _ in range(2):
+            state = small_state()
+            state.areg("A")[:] = 1
+            with pytest.raises(ProgramError, match=r"instruction 30 \(add\)"):
+                execute(prog, state)
+
+    def test_equal_starting_bounds_skip_the_bound_pass(self, monkeypatch):
+        calls = []
+        check = program_module._check_bound
+        monkeypatch.setattr(program_module, "_check_bound",
+                            lambda *args: calls.append(args) or check(*args))
+        prog = parse_listing("add C A A\nadd C C A\ngsum C c\n")
+        walked, sums = [], []
+        for value in (1, 2, 1, 2):
+            state = small_state()
+            state.areg("A")[:] = value
+            before = len(calls)
+            sums += execute(prog, state)[1]
+            walked.append(len(calls) - before)
+        assert sums == [3 * 256, 6 * 256, 3 * 256, 6 * 256]
+        assert walked == [2, 2, 0, 0]
+
     def test_threshold_immediate_must_fit_int32(self):
         with pytest.raises(ProgramError, match="int32 immediate"):
             execute(parse_listing(f"thresh R1 A {ANALOG_MAX + 1}\n"),
@@ -209,7 +264,7 @@ class TestListing:
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\nadd A B C  # trailing\n"
         prog = parse_listing(text)
-        assert prog.instructions == [Instruction("add", dst="A", a="B", b="C")]
+        assert prog.instructions == (Instruction("add", dst="A", a="B", b="C"),)
 
     def test_bad_line_reports_number(self):
         with pytest.raises(ProgramError, match="line 2"):
