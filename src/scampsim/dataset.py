@@ -1,11 +1,9 @@
-"""Synthetic rock/paper/scissors samples and directory ingestion.
+"""Synthetic rock/paper/scissors samples, saved to and loaded from PGM files.
 
 Samples are binary 64x64 silhouettes rendered from analytic shape
 prototypes with seeded jitter (rotation, translation, scale, boundary
 flips). Prototype areas are ordered rock < scissors < paper so the three
-classes are separable by construction. Ingestion reads class-named
-subdirectories of PGM files and applies the same threshold + majority
-downsample preparation the lowered pipeline documents.
+classes are separable by construction.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import is_binary
-from .lowering import prepare_input
 from .model import DEFAULT_CLASS_NAMES as CLASS_NAMES
-from .pnm import PnmError, atomic_write, read_pgm, write_gray_pgm
+from .pnm import atomic_write, read_pgm, write_gray_pgm
 
 IMAGE_SIDE = 64
 
@@ -165,7 +162,7 @@ def images_labels(samples: list[GestureSample]) -> tuple[np.ndarray, np.ndarray]
     return xs, ys
 
 
-# -- export / ingest -----------------------------------------------------
+# -- export / load -------------------------------------------------------
 
 
 def export_dataset(split: DatasetSplit, directory):
@@ -205,48 +202,3 @@ def load_dataset(directory) -> DatasetSplit:
         splits[split_name] = samples
     params = JitterParams(**manifest["params"]) if manifest.get("params") else None
     return DatasetSplit(splits["train"], splits["test"], manifest.get("seed"), params)
-
-
-def ingest(directory, test_fraction: float = 0.0,
-           seed: int = 0) -> DatasetSplit:
-    """Ingest class-named subdirectories of grayscale PGMs.
-
-    Each image is thresholded at 127 and majority-downsampled to 64x64,
-    matching the lowered pipeline's host preparation. Any error in any file
-    refuses the whole ingestion with an itemized report.
-    """
-    if not os.path.isdir(directory):
-        raise DatasetError(f"not a directory: {directory}")
-    class_dirs = sorted(d for d in os.listdir(directory)
-                        if os.path.isdir(os.path.join(directory, d)))
-    unknown = [d for d in class_dirs if d not in CLASS_NAMES]
-    errors = [f"unknown class directory {d!r}" for d in unknown]
-    class_dirs = [d for d in class_dirs if d in CLASS_NAMES]
-    if not class_dirs and not errors:
-        raise DatasetError("no classes found")
-    samples: list[GestureSample] = []
-    for d in class_dirs:
-        label = CLASS_NAMES.index(d)
-        for name in sorted(os.listdir(os.path.join(directory, d))):
-            path = os.path.join(directory, d, name)
-            try:
-                img = read_pgm(path)
-                bits = prepare_input(img, IMAGE_SIDE)
-            except (PnmError, OSError, ValueError) as e:
-                errors.append(f"{d}/{name}: {e}")
-                continue
-            samples.append(GestureSample(bits, label, f"file({path})"))
-    if errors:
-        raise DatasetError("ingestion refused:\n  " + "\n  ".join(errors))
-    if not samples:
-        raise DatasetError("no classes found")
-    if test_fraction > 0:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(samples))
-        n_test = int(len(samples) * test_fraction)
-        test_idx = set(order[:n_test].tolist())
-        train = [s for i, s in enumerate(samples) if i not in test_idx]
-        test = [s for i, s in enumerate(samples) if i in test_idx]
-    else:
-        train, test = samples, []
-    return DatasetSplit(train, test, seed, None)

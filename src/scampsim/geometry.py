@@ -57,6 +57,3 @@ class PlaneGeometry:
     def block_slices(self, b: int) -> tuple[slice, slice]:
         r0, c0 = self.block_origin(b)
         return slice(r0, r0 + self.block_size), slice(c0, c0 + self.block_size)
-
-    def block_of(self, r: int, c: int) -> int:
-        return self.block_grid * (r // self.block_size) + (c // self.block_size)

@@ -115,22 +115,29 @@ def make_input_state(image: np.ndarray, geometry: PlaneGeometry | None = None,
 # -- mask pattern construction -------------------------------------------
 
 
+def _plane_of_blocks(geometry: PlaneGeometry, blocks: np.ndarray) -> np.ndarray:
+    """A fresh plane whose block (i, j) is blocks[i, j], broadcast to bs x bs."""
+    grid, bs = geometry.block_grid, geometry.block_size
+    out = np.empty(geometry.shape, dtype=blocks.dtype)
+    out.reshape(grid, bs, grid, bs)[...] = blocks.transpose(0, 2, 1, 3)
+    return out
+
+
 def block_select_pattern(geometry: PlaneGeometry, selected: np.ndarray) -> np.ndarray:
     """Full-plane bit pattern with 1s over every selected block."""
-    grid, bs = geometry.block_grid, geometry.block_size
-    sel = np.asarray(selected).reshape(grid, grid)
-    return np.kron(sel, np.ones((bs, bs), dtype=sel.dtype))
+    grid = geometry.block_grid
+    return _plane_of_blocks(geometry, np.asarray(selected).reshape(grid, grid, 1, 1))
 
 
 def border_pattern(geometry: PlaneGeometry, k: int) -> np.ndarray:
     """1s on the (k-1)-wide contaminated frame of every block (bottom/right,
     matching top-left window anchoring)."""
     bs = geometry.block_size
-    block = np.zeros((bs, bs), dtype=bool)
+    block = np.zeros((1, 1, bs, bs), dtype=bool)
     if k > 1:
-        block[bs - (k - 1):, :] = True
-        block[:, bs - (k - 1):] = True
-    return np.tile(block, (geometry.block_grid, geometry.block_grid))
+        block[..., bs - (k - 1):, :] = True
+        block[..., bs - (k - 1):] = True
+    return _plane_of_blocks(geometry, block)
 
 
 def parity_pattern(geometry: PlaneGeometry, axis: str, parity: int) -> np.ndarray:
@@ -145,14 +152,10 @@ def parity_pattern(geometry: PlaneGeometry, axis: str, parity: int) -> np.ndarra
 
 def fc_negative_pattern(model: BnnModel, class_index: int) -> np.ndarray:
     """1 where the class's FC weight is -1, expanded to 2x2 pooled cells."""
-    geometry = model.geometry
-    grid, bs = geometry.block_grid, geometry.block_size
+    grid = model.geometry.block_grid
     neg = model.fc_weights[class_index] == -1  # (nb, ps, ps)
-    out = np.zeros(geometry.shape, dtype=bool)
-    for b in range(geometry.num_blocks):
-        rs, cs = geometry.block_slices(b)
-        out[rs, cs] = np.kron(neg[b], np.ones((2, 2), dtype=bool))
-    return out
+    cells = neg.reshape(grid, grid, *neg.shape[1:]).repeat(2, 2).repeat(2, 3)
+    return _plane_of_blocks(model.geometry, cells)
 
 
 # -- stage lowering ------------------------------------------------------

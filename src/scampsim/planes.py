@@ -9,6 +9,9 @@ mode never clamps; saturating mode clamps every analog write to the one
 The state exposes the primitive operations every higher layer composes:
 elementwise arithmetic with optional digital masking, neighbour shifts,
 thresholding, bit logic, pattern writes and the global summation.
+The ops trust their operands, which a program.Instruction checked when it
+was built (and program.validate checked each pattern's shape against the
+state); only `areg` and `dreg` reject an unknown register name.
 
 Every analog operation writes into its destination plane in place; a masked
 write computes into one scratch plane owned by the state, so no analog
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlaneGeometry, is_binary
+from .geometry import PlaneGeometry
 
 IDEAL = "ideal"
 SATURATING = "saturating"
@@ -71,7 +74,7 @@ class RegisterError(KeyError):
 
 
 class PlaneError(ValueError):
-    """Geometry or value-domain violation on a plane operation."""
+    """Unknown analog mode or noise model."""
 
 
 @dataclass
@@ -197,10 +200,6 @@ class ArrayState:
         if self.limit is not None:
             np.clip(values, SAT_MIN, SAT_MAX, out=values)
 
-    def _bind_dreg(self, dst: str, bits: np.ndarray):
-        self.dreg(dst)  # reject an unknown name before binding it
-        self.digital[dst] = bits
-
     def _write(self, ufunc, dst: str, srcs: tuple[str, ...], mask: str | None):
         """dst = clamp(ufunc(*srcs)) where the mask is set, in place.
 
@@ -265,10 +264,6 @@ class ArrayState:
         Shifts cross block boundaries: the neighbour network is a property of
         the physical array, not of the logical block tiling. dst may be src.
         """
-        if direction not in SHIFT_OFFSETS:
-            raise PlaneError(f"unknown shift direction {direction!r}")
-        if steps < 0:
-            raise PlaneError("shift steps must be >= 0")
         src_vals = self.areg(src)
         out = self.areg(dst)
         dr, dc = SHIFT_OFFSETS[direction]
@@ -288,10 +283,7 @@ class ArrayState:
         self.saturate(out)
 
     def threshold_into(self, dst: str, src: str, t: int):
-        if not ANALOG_MIN <= t <= ANALOG_MAX:
-            # np.greater with out= misreads a Python int outside int32
-            raise PlaneError(f"threshold {t} outside [{ANALOG_MIN}, {ANALOG_MAX}]")
-        self._bind_dreg(dst, _read_only(np.greater(self.areg(src), t)))
+        self.digital[dst] = _read_only(np.greater(self.areg(src), t))
 
     def global_sum_of(self, src: str) -> int:
         if self.rng is None and self.noise.draws:
@@ -302,30 +294,16 @@ class ArrayState:
 
     def dreg_logic(self, dst: str, op: str, a: str, b: str | None = None):
         av = self.dreg(a)
-        if op == "not":
-            bits = np.logical_not(av)
-        else:
-            if b is None:
-                raise PlaneError(f"logic op {op!r} needs two operands")
-            ufunc = LOGIC_UFUNCS.get(op)
-            if ufunc is None:
-                raise PlaneError(f"unknown logic op {op!r}")
-            bits = ufunc(av, self.dreg(b))
-        self._bind_dreg(dst, _read_only(bits))
+        bits = np.logical_not(av) if op == "not" else LOGIC_UFUNCS[op](av, self.dreg(b))
+        self.digital[dst] = _read_only(bits)
 
     def write_pattern(self, dst: str, pattern: np.ndarray):
-        """Bind `pattern` to dst: itself if it is already read-only bool,
-        else a read-only bool copy, so later writes to it cannot reach dst."""
-        pattern = np.asarray(pattern)
-        if pattern.shape != self.geometry.shape:
-            raise PlaneError(
-                f"pattern shape {pattern.shape} != geometry {self.geometry.shape}"
-            )
-        if not is_binary(pattern):
-            raise PlaneError("pattern bits must be 0 or 1")
+        """Bind `pattern`, 0/1 bits of the geometry's shape, to dst: itself
+        if it is already read-only bool, else a read-only bool copy, so later
+        writes to it cannot reach dst."""
         if pattern.dtype != bool or pattern.flags.writeable:
             pattern = _read_only(pattern.astype(bool))
-        self._bind_dreg(dst, pattern)
+        self.digital[dst] = pattern
 
     # -- snapshots -------------------------------------------------------
 

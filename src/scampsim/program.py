@@ -1,17 +1,17 @@
 """Plane-instruction programs: representation, executor, listing and timing.
 
 A PpaProgram is an ordered tuple of instructions over an ArrayState; both
-are frozen, since the checks below are recorded on the program. One
-table, SPECS, describes every opcode: its operands in listing order with
-their kinds, whether it takes a trailing `mask=`, and the ArrayState call
-that runs it. Validation, execution, disassembly and listing parsing all
-read that table. Execution is validate-then-execute, and nothing runs until
-the whole program is accepted, so a rejected program leaves the state's
-values and dtype bit-identical:
-- every register reference, immediate and pattern shape is checked. The
-  register file is fixed, so these checks depend only on the program and
-  the geometry: a program that passes is recorded as checked for that
-  geometry and is not checked again; one that fails raises on every call.
+are frozen. One table, SPECS, describes every opcode: its operands in
+listing order with their kinds, whether it takes a trailing `mask=`, and
+the ArrayState call that runs it. Construction, execution, disassembly and
+listing parsing all read that table. An Instruction checks its operands
+when it is built: each field its opcode takes must pass its kind's test,
+and each other field must be unset. So an Instruction that exists is
+valid, and the ArrayState ops trust their operands. Execution is
+validate-then-execute, and nothing runs until the whole program is
+accepted, so a rejected program leaves the state's values and dtype
+bit-identical. `validate` checks what depends on the state:
+- every pattern's shape against the state's geometry;
 - a bound pass, starting from the state's current values, proves the
   largest magnitude any analog result can reach. Beyond int32 the program
   is rejected; beyond int16 the state is widened to int32 before it runs.
@@ -21,21 +21,20 @@ values and dtype bit-identical:
   saturation limit and tuple of those starting bounds, and a later state
   that matches both takes one reduction per such register instead of the
   pass; a failing proof is never recorded, so it raises on every call.
-Pattern bits are checked once, when the Instruction is built, and kept as
-a read-only bool view that a `pattern` instruction binds without copying.
-Timing is a pure function of per-opcode costs.
+A pattern is kept as a read-only bool view that a `pattern` instruction
+binds without copying. Timing is a pure function of per-opcode costs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import PlaneGeometry, is_binary
+from .geometry import is_binary
 from .planes import (ANALOG_MAX, ANALOG_MIN, ANALOG_REGS, DIGITAL_REGS,
                      SHIFT_OFFSETS, ArrayState)
 
@@ -52,6 +51,8 @@ class CostError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Instruction:
+    """One instruction, checked when it is built (see the module docstring)."""
+
     opcode: str
     dst: str | None = None
     a: str | None = None
@@ -65,13 +66,24 @@ class Instruction:
     pattern: np.ndarray | None = None  # H x W bits for `pattern`, kept as bool
 
     def __post_init__(self):
+        logic_not = isinstance(self.logic, str) and self.logic == "not"
+        try:
+            checked, unset = _GATES[self.opcode, logic_not]
+        except (KeyError, TypeError):
+            raise ProgramError(f"unknown opcode {self.opcode!r}") from None
+        values = vars(self)
+        for name, kind in checked:
+            if not kind.ok(values[name]):
+                raise ProgramError(f"{self.opcode}: "
+                                   + kind.error.format(name=name, v=values[name]))
+        for name in unset:
+            if values[name] is not None:
+                raise ProgramError(
+                    f"{self.opcode} takes no {name}, got {values[name]!r}")
         if self.pattern is not None:
-            pattern = np.asarray(self.pattern)
-            if not is_binary(pattern):
-                raise ProgramError("pattern bits must be 0 or 1")
             # a read-only view: the register a `pattern` op binds it to
             # shares its memory, and no copy is made of bool bits
-            bits = pattern.astype(bool, copy=False).view()
+            bits = self.pattern.astype(bool, copy=False).view()
             bits.flags.writeable = False
             object.__setattr__(self, "pattern", bits)
 
@@ -82,11 +94,11 @@ class Instruction:
             pat_eq = self.pattern is other.pattern
         else:
             pat_eq = np.array_equal(self.pattern, other.pattern)
-        return pat_eq and all(
-            getattr(self, f) == getattr(other, f)
-            for f in ("opcode", "dst", "a", "b", "mask", "direction", "steps",
-                      "value", "logic", "label")
-        )
+        return pat_eq and all(getattr(self, f) == getattr(other, f)
+                              for f in _FIELDS[:-1])
+
+
+_FIELDS = tuple(f.name for f in fields(Instruction))  # opcode first, pattern last
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +107,6 @@ class PpaProgram:
 
     instructions: tuple[Instruction, ...]
     sum_labels: list[str] = field(default_factory=list)
-    # geometries whose operand checks this program has passed
-    _checked: set[PlaneGeometry] = field(default_factory=set, init=False,
-                                         repr=False, compare=False)
     # per saturation limit: (the registers the bound pass reads, {their
     # starting bounds: the peak proved from them})
     _proofs: dict[int | None, tuple] = field(default_factory=dict, init=False,
@@ -138,9 +147,9 @@ def _pattern_from_hex(text: str) -> np.ndarray:
 
 
 class Kind(NamedTuple):
-    """One operand kind: the test a value must pass against the geometry,
-    the message when it fails (formatted with op, name, v and geometry), and
-    the conversions from and to one listing field."""
+    """One operand kind: the test a value must pass, the message when it
+    fails (formatted with the field's name and value v), and the
+    conversions from and to one listing field."""
 
     ok: Callable
     error: str
@@ -148,18 +157,31 @@ class Kind(NamedTuple):
     fmt: Callable = str
 
 
-AREG = Kind(lambda g, v: v in ANALOG_REGS, "unknown analog register {v!r}")
-DREG = Kind(lambda g, v: v in DIGITAL_REGS, "unknown digital register {v!r}")
+def _one_of(names) -> Callable:
+    names = frozenset(names)
+    return lambda v: isinstance(v, str) and v in names
+
+
+def _is_int(v) -> bool:
+    # bool is an int subclass, but True is not a step count or a threshold
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+AREG = Kind(_one_of(ANALOG_REGS), "unknown analog register {v!r}")
+DREG = Kind(_one_of(DIGITAL_REGS), "unknown digital register {v!r}")
 DREG2 = Kind(*DREG)  # second input of a binary logic op; `not` has none
-DIRECTION = Kind(lambda g, v: v in SHIFT_OFFSETS, "bad shift direction {v!r}")
-NONNEG = Kind(lambda g, v: v is not None and v >= 0, "{op} {name} must be >= 0", int)
-INT32 = Kind(lambda g, v: v is not None and ANALOG_MIN <= v <= ANALOG_MAX,
-             "{op} needs an int32 immediate value", int)
-LOGIC = Kind(lambda g, v: v in LOGIC_OPS, "bad logic op {v!r}")
-LABEL = Kind(lambda g, v: v is not None, "{op} needs a label")
-PATTERN = Kind(lambda g, v: v is not None and v.shape == g.shape,
-               "{op} needs bits of the geometry's shape {geometry.shape}",
-               _pattern_from_hex, _pattern_to_hex)
+MASK = Kind(lambda v: v is None or DREG.ok(v), DREG.error)  # trailing mask=
+DIRECTION = Kind(_one_of(SHIFT_OFFSETS), "bad shift direction {v!r}")
+NONNEG = Kind(lambda v: _is_int(v) and v >= 0,
+              "{name} must be an integer >= 0, got {v!r}", int)
+INT32 = Kind(lambda v: _is_int(v) and ANALOG_MIN <= v <= ANALOG_MAX,
+             "needs an int32 immediate value, got {v!r}", int)
+LOGIC = Kind(_one_of(LOGIC_OPS), "bad logic op {v!r}")
+# one listing field: no whitespace, and no `#`, which starts a comment
+LABEL = Kind(lambda v: isinstance(v, str) and v.split() == [v] and "#" not in v,
+             "needs a label of one word without '#', got {v!r}")
+PATTERN = Kind(lambda v: isinstance(v, np.ndarray) and v.ndim == 2 and is_binary(v),
+               "needs a 2-D array of bits 0 or 1", _pattern_from_hex, _pattern_to_hex)
 
 
 class OpSpec(NamedTuple):
@@ -196,31 +218,25 @@ SPECS: dict[str, OpSpec] = {
 OPCODES = tuple(SPECS)
 
 
-def _spec(op: str) -> OpSpec:
-    try:
-        return SPECS[op]
-    except KeyError:
-        raise ProgramError(f"unknown opcode {op!r}") from None
-
-
 def _listed(spec: OpSpec, logic: str | None) -> list[tuple[str, Kind]]:
     """The operands that appear in the listing for this logic op."""
     return [(f, k) for f, k in spec.operands if k is not DREG2 or logic != "not"]
 
 
+def _gate(spec: OpSpec, logic: str | None):
+    """The fields an instruction takes, with their kinds, and the ones it
+    must leave unset."""
+    checked = _listed(spec, logic) + ([("mask", MASK)] if spec.masked else [])
+    taken = {f for f, _ in checked}
+    return tuple(checked), tuple(f for f in _FIELDS[1:] if f not in taken)
+
+
+# per opcode, and for `logic` whether the op is `not`: what __post_init__ checks
+_GATES = {(op, logic_not): _gate(spec, "not" if logic_not else None)
+          for op, spec in SPECS.items() for logic_not in (False, True)}
+
+
 # -- validation and execution -------------------------------------------
-
-
-def _validate_instruction(ins: Instruction, geometry: PlaneGeometry):
-    spec = _spec(ins.opcode)
-    operands = _listed(spec, ins.logic)
-    if spec.masked and ins.mask is not None:
-        operands.append(("mask", DREG))
-    for name, kind in operands:
-        v = getattr(ins, name)
-        if not kind.ok(geometry, v):
-            raise ProgramError(kind.error.format(op=ins.opcode, name=name, v=v,
-                                                 geometry=geometry))
 
 
 def _max_abs(values: np.ndarray) -> int:
@@ -262,29 +278,20 @@ def _check_bound(ins: Instruction, spec: OpSpec, bounds: _Bounds):
     bounds[ins.dst] = new
 
 
-def _check_operands(program: PpaProgram, geometry: PlaneGeometry):
-    """Check every operand once per geometry; a failure is not recorded, so
-    it raises again on the next call."""
-    if geometry in program._checked:
-        return
-    for idx, ins in enumerate(program.instructions):
-        try:
-            _validate_instruction(ins, geometry)
-        except ProgramError as e:
-            raise ProgramError(f"instruction {idx} ({ins.opcode}): {e}") from None
-    program._checked.add(geometry)
-
-
 # proofs kept per program and saturation limit before the memo starts over
 MAX_PROOFS = 64
 
 
 def validate(program: PpaProgram, state: ArrayState) -> int:
-    """Reject the whole program before any instruction runs: every operand
-    against the state's geometry, and every analog result's magnitude
+    """Reject the whole program before any instruction runs: every pattern's
+    shape against the state's geometry, and every analog result's magnitude
     against int32, starting from the state's current plane values. Returns
     the largest magnitude any analog result can reach before it is clamped."""
-    _check_operands(program, state.geometry)
+    shape = state.geometry.shape
+    for idx, ins in enumerate(program.instructions):
+        if ins.pattern is not None and ins.pattern.shape != shape:
+            raise ProgramError(f"instruction {idx} (pattern): bits of shape "
+                               f"{ins.pattern.shape}, not the geometry's {shape}")
     proof = program._proofs.get(state.limit)
     if proof is not None:
         reads, peaks = proof
@@ -332,7 +339,7 @@ def execute(program: PpaProgram, state: ArrayState,
 
 
 def disassemble_instruction(ins: Instruction) -> str:
-    spec = _spec(ins.opcode)
+    spec = SPECS[ins.opcode]
     fields = [ins.opcode] + [kind.fmt(getattr(ins, name))
                              for name, kind in _listed(spec, ins.logic)]
     if spec.masked and ins.mask is not None:
@@ -347,7 +354,9 @@ def disassemble(program: PpaProgram) -> str:
 
 def _parse_line(fields: list[str]) -> Instruction:
     op, rest = fields[0], fields[1:]
-    spec = _spec(op)
+    spec = SPECS.get(op)
+    if spec is None:
+        raise ProgramError(f"unknown opcode {op!r}")
     kw = {}
     if spec.masked and rest and rest[-1].startswith("mask="):
         kw["mask"] = rest.pop()[len("mask="):]

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scampsim.dataset import (CLASS_NAMES, DatasetError, JitterParams,
-                              export_dataset, generate, images_labels, ingest,
-                              load_dataset, render_gesture)
-from scampsim.pnm import write_gray_pgm
+from scampsim.dataset import (DatasetError, JitterParams, export_dataset,
+                              generate, images_labels, load_dataset,
+                              render_gesture)
 
 
 def dataset_bytes(split):
@@ -76,44 +75,3 @@ class TestExportLoad:
             fa = (tmp_path / "a" / name).read_bytes()
             fb = (tmp_path / "b" / name).read_bytes()
             assert fa == fb, name
-
-
-class TestIngest:
-    def test_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(DatasetError, match="no classes found"):
-            ingest(tmp_path)
-
-    def test_unknown_class_directory_itemized(self, tmp_path):
-        (tmp_path / "lizard").mkdir()
-        with pytest.raises(DatasetError, match="lizard"):
-            ingest(tmp_path)
-
-    def test_all_white_becomes_all_ones(self, tmp_path):
-        (tmp_path / "rock").mkdir()
-        write_gray_pgm(tmp_path / "rock" / "w.pgm",
-                       np.full((256, 256), 255, dtype=np.uint8))
-        split = ingest(tmp_path)
-        assert len(split.train) == 1
-        assert split.train[0].label == CLASS_NAMES.index("rock")
-        assert np.all(split.train[0].image == 1)
-
-    def test_prep_pipeline_matches_predownsampled(self, tmp_path, rng):
-        # a 256x256 image and its pre-downsampled 64x64 version ingest equal
-        big = (rng.integers(0, 2, size=(256, 256)) * 255).astype(np.uint8)
-        from scampsim.lowering import prepare_input
-        small = prepare_input(big) * 255
-        (tmp_path / "big" / "paper").mkdir(parents=True)
-        (tmp_path / "small" / "paper").mkdir(parents=True)
-        write_gray_pgm(tmp_path / "big" / "paper" / "x.pgm", big)
-        write_gray_pgm(tmp_path / "small" / "paper" / "x.pgm", small)
-        a = ingest(tmp_path / "big")
-        b = ingest(tmp_path / "small")
-        assert np.array_equal(a.train[0].image, b.train[0].image)
-
-    def test_unreadable_file_refuses_whole_ingestion(self, tmp_path):
-        (tmp_path / "rock").mkdir()
-        write_gray_pgm(tmp_path / "rock" / "good.pgm",
-                       np.zeros((64, 64), dtype=np.uint8))
-        (tmp_path / "rock" / "bad.pgm").write_bytes(b"P5\nnot an image")
-        with pytest.raises(DatasetError, match="bad.pgm"):
-            ingest(tmp_path)

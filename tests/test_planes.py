@@ -32,10 +32,18 @@ class TestGeometry:
             PlaneGeometry(256, 256, 4, 32)
 
     def test_block_indexing_round_trips(self, geometry):
+        # blocks are numbered row-major and tile the plane exactly once
+        covered = np.zeros(geometry.shape, dtype=int)
         for b in range(geometry.num_blocks):
             r0, c0 = geometry.block_origin(b)
-            assert geometry.block_of(r0, c0) == b
-            assert geometry.block_of(r0 + 63, c0 + 63) == b
+            assert (r0 // 64, c0 // 64) == divmod(b, geometry.block_grid)
+            rs, cs = geometry.block_slices(b)
+            assert (rs.start, rs.stop, cs.start, cs.stop) == (r0, r0 + 64,
+                                                              c0, c0 + 64)
+            covered[rs, cs] += 1
+        assert np.all(covered == 1)
+        with pytest.raises(GeometryError):
+            geometry.block_origin(geometry.num_blocks)
 
 
 class TestThreshold:
@@ -404,9 +412,15 @@ class TestWritePattern:
                 assert expanded[r, c] == base[r // 2, c // 2]
 
     def test_geometry_mismatch_rejected(self):
+        # write_pattern trusts its bits; a program's are checked against the
+        # state before anything runs
         state = make_state()
-        with pytest.raises(PlaneError):
-            state.write_pattern("R1", np.zeros((8, 8)))
+        before = state.snapshot()
+        prog = PpaProgram([Instruction("pattern", dst="R1",
+                                       pattern=np.ones((8, 8), dtype=bool))])
+        with pytest.raises(ProgramError, match=r"\(8, 8\).*\(16, 16\)"):
+            execute(prog, state)
+        assert state.equals_snapshot(before)
 
 
 class TestStateInvariants:
@@ -472,8 +486,6 @@ class TestStateInvariants:
 
 # every caller of the one 0/1 check, with the error type it raises
 BINARY_CHECKS = {
-    "write_pattern": (PlaneError,
-                      lambda a: make_state().write_pattern("R1", a[:16, :16])),
     "pattern_instruction": (ProgramError,
                             lambda a: Instruction("pattern", dst="R1", pattern=a)),
     "reference_infer": (ModelError, lambda a: reference_infer(default_model(), a)),

@@ -5,12 +5,12 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scampsim import program as program_module
 from scampsim.geometry import PlaneGeometry
-from scampsim.planes import ANALOG_MAX, SATURATING, ArrayState
+from scampsim.planes import ANALOG_MAX, ANALOG_MIN, SATURATING, ArrayState
 from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
                               PpaProgram, ProgramError, disassemble,
                               disassemble_instruction, estimate, execute,
@@ -19,6 +19,23 @@ from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
 
 def small_state():
     return ArrayState(PlaneGeometry(16, 16, 4, 4))
+
+
+# one bad operand per opcode: every one but the pattern is rejected when its
+# Instruction is built, the pattern (8x8 bits, valid on an 8x8 array) when
+# the program meets a 16x16 state
+BAD_OPERANDS = {
+    "add": dict(dst="A", a="A", b="NOPE"),
+    "sub": dict(dst="R1", a="A", b="A"),
+    "neg": dict(dst="A", a="A", mask="NOPE"),
+    "copy": dict(dst="A", a=None),
+    "max": dict(dst="A", a="A", b="A", mask="B"),
+    "shift": dict(dst="A", a="A", direction="N", steps=-1),
+    "thresh": dict(dst="R1", a="A"),
+    "logic": dict(dst="R1", a="R2", b="R3", logic="nand"),
+    "pattern": dict(dst="R1", pattern=np.ones((8, 8), dtype=bool)),
+    "gsum": dict(a="A"),
+}
 
 
 class TestExecute:
@@ -34,55 +51,44 @@ class TestExecute:
                           small_state())
         assert sums == [0]
 
-    # one bad operand per opcode, each after an instruction that would
-    # change the state if it ran
-    @pytest.mark.parametrize("bad", [
-        Instruction("add", dst="A", a="A", b="NOPE"),
-        Instruction("sub", dst="R1", a="A", b="A"),
-        Instruction("neg", dst="A", a="A", mask="NOPE"),
-        Instruction("copy", dst="A", a=None),
-        Instruction("max", dst="A", a="A", b="A", mask="B"),
-        Instruction("shift", dst="A", a="A", direction="N", steps=-1),
-        Instruction("thresh", dst="R1", a="A"),
-        Instruction("logic", dst="R1", a="R2", b="R3", logic="nand"),
-        Instruction("pattern", dst="R1", pattern=np.ones((8, 8), dtype=bool)),
-        Instruction("gsum", a="A"),
-    ], ids=lambda ins: ins.opcode)
-    def test_rejection_leaves_state_bit_identical(self, bad):
+    @pytest.mark.parametrize("op", BAD_OPERANDS)
+    def test_rejection_leaves_state_bit_identical(self, op):
+        # each after an instruction that would change the state if it ran
         state = small_state()
         state.areg("A")[:] = 3
         before = state.snapshot()
-        prog = PpaProgram([Instruction("add", dst="A", a="A", b="A"), bad])
-        with pytest.raises(ProgramError):
+        where = r"instruction 1 \(pattern\): " if op == "pattern" else f"{op}\\b"
+        with pytest.raises(ProgramError, match="^" + where):
+            prog = PpaProgram([Instruction("add", dst="A", a="A", b="A"),
+                               Instruction(op, **BAD_OPERANDS[op])])
             execute(prog, state)
         assert state.equals_snapshot(before)
+        assert state.dtype == np.int16
 
-    def test_operand_checks_run_once_per_geometry(self, monkeypatch):
-        calls = []
-        check = program_module._validate_instruction
-        monkeypatch.setattr(program_module, "_validate_instruction",
-                            lambda ins, g: calls.append(g) or check(ins, g))
+    def test_pattern_shape_is_checked_against_each_state(self):
         bits = np.eye(16, dtype=bool)
         prog = PpaProgram([Instruction("pattern", dst="R1", pattern=bits),
                            Instruction("gsum", a="A", label="x")])
-        for _ in range(3):
-            execute(prog, small_state())
-        assert len(calls) == 2
-        # the pattern is checked again, and fails, against another geometry
         for _ in range(2):
+            assert execute(prog, small_state())[1] == [0]
             with pytest.raises(ProgramError,
                                match=r"instruction 0 \(pattern\).*\(256, 256\)"):
                 execute(prog, ArrayState())
-        assert len(calls) == 4
 
     def test_failing_program_raises_the_same_error_on_every_call(self):
-        prog = parse_listing("add A A A\nadd B A NOPE\n")
+        with pytest.raises(ProgramError,
+                           match="^line 2: add: unknown analog register 'NOPE'$"):
+            parse_listing("add A A A\nadd B A NOPE\n")
+        prog = PpaProgram([Instruction("add", dst="A", a="A", b="A"),
+                           Instruction("pattern", dst="R1",
+                                       pattern=np.eye(8, dtype=bool))])
         messages = set()
         for _ in range(3):
             with pytest.raises(ProgramError) as err:
                 execute(prog, small_state())
             messages.add(str(err.value))
-        assert messages == {"instruction 1 (add): unknown analog register 'NOPE'"}
+        assert messages == {"instruction 1 (pattern): bits of shape (8, 8), "
+                            "not the geometry's (16, 16)"}
 
     def test_program_is_frozen_after_execute(self):
         prog = parse_listing("add A A A\nadd B A A\ngsum B b\n")
@@ -94,15 +100,18 @@ class TestExecute:
         with pytest.raises(dataclasses.FrozenInstanceError):
             prog.instructions = ()
         with pytest.raises(TypeError):
-            prog.instructions[1] = Instruction("add", dst="B", a="A", b="NOPE")
+            prog.instructions[1] = Instruction("add", dst="B", a="A", b="C")
         state = small_state()
         state.areg("A")[:] = 1
         assert execute(prog, state)[1] == [4 * 256]
 
     def test_rejection_names_instruction(self):
-        prog = PpaProgram([Instruction("shift", dst="A", a="A",
-                                       direction="Q", steps=1)])
-        with pytest.raises(ProgramError, match="instruction 0"):
+        with pytest.raises(ProgramError, match="^shift: bad shift direction 'Q'$"):
+            Instruction("shift", dst="A", a="A", direction="Q", steps=1)
+        prog = PpaProgram([Instruction("gsum", a="A", label="x"),
+                           Instruction("pattern", dst="R1",
+                                       pattern=np.eye(8, dtype=bool))])
+        with pytest.raises(ProgramError, match=r"^instruction 1 \(pattern\)"):
             execute(prog, small_state())
 
     def test_sums_recorded_in_order(self):
@@ -116,6 +125,137 @@ class TestExecute:
         assert prog.sum_labels == ["first", "second"]
         _, sums = execute(prog, state)
         assert sums == [2, 4]
+
+
+class TestConstruction:
+    """An Instruction checks its operands when it is built: integers where
+    it takes integers, and no field its opcode does not take."""
+
+    def test_fractional_shift_steps_rejected_before_anything_runs(self):
+        with pytest.raises(ProgramError, match="^shift: steps must be an integer"):
+            PpaProgram([Instruction("add", dst="A", a="A", b="A"),
+                        Instruction("shift", dst="A", a="A", direction="N",
+                                    steps=1.5)])
+
+    def test_fractional_threshold_rejected(self):
+        with pytest.raises(ProgramError, match="^thresh: needs an int32"):
+            Instruction("thresh", dst="R1", a="A", value=1.5)
+        with pytest.raises(ProgramError, match="^line 1: "):
+            parse_listing("thresh R1 A 1.5\n")
+
+    @pytest.mark.parametrize("field, op, fields", [
+        ("steps", "shift", dict(dst="A", a="A", direction="N")),
+        ("value", "thresh", dict(dst="R1", a="A")),
+    ])
+    @pytest.mark.parametrize("number", ["3", True, np.float64(2.0)])
+    def test_immediates_must_be_integers(self, field, op, fields, number):
+        with pytest.raises(ProgramError, match=f"^{op}: "):
+            Instruction(op, **fields, **{field: number})
+
+    @pytest.mark.parametrize("op, fields, extra", [
+        ("shift", dict(dst="A", a="A", direction="N", steps=1, mask="R1"), "mask"),
+        ("logic", dict(dst="R1", logic="not", a="R2", b="R3"), "b"),
+        ("gsum", dict(dst="B", a="A", label="x"), "dst"),
+    ])
+    def test_fields_the_opcode_does_not_take_are_rejected(self, op, fields,
+                                                           extra):
+        with pytest.raises(ProgramError, match=f"^{op} takes no {extra}, "):
+            Instruction(op, **fields)
+
+
+# the values a property test draws for each operand: valid ones by the
+# operand's role, and invalid ones any operand may get
+VALID_BITS = np.indices((16, 16)).sum(axis=0) % 3 == 0
+VALID = {
+    "areg": ["A", "B", "C"],
+    "dreg": ["R1", "R2", "FLAG"],
+    "direction": ["N", "S", "E", "W"],
+    "steps": [0, 1, 3, 16, 40, np.int64(2)],
+    "value": [-5, 0, 2, ANALOG_MAX, ANALOG_MIN, np.int16(1)],
+    "logic": ["and", "or", "xor", "not"],
+    "label": ["x", "rock", "3"],
+    "pattern": [VALID_BITS, VALID_BITS.astype(np.uint8)],
+}
+INVALID = ["NOPE", None, 1.5, "3", True, -1, 2**40, "R12 R1",
+           np.eye(8, dtype=bool), np.eye(16) * 2]
+# each opcode's operands by role; `logic not` has no b
+ROLES = {
+    "add": dict(dst="areg", a="areg", b="areg"),
+    "sub": dict(dst="areg", a="areg", b="areg"),
+    "max": dict(dst="areg", a="areg", b="areg"),
+    "neg": dict(dst="areg", a="areg"),
+    "copy": dict(dst="areg", a="areg"),
+    "shift": dict(dst="areg", a="areg", direction="direction", steps="steps"),
+    "thresh": dict(dst="dreg", a="areg", value="value"),
+    "logic": dict(dst="dreg", logic="logic", a="dreg", b="dreg"),
+    "pattern": dict(dst="dreg", pattern="pattern"),
+    "gsum": dict(a="areg", label="label"),
+}
+MASKED = ("add", "sub", "max", "neg", "copy")
+FIELDS = ("dst", "a", "b", "mask", "direction", "steps", "value", "logic",
+          "label", "pattern")
+
+
+@st.composite
+def instruction_fields(draw):
+    """An opcode and its fields, at most one of them invalid or extra."""
+    op = draw(st.sampled_from(sorted(ROLES)))
+    roles = dict(ROLES[op])
+    if op in MASKED:
+        roles["mask"] = "dreg"
+    fields = {f: draw(st.sampled_from(VALID[r])) for f, r in roles.items()}
+    if op in MASKED and draw(st.booleans()):
+        del fields["mask"]
+    if fields.get("logic") == "not":
+        del fields["b"]
+    # leave the fields valid, spoil one of them, or set one the opcode
+    # does not take
+    spoil = draw(st.sampled_from([None, *FIELDS]))
+    if spoil is not None:
+        pool = INVALID + [v for r in VALID.values() for v in r]
+        fields[spoil] = draw(st.sampled_from(pool))
+    return op, fields
+
+
+SHIFT_N = dict(dst="A", a="A", direction="N")
+
+
+class TestValidByConstruction:
+    """An Instruction that exists runs and lists back to itself."""
+
+    @given(case=instruction_fields(), seed=st.integers(0, 2**16))
+    # operands that once ran, or listed, wrongly
+    @example(case=("shift", dict(SHIFT_N, steps=1.5)), seed=0)
+    @example(case=("shift", dict(SHIFT_N, steps="3")), seed=0)
+    @example(case=("thresh", dict(dst="R1", a="A", value=1.5)), seed=0)
+    @example(case=("thresh", dict(dst="R1", a="A", value="5")), seed=0)
+    @example(case=("shift", dict(SHIFT_N, steps=1, mask="R1")), seed=0)
+    @example(case=("logic", dict(dst="R1", logic="not", a="R2", b="R3")), seed=0)
+    @example(case=("gsum", dict(dst="B", a="A", label="x")), seed=0)
+    @settings(max_examples=400, deadline=None)
+    def test_built_means_runs_and_lists_back(self, case, seed):
+        op, fields = case
+        try:
+            ins = Instruction(op, **fields)
+        except ProgramError as e:
+            assert str(e).startswith(op)
+            return
+        prog = PpaProgram([ins])
+        assert parse_listing(disassemble(prog)) == prog
+        rng = np.random.default_rng(seed)
+        for mode in ("ideal", SATURATING):
+            state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=mode)
+            for name in ("A", "B", "C"):
+                state.areg(name)[:] = rng.integers(-100, 100, (16, 16))
+            state.write_pattern("R1", rng.integers(0, 2, (16, 16)))
+            before = state.snapshot()
+            try:
+                execute(prog, state)
+            except ProgramError as e:
+                # only the state-dependent check may refuse a built program
+                assert str(e).startswith("instruction 0 (pattern): bits of shape")
+                assert state.equals_snapshot(before)
+                assert state.dtype == np.int16
 
 
 def doubling_listing(times):
@@ -221,9 +361,12 @@ class TestBoundPass:
         assert walked == [2, 2, 0, 0]
 
     def test_threshold_immediate_must_fit_int32(self):
-        with pytest.raises(ProgramError, match="int32 immediate"):
-            execute(parse_listing(f"thresh R1 A {ANALOG_MAX + 1}\n"),
-                    small_state())
+        for value in (ANALOG_MAX + 1, ANALOG_MIN - 1):
+            with pytest.raises(ProgramError,
+                               match="^thresh: needs an int32 immediate"):
+                Instruction("thresh", dst="R1", a="A", value=value)
+            with pytest.raises(ProgramError, match="^line 1: thresh: .*int32"):
+                parse_listing(f"thresh R1 A {value}\n")
 
 
 def _sample_instructions():
