@@ -27,13 +27,13 @@ class CliError(Exception):
 
 
 def _load_weights(args):
-    if getattr(args, "weights", None):
+    if args.weights:
         return load_weights_file(args.weights)
     return default_model()
 
 
 def _load_cost(args) -> CostModel:
-    if getattr(args, "cost_table", None):
+    if args.cost_table:
         with open(args.cost_table) as f:
             return CostModel.from_json(f.read())
     text = resources.files("scampsim.data").joinpath(
@@ -42,9 +42,8 @@ def _load_cost(args) -> CostModel:
 
 
 def _noise(args) -> NoiseModel:
-    sigma = getattr(args, "noise_sigma", 0.0) or 0.0
-    if sigma > 0:
-        return NoiseModel("gaussian", sigma, getattr(args, "seed", 0) or 0)
+    if args.noise_sigma > 0:
+        return NoiseModel("gaussian", args.noise_sigma, args.seed)
     return NoiseModel()
 
 
@@ -109,7 +108,7 @@ def cmd_infer(args):
         line = f"{name}: sums={sums} predicted={predicted}"
         if args.check:
             oracle = reference_infer(model, img)
-            ok = (sums == [4 * s for s in oracle.sums]
+            ok = (sums == [lowering.POOL_REPLICATION * s for s in oracle.sums]
                   and predicted == oracle.predicted_name)
             agree += ok
             line += f" oracle_agreement={'yes' if ok else 'NO'}"
@@ -194,9 +193,8 @@ def cmd_dump(args):
 # -- argument parsing ----------------------------------------------------
 
 
-def _add_common(p, weights=True, cost=False, mode=True):
-    if weights:
-        p.add_argument("--weights", help="weights JSON (default: built-in model)")
+def _add_common(p, cost=False, mode=True):
+    p.add_argument("--weights", help="weights JSON (default: built-in model)")
     if cost:
         p.add_argument("--cost-table", help="cost table JSON (default: shipped table)")
     if mode:

@@ -42,6 +42,7 @@ MASK_RELU = "R8"
 MASK_FC = "R9"
 
 POOL_REPLICATION = 4  # each pooled maximum appears in all 4 cells of its 2x2 block
+GRAY_THRESHOLD = 127  # a captured gray level above this reads as 1
 
 
 class LoweringError(ValueError):
@@ -67,9 +68,9 @@ class LoweringPlan:
 # -- host-side input preparation -----------------------------------------
 
 
-def prepare_input(img: np.ndarray, block_size: int = 64,
-                  threshold: int = 127) -> np.ndarray:
-    """Threshold a grayscale image and majority-downsample to one block.
+def prepare_input(img: np.ndarray, block_size: int = 64) -> np.ndarray:
+    """Threshold a grayscale image at GRAY_THRESHOLD and majority-downsample
+    it to one block.
 
     The image must be square with side a multiple of block_size. Each s x s
     cell becomes 1 iff strictly more than half its thresholded pixels are 1;
@@ -85,7 +86,7 @@ def prepare_input(img: np.ndarray, block_size: int = 64,
         )
     s = side // block_size
     count = np.min_scalar_type(s * s)  # holds every cell's count, up to s^2
-    bits = (img > threshold).reshape(block_size, s, block_size, s)
+    bits = (img > GRAY_THRESHOLD).reshape(block_size, s, block_size, s)
     # rows of a cell first: a reduction over the tiny inner axis is slow
     cells = bits.sum(axis=1, dtype=count).sum(axis=2, dtype=count)
     return (cells > s * s // 2).astype(np.uint8)  # 2 * count > s^2
@@ -161,7 +162,7 @@ def fc_negative_pattern(model: BnnModel, class_index: int) -> np.ndarray:
 # -- stage lowering ------------------------------------------------------
 
 
-def lower_replicate(geometry: PlaneGeometry, k: int) -> list[Instruction]:
+def lower_replicate(geometry: PlaneGeometry) -> list[Instruction]:
     """Copy block (0,0) of the input register into every block.
 
     Doubling scheme: shift the partially replicated plane by whole blocks
@@ -169,7 +170,8 @@ def lower_replicate(geometry: PlaneGeometry, k: int) -> list[Instruction]:
     """
     grid, bs = geometry.block_grid, geometry.block_size
     if grid & (grid - 1):
-        raise LoweringError("block grid must be a power of two for replication")
+        raise LoweringError(
+            "stage replicate: block grid must be a power of two for replication")
     ins = [
         # keep REG_ZERO all-zero for every later masked zeroing
         Instruction("sub", dst=REG_ZERO, a=REG_ZERO, b=REG_ZERO),
@@ -240,7 +242,7 @@ def lower_conv(model: BnnModel) -> list[Instruction]:
     return ins
 
 
-def lower_relu(geometry: PlaneGeometry) -> list[Instruction]:
+def lower_relu() -> list[Instruction]:
     """Zero every negative accumulator pixel: flag nonnegatives, invert,
     masked copy from the zero register."""
     return [
@@ -288,16 +290,13 @@ def lower_fc(model: BnnModel) -> list[Instruction]:
 
 def lower_model(model: BnnModel) -> tuple[PpaProgram, LoweringPlan]:
     """Concatenate all stages; deterministic for equal models."""
-    stages: list[tuple[str, list[Instruction]]] = []
-    try:
-        stages.append(("replicate", lower_replicate(model.geometry, model.k)))
-        stages.append(("conv", lower_conv(model)))
-        stages.append(("relu", lower_relu(model.geometry)))
-        stages.append(("maxpool", lower_maxpool(model.geometry)))
-        stages.append(("fc", lower_fc(model)))
-    except LoweringError as e:
-        raise LoweringError(f"stage {stages[-1][0] if stages else 'replicate'}: {e}") \
-            from None
+    stages = [
+        ("replicate", lower_replicate(model.geometry)),
+        ("conv", lower_conv(model)),
+        ("relu", lower_relu()),
+        ("maxpool", lower_maxpool(model.geometry)),
+        ("fc", lower_fc(model)),
+    ]
 
     instructions: list[Instruction] = []
     stage_ranges: dict[str, tuple[int, int]] = {}
@@ -310,18 +309,17 @@ def lower_model(model: BnnModel) -> tuple[PpaProgram, LoweringPlan]:
     for i in instructions:
         counts[i.opcode] = counts.get(i.opcode, 0) + 1
     conv_seq = stages[1][1]
+    # one masked accumulate per tap and sign: add under R1, sub under R2
+    accumulate_masks = [i.mask for i in conv_seq if i.opcode in ("add", "sub")]
+    positive = accumulate_masks.count(MASK_POS)
+    negative = accumulate_masks.count(MASK_NEG)
     conv_budget = {
         "shifts": sum(1 for i in conv_seq if i.opcode == "shift"),
-        "accumulates": sum(1 for i in conv_seq
-                           if i.opcode in ("add", "sub") and i.mask is not None),
+        "accumulates": positive + negative,
         "border_zeroing": sum(1 for i in conv_seq
                               if i.opcode == "copy" and i.mask == MASK_BORDER),
-        "taps_with_positive": int(sum((model.kernels[:, dy, dx] == 1).any()
-                                      for dy in range(model.k)
-                                      for dx in range(model.k))),
-        "taps_with_negative": int(sum((model.kernels[:, dy, dx] == -1).any()
-                                      for dy in range(model.k)
-                                      for dx in range(model.k))),
+        "taps_with_positive": positive,
+        "taps_with_negative": negative,
     }
     plan = LoweringPlan(
         registers={

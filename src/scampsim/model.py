@@ -104,16 +104,13 @@ class BnnModel:
 
 
 def random_model(seed: int = 0, num_classes: int = 3, k: int = 4,
-                 geometry: PlaneGeometry | None = None,
-                 class_names: tuple[str, ...] | None = None) -> BnnModel:
+                 geometry: PlaneGeometry | None = None) -> BnnModel:
     geometry = geometry or PlaneGeometry()
     rng = np.random.default_rng(seed)
     nb, ps = geometry.num_blocks, geometry.block_size // 2
     kernels = rng.choice((-1, 1), size=(nb, k, k))
     fc = rng.choice((-1, 1), size=(num_classes, nb, ps, ps))
-    if class_names is None:
-        class_names = fallback_class_names(num_classes)
-    return BnnModel(kernels, fc, class_names, geometry)
+    return BnnModel(kernels, fc, fallback_class_names(num_classes), geometry)
 
 
 def fallback_class_names(num_classes: int) -> tuple[str, ...]:

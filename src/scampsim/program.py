@@ -22,7 +22,9 @@ bit-identical. `validate` checks what depends on the state:
   that matches both takes one reduction per such register instead of the
   pass; a failing proof is never recorded, so it raises on every call.
 A pattern is kept as a read-only bool view that a `pattern` instruction
-binds without copying. Timing is a pure function of per-opcode costs.
+binds without copying. A program's sum_labels, which name its class sums,
+are derived from its gsum instructions in order. Timing is a pure
+function of per-opcode costs.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class PpaProgram:
     """Immutable after construction; safely shareable across threads."""
 
     instructions: tuple[Instruction, ...]
-    sum_labels: list[str] = field(default_factory=list)
+    sum_labels: list[str] = field(init=False)  # the gsum labels, in order
     # per saturation limit: (the registers the bound pass reads, {their
     # starting bounds: the peak proved from them})
     _proofs: dict[int | None, tuple] = field(default_factory=dict, init=False,
@@ -114,11 +116,8 @@ class PpaProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        gsum_labels = [i.label for i in self.instructions if i.opcode == "gsum"]
-        if not self.sum_labels:
-            object.__setattr__(self, "sum_labels", gsum_labels)
-        elif self.sum_labels != gsum_labels:
-            raise ProgramError("sum_labels do not match gsum instructions in order")
+        object.__setattr__(self, "sum_labels", [i.label for i in self.instructions
+                                                if i.opcode == "gsum"])
 
     def __len__(self):
         return len(self.instructions)
@@ -126,8 +125,7 @@ class PpaProgram:
     def __eq__(self, other):
         if not isinstance(other, PpaProgram):
             return NotImplemented
-        return (self.sum_labels == other.sum_labels
-                and self.instructions == other.instructions)
+        return self.instructions == other.instructions
 
 
 def _pattern_to_hex(pattern: np.ndarray) -> str:
@@ -405,11 +403,6 @@ class CostModel:
         overhead = float(doc.pop("overhead_us", 0.0))
         costs = {k: float(v) for k, v in doc.items() if not k.startswith("_")}
         return cls(costs, overhead)
-
-    def to_json(self) -> str:
-        doc: dict = dict(sorted(self.costs.items()))
-        doc["overhead_us"] = self.overhead_us
-        return json.dumps(doc, indent=2) + "\n"
 
 
 @dataclass

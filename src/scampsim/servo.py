@@ -1,15 +1,16 @@
 """Deterministic discrete-event simulation of the perception-action path.
 
 Each captured frame runs the lowered program; the classification becomes a
-target-angle command that latches into the PWM servo at the first period
-boundary strictly after inference completes (last writer wins within a
-period). Servo angles slew toward the latched target at every PWM edge,
-bounded by the slew limit. Time is integer microseconds throughout.
+target-angle command that latches into the PWM servo bank at the first edge
+of the one PWM period, PWM_PERIOD_US, strictly after inference completes
+(last writer wins within a period). At every edge each servo's angle slews
+toward the latched target, bounded by that servo's slew limit. A ServoModel
+is configuration only: run_loop owns the angles, all starting at 0 degrees.
+Time is integer microseconds throughout.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 from dataclasses import dataclass, field
@@ -50,21 +51,16 @@ class ServoModel:
     class_angles: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_CLASS_ANGLES))
     slew_limit_deg_per_s: float = 600.0
-    current_angle: float = 0.0
-    pwm_period_us: int = PWM_PERIOD_US
 
-    def target_for(self, class_name: str) -> float:
+    def target_for(self, class_name: str, angle: float) -> float:
         # commands outside the class table leave the servo where it is
-        angle = self.class_angles.get(class_name, self.current_angle)
+        angle = self.class_angles.get(class_name, angle)
         return angle_from_pulse(pulse_width_us(angle))
 
-    def step_toward(self, target: float) -> float:
-        """Advance one PWM period toward target under the slew limit."""
-        max_step = self.slew_limit_deg_per_s * self.pwm_period_us / 1e6
-        delta = target - self.current_angle
-        delta = min(max(delta, -max_step), max_step)
-        self.current_angle += delta
-        return self.current_angle
+    def step_toward(self, angle: float, target: float) -> float:
+        """The angle after one PWM period of slewing from angle toward target."""
+        max_step = self.slew_limit_deg_per_s * PWM_PERIOD_US / 1e6
+        return angle + min(max(target - angle, -max_step), max_step)
 
 
 @dataclass
@@ -92,7 +88,6 @@ class TimelineEvent:
 class ServoTimeline:
     events: list[TimelineEvent]
     inference_latency_us: int
-    pwm_period_us: int
     frame_latched_at: dict[int, int]      # frame index -> latch edge time
     dropped_frames: list[int]
 
@@ -123,26 +118,22 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
         raise ServoError("duration does not cover all frames")
 
     latency_us = int(round(estimate(program, cost).latency_us))
-    bank = copy.deepcopy(bank)  # the simulation owns its servo state
-    period = bank.servos[0].pwm_period_us
-    noise = noise or NoiseModel()
 
     # classify every frame up front; event times are pure arithmetic after
     results: list[tuple[int, int, str]] = []   # (inference_done, frame_idx, class)
     events: list[TimelineEvent] = []
-    # repeated identical frames classify identically when noise is off
-    cache: dict[bytes, str] = {}
+    # identical frames classify identically, noise or not: every fresh state
+    # seeds its own noise stream from NoiseModel.seed. Shape and dtype are in
+    # the key so that a malformed frame with a valid frame's bytes is checked.
+    cache: dict[tuple, str] = {}
     for idx, (t, img) in enumerate(frames):
         img = np.asarray(img)
-        key = img.tobytes() if noise.kind == "none" else None
-        if key is not None and key in cache:
-            cls = cache[key]
-        else:
+        key = (img.shape, img.dtype, img.tobytes())
+        cls = cache.get(key)
+        if cls is None:
             state = make_input_state(img, geometry, mode, noise)
             _, sums = execute(program, state)
-            cls = program.sum_labels[argmax(sums)]
-            if key is not None:
-                cache[key] = cls
+            cls = cache[key] = program.sum_labels[argmax(sums)]
         events.append(TimelineEvent(t, "frame", class_name=cls, frame_index=idx))
         done = t + latency_us
         events.append(TimelineEvent(done, "inference_done", class_name=cls,
@@ -150,20 +141,22 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
         results.append((done, idx, cls))
 
     # per-edge latch: last writer wins among commands ready before the edge
-    n_edges = duration_us // period + 1
+    n_edges = duration_us // PWM_PERIOD_US + 1
     latch_at_edge: dict[int, tuple[int, str]] = {}
     frame_latched_at: dict[int, int] = {}
     for done, idx, cls in results:
-        edge = (done // period + 1) * period   # strictly after completion
+        # the first edge strictly after completion
+        edge = (done // PWM_PERIOD_US + 1) * PWM_PERIOD_US
         if edge <= duration_us:
             latch_at_edge[edge] = (idx, cls)
     for edge, (idx, cls) in latch_at_edge.items():
         frame_latched_at[idx] = edge
     dropped = [idx for _, idx, _ in results if idx not in frame_latched_at]
 
+    angles = [0.0] * len(bank.servos)
     latched_class: str | None = None
     for e in range(n_edges):
-        t_edge = e * period
+        t_edge = e * PWM_PERIOD_US
         events.append(TimelineEvent(t_edge, "pwm_edge"))
         newly_latched = t_edge in latch_at_edge
         if newly_latched:
@@ -171,10 +164,9 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
         if latched_class is None:
             continue
         for sid, servo in enumerate(bank.servos):
-            target = servo.target_for(latched_class)
-            moved = newly_latched or servo.current_angle != target
-            if moved:
-                angle = servo.step_toward(target)
+            target = servo.target_for(latched_class, angles[sid])
+            if newly_latched or angles[sid] != target:
+                angles[sid] = angle = servo.step_toward(angles[sid], target)
                 events.append(TimelineEvent(t_edge, "angle_update", servo_id=sid,
                                             class_name=latched_class, angle=angle))
 
@@ -182,7 +174,7 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
     events.sort(key=lambda e: (e.t_us, order[e.kind],
                                -1 if e.servo_id is None else e.servo_id,
                                -1 if e.frame_index is None else e.frame_index))
-    return ServoTimeline(events, latency_us, period, frame_latched_at, dropped)
+    return ServoTimeline(events, latency_us, frame_latched_at, dropped)
 
 
 @dataclass

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DatasetSplit, images_labels
+from .dataset import CLASS_NAMES, DatasetSplit, images_labels
 from .geometry import PlaneGeometry
 from .model import BnnModel, batch_predict, dense_forward, fallback_class_names
 
@@ -33,14 +32,6 @@ class TrainConfig:
     epochs: int = 12
     batch_size: int = 32
     k: int = 4
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        doc = json.loads(text)
-        return cls(**{k: v for k, v in doc.items() if not k.startswith("_")})
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2) + "\n"
 
 
 @dataclass
@@ -80,17 +71,13 @@ class LatentModel:
     class_names: tuple[str, ...]
 
     @classmethod
-    def init(cls, config: TrainConfig, num_classes: int,
-             geometry: PlaneGeometry | None = None,
-             class_names: tuple[str, ...] | None = None) -> "LatentModel":
-        geometry = geometry or PlaneGeometry()
+    def init(cls, config: TrainConfig, num_classes: int) -> "LatentModel":
+        geometry = PlaneGeometry()
         rng = np.random.default_rng(config.seed)
         nb, ps = geometry.num_blocks, geometry.block_size // 2
         kernels = rng.uniform(-1, 1, size=(nb, config.k, config.k))
         fc = rng.uniform(-1, 1, size=(num_classes, nb, ps, ps))
-        if class_names is None:
-            class_names = fallback_class_names(num_classes)
-        return cls(kernels, fc, geometry, class_names)
+        return cls(kernels, fc, geometry, fallback_class_names(num_classes))
 
     def binarize(self) -> BnnModel:
         return BnnModel(_sign(self.kernels), _sign(self.fc_weights),
@@ -155,8 +142,8 @@ def _accuracy(model: BnnModel, xs: np.ndarray, ys: np.ndarray) -> float:
     return float((batch_predict(model, xs) == ys).mean())
 
 
-def train(data: DatasetSplit, config: TrainConfig | None = None,
-          num_classes: int = 3) -> tuple[BnnModel, TrainingLog]:
+def train(data: DatasetSplit,
+          config: TrainConfig | None = None) -> tuple[BnnModel, TrainingLog]:
     """SGD with STE; returns the epoch snapshot with the best test accuracy
     (train accuracy breaks ties when there is no test split)."""
     config = config or TrainConfig()
@@ -168,7 +155,7 @@ def train(data: DatasetSplit, config: TrainConfig | None = None,
     else:
         xt, yt = xs[:0], ys[:0]
 
-    latent = LatentModel.init(config, num_classes)
+    latent = LatentModel.init(config, len(CLASS_NAMES))
     rng = np.random.default_rng(config.seed + 1)
     log = TrainingLog()
     best_metric = -1.0

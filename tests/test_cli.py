@@ -86,6 +86,20 @@ class TestInfer:
         assert err.count("\n") == 1
 
 
+def test_lower_rejects_non_power_of_two_grid_without_output(tmp_path, capsys):
+    # a 3x3 grid of 64-pixel blocks cannot be replicated by doubling
+    weights = tmp_path / "weights.json"
+    weights.write_text(save_weights(
+        random_model(1, geometry=PlaneGeometry(192, 192, 3, 64))))
+    out = tmp_path / "low"
+    code, stdout, err = run_cli(capsys, "lower", "--weights", str(weights),
+                                "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == ("error: stage replicate: block grid must be a power of two "
+                   "for replication\n")
+    assert not out.exists()
+
+
 class TestReproducibility:
     def test_gen_outputs_byte_identical(self, tmp_path, capsys):
         for d in ("one", "two"):

@@ -20,7 +20,7 @@ def run_instructions(instructions, state):
 
 def replicated_state(x, geometry=None):
     state = make_input_state(x, geometry)
-    run_instructions(lower_replicate(state.geometry, 4), state)
+    run_instructions(lower_replicate(state.geometry), state)
     return state
 
 
@@ -153,7 +153,7 @@ class TestRelu:
         state = ArrayState(PlaneGeometry())
         state.areg("C")[:] = values
         # REG_ZERO must hold zeros, as the program prelude guarantees
-        run_instructions(lower_relu(state.geometry), state)
+        run_instructions(lower_relu(), state)
         return state.areg("C")
 
     def test_all_negative_becomes_zero(self):
