@@ -8,6 +8,7 @@ Failures exit nonzero with a single machine-parsable `error: ...` line.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
@@ -42,7 +43,8 @@ def _load_cost(args) -> CostModel:
 
 
 def _noise(args) -> NoiseModel:
-    if args.noise_sigma > 0:
+    # any nonzero sigma, NaN included, goes through NoiseModel's check
+    if args.noise_sigma != 0:
         return NoiseModel("gaussian", args.noise_sigma, args.seed)
     return NoiseModel()
 
@@ -128,11 +130,16 @@ def cmd_bench(args):
 
 
 def cmd_loop(args):
+    # a zero or negative frame interval would never reach the duration
+    period_us = 1e6 / args.fps if args.fps > 0 else math.nan
+    interval = int(round(period_us)) if math.isfinite(period_us) else 0
+    if interval < 1:
+        raise CliError(f"--fps must give a finite frame interval of at least "
+                       f"1 us, got {args.fps:g}")
     model = _load_weights(args)
     program, _ = lowering.lower_model(model)
     cost = _load_cost(args)
     images = list(_iter_input_images(args.frames, model.geometry.block_size))
-    interval = int(round(1e6 / args.fps))
     frames = []
     t = 0
     i = 0

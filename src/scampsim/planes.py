@@ -34,6 +34,7 @@ an operation does not see its result; read it through `dreg()` afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise PlaneError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise PlaneError("noise sigma must be >= 0")
+        if not math.isfinite(self.sigma) or self.sigma < 0:
+            raise PlaneError("noise sigma must be a finite number >= 0")
 
     @property
     def draws(self) -> bool:

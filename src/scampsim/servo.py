@@ -7,13 +7,22 @@ of the one PWM period, PWM_PERIOD_US, strictly after inference completes
 toward the latched target, bounded by that servo's slew limit. A ServoModel
 is configuration only: run_loop owns the angles, all starting at 0 degrees.
 Time is integer microseconds throughout.
+
+run_loop classifies each distinct frame once per call: a memo keyed by the
+frame object's identity sits in front of a cache keyed by the frame's shape,
+dtype and bytes. It then emits the timeline already in order, with no sort:
+the frame and inference_done events up to each edge (frames first on ties),
+the edge, and the edge's angle updates by servo id. Events and reaction
+records are immutable named tuples, TimelineEvent and ReactionRecord.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +62,18 @@ class ServoModel:
     slew_limit_deg_per_s: float = 600.0
 
     def target_for(self, class_name: str, angle: float) -> float:
-        # commands outside the class table leave the servo where it is
-        angle = self.class_angles.get(class_name, angle)
-        return angle_from_pulse(pulse_width_us(angle))
+        """Where the servo heads for a class from `angle`: the class's table
+        angle clamped to the pulse range (what pulse_width_us commands, taken
+        exactly rather than through an inexact round trip), or, for a class
+        outside the table, `angle` itself."""
+        if class_name not in self.class_angles:
+            return angle
+        return min(max(self.class_angles[class_name], 0.0), 180.0)
 
-    def step_toward(self, angle: float, target: float) -> float:
-        """The angle after one PWM period of slewing from angle toward target."""
-        max_step = self.slew_limit_deg_per_s * PWM_PERIOD_US / 1e6
-        return angle + min(max(target - angle, -max_step), max_step)
+    @property
+    def max_step_deg(self) -> float:
+        """The farthest the servo turns in one PWM period."""
+        return self.slew_limit_deg_per_s * PWM_PERIOD_US / 1e6
 
 
 @dataclass
@@ -74,14 +87,22 @@ class ServoBank:
             )
 
 
-@dataclass
-class TimelineEvent:
+class TimelineEvent(NamedTuple):
     t_us: int
     kind: str                     # frame | inference_done | pwm_edge | angle_update
     servo_id: int | None = None
     class_name: str | None = None
     angle: float | None = None
     frame_index: int | None = None
+
+
+def _csv_field(name: str | None) -> str:
+    """One CSV field as csv.writer quotes it inside a row."""
+    if not name:
+        return ""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([name])
+    return buf.getvalue()[:-1]
 
 
 @dataclass
@@ -92,17 +113,13 @@ class ServoTimeline:
     dropped_frames: list[int]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t_us", "event", "servo_id", "class", "angle"])
-        for e in self.events:
-            w.writerow([
-                e.t_us, e.kind,
-                "" if e.servo_id is None else e.servo_id,
-                "" if e.class_name is None else e.class_name,
-                "" if e.angle is None else f"{e.angle:.4f}",
-            ])
-        return buf.getvalue()
+        events = self.events
+        quoted = {c: _csv_field(c) for c in {e.class_name for e in events}}
+        rows = ["t_us,event,servo_id,class,angle\n"]
+        rows += [f"{t},{kind},{'' if sid is None else sid},{quoted[c]},"
+                 f"{'' if angle is None else f'{angle:.4f}'}\n"
+                 for t, kind, sid, c, angle, _ in events]
+        return "".join(rows)
 
 
 def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
@@ -112,73 +129,107 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
              geometry: PlaneGeometry | None = None) -> ServoTimeline:
     """Simulate `duration_us` of the loop over timestamped binary frames,
     each one block of `geometry` (default: PlaneGeometry())."""
-    if any(frames[i][0] > frames[i + 1][0] for i in range(len(frames) - 1)):
+    times = [t for t, _ in frames]
+    if any(a > b for a, b in zip(times, times[1:])):
         raise ServoError("frame timestamps must be nondecreasing")
-    if frames and frames[-1][0] > duration_us:
+    if times and times[-1] > duration_us:
         raise ServoError("duration does not cover all frames")
 
     latency_us = int(round(estimate(program, cost).latency_us))
 
-    # classify every frame up front; event times are pure arithmetic after
-    results: list[tuple[int, int, str]] = []   # (inference_done, frame_idx, class)
-    events: list[TimelineEvent] = []
-    # identical frames classify identically, noise or not: every fresh state
+    # classify every frame up front; event times are pure arithmetic after.
+    # Identical frames classify identically, noise or not: every fresh state
     # seeds its own noise stream from NoiseModel.seed. Shape and dtype are in
-    # the key so that a malformed frame with a valid frame's bytes is checked.
-    cache: dict[tuple, str] = {}
-    for idx, (t, img) in enumerate(frames):
-        img = np.asarray(img)
-        key = (img.shape, img.dtype, img.tobytes())
-        cls = cache.get(key)
+    # the content key so that a malformed frame with a valid frame's bytes is
+    # checked. `frames` keeps every array alive, so an id seen twice within
+    # this call is the same unchanged object and skips the content key.
+    by_id: dict[int, str] = {}
+    by_content: dict[tuple, str] = {}
+    classes: list[str] = []
+    for _, img in frames:
+        cls = by_id.get(id(img))
         if cls is None:
-            state = make_input_state(img, geometry, mode, noise)
-            _, sums = execute(program, state)
-            cls = cache[key] = program.sum_labels[argmax(sums)]
-        events.append(TimelineEvent(t, "frame", class_name=cls, frame_index=idx))
-        done = t + latency_us
-        events.append(TimelineEvent(done, "inference_done", class_name=cls,
-                                    frame_index=idx))
-        results.append((done, idx, cls))
+            x = np.asarray(img)
+            key = (x.shape, x.dtype, x.tobytes())
+            cls = by_content.get(key)
+            if cls is None:
+                _, sums = execute(program, make_input_state(x, geometry, mode, noise))
+                cls = by_content[key] = program.sum_labels[argmax(sums)]
+            by_id[id(img)] = cls
+        classes.append(cls)
+    dones = [t + latency_us for t in times]
 
     # per-edge latch: last writer wins among commands ready before the edge
-    n_edges = duration_us // PWM_PERIOD_US + 1
-    latch_at_edge: dict[int, tuple[int, str]] = {}
+    latch_at_edge: dict[int, int] = {}      # edge time -> frame index
     frame_latched_at: dict[int, int] = {}
-    for done, idx, cls in results:
+    for idx, done in enumerate(dones):
         # the first edge strictly after completion
         edge = (done // PWM_PERIOD_US + 1) * PWM_PERIOD_US
         if edge <= duration_us:
-            latch_at_edge[edge] = (idx, cls)
-    for edge, (idx, cls) in latch_at_edge.items():
+            latch_at_edge[edge] = idx
+    for edge, idx in latch_at_edge.items():
         frame_latched_at[idx] = edge
-    dropped = [idx for _, idx, _ in results if idx not in frame_latched_at]
+    dropped = [idx for idx in range(len(times)) if idx not in frame_latched_at]
 
-    angles = [0.0] * len(bank.servos)
+    # The captures in timeline order: a two-pointer merge of the frame and
+    # inference_done rows, frames first on ties (no frame completes before
+    # its capture), each stream in frame order. Events are built with
+    # tuple.__new__, which skips the NamedTuple's keyword-taking __new__.
+    new, Event = tuple.__new__, TimelineEvent
+    captures: list[TimelineEvent] = []
+    n = len(times)
+    i = j = 0
+    while j < n:
+        if i < n and times[i] <= dones[j]:
+            captures.append(new(Event, (times[i], "frame", None, classes[i],
+                                        None, i)))
+            i += 1
+        else:
+            captures.append(new(Event, (dones[j], "inference_done", None,
+                                        classes[j], None, j)))
+            j += 1
+    capture_times = [e.t_us for e in captures]
+
+    # Each edge follows the captures at or before it and precedes its angle
+    # updates, which go by servo id; the captures after the last edge close.
+    servos = bank.servos
+    steps = [s.max_step_deg for s in servos]
+    # a tabled class's target does not depend on the angle the servo is at
+    tabled = [{c: s.target_for(c, 0.0) for c in s.class_angles} for s in servos]
+    angles = [0.0] * len(servos)
+    events: list[TimelineEvent] = []
+    append = events.append
+    emitted = 0
     latched_class: str | None = None
-    for e in range(n_edges):
-        t_edge = e * PWM_PERIOD_US
-        events.append(TimelineEvent(t_edge, "pwm_edge"))
-        newly_latched = t_edge in latch_at_edge
-        if newly_latched:
-            latched_class = latch_at_edge[t_edge][1]
-        if latched_class is None:
+    for t_edge in range(0, duration_us + 1, PWM_PERIOD_US):
+        upto = bisect_right(capture_times, t_edge, emitted)
+        events += captures[emitted:upto]
+        emitted = upto
+        append(new(Event, (t_edge, "pwm_edge", None, None, None, None)))
+        idx = latch_at_edge.get(t_edge)
+        if idx is not None:
+            latched_class = classes[idx]
+        elif latched_class is None:
             continue
-        for sid, servo in enumerate(bank.servos):
-            target = servo.target_for(latched_class, angles[sid])
-            if newly_latched or angles[sid] != target:
-                angles[sid] = angle = servo.step_toward(angles[sid], target)
-                events.append(TimelineEvent(t_edge, "angle_update", servo_id=sid,
-                                            class_name=latched_class, angle=angle))
-
-    order = {"frame": 0, "inference_done": 1, "pwm_edge": 2, "angle_update": 3}
-    events.sort(key=lambda e: (e.t_us, order[e.kind],
-                               -1 if e.servo_id is None else e.servo_id,
-                               -1 if e.frame_index is None else e.frame_index))
+        for sid, angle in enumerate(angles):
+            target = tabled[sid].get(latched_class)
+            if target is None:
+                target = servos[sid].target_for(latched_class, angle)
+            if idx is not None or angle != target:
+                # land on the target when it is within one step
+                step = steps[sid]
+                if abs(target - angle) <= step:
+                    angle = target
+                else:
+                    angle += step if target > angle else -step
+                angles[sid] = angle
+                append(new(Event, (t_edge, "angle_update", sid, latched_class,
+                                   angle, None)))
+    events += captures[emitted:]
     return ServoTimeline(events, latency_us, frame_latched_at, dropped)
 
 
-@dataclass
-class ReactionRecord:
+class ReactionRecord(NamedTuple):
     frame_index: int
     frame_t_us: int
     latched: bool
@@ -189,12 +240,12 @@ def reaction_latency(timeline: ServoTimeline) -> list[ReactionRecord]:
     """Per-frame time from capture to the first angle update reflecting it."""
     frame_times = {e.frame_index: e.t_us for e in timeline.events
                    if e.kind == "frame"}
+    latched_at = timeline.frame_latched_at
+    new, Record = tuple.__new__, ReactionRecord
     records = []
     for idx in sorted(frame_times):
         t = frame_times[idx]
-        if idx in timeline.frame_latched_at:
-            records.append(ReactionRecord(
-                idx, t, True, timeline.frame_latched_at[idx] - t))
-        else:
-            records.append(ReactionRecord(idx, t, False, None))
+        edge = latched_at.get(idx)
+        records.append(new(Record, (idx, t, edge is not None,
+                                    None if edge is None else edge - t)))
     return records

@@ -77,6 +77,15 @@ class TestInfer:
         assert code == 0
         assert "oracle agreement: 5/5" in out
 
+    @pytest.mark.parametrize("sigma", ["-5", "nan", "inf"])
+    def test_bad_noise_sigma_single_line_error(self, capsys, tmp_path, sigma):
+        img = tmp_path / "black.pgm"
+        write_gray_pgm(img, np.zeros((64, 64), dtype=np.uint8))
+        code, out, err = run_cli(capsys, "infer", "--images", str(img),
+                                 "--noise-sigma", sigma)
+        assert (code, out) == (1, "")
+        assert err == "error: noise sigma must be a finite number >= 0\n"
+
     def test_missing_weights_single_line_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "infer", "--weights",
                                  str(tmp_path / "nope.json"),
@@ -134,6 +143,21 @@ class TestLoopAndDump:
         header = (out / "timeline.csv").read_text().splitlines()[0]
         assert header == "t_us,event,servo_id,class,angle"
         assert (out / "reaction.csv").exists()
+
+    # 3e6 fps rounds the frame interval to 0 us, -5 makes it negative and
+    # 1e-320 makes it infinite
+    @pytest.mark.parametrize("fps", ["0", "-5", "nan", "3e6", "1e-320"])
+    def test_loop_rejects_fps_without_output(self, tmp_path, capsys,
+                                             dataset_dir, fps):
+        out = tmp_path / "loop"
+        code, stdout, err = run_cli(
+            capsys, "loop", "--frames", str(dataset_dir / "train_00000_rock.pgm"),
+            "--fps", fps, "--duration-us", "1000", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: --fps must give a finite frame interval of at " \
+                      f"least 1 us, got {float(fps):g}\n"
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_dump_writes_every_stage(self, tmp_path, capsys, weights_file,
                                      dataset_dir):

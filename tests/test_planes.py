@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,6 +320,11 @@ class TestGlobalSum:
         draws = np.random.default_rng(7).normal(0.0, 8.0, size=3)
         assert [noisy.global_sum_of("A") for _ in range(3)] == \
             [int(round(d)) for d in draws]
+
+    @pytest.mark.parametrize("sigma", [-5.0, math.nan, math.inf])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(PlaneError, match="finite number >= 0"):
+            NoiseModel("gaussian", sigma)
 
     def test_gaussian_noise_perturbs(self, geometry):
         p = np.zeros(geometry.shape, dtype=np.int32)

@@ -1,13 +1,15 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scampsim import servo
 from scampsim.lowering import LoweringError, lower_model, make_input_state
-from scampsim.model import argmax, random_model, reference_infer
+from scampsim.model import BnnModel, argmax, random_model, reference_infer
 from scampsim.planes import NoiseModel
 from scampsim.program import CostModel, execute
 from scampsim.servo import (DEFAULT_CLASS_ANGLES, MAX_SERVOS, PWM_PERIOD_US,
@@ -138,12 +140,17 @@ class TestFrameCache:
         with pytest.raises(LoweringError, match=error):
             run_loop([(0, x), (10, recast(x))], program, cost_121, bank(), 10_000)
 
+    # a fresh copy per frame misses the identity memo and must still hit the
+    # content cache
+    @pytest.mark.parametrize("fresh", [False, True],
+                             ids=["pool-objects-reused", "fresh-copy-per-frame"])
     def test_noisy_frames_execute_once_per_distinct_frame(
-            self, program, cost_121, model, monkeypatch, rng):
+            self, program, cost_121, model, monkeypatch, rng, fresh):
         noise = NoiseModel("gaussian", 50.0, 3)
         pool = [one_frame(rng), one_frame(rng)]
         picks = rng.integers(0, 2, size=20)
-        frames = [(i * 1000, pool[p]) for i, p in enumerate(picks)]
+        frames = [(i * 1000, pool[p].copy() if fresh else pool[p])
+                  for i, p in enumerate(picks)]
         calls = []
 
         def counting_execute(*args, **kwargs):
@@ -158,8 +165,9 @@ class TestFrameCache:
         for _, x in frames:
             _, sums = execute(program, make_input_state(x, noise=noise))
             classes.append(model.class_names[argmax(sums)])
-        csv, _ = reference_loop([t for t, _ in frames], classes, [600.0], 30_000)
-        assert tl.to_csv() == csv
+        expected, _ = reference_loop([t for t, _ in frames], classes, [600.0],
+                                     30_000)
+        assert tl.to_csv() == expected
 
 
 class TestReactionLatency:
@@ -210,17 +218,20 @@ class TestClassAngles:
 LATENCY_US = 121  # what cost_121 gives the program
 
 
-def reference_loop(frame_times, classes, slews, duration_us):
+def reference_loop(frame_times, classes, slews, duration_us, tables=None):
     """The loop stepped PWM edge by edge in plain Python.
 
     Frame i, captured at frame_times[i], completes LATENCY_US later with class
     classes[i]. Each edge latches the last frame completing in the period
-    before it; servo s then slews toward the class angle at slews[s] deg/s.
+    before it; servo s then slews toward the class angle in tables[s] (the
+    default table when tables is None), clamped to 0..180 degrees, at
+    slews[s] deg/s, and holds its angle for a class outside its table.
     Returns the timeline CSV and the reaction records run_loop must give.
     """
     period = PWM_PERIOD_US
     n = len(frame_times)
     done = [t + LATENCY_US for t in frame_times]
+    tables = tables or [DEFAULT_CLASS_ANGLES] * len(slews)
     lines = ["t_us,event,servo_id,class,angle"]
     next_frame = next_done = 0
 
@@ -253,8 +264,11 @@ def reference_loop(frame_times, classes, slews, duration_us):
             command = classes[ready[-1]]
             latched_at[ready[-1]] = t_edge
         if command is not None:
-            target = DEFAULT_CLASS_ANGLES[command]
-            for sid, slew in enumerate(slews):
+            for sid, (slew, table) in enumerate(zip(slews, tables)):
+                if command in table:
+                    target = min(max(table[command], 0.0), 180.0)
+                else:
+                    target = angles[sid]
                 step = slew * PWM_PERIOD_US / 1e6
                 if not ready and angles[sid] == target:
                     continue
@@ -299,20 +313,38 @@ def loops(draw):
                           max_size=len(times)))
     slews = draw(st.lists(st.floats(0.0, 2000.0, exclude_min=True),
                           min_size=1, max_size=MAX_SERVOS))
-    return duration, times, picks, slews
+    # each servo's own table: any subset of the class names, with angles
+    # past both ends of the pulse range
+    tables = [draw(st.dictionaries(st.sampled_from(sorted(DEFAULT_CLASS_ANGLES)),
+                                   st.floats(-90.0, 270.0)))
+              for _ in slews]
+    return duration, times, picks, slews, tables
 
 
 class TestAgainstReference:
     @given(case=loops())
     @settings(max_examples=200, deadline=None)
+    # a frame captured on an edge; a frame captured as the one before it
+    # completes; two frames sharing one timestamp; a servo holding, for a
+    # class outside its table, an angle the pulse map does not round-trip; a
+    # step that lands on a target which angle + (target - angle) misses
+    @example(case=(7000, [PWM_PERIOD_US], [1], [600.0], [DEFAULT_CLASS_ANGLES]))
+    @example(case=(7000, [100, 100 + LATENCY_US], [0, 2], [600.0],
+                   [DEFAULT_CLASS_ANGLES]))
+    @example(case=(7000, [500, 500], [2, 0], [600.0, 30.0],
+                   [DEFAULT_CLASS_ANGLES, {"rock": 45.0}]))
+    @example(case=(15_000, [0, 3100], [0, 1], [600.0], [{"rock": 90.0}]))
+    @example(case=(15_000, [0, 3100], [2, 0], [100_000.0],
+                   [{"scissors": 180.0, "rock": 1e-17}]))
     def test_run_loop_matches_reference(self, rig, case):
-        duration, times, picks, slews = case
+        duration, times, picks, slews, tables = case
         frames = [(t, rig.pool[p]) for t, p in zip(times, picks)]
-        servos = ServoBank([ServoModel(slew_limit_deg_per_s=s) for s in slews])
+        servos = ServoBank([ServoModel(dict(table), s)
+                            for s, table in zip(slews, tables)])
         tl = run_loop(frames, rig.program, rig.cost, servos, duration)
-        csv, records = reference_loop(
-            times, [rig.names[p] for p in picks], slews, duration)
-        assert tl.to_csv() == csv
+        expected, records = reference_loop(
+            times, [rig.names[p] for p in picks], slews, duration, tables)
+        assert tl.to_csv() == expected
         assert reaction_latency(tl) == records
 
         # a latch comes strictly after completion, at most one period later
@@ -323,7 +355,8 @@ class TestAgainstReference:
         for idx, edge in tl.frame_latched_at.items():
             assert not any(edge - PWM_PERIOD_US <= done[j] < edge
                            for j in range(idx + 1, len(times)))
-        # updates only on edges, each within the servo's slew step
+        # updates only on edges, each within the servo's slew step; a class
+        # outside the servo's table leaves its angle exactly where it was
         edges = {e.t_us for e in tl.events if e.kind == "pwm_edge"}
         angles = [0.0] * len(slews)
         for e in tl.events:
@@ -331,4 +364,31 @@ class TestAgainstReference:
                 assert e.t_us in edges and e.t_us % PWM_PERIOD_US == 0
                 step = slews[e.servo_id] * PWM_PERIOD_US / 1e6
                 assert abs(e.angle - angles[e.servo_id]) <= step + 1e-9
+                if e.class_name not in tables[e.servo_id]:
+                    assert e.angle == angles[e.servo_id]
                 angles[e.servo_id] = e.angle
+
+
+class TestCsvQuoting:
+    def test_class_names_quoted_as_csv_writer_does(self, model, cost_121):
+        names = ("a,b", 'say"hi', "plain")
+        quirky = BnnModel(model.kernels, model.fc_weights, names, model.geometry)
+        program, _ = lower_model(quirky)
+        pool = Rig(quirky, program, cost_121).pool
+        frames = [(i * 1000, pool[i % len(pool)]) for i in range(9)]
+        servos = ServoBank([ServoModel({n: 90.0 for n in names})])
+        tl = run_loop(frames, program, cost_121, servos, 20_000)
+
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["t_us", "event", "servo_id", "class", "angle"])
+        for e in tl.events:
+            w.writerow([e.t_us, e.kind,
+                        "" if e.servo_id is None else e.servo_id,
+                        "" if e.class_name is None else e.class_name,
+                        "" if e.angle is None else f"{e.angle:.4f}"])
+        text = tl.to_csv()
+        assert text == buf.getvalue()
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert [r[3] for r in rows] == [e.class_name or "" for e in tl.events]
+        assert set(names) <= {r[3] for r in rows}
