@@ -42,13 +42,6 @@ def _load_cost(args) -> CostModel:
     return CostModel.from_json(text)
 
 
-def _noise(args) -> NoiseModel:
-    # any nonzero sigma, NaN included, goes through NoiseModel's check
-    if args.noise_sigma != 0:
-        return NoiseModel("gaussian", args.noise_sigma, args.seed)
-    return NoiseModel()
-
-
 def _iter_input_images(path, block_size: int):
     """Yield (name, block-sized binary image) from a PGM file or a directory."""
     if os.path.isdir(path):
@@ -80,10 +73,10 @@ def cmd_train(args):
     config = training.TrainConfig(seed=args.seed, learning_rate=args.lr,
                                   epochs=args.epochs, batch_size=args.batch_size)
     model, tlog = training.train(data, config)
+    best = tlog.records[tlog.best_epoch]
     os.makedirs(args.out, exist_ok=True)
     pnm.atomic_write(os.path.join(args.out, "weights.json"), save_weights(model))
     pnm.atomic_write(os.path.join(args.out, "log.csv"), tlog.to_csv())
-    best = tlog.records[tlog.best_epoch]
     print(f"best epoch {best.epoch}: train_acc={best.train_acc:.4f} "
           f"test_acc={best.test_acc:.4f}")
 
@@ -100,7 +93,7 @@ def cmd_lower(args):
 def cmd_infer(args):
     model = _load_weights(args)
     program, _ = lowering.lower_model(model)
-    noise = _noise(args)
+    noise = NoiseModel(args.noise_sigma, args.seed)
     agree = 0
     total = 0
     for name, img in _iter_input_images(args.images, model.geometry.block_size):
@@ -149,7 +142,8 @@ def cmd_loop(args):
         i += 1
     bank = servo.ServoBank([servo.ServoModel() for _ in range(args.servos)])
     timeline = servo.run_loop(frames, program, cost, bank, args.duration_us,
-                              args.mode, _noise(args), geometry=model.geometry)
+                              args.mode, NoiseModel(args.noise_sigma, args.seed),
+                              geometry=model.geometry)
     os.makedirs(args.out, exist_ok=True)
     pnm.atomic_write(os.path.join(args.out, "timeline.csv"), timeline.to_csv())
     records = servo.reaction_latency(timeline)
@@ -168,7 +162,8 @@ def cmd_dump(args):
     model = _load_weights(args)
     program, plan = lowering.lower_model(model)
     (_, img), = _iter_input_images(args.image, model.geometry.block_size)
-    state = lowering.make_input_state(img, model.geometry, args.mode, _noise(args))
+    state = lowering.make_input_state(img, model.geometry, args.mode,
+                                      NoiseModel(args.noise_sigma, args.seed))
     os.makedirs(args.out, exist_ok=True)
 
     stage_end = {end - 1: name for name, (_, end) in plan.stage_ranges.items()}
@@ -183,12 +178,12 @@ def cmd_dump(args):
             name = f"fc_class_{program.sum_labels[fc_index[0]]}"
             fc_index[0] += 1
             pnm.atomic_write(os.path.join(args.out, f"{name}.pgm"),
-                             pnm.encode_pgm(st.areg(fc_reg), st.mode))
+                             pnm.encode_pgm(st.analog[fc_reg], st.mode))
         if idx in stage_end:
             stage = stage_end[idx]
             if stage in stage_reg:
                 pnm.atomic_write(os.path.join(args.out, f"post_{stage}.pgm"),
-                                 pnm.encode_pgm(st.areg(stage_reg[stage]), st.mode))
+                                 pnm.encode_pgm(st.analog[stage_reg[stage]], st.mode))
 
     _, sums = execute(program, state, on_instruction=snap)
     pnm.write_gray_pgm(

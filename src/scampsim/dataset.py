@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,22 +33,11 @@ class JitterParams:
     scale: float = 0.15
     boundary_flip: float = 0.02
 
-    @classmethod
-    def none(cls) -> "JitterParams":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
-    def to_dict(self) -> dict:
-        return {"rotation_deg": self.rotation_deg,
-                "translation_px": self.translation_px,
-                "scale": self.scale,
-                "boundary_flip": self.boundary_flip}
-
 
 @dataclass
 class GestureSample:
     image: np.ndarray            # binary 64x64 uint8
     label: int
-    source: str
 
     def __post_init__(self):
         self.image = np.asarray(self.image)
@@ -68,13 +57,6 @@ class DatasetSplit:
     test: list[GestureSample]
     seed: int | None = None
     params: JitterParams | None = None
-
-    def class_counts(self, split: str = "train") -> list[int]:
-        samples = self.train if split == "train" else self.test
-        counts = [0] * len(CLASS_NAMES)
-        for s in samples:
-            counts[s.label] += 1
-        return counts
 
 
 # -- shape prototypes ----------------------------------------------------
@@ -121,7 +103,7 @@ def _boundary_pixels(img: np.ndarray) -> np.ndarray:
 
 
 def _jittered_sample(label: int, params: JitterParams,
-                     rng: np.random.Generator, source: str) -> GestureSample:
+                     rng: np.random.Generator) -> GestureSample:
     rot = rng.uniform(-params.rotation_deg, params.rotation_deg) \
         if params.rotation_deg else 0.0
     tx = rng.uniform(-params.translation_px, params.translation_px) \
@@ -134,7 +116,7 @@ def _jittered_sample(label: int, params: JitterParams,
         boundary = _boundary_pixels(img)
         flips = (rng.random(img.shape) < params.boundary_flip) & boundary
         img = img ^ flips.astype(np.uint8)
-    return GestureSample(img, label, source)
+    return GestureSample(img, label)
 
 
 def generate(seed: int, n_train_per_class: int, n_test_per_class: int = 0,
@@ -147,12 +129,10 @@ def generate(seed: int, n_train_per_class: int, n_test_per_class: int = 0,
     train: list[GestureSample] = []
     test: list[GestureSample] = []
     for label in range(len(CLASS_NAMES)):
-        for i in range(n_train_per_class):
-            train.append(_jittered_sample(
-                label, params, rng, f"synthetic(seed={seed},split=train,i={i})"))
-        for i in range(n_test_per_class):
-            test.append(_jittered_sample(
-                label, params, rng, f"synthetic(seed={seed},split=test,i={i})"))
+        for _ in range(n_train_per_class):
+            train.append(_jittered_sample(label, params, rng))
+        for _ in range(n_test_per_class):
+            test.append(_jittered_sample(label, params, rng))
     return DatasetSplit(train, test, seed, params)
 
 
@@ -170,7 +150,7 @@ def export_dataset(split: DatasetSplit, directory):
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "seed": split.seed,
-        "params": split.params.to_dict() if split.params else None,
+        "params": asdict(split.params) if split.params else None,
         "classes": list(CLASS_NAMES),
         "train": [],
         "test": [],
@@ -198,7 +178,7 @@ def load_dataset(directory) -> DatasetSplit:
         for entry in manifest[split_name]:
             img = read_pgm(os.path.join(directory, entry["file"]))
             samples.append(GestureSample((img > 127).astype(np.uint8),
-                                         entry["label"], f"file({entry['file']})"))
+                                         entry["label"]))
         splits[split_name] = samples
     params = JitterParams(**manifest["params"]) if manifest.get("params") else None
     return DatasetSplit(splits["train"], splits["test"], manifest.get("seed"), params)

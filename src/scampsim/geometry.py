@@ -47,13 +47,3 @@ class PlaneGeometry:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.height, self.width)
-
-    def block_origin(self, b: int) -> tuple[int, int]:
-        """Top-left (row, col) of block b."""
-        if not 0 <= b < self.num_blocks:
-            raise GeometryError(f"block index {b} out of range 0..{self.num_blocks - 1}")
-        return (b // self.block_grid) * self.block_size, (b % self.block_grid) * self.block_size
-
-    def block_slices(self, b: int) -> tuple[slice, slice]:
-        r0, c0 = self.block_origin(b)
-        return slice(r0, r0 + self.block_size), slice(c0, c0 + self.block_size)

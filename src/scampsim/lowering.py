@@ -109,7 +109,7 @@ def make_input_state(image: np.ndarray, geometry: PlaneGeometry | None = None,
     if not is_binary(image):
         raise LoweringError("input image must be strictly binary")
     state = ArrayState(geometry, mode=mode, noise=noise)
-    state.areg(REG_INPUT)[:bs, :bs] = image
+    state.analog[REG_INPUT][:bs, :bs] = image
     return state
 
 

@@ -173,24 +173,16 @@ class ClassScores:
         return self.class_names[self.predicted]
 
 
-def reference_infer(model: BnnModel, x: np.ndarray,
-                    return_intermediates: bool = False):
-    """Dense oracle inference over one binary input image.
-
-    Returns ClassScores; with return_intermediates, also a dict of the int64
-    post-conv, post-ReLU and post-pool tensors, each (num_blocks, ...).
-    """
+def reference_infer(model: BnnModel, x: np.ndarray) -> ClassScores:
+    """Dense oracle inference over one binary input image."""
     x, bs = np.asarray(x), model.geometry.block_size
     if x.shape != (bs, bs):
         raise ModelError(f"input must be {bs}x{bs}, got {x.shape}")
     if not is_binary(x):
         raise ModelError("input image must be strictly binary")
-    sums, inter = dense_forward(model.kernels, model.fc_weights, x[None])
-    sums = sums[0].tolist()
-    scores = ClassScores(sums, argmax(sums), tuple(model.class_names))
-    if return_intermediates:
-        return scores, {name: t[0].astype(np.int64) for name, t in inter.items()}
-    return scores
+    scores, _ = dense_forward(model.kernels, model.fc_weights, x[None])
+    sums = scores[0].tolist()
+    return ClassScores(sums, argmax(sums), tuple(model.class_names))
 
 
 def batch_predict(model: BnnModel, xs: np.ndarray,
@@ -226,15 +218,22 @@ def load_weights(text: str) -> BnnModel:
                 "kernels", "fc"):
         if fld not in doc:
             raise ModelError(f"weights document missing field {fld!r}")
+    for fld in ("version", "k", "block_size", "block_grid"):
+        # bool is an int subclass, and int() would truncate 64.9 or parse "4"
+        if not isinstance(doc[fld], int) or isinstance(doc[fld], bool):
+            raise ModelError(f"field {fld!r} must be an integer, got {doc[fld]!r}")
+    classes = doc["classes"]
+    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+        raise ModelError(f"field 'classes' must be a list of strings, got {classes!r}")
     if doc["version"] != WEIGHTS_VERSION:
         raise ModelError(
             f"weights version {doc['version']} unsupported (expected {WEIGHTS_VERSION})"
         )
-    grid, bsize = int(doc["block_grid"]), int(doc["block_size"])
+    grid, bsize = doc["block_grid"], doc["block_size"]
     geometry = PlaneGeometry(grid * bsize, grid * bsize, grid, bsize)
     kernels = _rectangular(doc["kernels"], "kernels")
     fc = _rectangular(doc["fc"], "fc")
-    k = int(doc["k"])
+    k = doc["k"]
     if kernels.shape != (geometry.num_blocks, k, k):
         raise ModelError(
             f"field 'kernels': expected shape ({geometry.num_blocks}, {k}, {k}), "
@@ -246,7 +245,7 @@ def load_weights(text: str) -> BnnModel:
             f"field 'fc': expected shape (classes, {geometry.num_blocks}, {ps}, {ps}), "
             f"got {fc.shape}"
         )
-    return BnnModel(kernels, fc, tuple(doc["classes"]), geometry)
+    return BnnModel(kernels, fc, tuple(classes), geometry)
 
 
 def load_weights_file(path) -> BnnModel:

@@ -11,7 +11,7 @@ elementwise arithmetic with optional digital masking, neighbour shifts,
 thresholding, bit logic, pattern writes and the global summation.
 The ops trust their operands, which a program.Instruction checked when it
 was built (and program.validate checked each pattern's shape against the
-state); only `areg` and `dreg` reject an unknown register name.
+state), and read the `analog` and `digital` dicts directly.
 
 Every analog operation writes into its destination plane in place; a masked
 write computes into one scratch plane owned by the state, so no analog
@@ -29,7 +29,7 @@ D-registers are read-only arrays that operations rebind rather than write
 into: `pattern` binds the pattern bits themselves (a program's patterns are
 read-only, so nothing is copied), `thresh` and `logic` bind the fresh result
 of their ufunc. As with `widen()`, a reference taken to a D-register before
-an operation does not see its result; read it through `dreg()` afterwards.
+an operation does not see its result; read `digital[name]` afterwards.
 """
 
 from __future__ import annotations
@@ -70,38 +70,26 @@ SHIFT_OFFSETS = {
 LOGIC_UFUNCS = {"and": np.logical_and, "or": np.logical_or, "xor": np.logical_xor}
 
 
-class RegisterError(KeyError):
-    """Unknown register name."""
-
-
 class PlaneError(ValueError):
-    """Unknown analog mode or noise model."""
+    """Unknown analog mode or a bad noise sigma."""
 
 
 @dataclass
 class NoiseModel:
     """Additive noise applied at the global summation only.
 
-    kind="none" keeps every operation bit-deterministic; kind="gaussian"
-    adds an integer-rounded N(0, sigma^2) draw to each global sum. The RNG
-    stream lives in the owning ArrayState so a fixed seed gives a fixed
-    sequence of draws regardless of threading elsewhere.
+    sigma 0 keeps every operation bit-deterministic and draws nothing; any
+    other sigma adds an integer-rounded N(0, sigma^2) draw to each global
+    sum. The RNG stream lives in the owning ArrayState so a fixed seed gives
+    a fixed sequence of draws regardless of threading elsewhere.
     """
 
-    kind: str = "none"
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian"):
-            raise PlaneError(f"unknown noise kind {self.kind!r}")
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise PlaneError("noise sigma must be a finite number >= 0")
-
-    @property
-    def draws(self) -> bool:
-        """Whether a global sum draws from the RNG stream at all."""
-        return self.kind != "none" and self.sigma != 0
 
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -116,7 +104,7 @@ def global_sum(values: np.ndarray, noise: NoiseModel | None = None,
     program executor) pass their own stream.
     """
     exact = int(values.sum(dtype=np.int64))
-    if noise is None or not noise.draws:
+    if noise is None or noise.sigma == 0:
         return exact
     if rng is None:
         rng = noise.make_rng()
@@ -139,11 +127,11 @@ class ArrayState:
     in saturating mode every analog write clamps to [SAT_MIN, SAT_MAX] and
     `limit` is the largest magnitude a plane can hold; in ideal mode `limit`
     is None. The digital planes are read-only: every op that sets a
-    D-register binds a new array to it, so `dreg()` after the op reads the
-    result and a plane taken before it keeps the old bits. Mutated by exactly
-    one logical thread at a time; the noise RNG stream is owned by the state,
-    built on the first global sum that draws noise, so concurrent states
-    never perturb each other.
+    D-register binds a new array to it, so `digital[name]` after the op
+    reads the result and a plane taken before it keeps the old bits.
+    Mutated by exactly one logical thread at a time; the noise RNG stream is
+    owned by the state, built on the first global sum that draws noise, so
+    concurrent states never perturb each other.
     """
 
     def __init__(self, geometry: PlaneGeometry | None = None,
@@ -182,20 +170,6 @@ class ArrayState:
         if self.dtype != WIDE_DTYPE:
             self._bind(self._block.astype(WIDE_DTYPE))
 
-    # -- register access -------------------------------------------------
-
-    def areg(self, name: str) -> np.ndarray:
-        try:
-            return self.analog[name]
-        except KeyError:
-            raise RegisterError(f"unknown analog register {name!r}") from None
-
-    def dreg(self, name: str) -> np.ndarray:
-        try:
-            return self.digital[name]
-        except KeyError:
-            raise RegisterError(f"unknown digital register {name!r}") from None
-
     def saturate(self, values: np.ndarray):
         """Clamp `values` in place to the saturating range; no-op in ideal mode."""
         if self.limit is not None:
@@ -208,13 +182,13 @@ class ArrayState:
         the scratch plane t, which blends in as dst += m * (t - dst): exact
         in the planes' wrapping arithmetic even where t - dst itself wraps.
         """
-        out = self.areg(dst)
-        args = [self.areg(s) for s in srcs]
+        out = self.analog[dst]
+        args = [self.analog[s] for s in srcs]
         if mask is None:
             ufunc(*args, out=out)
             self.saturate(out)
             return
-        m = self.dreg(mask)
+        m = self.digital[mask]
         t = self._scratch
         ufunc(*args, out=t)
         self.saturate(t)
@@ -231,9 +205,9 @@ class ArrayState:
         accumulating would also clamp an unmasked pixel that holds a value
         out of range, which the blend keeps.
         """
-        out = self.areg(dst)
+        out = self.analog[dst]
         t = self._scratch
-        np.multiply(self.areg(other), self.dreg(mask), out=t)
+        np.multiply(self.analog[other], self.digital[mask], out=t)
         ufunc(out, t, out=out)
 
     # -- analog ops ------------------------------------------------------
@@ -265,8 +239,8 @@ class ArrayState:
         Shifts cross block boundaries: the neighbour network is a property of
         the physical array, not of the logical block tiling. dst may be src.
         """
-        src_vals = self.areg(src)
-        out = self.areg(dst)
+        src_vals = self.analog[src]
+        out = self.analog[dst]
         dr, dc = SHIFT_OFFSETS[direction]
         dr *= steps
         dc *= steps
@@ -284,18 +258,18 @@ class ArrayState:
         self.saturate(out)
 
     def threshold_into(self, dst: str, src: str, t: int):
-        self.digital[dst] = _read_only(np.greater(self.areg(src), t))
+        self.digital[dst] = _read_only(np.greater(self.analog[src], t))
 
     def global_sum_of(self, src: str) -> int:
-        if self.rng is None and self.noise.draws:
+        if self.rng is None and self.noise.sigma != 0:
             self.rng = self.noise.make_rng()
-        return global_sum(self.areg(src), self.noise, self.rng)
+        return global_sum(self.analog[src], self.noise, self.rng)
 
     # -- digital ops -----------------------------------------------------
 
     def dreg_logic(self, dst: str, op: str, a: str, b: str | None = None):
-        av = self.dreg(a)
-        bits = np.logical_not(av) if op == "not" else LOGIC_UFUNCS[op](av, self.dreg(b))
+        av = self.digital[a]
+        bits = np.logical_not(av) if op == "not" else LOGIC_UFUNCS[op](av, self.digital[b])
         self.digital[dst] = _read_only(bits)
 
     def write_pattern(self, dst: str, pattern: np.ndarray):
@@ -306,19 +280,3 @@ class ArrayState:
             pattern = _read_only(pattern.astype(bool))
         self.digital[dst] = pattern
 
-    # -- snapshots -------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Deep copy of all plane contents, for bit-identity checks."""
-        return {
-            "analog": {n: p.copy() for n, p in self.analog.items()},
-            "digital": {n: p.copy() for n, p in self.digital.items()},
-        }
-
-    def equals_snapshot(self, snap: dict) -> bool:
-        return (
-            all(np.array_equal(self.analog[n], v)
-                for n, v in snap["analog"].items())
-            and all(np.array_equal(self.digital[n], v)
-                    for n, v in snap["digital"].items())
-        )

@@ -6,14 +6,18 @@ of the one PWM period, PWM_PERIOD_US, strictly after inference completes
 (last writer wins within a period). At every edge each servo's angle slews
 toward the latched target, bounded by that servo's slew limit. A ServoModel
 is configuration only: run_loop owns the angles, all starting at 0 degrees.
-Time is integer microseconds throughout.
+A servo heads for a class's table angle clamped to 0..180 degrees, and holds
+its angle for a class outside its table. Time is integer microseconds
+throughout.
 
 run_loop classifies each distinct frame once per call: a memo keyed by the
 frame object's identity sits in front of a cache keyed by the frame's shape,
 dtype and bytes. It then emits the timeline already in order, with no sort:
 the frame and inference_done events up to each edge (frames first on ties),
 the edge, and the edge's angle updates by servo id. Events and reaction
-records are immutable named tuples, TimelineEvent and ReactionRecord.
+records are immutable named tuples, TimelineEvent and ReactionRecord. The
+timeline keeps each frame's capture time, so reaction_latency reads them
+without scanning the events.
 """
 
 from __future__ import annotations
@@ -35,9 +39,6 @@ from .program import CostModel, PpaProgram, estimate, execute
 PWM_PERIOD_US = 3003          # closest integer microseconds to 1/333 Hz
 MAX_SERVOS = 5
 
-PULSE_MIN_US = 1000.0         # maps to 0 degrees
-PULSE_MAX_US = 2000.0         # maps to 180 degrees
-
 DEFAULT_CLASS_ANGLES = {"rock": 0.0, "paper": 90.0, "scissors": 180.0}
 
 
@@ -45,30 +46,11 @@ class ServoError(ValueError):
     pass
 
 
-def pulse_width_us(angle_deg: float) -> float:
-    """Affine map 0..180 deg -> 1000..2000 us, clamped to the valid range."""
-    w = PULSE_MIN_US + (PULSE_MAX_US - PULSE_MIN_US) * angle_deg / 180.0
-    return min(max(w, PULSE_MIN_US), PULSE_MAX_US)
-
-
-def angle_from_pulse(width_us: float) -> float:
-    return 180.0 * (width_us - PULSE_MIN_US) / (PULSE_MAX_US - PULSE_MIN_US)
-
-
 @dataclass
 class ServoModel:
     class_angles: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_CLASS_ANGLES))
     slew_limit_deg_per_s: float = 600.0
-
-    def target_for(self, class_name: str, angle: float) -> float:
-        """Where the servo heads for a class from `angle`: the class's table
-        angle clamped to the pulse range (what pulse_width_us commands, taken
-        exactly rather than through an inexact round trip), or, for a class
-        outside the table, `angle` itself."""
-        if class_name not in self.class_angles:
-            return angle
-        return min(max(self.class_angles[class_name], 0.0), 180.0)
 
     @property
     def max_step_deg(self) -> float:
@@ -111,6 +93,7 @@ class ServoTimeline:
     inference_latency_us: int
     frame_latched_at: dict[int, int]      # frame index -> latch edge time
     dropped_frames: list[int]
+    frame_times: list[int]                # capture time of each frame, by index
 
     def to_csv(self) -> str:
         events = self.events
@@ -129,6 +112,8 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
              geometry: PlaneGeometry | None = None) -> ServoTimeline:
     """Simulate `duration_us` of the loop over timestamped binary frames,
     each one block of `geometry` (default: PlaneGeometry())."""
+    if duration_us < 0:
+        raise ServoError(f"duration must be >= 0 us, got {duration_us}")
     times = [t for t, _ in frames]
     if any(a > b for a, b in zip(times, times[1:])):
         raise ServoError("frame timestamps must be nondecreasing")
@@ -194,8 +179,8 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
     # updates, which go by servo id; the captures after the last edge close.
     servos = bank.servos
     steps = [s.max_step_deg for s in servos]
-    # a tabled class's target does not depend on the angle the servo is at
-    tabled = [{c: s.target_for(c, 0.0) for c in s.class_angles} for s in servos]
+    tabled = [{c: min(max(a, 0.0), 180.0) for c, a in s.class_angles.items()}
+              for s in servos]
     angles = [0.0] * len(servos)
     events: list[TimelineEvent] = []
     append = events.append
@@ -212,9 +197,7 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
         elif latched_class is None:
             continue
         for sid, angle in enumerate(angles):
-            target = tabled[sid].get(latched_class)
-            if target is None:
-                target = servos[sid].target_for(latched_class, angle)
+            target = tabled[sid].get(latched_class, angle)
             if idx is not None or angle != target:
                 # land on the target when it is within one step
                 step = steps[sid]
@@ -226,7 +209,7 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
                 append(new(Event, (t_edge, "angle_update", sid, latched_class,
                                    angle, None)))
     events += captures[emitted:]
-    return ServoTimeline(events, latency_us, frame_latched_at, dropped)
+    return ServoTimeline(events, latency_us, frame_latched_at, dropped, times)
 
 
 class ReactionRecord(NamedTuple):
@@ -238,13 +221,10 @@ class ReactionRecord(NamedTuple):
 
 def reaction_latency(timeline: ServoTimeline) -> list[ReactionRecord]:
     """Per-frame time from capture to the first angle update reflecting it."""
-    frame_times = {e.frame_index: e.t_us for e in timeline.events
-                   if e.kind == "frame"}
     latched_at = timeline.frame_latched_at
     new, Record = tuple.__new__, ReactionRecord
     records = []
-    for idx in sorted(frame_times):
-        t = frame_times[idx]
+    for idx, t in enumerate(timeline.frame_times):
         edge = latched_at.get(idx)
         records.append(new(Record, (idx, t, edge is not None,
                                     None if edge is None else edge - t)))

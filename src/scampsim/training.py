@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,9 @@ import numpy as np
 from .dataset import CLASS_NAMES, DatasetSplit, images_labels
 from .geometry import PlaneGeometry
 from .model import BnnModel, batch_predict, dense_forward, fallback_class_names
+
+
+K = 4  # kernel side of every trained model
 
 
 class TrainingError(ValueError):
@@ -31,7 +35,15 @@ class TrainConfig:
     learning_rate: float = 1000.0   # scores are pre-scaled by 1/16384
     epochs: int = 12
     batch_size: int = 32
-    k: int = 4
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise TrainingError(f"batch size must be >= 1, got {self.batch_size}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise TrainingError(f"learning rate must be a finite number >= 0, "
+                                f"got {self.learning_rate}")
 
 
 @dataclass
@@ -75,7 +87,7 @@ class LatentModel:
         geometry = PlaneGeometry()
         rng = np.random.default_rng(config.seed)
         nb, ps = geometry.num_blocks, geometry.block_size // 2
-        kernels = rng.uniform(-1, 1, size=(nb, config.k, config.k))
+        kernels = rng.uniform(-1, 1, size=(nb, K, K))
         fc = rng.uniform(-1, 1, size=(num_classes, nb, ps, ps))
         return cls(kernels, fc, geometry, fallback_class_names(num_classes))
 

@@ -14,5 +14,12 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def random_binary(rng, side=64):
-    return rng.integers(0, 2, size=(side, side)).astype(np.uint8)
+def snapshot(state) -> dict:
+    """A copy of every plane of an ArrayState, by register name."""
+    return {name: plane.copy()
+            for name, plane in (*state.analog.items(), *state.digital.items())}
+
+
+def same_planes(a: dict, b: dict) -> bool:
+    """Whether two snapshots hold the same registers with equal values."""
+    return a.keys() == b.keys() and all(np.array_equal(a[n], b[n]) for n in a)

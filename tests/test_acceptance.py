@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import same_planes, snapshot
 
 from scampsim.dataset import generate, images_labels
 from scampsim.lowering import lower_model, make_input_state
@@ -177,8 +178,7 @@ def test_criterion_6_noise_robustness(trained, synthetic_data):
     for sigma in sigmas:
         accs = []
         for seed in range(10):
-            noise = (NoiseModel() if sigma == 0
-                     else NoiseModel("gaussian", float(sigma), seed))
+            noise = NoiseModel(float(sigma), seed)
             preds = []
             for x in xs:
                 state = make_input_state(x, model.geometry, noise=noise)
@@ -224,7 +224,7 @@ def test_criterion_7_determinism_suite(tmp_path):
     s2 = make_input_state(x)
     _, sums1 = execute(p1, s1)
     _, sums2 = execute(p2, s2)
-    ok &= sums1 == sums2 and s1.equals_snapshot(s2.snapshot())
+    ok &= sums1 == sums2 and same_planes(snapshot(s1), snapshot(s2))
 
     cost = CostModel({op: 1.0 for op in {i.opcode for i in p1.instructions}})
     bank = ServoBank([ServoModel()])

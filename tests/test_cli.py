@@ -109,6 +109,40 @@ def test_lower_rejects_non_power_of_two_grid_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lower_rejects_mistyped_weights_without_output(tmp_path, capsys):
+    parsed = json.loads(save_weights(random_model(1)))
+    parsed["classes"] = "abc"
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(parsed))
+    out = tmp_path / "low"
+    code, stdout, err = run_cli(capsys, "lower", "--weights", str(weights),
+                                "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "error: field 'classes' must be a list of strings, got 'abc'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value, error", [
+    pytest.param("--epochs", "0", "epochs must be >= 1, got 0", id="epochs-0"),
+    pytest.param("--batch-size", "0", "batch size must be >= 1, got 0",
+                 id="batch-size-0"),
+    pytest.param("--lr", "nan", "learning rate must be a finite number >= 0, got nan",
+                 id="lr-nan"),
+    pytest.param("--lr", "inf", "learning rate must be a finite number >= 0, got inf",
+                 id="lr-inf"),
+    pytest.param("--lr", "-1", "learning rate must be a finite number >= 0, got -1.0",
+                 id="lr-negative"),
+])
+def test_train_rejects_bad_settings_without_output(tmp_path, capsys, dataset_dir,
+                                                   option, value, error):
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(capsys, "train", "--dataset", str(dataset_dir),
+                                option, value, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {error}\n"
+    assert not out.exists()
+
+
 class TestReproducibility:
     def test_gen_outputs_byte_identical(self, tmp_path, capsys):
         for d in ("one", "two"):
@@ -157,6 +191,16 @@ class TestLoopAndDump:
         assert err == f"error: --fps must give a finite frame interval of at " \
                       f"least 1 us, got {float(fps):g}\n"
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_loop_rejects_negative_duration_without_output(self, tmp_path, capsys,
+                                                           dataset_dir):
+        out = tmp_path / "loop"
+        code, stdout, err = run_cli(
+            capsys, "loop", "--frames", str(dataset_dir / "train_00000_rock.pgm"),
+            "--duration-us", "-5", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "error: duration must be >= 0 us, got -5\n"
         assert not out.exists()
 
     def test_dump_writes_every_stage(self, tmp_path, capsys, weights_file,

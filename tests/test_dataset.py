@@ -29,14 +29,14 @@ class TestGenerate:
         assert dataset_bytes(generate(1, 10)) != dataset_bytes(generate(2, 10))
 
     def test_zero_jitter_reproduces_prototypes(self):
-        split = generate(0, 3, params=JitterParams.none())
+        split = generate(0, 3, params=JitterParams(0.0, 0.0, 0.0, 0.0))
         for s in split.train:
             assert np.array_equal(s.image, render_gesture(s.label))
 
     def test_balanced_classes(self):
         split = generate(0, 7, 3)
-        assert split.class_counts("train") == [7, 7, 7]
-        assert split.class_counts("test") == [3, 3, 3]
+        assert np.bincount(images_labels(split.train)[1]).tolist() == [7, 7, 7]
+        assert np.bincount(images_labels(split.test)[1]).tolist() == [3, 3, 3]
 
     def test_class_mean_pixel_counts_ordered(self):
         # rock < scissors < paper by construction

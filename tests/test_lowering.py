@@ -9,9 +9,17 @@ from scampsim.lowering import (LoweringError, border_pattern,
                                lower_maxpool, lower_model, lower_relu,
                                lower_replicate, make_input_state,
                                prepare_input)
-from scampsim.model import BnnModel, default_model, random_model, reference_infer
+from scampsim.model import (BnnModel, default_model, dense_forward, random_model,
+                            reference_infer)
 from scampsim.planes import SATURATING, ArrayState
 from scampsim.program import PpaProgram, disassemble, execute, parse_listing
+
+
+def block_of(plane, geometry, b):
+    """Block b of a plane; blocks are numbered row-major."""
+    r, c = divmod(b, geometry.block_grid)
+    bs = geometry.block_size
+    return plane[r * bs:(r + 1) * bs, c * bs:(c + 1) * bs]
 
 
 def run_instructions(instructions, state):
@@ -65,13 +73,13 @@ class TestPrepareInput:
 class TestReplicate:
     def test_zero_input(self):
         state = replicated_state(np.zeros((64, 64), dtype=np.uint8))
-        assert np.all(state.areg("B") == 0)
+        assert np.all(state.analog["B"] == 0)
 
     def test_single_pixel_tiles_sixteen_times(self):
         x = np.zeros((64, 64), dtype=np.uint8)
         x[3, 5] = 1
         state = replicated_state(x)
-        vals = state.areg("B")
+        vals = state.analog["B"]
         assert vals.sum() == 16
         for r in range(4):
             for c in range(4):
@@ -80,11 +88,10 @@ class TestReplicate:
     def test_every_block_equals_input(self, rng):
         x = rng.integers(0, 2, size=(64, 64))
         state = replicated_state(x)
-        vals = state.areg("B")
+        vals = state.analog["B"]
         g = state.geometry
         for b in range(g.num_blocks):
-            rs, cs = g.block_slices(b)
-            assert np.array_equal(vals[rs, cs], x)
+            assert np.array_equal(block_of(vals, g, b), x)
 
 
 class TestConv:
@@ -94,11 +101,10 @@ class TestConv:
                      m.geometry)
         state = replicated_state(np.ones((64, 64), dtype=np.uint8))
         run_instructions(lower_conv(m), state)
-        acc = state.areg("C")
+        acc = state.analog["C"]
         g = m.geometry
         for b in range(g.num_blocks):
-            rs, cs = g.block_slices(b)
-            block = acc[rs, cs]
+            block = block_of(acc, g, b)
             assert np.all(block[: 61, : 61] == 16)
             assert np.all(block[61:, :] == 0) and np.all(block[:, 61:] == 0)
 
@@ -110,10 +116,10 @@ class TestConv:
         x = rng.integers(0, 2, size=(64, 64))
         state = replicated_state(x)
         run_instructions(lower_conv(m), state)
-        acc = state.areg("C")
+        acc = state.analog["C"]
         g = m.geometry
-        b0 = acc[g.block_slices(0)]
-        b1 = acc[g.block_slices(1)]
+        b0 = block_of(acc, g, 0)
+        b1 = block_of(acc, g, 1)
         assert np.array_equal(b1, -b0)
 
     @pytest.mark.parametrize("seed", [2, 17])
@@ -122,12 +128,11 @@ class TestConv:
         x = rng.integers(0, 2, size=(64, 64))
         state = replicated_state(x)
         run_instructions(lower_conv(m), state)
-        acc = state.areg("C")
-        _, inter = reference_infer(m, x, return_intermediates=True)
+        acc = state.analog["C"]
+        _, inter = dense_forward(m.kernels, m.fc_weights, x[None])
         g = m.geometry
         for b in range(g.num_blocks):
-            rs, cs = g.block_slices(b)
-            assert np.array_equal(acc[rs, cs], inter["conv"][b])
+            assert np.array_equal(block_of(acc, g, b), inter["conv"][0, b])
 
     def test_instruction_count_formula(self):
         m = random_model(seed=3)
@@ -151,10 +156,10 @@ class TestConv:
 class TestRelu:
     def _run(self, values):
         state = ArrayState(PlaneGeometry())
-        state.areg("C")[:] = values
+        state.analog["C"][:] = values
         # REG_ZERO must hold zeros, as the program prelude guarantees
         run_instructions(lower_relu(), state)
-        return state.areg("C")
+        return state.analog["C"]
 
     def test_all_negative_becomes_zero(self):
         assert np.all(self._run(np.full((256, 256), -3)) == 0)
@@ -170,9 +175,9 @@ class TestRelu:
 class TestMaxpool:
     def _run(self, values):
         state = ArrayState(PlaneGeometry())
-        state.areg("C")[:] = values
+        state.analog["C"][:] = values
         run_instructions(lower_maxpool(state.geometry), state)
-        return state.areg("C")
+        return state.analog["C"]
 
     def test_constant_plane_unchanged(self):
         assert np.all(self._run(np.full((256, 256), 5)) == 5)
@@ -198,7 +203,7 @@ class TestFc:
         m = BnnModel(m.kernels, np.ones_like(m.fc_weights), m.class_names,
                      m.geometry)
         state = ArrayState(m.geometry)
-        state.areg("C")[:] = 1
+        state.analog["C"][:] = 1
         _, sums = run_instructions(lower_fc(m), state)
         assert sums == [256 * 256] * 3
 
@@ -207,9 +212,9 @@ class TestFc:
         flipped = BnnModel(m.kernels, -m.fc_weights, m.class_names, m.geometry)
         plane = rng.integers(0, 16, size=(256, 256))
         s1 = ArrayState(m.geometry)
-        s1.areg("C")[:] = plane
+        s1.analog["C"][:] = plane
         s2 = ArrayState(m.geometry)
-        s2.areg("C")[:] = plane
+        s2.analog["C"][:] = plane
         _, sums = run_instructions(lower_fc(m), s1)
         _, neg_sums = run_instructions(lower_fc(flipped), s2)
         assert neg_sums == [-s for s in sums]
@@ -220,8 +225,7 @@ class TestFc:
         neg = (m.fc_weights[0] == -1)
         g = m.geometry
         for b in range(0, g.num_blocks, 5):
-            rs, cs = g.block_slices(b)
-            block = pat[rs, cs]
+            block = block_of(pat, g, b)
             for i in range(0, 32, 7):
                 for j in range(0, 32, 9):
                     assert np.all(block[2 * i:2 * i + 2, 2 * j:2 * j + 2]

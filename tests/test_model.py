@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from scampsim.geometry import PlaneGeometry
 from scampsim.model import (BnnModel, ModelError, argmax, batch_predict,
-                            load_weights, random_model, reference_infer,
-                            save_weights)
+                            dense_forward, load_weights, random_model,
+                            reference_infer, save_weights)
 
 
 def brute_force_infer(model, x):
@@ -71,12 +71,12 @@ class TestReferenceInfer:
         m = random_model(seed=1)
         m = BnnModel(np.ones_like(m.kernels), m.fc_weights, m.class_names,
                      m.geometry)
-        _, inter = reference_infer(m, np.ones((64, 64), dtype=np.uint8),
-                                   return_intermediates=True)
+        _, inter = dense_forward(m.kernels, m.fc_weights,
+                                 np.ones((1, 64, 64), dtype=np.uint8))
         k2 = m.k * m.k
-        interior = inter["conv"][:, : 64 - m.k + 1, : 64 - m.k + 1]
+        interior = inter["conv"][0, :, : 64 - m.k + 1, : 64 - m.k + 1]
         assert np.all(interior == k2)
-        assert np.all(inter["pooled"][:, : 30, : 30] == k2)
+        assert np.all(inter["pooled"][0, :, : 30, : 30] == k2)
 
     def test_non_binary_input_rejected(self):
         m = random_model(seed=1)
@@ -122,7 +122,7 @@ class TestReferenceInfer:
         rng = np.random.default_rng(seed)
         m = random_model(seed=seed)
         x = rng.integers(0, 2, size=(64, 64))
-        _, inter = reference_infer(m, x, return_intermediates=True)
+        _, inter = dense_forward(m.kernels, m.fc_weights, x[None])
         k2 = m.k * m.k
         assert inter["conv"].min() >= -k2 and inter["conv"].max() <= k2
         assert inter["relu"].min() >= 0
@@ -191,6 +191,25 @@ class TestWeightsDocument:
         parsed = json.loads(save_weights(random_model(seed=2)))
         parsed["version"] = 99
         with pytest.raises(ModelError, match="version"):
+            load_weights(json.dumps(parsed))
+
+    # bools, floats and strings passed through int() or tuple() before
+    @pytest.mark.parametrize("field, value, error", [
+        pytest.param("version", True, "'version' must be an integer", id="version-true"),
+        pytest.param("k", 4.0, "'k' must be an integer", id="k-float"),
+        pytest.param("block_size", 64.9, "'block_size' must be an integer",
+                     id="block_size-float"),
+        pytest.param("block_grid", "4", "'block_grid' must be an integer",
+                     id="block_grid-string"),
+        pytest.param("classes", "abc", "'classes' must be a list of strings",
+                     id="classes-string"),
+        pytest.param("classes", ["rock", 1, "scissors"],
+                     "'classes' must be a list of strings", id="classes-int-item"),
+    ])
+    def test_field_types_enforced(self, field, value, error):
+        parsed = json.loads(save_weights(random_model(seed=2)))
+        parsed[field] = value
+        with pytest.raises(ModelError, match=error):
             load_weights(json.dumps(parsed))
 
     def test_missing_field_named(self):

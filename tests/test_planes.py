@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import same_planes, snapshot
 
 from scampsim.dataset import DatasetError, GestureSample
 from scampsim.geometry import GeometryError, PlaneGeometry
@@ -11,7 +12,7 @@ from scampsim.lowering import (LoweringError, block_select_pattern,
                                make_input_state)
 from scampsim.model import ModelError, default_model, reference_infer
 from scampsim.planes import (ANALOG_MAX, ANALOG_MIN, SATURATING, ArrayState,
-                             NoiseModel, PlaneError, RegisterError, global_sum)
+                             NoiseModel, PlaneError, global_sum)
 from scampsim.program import Instruction, PpaProgram, ProgramError, execute
 
 
@@ -33,50 +34,36 @@ class TestGeometry:
         with pytest.raises(GeometryError):
             PlaneGeometry(256, 256, 4, 32)
 
-    def test_block_indexing_round_trips(self, geometry):
-        # blocks are numbered row-major and tile the plane exactly once
-        covered = np.zeros(geometry.shape, dtype=int)
-        for b in range(geometry.num_blocks):
-            r0, c0 = geometry.block_origin(b)
-            assert (r0 // 64, c0 // 64) == divmod(b, geometry.block_grid)
-            rs, cs = geometry.block_slices(b)
-            assert (rs.start, rs.stop, cs.start, cs.stop) == (r0, r0 + 64,
-                                                              c0, c0 + 64)
-            covered[rs, cs] += 1
-        assert np.all(covered == 1)
-        with pytest.raises(GeometryError):
-            geometry.block_origin(geometry.num_blocks)
-
 
 class TestThreshold:
     @pytest.mark.parametrize("t, expect", [(40000, False), (-40000, True),
                                            (ANALOG_MAX, False), (ANALOG_MIN, True)])
     def test_immediates_beyond_int16_on_an_int16_state(self, t, expect):
         state = make_state()
-        state.areg("A")[:] = np.arange(-2**15, 2**15, 256).reshape(16, 16)
-        state.areg("A")[0, 0] = 2**15 - 1
+        state.analog["A"][:] = np.arange(-2**15, 2**15, 256).reshape(16, 16)
+        state.analog["A"][0, 0] = 2**15 - 1
         execute(PpaProgram([Instruction("thresh", dst="R1", a="A", value=t)]),
                 state)
         assert state.dtype == np.int16
-        assert np.all(state.dreg("R1") == expect)
+        assert np.all(state.digital["R1"] == expect)
 
     def test_zero_plane_strict_inequality(self, geometry):
         state = ArrayState(geometry)
         state.threshold_into("R1", "A", 0)
-        assert not state.dreg("R1").any()
+        assert not state.digital["R1"].any()
 
     def test_ones_plane(self, geometry):
         state = ArrayState(geometry)
-        state.areg("A")[:] = 1
+        state.analog["A"][:] = 1
         state.threshold_into("R1", "A", 0)
-        assert state.dreg("R1").all()
+        assert state.digital["R1"].all()
 
     def test_matches_per_pixel_comparison(self, geometry, rng):
         vals = rng.integers(0, 256, size=geometry.shape)
         state = ArrayState(geometry)
-        state.areg("A")[:] = vals
+        state.analog["A"][:] = vals
         state.threshold_into("R1", "A", 64)
-        got = state.dreg("R1")
+        got = state.digital["R1"]
         for r in range(0, 256, 37):
             for c in range(0, 256, 41):
                 assert got[r, c] == (vals[r, c] > 64)
@@ -86,59 +73,54 @@ class TestThreshold:
 class TestArithmetic:
     def test_add_identity(self, rng):
         state = make_state()
-        state.areg("A")[:] = rng.integers(-50, 50, size=(16, 16))
+        state.analog["A"][:] = rng.integers(-50, 50, size=(16, 16))
         state.add("C", "A", "B")  # B is all zero
-        assert np.array_equal(state.areg("C"), state.areg("A"))
+        assert np.array_equal(state.analog["C"], state.analog["A"])
 
     def test_sub_self_is_zero(self, rng):
         state = make_state()
-        state.areg("A")[:] = rng.integers(-50, 50, size=(16, 16))
+        state.analog["A"][:] = rng.integers(-50, 50, size=(16, 16))
         state.sub("B", "A", "A")
-        assert np.all(state.areg("B") == 0)
+        assert np.all(state.analog["B"] == 0)
 
     def test_checkerboard_mask_frames_untouched_pixels(self, rng):
         state = make_state()
         a = rng.integers(-50, 50, size=(16, 16))
         b = rng.integers(-50, 50, size=(16, 16))
         prior = rng.integers(-50, 50, size=(16, 16))
-        state.areg("A")[:] = a
-        state.areg("B")[:] = b
-        state.areg("C")[:] = prior
+        state.analog["A"][:] = a
+        state.analog["B"][:] = b
+        state.analog["C"][:] = prior
         mask = np.indices((16, 16)).sum(axis=0) % 2
         state.write_pattern("R1", mask)
         state.add("C", "A", "B", mask="R1")
-        got = state.areg("C")
+        got = state.analog["C"]
         for r in range(16):
             for c in range(16):
                 expect = a[r, c] + b[r, c] if mask[r, c] else prior[r, c]
                 assert got[r, c] == expect
 
-    def test_unknown_register_rejected(self):
-        state = make_state()
-        with pytest.raises(RegisterError):
-            state.add("A", "B", "NOPE")
-
     def test_saturating_masked_accumulate_keeps_unmasked_pixels(self):
         # 300 is beyond the saturating range; a masked write must not clamp
         # the pixels it leaves alone
         state = make_state(mode=SATURATING)
-        state.areg("C")[:] = 300
-        state.areg("A")[:] = 5
+        state.analog["C"][:] = 300
+        state.analog["A"][:] = 5
         mask = np.indices((16, 16))[1] % 2 == 0
         state.write_pattern("R1", mask)
         state.add("C", "C", "A", mask="R1")
-        assert np.array_equal(state.areg("C"), np.where(mask, 127, 300))
+        assert np.array_equal(state.analog["C"], np.where(mask, 127, 300))
 
     def test_saturating_clamps(self):
         state = make_state(mode=SATURATING)
-        state.areg("A")[:] = 100
-        state.areg("B")[:] = 100
+        state.analog["A"][:] = 100
+        state.analog["B"][:] = 100
         state.add("C", "A", "B")
-        assert np.all(state.areg("C") == 127)
+        assert np.all(state.analog["C"] == 127)
         state.sub("C", "B", "A")
-        state.areg("B")[:] = -100
+        state.analog["B"][:] = -100
         state.add("C", "A", "B")
-        assert np.all(state.areg("C") == 0)
+        assert np.all(state.analog["C"] == 0)
 
 
 # the masked ops, each with its numpy oracle over int64 operands
@@ -192,8 +174,8 @@ class TestMaskedWrite:
         else:
             lo, hi, c00 = -2**30 + 1, 2**30 - 1, ANALOG_MIN
         for reg in "ABC":
-            state.areg(reg)[:] = r.integers(lo, hi + 1, (16, 16))
-        state.areg("C")[0, 0] = c00
+            state.analog[reg][:] = r.integers(lo, hi + 1, (16, 16))
+        state.analog["C"][0, 0] = c00
         mask = mask_shapes()[shape]
         state.write_pattern("R1", mask)
         before = {n: p.astype(np.int64) for n, p in state.analog.items()}
@@ -201,83 +183,83 @@ class TestMaskedWrite:
         if mode == SATURATING:
             new = np.clip(new, -128, 127)
         run(state, dst, a, b, "R1")
-        assert np.array_equal(state.areg(dst), np.where(mask, new, before[dst]))
-        assert state.dtype == dtype and state.areg(dst).dtype == dtype
+        assert np.array_equal(state.analog[dst], np.where(mask, new, before[dst]))
+        assert state.dtype == dtype and state.analog[dst].dtype == dtype
         for n, old in before.items():
             if n != dst:
-                assert np.array_equal(state.areg(n), old)
+                assert np.array_equal(state.analog[n], old)
 
     @pytest.mark.parametrize("mode", ["ideal", SATURATING])
     @pytest.mark.parametrize("direction", ["N", "S", "E", "W"])
     @pytest.mark.parametrize("steps", [0, 1, 3, 16, 40])
     def test_shift_in_place_matches_shift_elsewhere(self, mode, direction, steps):
         state = make_state(mode)
-        state.areg("A")[:] = np.random.default_rng(5).integers(-128, 128,
+        state.analog["A"][:] = np.random.default_rng(5).integers(-128, 128,
                                                                        (16, 16))
         state.shift("B", "A", direction, steps)
         state.shift("A", "A", direction, steps)
-        assert np.array_equal(state.areg("A"), state.areg("B"))
+        assert np.array_equal(state.analog["A"], state.analog["B"])
 
 
 class TestShift:
     def test_zero_steps_is_identity(self, rng):
         state = make_state()
-        state.areg("A")[:] = rng.integers(-9, 9, size=(16, 16))
+        state.analog["A"][:] = rng.integers(-9, 9, size=(16, 16))
         state.shift("B", "A", "N", 0)
-        assert np.array_equal(state.areg("B"), state.areg("A"))
+        assert np.array_equal(state.analog["B"], state.analog["A"])
 
     def test_single_pixel_moves_north(self):
         state = make_state()
-        state.areg("A")[10, 10] = 7
+        state.analog["A"][10, 10] = 7
         state.shift("B", "A", "N", 1)
-        assert state.areg("B")[9, 10] == 7
-        assert state.areg("B").sum() == 7
+        assert state.analog["B"][9, 10] == 7
+        assert state.analog["B"].sum() == 7
 
     def test_full_width_shift_evacuates(self, rng):
         state = make_state()
-        state.areg("A")[:] = rng.integers(1, 9, size=(16, 16))
+        state.analog["A"][:] = rng.integers(1, 9, size=(16, 16))
         state.shift("B", "A", "E", 16)
-        assert np.all(state.areg("B") == 0)
+        assert np.all(state.analog["B"] == 0)
 
     @given(a=st.integers(0, 5), b=st.integers(0, 5))
     @settings(max_examples=20, deadline=None)
     def test_shift_composition(self, a, b):
         state = make_state()
         r = np.random.default_rng(a * 7 + b)
-        state.areg("A")[:] = r.integers(-9, 9, size=(16, 16))
+        state.analog["A"][:] = r.integers(-9, 9, size=(16, 16))
         state.shift("B", "A", "N", a)
         state.shift("B", "B", "N", b)
         state.shift("C", "A", "N", a + b)
-        assert np.array_equal(state.areg("B"), state.areg("C"))
+        assert np.array_equal(state.analog["B"], state.analog["C"])
 
     def test_crosses_block_boundaries(self):
         state = make_state()
-        state.areg("A")[4, 0] = 5  # first row of block row 1
+        state.analog["A"][4, 0] = 5  # first row of block row 1
         state.shift("B", "A", "N", 1)
-        assert state.areg("B")[3, 0] == 5  # landed in block row 0
+        assert state.analog["B"][3, 0] == 5  # landed in block row 0
 
 
 class TestMaxCombine:
     def test_idempotent(self, rng):
         state = make_state()
-        state.areg("A")[:] = rng.integers(-9, 9, size=(16, 16))
+        state.analog["A"][:] = rng.integers(-9, 9, size=(16, 16))
         state.max_combine("B", "A", "A")
-        assert np.array_equal(state.areg("B"), state.areg("A"))
+        assert np.array_equal(state.analog["B"], state.analog["A"])
 
     def test_max_with_zero_keeps_nonnegative(self, rng):
         state = make_state()
-        state.areg("A")[:] = rng.integers(0, 9, size=(16, 16))
+        state.analog["A"][:] = rng.integers(0, 9, size=(16, 16))
         state.max_combine("C", "A", "B")
-        assert np.array_equal(state.areg("C"), state.areg("A"))
+        assert np.array_equal(state.analog["C"], state.analog["A"])
 
     def test_matches_scalar_oracle(self, rng):
         state = make_state()
         a = rng.integers(-50, 50, size=(16, 16))
         b = rng.integers(-50, 50, size=(16, 16))
-        state.areg("A")[:] = a
-        state.areg("B")[:] = b
+        state.analog["A"][:] = a
+        state.analog["B"][:] = b
         state.max_combine("C", "A", "B")
-        got = state.areg("C")
+        got = state.analog["C"]
         for r in range(16):
             for c in range(16):
                 assert got[r, c] == max(a[r, c], b[r, c])
@@ -308,14 +290,14 @@ class TestGlobalSum:
 
     def test_gaussian_noise_reproducible_under_seed(self, geometry, rng):
         p = rng.integers(-100, 100, size=geometry.shape, dtype=np.int32)
-        noise = NoiseModel("gaussian", sigma=8.0, seed=7)
+        noise = NoiseModel(sigma=8.0, seed=7)
         assert global_sum(p, noise) == global_sum(p, noise)
 
     def test_state_builds_its_rng_on_the_first_noisy_draw(self, geometry):
         quiet = ArrayState(geometry)
         quiet.global_sum_of("A")
         assert quiet.rng is None
-        noisy = ArrayState(geometry, noise=NoiseModel("gaussian", 8.0, seed=7))
+        noisy = ArrayState(geometry, noise=NoiseModel(8.0, seed=7))
         assert noisy.rng is None
         draws = np.random.default_rng(7).normal(0.0, 8.0, size=3)
         assert [noisy.global_sum_of("A") for _ in range(3)] == \
@@ -324,11 +306,11 @@ class TestGlobalSum:
     @pytest.mark.parametrize("sigma", [-5.0, math.nan, math.inf])
     def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
         with pytest.raises(PlaneError, match="finite number >= 0"):
-            NoiseModel("gaussian", sigma)
+            NoiseModel(sigma)
 
     def test_gaussian_noise_perturbs(self, geometry):
         p = np.zeros(geometry.shape, dtype=np.int32)
-        draws = {global_sum(p, NoiseModel("gaussian", 100.0, s)) for s in range(20)}
+        draws = {global_sum(p, NoiseModel(100.0, s)) for s in range(20)}
         assert len(draws) > 1
 
 
@@ -339,13 +321,13 @@ class TestDregOps:
         state.write_pattern("R1", bits)
         state.write_pattern("R2", np.ones((16, 16), dtype=np.uint8))
         state.dreg_logic("R3", "and", "R1", "R2")
-        assert np.array_equal(state.dreg("R3"), bits.astype(np.uint8))
+        assert np.array_equal(state.digital["R3"], bits.astype(np.uint8))
 
     def test_xor_self_is_zero(self, rng):
         state = make_state()
         state.write_pattern("R1", rng.integers(0, 2, size=(16, 16)))
         state.dreg_logic("R2", "xor", "R1", "R1")
-        assert np.all(state.dreg("R2") == 0)
+        assert np.all(state.digital["R2"] == 0)
 
     def test_not_is_involution(self, rng):
         state = make_state()
@@ -353,7 +335,7 @@ class TestDregOps:
         state.write_pattern("R1", bits)
         state.dreg_logic("R2", "not", "R1")
         state.dreg_logic("R3", "not", "R2")
-        assert np.array_equal(state.dreg("R3"), bits)
+        assert np.array_equal(state.digital["R3"], bits)
 
 
 class TestReadOnlyDRegisters:
@@ -367,12 +349,12 @@ class TestReadOnlyDRegisters:
         state = make_state()
         execute(prog, state)
         pattern = prog.instructions[0].pattern
-        assert np.shares_memory(state.dreg("R1"), pattern)
-        assert np.shares_memory(state.dreg("R2"), pattern)
+        assert np.shares_memory(state.digital["R1"], pattern)
+        assert np.shares_memory(state.digital["R2"], pattern)
         state.write_pattern("R3", np.ones((16, 16), dtype=np.uint8))
         for name in state.digital:
             with pytest.raises(ValueError):
-                state.dreg(name)[0, 0] = True
+                state.digital[name][0, 0] = True
 
     def test_thresh_and_logic_leave_the_pattern_alone(self, rng):
         bits = rng.integers(0, 2, (16, 16)).astype(bool)
@@ -391,7 +373,7 @@ class TestReadOnlyDRegisters:
         results = []
         for _ in range(2):
             state = make_state()
-            state.areg("A")[:] = image
+            state.analog["A"][:] = image
             results.append(execute(prog, state)[1])
             assert np.array_equal(prog.instructions[0].pattern, expect)
         assert results[0] == results[1] == [
@@ -402,7 +384,7 @@ class TestWritePattern:
     def test_all_ones(self):
         state = make_state()
         state.write_pattern("R1", np.ones((16, 16), dtype=np.uint8))
-        assert np.all(state.dreg("R1") == 1)
+        assert np.all(state.digital["R1"] == 1)
 
     def test_block_mask_covers_exactly_one_block(self, geometry):
         sel = np.zeros(16, dtype=np.uint8)
@@ -422,12 +404,12 @@ class TestWritePattern:
         # write_pattern trusts its bits; a program's are checked against the
         # state before anything runs
         state = make_state()
-        before = state.snapshot()
+        before = snapshot(state)
         prog = PpaProgram([Instruction("pattern", dst="R1",
                                        pattern=np.ones((8, 8), dtype=bool))])
         with pytest.raises(ProgramError, match=r"\(8, 8\).*\(16, 16\)"):
             execute(prog, state)
-        assert state.equals_snapshot(before)
+        assert same_planes(snapshot(state), before)
 
 
 class TestStateInvariants:
@@ -439,11 +421,11 @@ class TestStateInvariants:
         assert list(state.digital) == [f"R{i}" for i in range(1, 13)] + ["FLAG"]
         assert state.dtype == np.int16
         for name in state.analog:
-            plane = state.areg(name)
+            plane = state.analog[name]
             assert plane.dtype == np.int16 and plane.shape == (16, 16)
             assert not plane.any()
         for name in state.digital:
-            plane = state.dreg(name)
+            plane = state.digital[name]
             assert plane.dtype == bool and plane.shape == (16, 16)
             assert not plane.any()
         with pytest.raises(PlaneError, match="unknown analog mode"):
@@ -454,41 +436,41 @@ class TestStateInvariants:
         vals = rng.integers(-2**15, 2**15, size=(7, 16, 16))
         for plane, v in zip(state.analog.values(), vals):
             plane[:] = v
-        before = state.snapshot()
+        before = snapshot(state)
         state.widen()
         assert state.dtype == np.int32
-        assert state.equals_snapshot(before)
+        assert same_planes(snapshot(state), before)
         assert all(p.dtype == np.int32 for p in state.analog.values())
         # the masked blend computes into the scratch plane: it widened too
         state.write_pattern("R1", np.ones((16, 16), dtype=bool))
-        state.areg("A")[:] = 2**20
+        state.analog["A"][:] = 2**20
         state.add("B", "A", "A", mask="R1")
-        assert np.all(state.areg("B") == 2**21)
+        assert np.all(state.analog["B"] == 2**21)
         state.widen()
-        assert state.dtype == np.int32 and np.all(state.areg("B") == 2**21)
+        assert state.dtype == np.int32 and np.all(state.analog["B"] == 2**21)
 
     def test_determinism_without_noise(self, rng):
         def run(state):
-            state.areg("A")[:] = np.arange(256).reshape(16, 16)
+            state.analog["A"][:] = np.arange(256).reshape(16, 16)
             state.shift("B", "A", "E", 2)
             state.add("C", "A", "B")
             state.write_pattern("R1", np.eye(16, dtype=np.uint8))
             state.sub("C", "C", "A", mask="R1")
             state.threshold_into("R2", "C", 10)
-            return state.snapshot()
+            return snapshot(state)
 
-        assert _snap_equal(run(make_state()), run(make_state()))
+        assert same_planes(run(make_state()), run(make_state()))
 
     def test_saturation_is_clamp_of_ideal(self, rng):
         vals_a = rng.integers(-128, 128, size=(16, 16))
         vals_b = rng.integers(-128, 128, size=(16, 16))
         ideal, sat = make_state(), make_state(mode=SATURATING)
         for s in (ideal, sat):
-            s.areg("A")[:] = vals_a
-            s.areg("B")[:] = vals_b
+            s.analog["A"][:] = vals_a
+            s.analog["B"][:] = vals_b
             s.add("C", "A", "B")
-        assert np.array_equal(np.clip(ideal.areg("C"), -128, 127),
-                              sat.areg("C"))
+        assert np.array_equal(np.clip(ideal.analog["C"], -128, 127),
+                              sat.analog["C"])
 
 
 # every caller of the one 0/1 check, with the error type it raises
@@ -497,7 +479,7 @@ BINARY_CHECKS = {
                             lambda a: Instruction("pattern", dst="R1", pattern=a)),
     "reference_infer": (ModelError, lambda a: reference_infer(default_model(), a)),
     "make_input_state": (LoweringError, lambda a: make_input_state(a)),
-    "gesture_sample": (DatasetError, lambda a: GestureSample(a, 0, "test")),
+    "gesture_sample": (DatasetError, lambda a: GestureSample(a, 0)),
 }
 
 
@@ -511,9 +493,3 @@ def test_binary_checks_keep_their_errors(caller, bad):
     img[3, 5] = bad
     with pytest.raises(error):
         call(img)
-
-
-def _snap_equal(s1, s2):
-    return (all(np.array_equal(s1["analog"][k], s2["analog"][k]) for k in s1["analog"])
-            and all(np.array_equal(s1["digital"][k], s2["digital"][k])
-                    for k in s1["digital"]))

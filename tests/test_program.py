@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import same_planes, snapshot
 
 from scampsim import program as program_module
 from scampsim.geometry import PlaneGeometry
@@ -41,10 +42,10 @@ BAD_OPERANDS = {
 class TestExecute:
     def test_empty_program_is_noop(self):
         state = small_state()
-        before = state.snapshot()
+        before = snapshot(state)
         _, sums = execute(PpaProgram([]), state)
         assert sums == []
-        assert state.equals_snapshot(before)
+        assert same_planes(snapshot(state), before)
 
     def test_single_gsum_on_zero_plane(self):
         _, sums = execute(PpaProgram([Instruction("gsum", a="A", label="x")]),
@@ -55,14 +56,14 @@ class TestExecute:
     def test_rejection_leaves_state_bit_identical(self, op):
         # each after an instruction that would change the state if it ran
         state = small_state()
-        state.areg("A")[:] = 3
-        before = state.snapshot()
+        state.analog["A"][:] = 3
+        before = snapshot(state)
         where = r"instruction 1 \(pattern\): " if op == "pattern" else f"{op}\\b"
         with pytest.raises(ProgramError, match="^" + where):
             prog = PpaProgram([Instruction("add", dst="A", a="A", b="A"),
                                Instruction(op, **BAD_OPERANDS[op])])
             execute(prog, state)
-        assert state.equals_snapshot(before)
+        assert same_planes(snapshot(state), before)
         assert state.dtype == np.int16
 
     def test_pattern_shape_is_checked_against_each_state(self):
@@ -93,7 +94,7 @@ class TestExecute:
     def test_program_is_frozen_after_execute(self):
         prog = parse_listing("add A A A\nadd B A A\ngsum B b\n")
         state = small_state()
-        state.areg("A")[:] = 1
+        state.analog["A"][:] = 1
         assert execute(prog, state)[1] == [4 * 256]
         with pytest.raises(dataclasses.FrozenInstanceError):
             prog.instructions[1].b = "NOPE"
@@ -102,7 +103,7 @@ class TestExecute:
         with pytest.raises(TypeError):
             prog.instructions[1] = Instruction("add", dst="B", a="A", b="C")
         state = small_state()
-        state.areg("A")[:] = 1
+        state.analog["A"][:] = 1
         assert execute(prog, state)[1] == [4 * 256]
 
     def test_rejection_names_instruction(self):
@@ -116,7 +117,7 @@ class TestExecute:
 
     def test_sums_recorded_in_order(self):
         state = small_state()
-        state.areg("A")[0, 0] = 2
+        state.analog["A"][0, 0] = 2
         prog = PpaProgram([
             Instruction("gsum", a="A", label="first"),
             Instruction("add", dst="A", a="A", b="A"),
@@ -246,15 +247,15 @@ class TestValidByConstruction:
         for mode in ("ideal", SATURATING):
             state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=mode)
             for name in ("A", "B", "C"):
-                state.areg(name)[:] = rng.integers(-100, 100, (16, 16))
+                state.analog[name][:] = rng.integers(-100, 100, (16, 16))
             state.write_pattern("R1", rng.integers(0, 2, (16, 16)))
-            before = state.snapshot()
+            before = snapshot(state)
             try:
                 execute(prog, state)
             except ProgramError as e:
                 # only the state-dependent check may refuse a built program
                 assert str(e).startswith("instruction 0 (pattern): bits of shape")
-                assert state.equals_snapshot(before)
+                assert same_planes(snapshot(state), before)
                 assert state.dtype == np.int16
 
 
@@ -268,14 +269,14 @@ class TestBoundPass:
 
     def test_doubling_past_int32_rejected_before_anything_runs(self):
         state = small_state()
-        state.areg("A")[:] = 1
-        state.areg("B")[:] = 2
-        before = state.snapshot()
+        state.analog["A"][:] = 1
+        state.analog["B"][:] = 2
+        before = snapshot(state)
         # 2**30 fits, the 31st doubling reaches 2**31
         with pytest.raises(ProgramError,
                            match=r"instruction 30 \(add\).*2147483648.*int32"):
             execute(parse_listing(doubling_listing(32)), state)
-        assert state.equals_snapshot(before)
+        assert same_planes(snapshot(state), before)
         assert state.dtype == np.int16
         _, sums = execute(parse_listing(doubling_listing(30)), state)
         assert sums == [2**30 * 256]
@@ -284,7 +285,7 @@ class TestBoundPass:
     @pytest.mark.parametrize("times, dtype", [(14, np.int16), (15, np.int32)])
     def test_widens_only_past_int16(self, times, dtype):
         state = small_state()
-        state.areg("A")[:] = 1
+        state.analog["A"][:] = 1
         _, sums = execute(parse_listing(doubling_listing(times)), state)
         assert sums == [2**times * 256]
         assert state.dtype == dtype
@@ -293,54 +294,54 @@ class TestBoundPass:
         prog = parse_listing("neg B A\n")
         state = small_state()
         state.widen()
-        state.areg("A")[3, 3] = -ANALOG_MAX
+        state.analog["A"][3, 3] = -ANALOG_MAX
         execute(prog, state)
-        assert state.areg("B")[3, 3] == ANALOG_MAX
-        state.areg("A")[3, 3] = -ANALOG_MAX - 1
-        before = state.snapshot()
+        assert state.analog["B"][3, 3] == ANALOG_MAX
+        state.analog["A"][3, 3] = -ANALOG_MAX - 1
+        before = snapshot(state)
         with pytest.raises(ProgramError, match="instruction 0 \\(neg\\)"):
             execute(prog, state)
-        assert state.equals_snapshot(before)
+        assert same_planes(snapshot(state), before)
 
     def test_masked_write_keeps_the_old_bound(self):
         # B holds 2**30; a masked copy of the small A cannot shrink B's bound,
         # so doubling B still overflows
         state = small_state()
         state.widen()
-        state.areg("B")[:] = 2**30
+        state.analog["B"][:] = 2**30
         state.write_pattern("R1", np.ones((16, 16), dtype=bool))
         prog = parse_listing("copy B A mask=R1\nadd B B B\n")
         with pytest.raises(ProgramError, match="instruction 1"):
             execute(prog, state)
         execute(parse_listing("copy B A\nadd B B B\n"), state)
-        assert np.all(state.areg("B") == 0)
+        assert np.all(state.analog["B"] == 0)
 
     def test_saturating_mode_caps_the_bound(self):
         state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=SATURATING)
-        state.areg("A")[:] = 1
+        state.analog["A"][:] = 1
         _, sums = execute(parse_listing(doubling_listing(64)), state)
         assert sums == [127 * 256]
 
     def test_memoised_proof_follows_the_starting_bounds(self):
         prog = parse_listing(doubling_listing(14))
         state = small_state()
-        state.areg("A")[:] = 1
+        state.analog["A"][:] = 1
         assert execute(prog, state)[1] == [2**14 * 256]
         assert state.dtype == np.int16
         state = small_state()
-        state.areg("A")[:] = 4
+        state.analog["A"][:] = 4
         assert execute(prog, state)[1] == [2**16 * 256]
         assert state.dtype == np.int32
 
     def test_memoised_proof_follows_the_limit(self):
         prog = parse_listing(doubling_listing(64))
         state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=SATURATING)
-        state.areg("A")[:] = 1
+        state.analog["A"][:] = 1
         assert execute(prog, state)[1] == [127 * 256]
         # a failing proof is not recorded: it raises the same way every time
         for _ in range(2):
             state = small_state()
-            state.areg("A")[:] = 1
+            state.analog["A"][:] = 1
             with pytest.raises(ProgramError, match=r"instruction 30 \(add\)"):
                 execute(prog, state)
 
@@ -353,7 +354,7 @@ class TestBoundPass:
         walked, sums = [], []
         for value in (1, 2, 1, 2):
             state = small_state()
-            state.areg("A")[:] = value
+            state.analog["A"][:] = value
             before = len(calls)
             sums += execute(prog, state)[1]
             walked.append(len(calls) - before)

@@ -14,8 +14,7 @@ from scampsim.planes import NoiseModel
 from scampsim.program import CostModel, execute
 from scampsim.servo import (DEFAULT_CLASS_ANGLES, MAX_SERVOS, PWM_PERIOD_US,
                             ReactionRecord, ServoBank, ServoError, ServoModel,
-                            angle_from_pulse, pulse_width_us, reaction_latency,
-                            run_loop)
+                            reaction_latency, run_loop)
 
 
 @pytest.fixture(scope="module")
@@ -43,18 +42,6 @@ def one_frame(rng=None):
 
 def bank():
     return ServoBank([ServoModel()])
-
-
-class TestPulseMapping:
-    def test_affine_endpoints(self):
-        assert pulse_width_us(0.0) == 1000.0
-        assert pulse_width_us(180.0) == 2000.0
-        assert pulse_width_us(90.0) == 1500.0
-
-    def test_clamped_to_valid_range(self):
-        assert pulse_width_us(-45.0) == 1000.0
-        assert pulse_width_us(400.0) == 2000.0
-        assert angle_from_pulse(pulse_width_us(270.0)) == 180.0
 
 
 class TestServoBank:
@@ -97,6 +84,10 @@ class TestRunLoop:
     def test_duration_must_cover_frames(self, program, cost_121):
         with pytest.raises(ServoError):
             run_loop([(20_000, one_frame())], program, cost_121, bank(), 10_000)
+
+    def test_negative_duration_rejected(self, program, cost_121):
+        with pytest.raises(ServoError, match="duration must be >= 0 us, got -5"):
+            run_loop([], program, cost_121, bank(), -5)
 
     def test_events_sorted_and_updates_on_edges(self, program, cost_121, rng):
         frames = [(i * 2000, one_frame(rng)) for i in range(5)]
@@ -146,7 +137,7 @@ class TestFrameCache:
                              ids=["pool-objects-reused", "fresh-copy-per-frame"])
     def test_noisy_frames_execute_once_per_distinct_frame(
             self, program, cost_121, model, monkeypatch, rng, fresh):
-        noise = NoiseModel("gaussian", 50.0, 3)
+        noise = NoiseModel(50.0, 3)
         pool = [one_frame(rng), one_frame(rng)]
         picks = rng.integers(0, 2, size=20)
         frames = [(i * 1000, pool[p].copy() if fresh else pool[p])
@@ -314,7 +305,7 @@ def loops(draw):
     slews = draw(st.lists(st.floats(0.0, 2000.0, exclude_min=True),
                           min_size=1, max_size=MAX_SERVOS))
     # each servo's own table: any subset of the class names, with angles
-    # past both ends of the pulse range
+    # past both ends of 0..180 degrees
     tables = [draw(st.dictionaries(st.sampled_from(sorted(DEFAULT_CLASS_ANGLES)),
                                    st.floats(-90.0, 270.0)))
               for _ in slews]
@@ -326,8 +317,8 @@ class TestAgainstReference:
     @settings(max_examples=200, deadline=None)
     # a frame captured on an edge; a frame captured as the one before it
     # completes; two frames sharing one timestamp; a servo holding, for a
-    # class outside its table, an angle the pulse map does not round-trip; a
-    # step that lands on a target which angle + (target - angle) misses
+    # class outside its table, the angle one step has reached; a step that
+    # lands on a target which angle + (target - angle) misses
     @example(case=(7000, [PWM_PERIOD_US], [1], [600.0], [DEFAULT_CLASS_ANGLES]))
     @example(case=(7000, [100, 100 + LATENCY_US], [0, 2], [600.0],
                    [DEFAULT_CLASS_ANGLES]))
