@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,13 @@ class JitterParams:
     translation_px: float = 6.0
     scale: float = 0.15
     boundary_flip: float = 0.02
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not math.isfinite(v)):
+                raise DatasetError(f"{f.name} must be a finite number, got {v!r}")
 
 
 @dataclass
@@ -172,10 +179,21 @@ def load_dataset(directory) -> DatasetSplit:
             manifest = json.load(f)
     except OSError as e:
         raise DatasetError(f"cannot read manifest: {e}") from None
+    except ValueError as e:
+        raise DatasetError(f"manifest is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise DatasetError("manifest must be a JSON object")
     splits = {}
     for split_name in ("train", "test"):
+        entries = manifest.get(split_name)
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("file"), str)
+                and isinstance(e.get("label"), int) and not isinstance(e["label"], bool)
+                for e in entries):
+            raise DatasetError(f"manifest field {split_name!r} must be a list of "
+                               f"entries with a 'file' name and an integer 'label'")
         samples = []
-        for entry in manifest[split_name]:
+        for entry in entries:
             img = read_pgm(os.path.join(directory, entry["file"]))
             samples.append(GestureSample((img > 127).astype(np.uint8),
                                          entry["label"]))

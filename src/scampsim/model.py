@@ -214,6 +214,8 @@ def load_weights(text: str) -> BnnModel:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelError(f"weights document is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ModelError(f"weights document must be a JSON object, got {doc!r:.40}")
     for fld in ("version", "k", "block_size", "block_grid", "classes",
                 "kernels", "fc"):
         if fld not in doc:

@@ -1,11 +1,12 @@
 """The pixel array's register file and its plane-parallel operations.
 
 ArrayState holds one fixed register file as plain arrays of one geometry:
-the analog registers A-F and PIX as int16 planes, and the 1-bit registers
-R1-R12 and the FLAG plane as bool planes. `widen()` turns the analog planes
-into int32 once a program needs the room; they never narrow again. Ideal
-mode never clamps; saturating mode clamps every analog write to the one
-8-bit-like range [SAT_MIN, SAT_MAX].
+the analog registers A-F and PIX as integer planes of one type, and the
+1-bit registers R1-R12 and the FLAG plane as bool planes. The analog planes
+start as int8 and `widen()` moves them up the ladder int8 -> int16 -> int32
+once a program needs the room; they never narrow again. Ideal mode never
+clamps; saturating mode clamps every analog write to the one 8-bit-like
+range [SAT_MIN, SAT_MAX].
 The state exposes the primitive operations every higher layer composes:
 elementwise arithmetic with optional digital masking, neighbour shifts,
 thresholding, bit logic, pattern writes and the global summation.
@@ -18,12 +19,15 @@ write computes into one scratch plane owned by the state, so no analog
 operation allocates a result plane. In ideal mode a masked add or sub that
 accumulates into one of its own operands (dst = dst +/- other) takes two
 passes, dst +/-= other * m; every other masked write blends its scratch
-result in as dst += m * (t - dst). Integer arithmetic wraps on overflow,
-and so does numpy's assignment of a wider value into a plane, so nothing
-here checks magnitudes per operation: program.execute proves how large a
-whole program's intermediates can get before it runs, and widens the state
-first when int16 cannot hold them. A caller that writes values beyond int16
-into a plane directly must call `widen()` first.
+result in as dst += m * (t - dst). Both multiply by the mask viewed as
+int8, which costs no copy and, on int8 planes, no cast. Integer arithmetic
+wraps on overflow, and so does numpy's assignment of a wider value into a
+plane, so nothing here checks magnitudes per operation: program.execute
+proves how large a whole program's intermediates can get before they are
+clamped, and first widens the state to the narrowest type that holds them.
+So a saturating state runs at int8 only when no result needs the clamp,
+and the clamp always sees values that never wrapped. A caller that writes
+values beyond int8 into a plane directly must call `widen()` first.
 
 D-registers are read-only arrays that operations rebind rather than write
 into: `pattern` binds the pattern bits themselves (a program's patterns are
@@ -47,12 +51,11 @@ SATURATING = "saturating"
 SAT_MIN = -128
 SAT_MAX = 127
 
-# analog planes start narrow and widen once; a value beyond the wide type
-# has no plane that can hold it
-NARROW_DTYPE = np.int16
-WIDE_DTYPE = np.int32
-ANALOG_MIN = int(np.iinfo(WIDE_DTYPE).min)
-ANALOG_MAX = int(np.iinfo(WIDE_DTYPE).max)
+# the analog planes' types, narrowest first: planes start on the first and
+# only ever move up; a value beyond the last has no plane that can hold it
+DTYPES = (np.dtype(np.int8), np.dtype(np.int16), np.dtype(np.int32))
+ANALOG_MIN = int(np.iinfo(DTYPES[-1]).min)
+ANALOG_MAX = int(np.iinfo(DTYPES[-1]).max)
 
 ANALOG_REGS = ("A", "B", "C", "D", "E", "F", "PIX")
 # FLAG is the conditional-execution flag, addressable like any mask plane
@@ -116,14 +119,22 @@ def _read_only(bits: np.ndarray) -> np.ndarray:
     return bits
 
 
+def dtype_holding(peak: int) -> np.dtype:
+    """The narrowest plane type that holds every value of magnitude <= peak."""
+    for dtype in DTYPES:
+        if peak <= np.iinfo(dtype).max:
+            return dtype
+    raise PlaneError(f"no plane type holds magnitude {peak}")
+
+
 class ArrayState:
-    """The register file of one array: int16 analog and bool digital planes.
+    """The register file of one array: integer analog and bool digital planes.
 
     `analog` and `digital` map each register name to its plane, a bare
-    array of the geometry's shape. The analog planes are int16 until
-    `widen()` makes them int32; a direct write of a value beyond int16 must
-    come after `widen()`, since numpy wraps it silently. One state-wide
-    `mode` decides the clamp:
+    array of the geometry's shape. The analog planes are int8 until
+    `widen()` moves them up to int16 or int32; a direct write of a value
+    beyond the planes' type must come after `widen()`, since numpy wraps it
+    silently. One state-wide `mode` decides the clamp:
     in saturating mode every analog write clamps to [SAT_MIN, SAT_MAX] and
     `limit` is the largest magnitude a plane can hold; in ideal mode `limit`
     is None. The digital planes are read-only: every op that sets a
@@ -147,7 +158,7 @@ class ArrayState:
         # one zeroed block backs every analog plane plus the scratch plane
         # that masked writes compute into; one allocation is cheaper than
         # clearing eight planes one by one
-        self._bind(np.zeros((len(ANALOG_REGS) + 1, *shape), dtype=NARROW_DTYPE))
+        self._bind(np.zeros((len(ANALOG_REGS) + 1, *shape), dtype=DTYPES[0]))
         # ops rebind D-registers instead of writing into them, so all of
         # them can start on one shared all-False plane
         clear = _read_only(np.zeros(shape, dtype=bool))
@@ -161,14 +172,18 @@ class ArrayState:
 
     @property
     def dtype(self) -> np.dtype:
-        """The analog planes' integer type: int16, or int32 once widened."""
+        """The analog planes' integer type, one of DTYPES."""
         return self._block.dtype
 
-    def widen(self):
-        """Make every analog plane int32, keeping its values. The planes are
-        new arrays, so views taken before do not see later writes."""
-        if self.dtype != WIDE_DTYPE:
-            self._bind(self._block.astype(WIDE_DTYPE))
+    def widen(self, to: np.dtype | int = DTYPES[-1]):
+        """Make every analog plane at least as wide as `to`, a type of DTYPES
+        or a magnitude its planes must hold, keeping their values. A wider
+        state stays as it is; otherwise the planes are new arrays, so views
+        taken before do not see later writes."""
+        dtype = (dtype_holding(to) if isinstance(to, (int, np.integer))
+                 else np.dtype(to))
+        if dtype.itemsize > self.dtype.itemsize:
+            self._bind(self._block.astype(dtype))
 
     def saturate(self, values: np.ndarray):
         """Clamp `values` in place to the saturating range; no-op in ideal mode."""
@@ -188,7 +203,7 @@ class ArrayState:
             ufunc(*args, out=out)
             self.saturate(out)
             return
-        m = self.digital[mask]
+        m = self.digital[mask].view(np.int8)
         t = self._scratch
         ufunc(*args, out=t)
         self.saturate(t)
@@ -207,7 +222,7 @@ class ArrayState:
         """
         out = self.analog[dst]
         t = self._scratch
-        np.multiply(self.analog[other], self.digital[mask], out=t)
+        np.multiply(self.analog[other], self.digital[mask].view(np.int8), out=t)
         ufunc(out, t, out=out)
 
     # -- analog ops ------------------------------------------------------
@@ -239,22 +254,32 @@ class ArrayState:
         Shifts cross block boundaries: the neighbour network is a property of
         the physical array, not of the logical block tiling. dst may be src.
         """
-        src_vals = self.analog[src]
         out = self.analog[dst]
         dr, dc = SHIFT_OFFSETS[direction]
         dr *= steps
         dc *= steps
         h, w = self.geometry.shape
-        # rows r0:r1 and cols c0:c1 of dst have a source pixel; either range
-        # is empty when the shift moves everything off the plane
-        r0, r1 = min(h, max(0, -dr)), max(0, min(h, h - dr))
-        c0, c1 = min(w, max(0, -dc)), max(0, min(w, w - dc))
-        # numpy buffers an overlapping copy, so the move is right when dst is src
-        out[r0:r1, c0:c1] = src_vals[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
-        out[:r0] = 0
-        out[r1:] = 0
-        out[:, :c0] = 0
-        out[:, c1:] = 0
+        if abs(dr) >= h or abs(dc) >= w:
+            out[...] = 0
+            return
+        # planes are row-major, so the shift is one move of the flat plane
+        # by `off` pixels; numpy buffers an overlapping move, so it is right
+        # when dst is src
+        off = dr * w + dc
+        n = h * w
+        flat = out.reshape(-1)
+        moved = self.analog[src].reshape(-1)
+        if off >= 0:
+            flat[:n - off] = moved[off:]
+            flat[n - off:] = 0
+        else:
+            flat[-off:] = moved[:n + off]
+            flat[:-off] = 0
+        # the pixels the move carried across a row edge read zero instead
+        if dc > 0:
+            out[:, w - dc:] = 0
+        elif dc < 0:
+            out[:, :-dc] = 0
         self.saturate(out)
 
     def threshold_into(self, dst: str, src: str, t: int):

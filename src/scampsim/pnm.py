@@ -60,7 +60,8 @@ def _read_tokens(data: bytes, n: int, start: int) -> tuple[list[bytes], int]:
 def encode_pgm(values: np.ndarray, mode: str) -> bytes:
     """An analog plane of a state in `mode` as a PGM."""
     if mode == SATURATING:
-        values = values + 128
+        # widen first: 128 is out of range of an int8 plane
+        values = values.astype(np.int64) + 128
     values = np.clip(values, 0, 255).astype(np.uint8)
     h, w = values.shape
     return b"P5\n%d %d\n255\n" % (w, h) + values.tobytes()

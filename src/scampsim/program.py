@@ -2,25 +2,39 @@
 
 A PpaProgram is an ordered tuple of instructions over an ArrayState; both
 are frozen. One table, SPECS, describes every opcode: its operands in
-listing order with their kinds, whether it takes a trailing `mask=`, and
-the ArrayState call that runs it. Construction, execution, disassembly and
-listing parsing all read that table. An Instruction checks its operands
-when it is built: each field its opcode takes must pass its kind's test,
-and each other field must be unset. So an Instruction that exists is
-valid, and the ArrayState ops trust their operands. Execution is
-validate-then-execute, and nothing runs until the whole program is
-accepted, so a rejected program leaves the state's values and dtype
-bit-identical. `validate` checks what depends on the state:
+listing order with their kinds, whether it takes a trailing `mask=`, the
+ArrayState call that runs it and, if it writes an analog plane, its bound
+rule. Construction, execution, disassembly and listing parsing all read
+that table. An Instruction checks its operands when it is built: each
+field its opcode takes must pass its kind's test, and each other field
+must be unset. So an Instruction that exists is valid, and the
+ArrayState ops trust their operands. Execution is validate-then-execute,
+and nothing runs until the whole program is accepted, so a rejected
+program leaves the state's values and dtype bit-identical. `validate`
+checks what depends on the state:
 - every pattern's shape against the state's geometry;
 - a bound pass, starting from the state's current values, proves the
-  largest magnitude any analog result can reach. Beyond int32 the program
-  is rejected; beyond int16 the state is widened to int32 before it runs.
-  The pass reads the state only for the starting bound (max |value|) of
-  the registers the program reads before writing them, which the program
-  alone decides. So an accepted proof is recorded on the program per
-  saturation limit and tuple of those starting bounds, and a later state
-  that matches both takes one reduction per such register instead of the
-  pass; a failing proof is never recorded, so it raises on every call.
+  largest magnitude any analog result can reach before it is clamped.
+  Beyond int32 the program is rejected; otherwise execute first widens
+  the state to the narrowest of int8, int16 and int32 that holds it.
+  The pass keeps one bound per block of the geometry for each analog
+  register, as grid x grid int64 arrays, with one rule per opcode (the
+  opcode's `bound` in SPECS): add and sub sum their inputs' bounds, and
+  `sub x a a` is 0 without reading a; neg and copy keep their input's, max
+  takes the larger; a shift takes, per block, the larger bound of the one
+  or two source blocks it reads along its axis, and 0 off the plane; a
+  masked write keeps the larger of the new and the old bound, so no
+  pattern is scanned; saturating mode caps what it stores at the limit.
+  So the replicate stage's adds of blocks that do not overlap prove 1,
+  and the default program proves 32 (2 k^2: a tap's add and sub masks
+  both count on every block), which runs at int8 in both modes.
+  The pass reads the state only for the starting block bounds (max
+  |value| per block) of the registers the program reads before writing
+  them, which the program alone decides. So an accepted proof is recorded
+  on the program per saturation limit, geometry and those starting block
+  bounds, and a later state that matches them takes one block reduction
+  per such register instead of the pass; a failing proof is never
+  recorded, so it raises on every call.
 A pattern is kept as a read-only bool view that a `pattern` instruction
 binds without copying. A program's sum_labels, which name its class sums,
 are derived from its gsum instructions in order. Timing is a pure
@@ -51,9 +65,12 @@ class CostError(ValueError):
     """Cost table does not cover an opcode used by the program."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Instruction:
-    """One instruction, checked when it is built (see the module docstring)."""
+    """One instruction, checked when it is built (see the module docstring).
+
+    Built by keyword: Instruction("add", dst="C", a="C", b="A", mask="R1").
+    """
 
     opcode: str
     dst: str | None = None
@@ -67,27 +84,34 @@ class Instruction:
     label: str | None = None          # gsum result label
     pattern: np.ndarray | None = None  # H x W bits for `pattern`, kept as bool
 
-    def __post_init__(self):
-        logic_not = isinstance(self.logic, str) and self.logic == "not"
+    def __init__(self, opcode: str, **operands):
+        values = dict(_UNSET, opcode=opcode)
+        values.update(operands)
+        if len(values) != len(_FIELDS):
+            extra = next(f for f in operands if f not in _UNSET)
+            raise TypeError(f"Instruction got an unexpected keyword argument {extra!r}")
+        logic = values["logic"]
+        logic_not = isinstance(logic, str) and logic == "not"
         try:
-            checked, unset = _GATES[self.opcode, logic_not]
+            checked, unset = _GATES[opcode, logic_not]
         except (KeyError, TypeError):
-            raise ProgramError(f"unknown opcode {self.opcode!r}") from None
-        values = vars(self)
+            raise ProgramError(f"unknown opcode {opcode!r}") from None
         for name, kind in checked:
             if not kind.ok(values[name]):
-                raise ProgramError(f"{self.opcode}: "
+                raise ProgramError(f"{opcode}: "
                                    + kind.error.format(name=name, v=values[name]))
         for name in unset:
             if values[name] is not None:
                 raise ProgramError(
-                    f"{self.opcode} takes no {name}, got {values[name]!r}")
-        if self.pattern is not None:
+                    f"{opcode} takes no {name}, got {values[name]!r}")
+        if values["pattern"] is not None:
             # a read-only view: the register a `pattern` op binds it to
             # shares its memory, and no copy is made of bool bits
-            bits = self.pattern.astype(bool, copy=False).view()
+            bits = values["pattern"].astype(bool, copy=False).view()
             bits.flags.writeable = False
-            object.__setattr__(self, "pattern", bits)
+            values["pattern"] = bits
+        # one update sets every frozen field, which assignment cannot
+        self.__dict__.update(values)
 
     def __eq__(self, other):
         if not isinstance(other, Instruction):
@@ -101,6 +125,7 @@ class Instruction:
 
 
 _FIELDS = tuple(f.name for f in fields(Instruction))  # opcode first, pattern last
+_UNSET = dict.fromkeys(_FIELDS[1:])  # every operand field, as an unset one
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +134,10 @@ class PpaProgram:
 
     instructions: tuple[Instruction, ...]
     sum_labels: list[str] = field(init=False)  # the gsum labels, in order
-    # per saturation limit: (the registers the bound pass reads, {their
-    # starting bounds: the peak proved from them})
-    _proofs: dict[int | None, tuple] = field(default_factory=dict, init=False,
-                                             repr=False, compare=False)
+    # per (saturation limit, geometry): (the registers the bound pass reads,
+    # {their starting block bounds: the peak proved from them})
+    _proofs: dict[tuple, tuple] = field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
@@ -134,14 +159,28 @@ def _pattern_to_hex(pattern: np.ndarray) -> str:
 
 
 def _pattern_from_hex(text: str) -> np.ndarray:
+    """Read-only bool bits from a literal as `_pattern_to_hex` writes it:
+    plain decimal dims, exactly the bytes the bits fill, pad bits 0."""
+    dims, _, hexbits = text.partition(":")
+    hs, _, ws = dims.partition("x")
+    if not all(d.isascii() and d.isdigit() and str(int(d)) == d for d in (hs, ws)):
+        raise ProgramError(f"bad pattern literal: dims {dims!r} are not HxW "
+                           f"in plain decimal")
+    h, w = int(hs), int(ws)
+    nbytes = -(-h * w // 8)
+    if len(hexbits) != 2 * nbytes:
+        raise ProgramError(f"bad pattern literal: {h}x{w} bits need exactly "
+                           f"{2 * nbytes} hex digits, got {len(hexbits)}")
     try:
-        dims, hexbits = text.split(":", 1)
-        hs, ws = dims.split("x")
-        h, w = int(hs), int(ws)
         raw = np.frombuffer(bytes.fromhex(hexbits), dtype=np.uint8)
-        return np.unpackbits(raw)[: h * w].reshape(h, w).view(bool)
-    except Exception as e:
+    except ValueError as e:
         raise ProgramError(f"bad pattern literal: {e}") from None
+    if nbytes and raw[-1] & (0xFF >> (h * w - 8 * (nbytes - 1))):
+        raise ProgramError("bad pattern literal: pad bits after the last "
+                           "pixel are set")
+    bits = np.unpackbits(raw, count=h * w).reshape(h, w).view(bool)
+    bits.flags.writeable = False
+    return bits
 
 
 class Kind(NamedTuple):
@@ -182,12 +221,92 @@ PATTERN = Kind(lambda v: isinstance(v, np.ndarray) and v.ndim == 2 and is_binary
                "needs a 2-D array of bits 0 or 1", _pattern_from_hex, _pattern_to_hex)
 
 
+# -- value-range proof -------------------------------------------------
+
+
+def _block_max_abs(plane: np.ndarray, geometry) -> np.ndarray:
+    """max |value| over each block of the plane, as a grid x grid int64 array."""
+    g, bs = geometry.block_grid, geometry.block_size
+    # abs wraps the type's minimum onto itself, which reads right unsigned
+    mags = np.abs(plane).view(f"u{plane.itemsize}")
+    rows = mags.reshape(g, bs, g * bs).max(axis=1)
+    return rows.reshape(g, g, bs).max(axis=2).astype(np.int64)
+
+
+class _Bounds(dict):
+    """Proven magnitude bound per block of each analog register, as grid x
+    grid int64 arrays that are never written in place. A register's first
+    read takes its block max-abs from the state, recorded in `starts`; it is
+    the pass's only read of the state."""
+
+    def __init__(self, state: ArrayState):
+        super().__init__()
+        self.state = state
+        self.block_size = state.geometry.block_size
+        grid = state.geometry.block_grid
+        self.zero = np.zeros((grid, grid), dtype=np.int64)
+        self.starts: dict[str, np.ndarray] = {}
+        self.peak = 0  # largest bound of any result before it is clamped
+
+    def __missing__(self, reg: str) -> np.ndarray:
+        bound = _block_max_abs(self.state.analog[reg], self.state.geometry)
+        self[reg] = self.starts[reg] = bound
+        return bound
+
+
+# per-block bound rules (see the module docstring): (instruction, _Bounds)
+# -> bound on |value written to dst| per block, before any clamp or mask
+
+
+def _sum_bound(ins, bounds):
+    return bounds[ins.a] + bounds[ins.b]
+
+
+def _sub_bound(ins, bounds):
+    # a - a is 0 whatever a holds, so a is not read
+    return bounds.zero if ins.a == ins.b else bounds[ins.a] + bounds[ins.b]
+
+
+def _max_bound(ins, bounds):
+    return np.maximum(bounds[ins.a], bounds[ins.b])
+
+
+def _moved_bound(ins, bounds):
+    return bounds[ins.a]
+
+
+def _blocks_moved(bound: np.ndarray, q: int, axis: int) -> np.ndarray:
+    """out[i] = bound[i + q] along the axis, 0 where i + q is off the grid."""
+    out = np.zeros(bound.shape, dtype=np.int64)
+    g = len(bound)
+    if abs(q) < g:
+        # rows of the transposes are the columns
+        o, b = (out.T, bound.T) if axis else (out, bound)
+        if q >= 0:
+            o[:g - q] = b[q:]
+        else:
+            o[-q:] = b[:g + q]
+    return out
+
+
+def _shift_bound(ins, bounds):
+    """Each destination block reads one source block along the shift's axis
+    when the shift is a whole number of blocks, else two; blocks off the
+    plane read 0."""
+    dr, dc = SHIFT_OFFSETS[ins.direction]
+    axis, d = (0, dr * ins.steps) if dr else (1, dc * ins.steps)
+    q, rem = divmod(d, bounds.block_size)
+    bound = bounds[ins.a]
+    out = _blocks_moved(bound, q, axis)
+    return np.maximum(out, _blocks_moved(bound, q + 1, axis)) if rem else out
+
+
 class OpSpec(NamedTuple):
     operands: tuple[tuple[str, Kind], ...]  # (Instruction field, kind), listing order
     masked: bool                            # takes a trailing mask=<dreg>
     run: Callable                           # (state, ins) -> global sum or None
-    # bound on |value written to dst| from the list of bounds of the analog
-    # inputs `a` (and `b`): sum or max; None if no analog plane is written
+    # per-block bound rule for the value written to dst (see the rules
+    # above); None if no analog plane is written
     bound: Callable | None = None
 
 
@@ -195,14 +314,19 @@ _ARITH3 = (("dst", AREG), ("a", AREG), ("b", AREG))
 _ARITH2 = (("dst", AREG), ("a", AREG))
 
 SPECS: dict[str, OpSpec] = {
-    "add": OpSpec(_ARITH3, True, lambda s, i: s.add(i.dst, i.a, i.b, i.mask), sum),
-    "sub": OpSpec(_ARITH3, True, lambda s, i: s.sub(i.dst, i.a, i.b, i.mask), sum),
-    "neg": OpSpec(_ARITH2, True, lambda s, i: s.neg(i.dst, i.a, i.mask), max),
-    "copy": OpSpec(_ARITH2, True, lambda s, i: s.copy(i.dst, i.a, i.mask), max),
+    "add": OpSpec(_ARITH3, True, lambda s, i: s.add(i.dst, i.a, i.b, i.mask),
+                  _sum_bound),
+    "sub": OpSpec(_ARITH3, True, lambda s, i: s.sub(i.dst, i.a, i.b, i.mask),
+                  _sub_bound),
+    "neg": OpSpec(_ARITH2, True, lambda s, i: s.neg(i.dst, i.a, i.mask),
+                  _moved_bound),
+    "copy": OpSpec(_ARITH2, True, lambda s, i: s.copy(i.dst, i.a, i.mask),
+                   _moved_bound),
     "max": OpSpec(_ARITH3, True,
-                  lambda s, i: s.max_combine(i.dst, i.a, i.b, i.mask), max),
+                  lambda s, i: s.max_combine(i.dst, i.a, i.b, i.mask), _max_bound),
     "shift": OpSpec(_ARITH2 + (("direction", DIRECTION), ("steps", NONNEG)), False,
-                    lambda s, i: s.shift(i.dst, i.a, i.direction, i.steps), max),
+                    lambda s, i: s.shift(i.dst, i.a, i.direction, i.steps),
+                    _shift_bound),
     "thresh": OpSpec((("dst", DREG), ("a", AREG), ("value", INT32)), False,
                      lambda s, i: s.threshold_into(i.dst, i.a, i.value)),
     "logic": OpSpec((("dst", DREG), ("logic", LOGIC), ("a", DREG), ("b", DREG2)),
@@ -237,46 +361,26 @@ _GATES = {(op, logic_not): _gate(spec, "not" if logic_not else None)
 # -- validation and execution -------------------------------------------
 
 
-def _max_abs(values: np.ndarray) -> int:
-    # Python ints: abs() of the dtype's minimum would wrap
-    return max(-int(values.min()), int(values.max()))
-
-
-class _Bounds(dict):
-    """Proven magnitude bound per analog register. A register's first read
-    takes one max-abs reduction over its plane in the state, recorded in
-    `starts`; it is the pass's only read of the state."""
-
-    def __init__(self, state: ArrayState):
-        super().__init__()
-        self.state = state
-        self.starts: dict[str, int] = {}
-        self.peak = 0  # largest bound of any result before it is clamped
-
-    def __missing__(self, reg: str) -> int:
-        self[reg] = self.starts[reg] = bound = _max_abs(self.state.analog[reg])
-        return bound
-
-
 def _check_bound(ins: Instruction, spec: OpSpec, bounds: _Bounds):
-    """Record the bound of the value `ins` writes; raise if it can leave int32."""
-    inputs = [bounds[getattr(ins, f)] for f, kind in spec.operands
-              if kind is AREG and f != "dst"]
-    new = spec.bound(inputs)
-    if new > ANALOG_MAX:
-        raise ProgramError(f"{ins.opcode} can reach magnitude {new}, outside int32")
-    bounds.peak = max(bounds.peak, new)
+    """Record the per-block bound of the value `ins` writes; raise if it can
+    leave int32."""
+    new = spec.bound(ins, bounds)
+    top = new.max()
+    if top > ANALOG_MAX:
+        raise ProgramError(f"{ins.opcode} can reach magnitude {top}, outside int32")
+    bounds.peak = max(bounds.peak, int(top))
     # a saturating state clamps what it stores
     limit = bounds.state.limit
-    if limit is not None:
-        new = min(new, limit)
-    if spec.masked and ins.mask is not None:
+    if limit is not None and top > limit:
+        new = np.minimum(new, limit)
+    if ins.mask is not None:
         # unmasked pixels keep their old values
-        new = max(new, bounds[ins.dst])
+        new = np.maximum(new, bounds[ins.dst])
     bounds[ins.dst] = new
 
 
-# proofs kept per program and saturation limit before the memo starts over
+# proofs kept per program, saturation limit and geometry before the memo
+# starts over
 MAX_PROOFS = 64
 
 
@@ -285,15 +389,18 @@ def validate(program: PpaProgram, state: ArrayState) -> int:
     shape against the state's geometry, and every analog result's magnitude
     against int32, starting from the state's current plane values. Returns
     the largest magnitude any analog result can reach before it is clamped."""
-    shape = state.geometry.shape
+    geometry = state.geometry
+    shape = geometry.shape
     for idx, ins in enumerate(program.instructions):
         if ins.pattern is not None and ins.pattern.shape != shape:
             raise ProgramError(f"instruction {idx} (pattern): bits of shape "
                                f"{ins.pattern.shape}, not the geometry's {shape}")
-    proof = program._proofs.get(state.limit)
+    memo = state.limit, geometry
+    proof = program._proofs.get(memo)
     if proof is not None:
         reads, peaks = proof
-        peak = peaks.get(tuple(_max_abs(state.analog[r]) for r in reads))
+        peak = peaks.get(tuple(_block_max_abs(state.analog[r], geometry).tobytes()
+                               for r in reads))
         if peak is not None:
             return peak
     bounds = _Bounds(state)
@@ -305,11 +412,11 @@ def validate(program: PpaProgram, state: ArrayState) -> int:
             except ProgramError as e:
                 raise ProgramError(f"instruction {idx} ({ins.opcode}): {e}") from None
     if proof is None:
-        proof = program._proofs[state.limit] = (tuple(bounds.starts), {})
+        proof = program._proofs[memo] = (tuple(bounds.starts), {})
     peaks = proof[1]
     if len(peaks) >= MAX_PROOFS:
         peaks.clear()
-    peaks[tuple(bounds.starts.values())] = bounds.peak
+    peaks[tuple(b.tobytes() for b in bounds.starts.values())] = bounds.peak
     return bounds.peak
 
 
@@ -318,11 +425,10 @@ def execute(program: PpaProgram, state: ArrayState,
     """Run the program; return the mutated state and recorded global sums.
 
     `on_instruction(index, instruction, state)` is called after each
-    instruction, for tracing/dumping. The state is widened to int32 first
-    when the program's results can leave its analog dtype.
+    instruction, for tracing/dumping. The state is first widened to the
+    narrowest type that holds every value the program can produce.
     """
-    if validate(program, state) > np.iinfo(state.dtype).max:
-        state.widen()
+    state.widen(validate(program, state))
     sums: list[int] = []
     for idx, ins in enumerate(program.instructions):
         result = SPECS[ins.opcode].run(state, ins)

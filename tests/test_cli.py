@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -141,6 +142,70 @@ def test_train_rejects_bad_settings_without_output(tmp_path, capsys, dataset_dir
     assert (code, stdout) == (1, "")
     assert err == f"error: {error}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setup, error", [
+    pytest.param(["lower", "--weights", "w.json"], {"w.json": "5"},
+                 "weights document must be a JSON object, got 5", id="weights-5"),
+    pytest.param(["train", "--dataset", "ds"], {"ds/manifest.json": "{}"},
+                 "manifest field 'train' must be a list of entries with a 'file' "
+                 "name and an integer 'label'", id="manifest-empty"),
+    pytest.param(["train", "--dataset", "ds"], {"ds/manifest.json": "{"},
+                 "manifest is not valid JSON: Expecting property name enclosed in "
+                 "double quotes: line 1 column 2 (char 1)", id="manifest-not-json"),
+    pytest.param(["gen", "--n-train", "2", "--rotation", "nan"], {},
+                 "rotation_deg must be a finite number, got nan", id="rotation-nan"),
+])
+def test_malformed_input_single_line_error_without_output(tmp_path, capsys,
+                                                          monkeypatch, command,
+                                                          setup, error):
+    monkeypatch.chdir(tmp_path)
+    for name, text in setup.items():
+        os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
+        (tmp_path / name).write_text(text)
+    code, stdout, err = run_cli(capsys, *command, "--out", "out")
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# sha256 prefixes of every file `dump` writes for the default model and the
+# input below: the planes' type must change no byte of them
+DUMP_DIGESTS = {
+    "ideal": {
+        "fc_class_paper.pgm": "711a328c0bf39f1c",
+        "fc_class_rock.pgm": "838b08f481ef833e",
+        "fc_class_scissors.pgm": "325f97f80810b588",
+        "input_64.pgm": "8085fa6b00b1c261",
+        "post_conv.pgm": "1b3764ebaf2389dc",
+        "post_maxpool.pgm": "0f19902240974e60",
+        "post_relu.pgm": "1b3764ebaf2389dc",
+        "post_replicate.pgm": "505c0cfbe230988d",
+    },
+    "saturating": {
+        "fc_class_paper.pgm": "c08b575913006e2a",
+        "fc_class_rock.pgm": "e35ee97cf886d67d",
+        "fc_class_scissors.pgm": "050b2c94bb29868a",
+        "input_64.pgm": "8085fa6b00b1c261",
+        "post_conv.pgm": "9ebd24774009fdea",
+        "post_maxpool.pgm": "da39463825b4d9bb",
+        "post_relu.pgm": "e54dccb7f371790f",
+        "post_replicate.pgm": "4194fc503fe11774",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", DUMP_DIGESTS)
+def test_dump_files_keep_their_bytes(tmp_path, capsys, mode):
+    img = tmp_path / "in.pgm"
+    write_gray_pgm(img, np.random.default_rng(4).integers(0, 2, (64, 64)) * 255)
+    out = tmp_path / "dump"
+    code, stdout, err = run_cli(capsys, "dump", "--image", str(img),
+                                "--mode", mode, "--out", str(out))
+    assert (code, err) == (0, "")
+    assert stdout.startswith("sums=[-580, 1188, -148] predicted=paper")
+    assert {n: hashlib.sha256((out / n).read_bytes()).hexdigest()[:16]
+            for n in sorted(os.listdir(out))} == DUMP_DIGESTS[mode]
 
 
 class TestReproducibility:

@@ -12,7 +12,8 @@ from scampsim.lowering import (LoweringError, border_pattern,
 from scampsim.model import (BnnModel, default_model, dense_forward, random_model,
                             reference_infer)
 from scampsim.planes import SATURATING, ArrayState
-from scampsim.program import PpaProgram, disassemble, execute, parse_listing
+from scampsim.program import (PpaProgram, disassemble, execute, parse_listing,
+                              validate)
 
 
 def block_of(plane, geometry, b):
@@ -273,9 +274,10 @@ class TestValueRange:
     """The widest lowered models stay far inside int32, and the lowering
     matches the dense oracle over the whole configuration space."""
 
-    # (8, 32) is proven to reach 131072 and runs widened; (1, 64) is proven
-    # to stay within 4096 and runs at int16
-    @pytest.mark.parametrize("grid,k,dtype", [(8, 32, np.int32), (1, 64, np.int16)],
+    # the proof reads 2 k^2, since it cannot tell which blocks a tap's add
+    # and sub masks select: (8, 32) is proven to stay within 2048 and (1, 64)
+    # within 8192, so both run at int16
+    @pytest.mark.parametrize("grid,k,dtype", [(8, 32, np.int16), (1, 64, np.int16)],
                              ids=["8-32", "1-64"])
     def test_widest_kernels_pass_the_bound_pass(self, grid, k, dtype, rng):
         g = PlaneGeometry(256, 256, grid, 256 // grid)
@@ -288,14 +290,17 @@ class TestValueRange:
         assert state.dtype == dtype
 
     @pytest.mark.parametrize("mode", ["ideal", SATURATING])
-    def test_default_frame_runs_at_int16(self, mode, rng):
+    def test_default_frame_runs_at_int8(self, mode, rng):
         m = default_model()
         prog, _ = lower_model(m)
         x = rng.integers(0, 2, size=(64, 64))
         state = make_input_state(x, mode=mode)
+        # 2 k^2 for k = 4: the replicate stage's adds sum blocks that do not
+        # overlap, so they prove 1, not the 512 of one bound per register
+        assert validate(prog, state) == 32
         _, sums = execute(prog, state)
         assert sums == [4 * s for s in reference_infer(m, x).sums]
-        assert state.dtype == np.int16
+        assert state.dtype == np.int8
 
     @given(grid=st.sampled_from([1, 2, 4, 8]), half=st.integers(1, 8),
            k_frac=st.floats(0, 1), classes=st.integers(2, 8),

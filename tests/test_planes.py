@@ -40,6 +40,7 @@ class TestThreshold:
                                            (ANALOG_MAX, False), (ANALOG_MIN, True)])
     def test_immediates_beyond_int16_on_an_int16_state(self, t, expect):
         state = make_state()
+        state.widen(np.int16)
         state.analog["A"][:] = np.arange(-2**15, 2**15, 256).reshape(16, 16)
         state.analog["A"][0, 0] = 2**15 - 1
         execute(PpaProgram([Instruction("thresh", dst="R1", a="A", value=t)]),
@@ -61,6 +62,7 @@ class TestThreshold:
     def test_matches_per_pixel_comparison(self, geometry, rng):
         vals = rng.integers(0, 256, size=geometry.shape)
         state = ArrayState(geometry)
+        state.widen(255)
         state.analog["A"][:] = vals
         state.threshold_into("R1", "A", 64)
         got = state.digital["R1"]
@@ -104,6 +106,7 @@ class TestArithmetic:
         # 300 is beyond the saturating range; a masked write must not clamp
         # the pixels it leaves alone
         state = make_state(mode=SATURATING)
+        state.widen(300)
         state.analog["C"][:] = 300
         state.analog["A"][:] = 5
         mask = np.indices((16, 16))[1] % 2 == 0
@@ -112,7 +115,10 @@ class TestArithmetic:
         assert np.array_equal(state.analog["C"], np.where(mask, 127, 300))
 
     def test_saturating_clamps(self):
+        # 100 + 100 leaves int8 before the clamp, so the planes widen first,
+        # as execute would
         state = make_state(mode=SATURATING)
+        state.widen(200)
         state.analog["A"][:] = 100
         state.analog["B"][:] = 100
         state.add("C", "A", "B")
@@ -145,7 +151,7 @@ def mask_shapes():
 
 class TestMaskedWrite:
     """Every masked op against np.where(m, clip(op(a, b)), old) in int64, for
-    every mask shape, both modes, both plane dtypes and every way dst can
+    every mask shape, both modes, every plane dtype and every way dst can
     alias the inputs."""
 
     @pytest.mark.parametrize("mode", ["ideal", SATURATING])
@@ -154,7 +160,7 @@ class TestMaskedWrite:
     @pytest.mark.parametrize("dst,a,b", [("C", "A", "B"), ("A", "A", "B"),
                                          ("B", "A", "B"), ("A", "A", "A")])
     def test_matches_numpy_oracle(self, op, shape, mode, dst, a, b):
-        for dtype in (np.int16, np.int32):
+        for dtype in (np.int8, np.int16, np.int32):
             self._check_against_oracle(op, shape, mode, dtype, dst, a, b)
 
     @staticmethod
@@ -162,12 +168,14 @@ class TestMaskedWrite:
         run, oracle = MASKED_OPS[op]
         r = np.random.default_rng(7)
         state = make_state(mode)
-        if dtype == np.int32:
-            state.widen()
-        # ideal: inputs whose result fits the dtype but whose difference to
-        # the old value (the dtype's minimum at C[0, 0]) does not, so the
-        # blend's own arithmetic wraps
-        if mode == SATURATING:
+        state.widen(dtype)
+        # inputs whose result fits the dtype but whose difference to the old
+        # value (the dtype's minimum at C[0, 0]) does not, so the blend's own
+        # arithmetic wraps; saturating int8 planes hold only results that fit
+        # before the clamp, which is what the bound proof chooses them for
+        if dtype == np.int8:
+            lo, hi, c00 = -63, 63, -128
+        elif mode == SATURATING:
             lo, hi, c00 = -128, 127, -128
         elif dtype == np.int16:
             lo, hi, c00 = -2**14 + 1, 2**14 - 1, -2**15
@@ -231,6 +239,22 @@ class TestShift:
         state.shift("B", "B", "N", b)
         state.shift("C", "A", "N", a + b)
         assert np.array_equal(state.analog["B"], state.analog["C"])
+
+    @pytest.mark.parametrize("direction", ["N", "S", "E", "W"])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5, 15, 16, 17])
+    def test_matches_pixel_oracle(self, direction, steps):
+        state = make_state()
+        src = np.random.default_rng(9).integers(-128, 128, (16, 16))
+        state.analog["A"][:] = src
+        state.shift("B", "A", direction, steps)
+        dr, dc = {"N": (1, 0), "S": (-1, 0), "E": (0, -1), "W": (0, 1)}[direction]
+        expect = np.zeros((16, 16), dtype=np.int64)
+        for r in range(16):
+            for c in range(16):
+                sr, sc = r + dr * steps, c + dc * steps
+                if 0 <= sr < 16 and 0 <= sc < 16:
+                    expect[r, c] = src[sr, sc]
+        assert np.array_equal(state.analog["B"], expect)
 
     def test_crosses_block_boundaries(self):
         state = make_state()
@@ -419,10 +443,10 @@ class TestStateInvariants:
         assert state.mode == mode and state.limit == limit
         assert list(state.analog) == ["A", "B", "C", "D", "E", "F", "PIX"]
         assert list(state.digital) == [f"R{i}" for i in range(1, 13)] + ["FLAG"]
-        assert state.dtype == np.int16
+        assert state.dtype == np.int8
         for name in state.analog:
             plane = state.analog[name]
-            assert plane.dtype == np.int16 and plane.shape == (16, 16)
+            assert plane.dtype == np.int8 and plane.shape == (16, 16)
             assert not plane.any()
         for name in state.digital:
             plane = state.digital[name]
@@ -433,14 +457,18 @@ class TestStateInvariants:
 
     def test_widen_keeps_values_and_goes_one_way(self, rng):
         state = make_state()
-        vals = rng.integers(-2**15, 2**15, size=(7, 16, 16))
+        vals = rng.integers(-2**7, 2**7, size=(7, 16, 16))
         for plane, v in zip(state.analog.values(), vals):
             plane[:] = v
         before = snapshot(state)
-        state.widen()
-        assert state.dtype == np.int32
-        assert same_planes(snapshot(state), before)
-        assert all(p.dtype == np.int32 for p in state.analog.values())
+        # a magnitude picks the narrowest type that holds it
+        for to, dtype in [(127, np.int8), (128, np.int16), (np.int8, np.int16),
+                          (2**15 - 1, np.int16), (2**15, np.int32),
+                          (np.int16, np.int32), (5, np.int32)]:
+            state.widen(to)
+            assert state.dtype == dtype
+            assert same_planes(snapshot(state), before)
+            assert all(p.dtype == dtype for p in state.analog.values())
         # the masked blend computes into the scratch plane: it widened too
         state.write_pattern("R1", np.ones((16, 16), dtype=bool))
         state.analog["A"][:] = 2**20
@@ -451,6 +479,7 @@ class TestStateInvariants:
 
     def test_determinism_without_noise(self, rng):
         def run(state):
+            state.widen(3 * 255)
             state.analog["A"][:] = np.arange(256).reshape(16, 16)
             state.shift("B", "A", "E", 2)
             state.add("C", "A", "B")
@@ -466,6 +495,7 @@ class TestStateInvariants:
         vals_b = rng.integers(-128, 128, size=(16, 16))
         ideal, sat = make_state(), make_state(mode=SATURATING)
         for s in (ideal, sat):
+            s.widen(256)  # a + b leaves int8
             s.analog["A"][:] = vals_a
             s.analog["B"][:] = vals_b
             s.add("C", "A", "B")

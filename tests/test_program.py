@@ -64,7 +64,7 @@ class TestExecute:
                                Instruction(op, **BAD_OPERANDS[op])])
             execute(prog, state)
         assert same_planes(snapshot(state), before)
-        assert state.dtype == np.int16
+        assert state.dtype == np.int8
 
     def test_pattern_shape_is_checked_against_each_state(self):
         bits = np.eye(16, dtype=bool)
@@ -256,7 +256,7 @@ class TestValidByConstruction:
                 # only the state-dependent check may refuse a built program
                 assert str(e).startswith("instruction 0 (pattern): bits of shape")
                 assert same_planes(snapshot(state), before)
-                assert state.dtype == np.int16
+                assert state.dtype == np.int8
 
 
 def doubling_listing(times):
@@ -265,7 +265,8 @@ def doubling_listing(times):
 
 class TestBoundPass:
     """execute proves every analog intermediate fits int32 before it runs,
-    and widens an int16 state first when the proof leaves int16."""
+    and first widens the state to the narrowest type that holds the proof's
+    peak."""
 
     def test_doubling_past_int32_rejected_before_anything_runs(self):
         state = small_state()
@@ -277,7 +278,7 @@ class TestBoundPass:
                            match=r"instruction 30 \(add\).*2147483648.*int32"):
             execute(parse_listing(doubling_listing(32)), state)
         assert same_planes(snapshot(state), before)
-        assert state.dtype == np.int16
+        assert state.dtype == np.int8
         _, sums = execute(parse_listing(doubling_listing(30)), state)
         assert sums == [2**30 * 256]
         assert state.dtype == np.int32
@@ -288,6 +289,17 @@ class TestBoundPass:
         state.analog["A"][:] = 1
         _, sums = execute(parse_listing(doubling_listing(times)), state)
         assert sums == [2**times * 256]
+        assert state.dtype == dtype
+
+    @pytest.mark.parametrize("mode", ["ideal", SATURATING])
+    @pytest.mark.parametrize("times, dtype", [(6, np.int8), (7, np.int16)])
+    def test_runs_at_int8_up_to_127(self, times, dtype, mode):
+        # saturating mode too: 64 + 64 is clamped only after it is computed
+        state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=mode)
+        state.analog["A"][:] = 1
+        _, sums = execute(parse_listing(doubling_listing(times)), state)
+        top = min(2**times, 127) if mode == SATURATING else 2**times
+        assert sums == [top * 256]
         assert state.dtype == dtype
 
     def test_bound_starts_from_the_state_values(self):
@@ -370,6 +382,103 @@ class TestBoundPass:
                 parse_listing(f"thresh R1 A {value}\n")
 
 
+# registers the property below reads and writes, and the shift steps it
+# draws: within a 4-pixel block, a whole block, across blocks, off the plane
+NARROW_AREGS = ["A", "B", "C"]
+NARROW_STEPS = [0, 1, 2, 3, 4, 5, 8, 11, 16]
+# start magnitudes per block: +-64 on a few blocks and small or no values
+# elsewhere, so the blocks' bounds differ, and a bound too small by one
+# block of 64 hides a sum past int8
+BLOCK_MAGS = [0, 0, 0, 0, 0, 0, 1, 64]
+
+
+@st.composite
+def narrow_programs(draw):
+    """A random program over A-C with masks, thresholds and sums."""
+    areg = st.sampled_from(NARROW_AREGS)
+    mask = st.sampled_from([None, "R1", "R2"])
+    instructions = []
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["add", "add", "sub", "max", "neg", "copy",
+                                   "shift", "shift", "shift", "pattern", "thresh",
+                                   "gsum"]))
+        if op in ("add", "sub", "max"):
+            ins = Instruction(op, dst=draw(areg), a=draw(areg), b=draw(areg),
+                              mask=draw(mask))
+        elif op in ("neg", "copy"):
+            ins = Instruction(op, dst=draw(areg), a=draw(areg), mask=draw(mask))
+        elif op == "shift":
+            ins = Instruction(op, dst=draw(areg), a=draw(areg),
+                              direction=draw(st.sampled_from("NSEW")),
+                              steps=draw(st.sampled_from(NARROW_STEPS)))
+        elif op == "pattern":
+            seed = draw(st.integers(0, 2**16))
+            bits = np.random.default_rng(seed).integers(0, 2, (16, 16))
+            ins = Instruction(op, dst=draw(st.sampled_from(["R1", "R2"])),
+                              pattern=bits)
+        elif op == "thresh":
+            ins = Instruction(op, dst="R1", a=draw(areg),
+                              value=draw(st.integers(-3, 3)))
+        else:
+            ins = Instruction(op, a=draw(areg), label="s")
+        instructions.append(ins)
+    return PpaProgram(instructions)
+
+
+def block_layout(**blocks):
+    """Start magnitudes of A, B and C, 16 blocks each (row-major): 64 on
+    the blocks named per register, 0 elsewhere."""
+    return [64 if i in blocks.get(reg, ()) else 0
+            for reg in NARROW_AREGS for i in range(16)]
+
+
+def narrow_example(listing, **blocks):
+    return example(prog=parse_listing(listing), layout=block_layout(**blocks),
+                   seed=0, saturating=False)
+
+
+class TestNarrowPlanes:
+    """A program runs at the type its proof picks exactly as it runs on
+    int32 planes: the int32 run is the oracle, and it does not depend on
+    the proof."""
+
+    @given(prog=narrow_programs(),
+           layout=st.lists(st.sampled_from(BLOCK_MAGS), min_size=48, max_size=48),
+           seed=st.integers(0, 2**16), saturating=st.booleans())
+    # a block the proof loses would wrap the sum at int8: a block moved by a
+    # shift, the second block a part-block shift reads, the larger operand of
+    # max, and the old value a masked write keeps
+    @narrow_example("shift C A S 4\nadd C C B\n", A=[0], B=[4])
+    @narrow_example("shift C A N 2\nadd C C B\n", A=[4], B=[0])
+    @narrow_example("shift C A S 2\nadd C C B\n", A=[0], B=[4])
+    @narrow_example("max C A B\nadd C C B\n", B=[0])
+    @narrow_example("pattern R1 16x16:" + "0000" * 16 + "\ncopy C A mask=R1\n"
+                    "add C C B\n", B=[0], C=[0])
+    @settings(max_examples=1000, deadline=None)
+    def test_proof_chosen_type_matches_int32(self, prog, layout, seed, saturating):
+        signs = np.random.default_rng(seed).choice([-1, 1], size=(3, 16, 16))
+        mags = np.reshape(layout, (3, 4, 4)).repeat(4, 1).repeat(4, 2)
+        mode = SATURATING if saturating else "ideal"
+        narrow = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=mode)
+        wide = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=mode)
+        wide.widen(np.int32)
+        for reg, values in zip(NARROW_AREGS, mags * signs):
+            narrow.analog[reg][:] = values
+            wide.analog[reg][:] = values
+        try:
+            _, wide_sums = execute(prog, wide)
+        except ProgramError:
+            with pytest.raises(ProgramError):
+                execute(prog, narrow)
+            return
+        _, narrow_sums = execute(prog, narrow)
+        assert narrow_sums == wide_sums
+        assert same_planes(snapshot(narrow), snapshot(wide))
+        if saturating:
+            # stored values stay within 128, so two of them sum within int16
+            assert narrow.dtype != np.int32
+
+
 def _sample_instructions():
     pat = np.zeros((16, 16), dtype=np.uint8)
     pat[::3, 1::2] = 1
@@ -421,6 +530,24 @@ class TestListing:
     def test_operand_count_and_literals_checked(self, bad):
         with pytest.raises(ProgramError, match="line 1"):
             parse_listing(bad)
+
+    @pytest.mark.parametrize("literal, error", [
+        ("2x2:ffff", "2x2 bits need exactly 2 hex digits, got 4"),
+        ("2x2:ff", "pad bits after the last pixel are set"),
+        ("+2x2:f0", "dims '\\+2x2' are not HxW in plain decimal"),
+    ], ids=["extra-bytes", "pad-bits", "signed-dims"])
+    def test_pattern_literal_must_be_canonical(self, literal, error):
+        # each once read as 2x2:f0
+        assert disassemble(parse_listing("pattern R1 2x2:f0\n")) == \
+            "pattern R1 2x2:f0\n"
+        with pytest.raises(ProgramError,
+                           match=f"^line 3: bad pattern literal: {error}$"):
+            parse_listing(f"gsum A a\n\npattern R1 {literal}\n")
+
+    def test_parsed_pattern_is_read_only_bool(self):
+        bits = parse_listing("pattern R1 3x3:ff80\n").instructions[0].pattern
+        assert bits.dtype == bool and not bits.flags.writeable
+        assert np.array_equal(bits, np.ones((3, 3), dtype=bool))
 
     def test_bool_and_uint8_patterns_are_one_instruction(self):
         bits = np.eye(16, dtype=np.uint8)
