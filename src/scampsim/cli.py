@@ -18,7 +18,7 @@ from . import lowering, pnm, servo, training
 from .model import (argmax, default_model, load_weights_file, reference_infer,
                     save_weights)
 from .planes import NoiseModel
-from .program import CostModel, disassemble, estimate, execute
+from .program import CostModel, disassemble, estimate, execute, validate
 
 DEFAULT_COST_RESOURCE = "default_cost.json"
 
@@ -164,6 +164,8 @@ def cmd_dump(args):
     (_, img), = _iter_input_images(args.image, model.geometry.block_size)
     state = lowering.make_input_state(img, model.geometry, args.mode,
                                       NoiseModel(args.noise_sigma, args.seed))
+    # a refused program leaves no --out behind
+    validate(program, state)
     os.makedirs(args.out, exist_ok=True)
 
     stage_end = {end - 1: name for name, (_, end) in plan.stage_ranges.items()}

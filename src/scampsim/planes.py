@@ -4,9 +4,9 @@ ArrayState holds one fixed register file as plain arrays of one geometry:
 the analog registers A-F and PIX as integer planes of one type, and the
 1-bit registers R1-R12 and the FLAG plane as bool planes. The analog planes
 start as int8 and `widen()` moves them up the ladder int8 -> int16 -> int32
-once a program needs the room; they never narrow again. Ideal mode never
-clamps; saturating mode clamps every analog write to the one 8-bit-like
-range [SAT_MIN, SAT_MAX].
+once a program needs the room; they never narrow again. Nothing clamps:
+saturating mode models analog registers that hold magnitudes up to SAT_MAX,
+and program.validate refuses it any program that could pass them.
 The state exposes the primitive operations every higher layer composes:
 elementwise arithmetic with optional digital masking, neighbour shifts,
 thresholding, bit logic, pattern writes and the global summation.
@@ -16,18 +16,16 @@ state), and read the `analog` and `digital` dicts directly.
 
 Every analog operation writes into its destination plane in place; a masked
 write computes into one scratch plane owned by the state, so no analog
-operation allocates a result plane. In ideal mode a masked add or sub that
-accumulates into one of its own operands (dst = dst +/- other) takes two
-passes, dst +/-= other * m; every other masked write blends its scratch
-result in as dst += m * (t - dst). Both multiply by the mask viewed as
-int8, which costs no copy and, on int8 planes, no cast. Integer arithmetic
-wraps on overflow, and so does numpy's assignment of a wider value into a
-plane, so nothing here checks magnitudes per operation: program.execute
-proves how large a whole program's intermediates can get before they are
-clamped, and first widens the state to the narrowest type that holds them.
-So a saturating state runs at int8 only when no result needs the clamp,
-and the clamp always sees values that never wrapped. A caller that writes
-values beyond int8 into a plane directly must call `widen()` first.
+operation allocates a result plane. A masked add or sub that accumulates
+into one of its own operands (dst = dst +/- other) takes two passes,
+dst +/-= other * m; every other masked write blends its scratch result in
+as dst += m * (t - dst). Both multiply by the mask viewed as int8, which
+costs no copy and, on int8 planes, no cast. Integer arithmetic wraps on
+overflow, and so does numpy's assignment of a wider value into a plane,
+so nothing here checks magnitudes per operation: program.execute proves
+how large a whole program's stored values can get, and first widens the
+state to the narrowest type that holds them. A caller that writes values
+beyond int8 into a plane directly must call `widen()` first.
 
 D-registers are read-only arrays that operations rebind rather than write
 into: `pattern` binds the pattern bits themselves (a program's patterns are
@@ -48,7 +46,7 @@ from .geometry import PlaneGeometry
 IDEAL = "ideal"
 SATURATING = "saturating"
 
-SAT_MIN = -128
+# the largest magnitude a saturating state's analog registers hold
 SAT_MAX = 127
 
 # the analog planes' types, narrowest first: planes start on the first and
@@ -134,10 +132,8 @@ class ArrayState:
     array of the geometry's shape. The analog planes are int8 until
     `widen()` moves them up to int16 or int32; a direct write of a value
     beyond the planes' type must come after `widen()`, since numpy wraps it
-    silently. One state-wide `mode` decides the clamp:
-    in saturating mode every analog write clamps to [SAT_MIN, SAT_MAX] and
-    `limit` is the largest magnitude a plane can hold; in ideal mode `limit`
-    is None. The digital planes are read-only: every op that sets a
+    silently. The state-wide `mode` changes no op (see the module
+    docstring). The digital planes are read-only: every op that sets a
     D-register binds a new array to it, so `digital[name]` after the op
     reads the result and a plane taken before it keeps the old bits.
     Mutated by exactly one logical thread at a time; the noise RNG stream is
@@ -152,7 +148,6 @@ class ArrayState:
             raise PlaneError(f"unknown analog mode {mode!r}")
         self.geometry = geometry or PlaneGeometry()
         self.mode = mode
-        self.limit = max(-SAT_MIN, SAT_MAX) if mode == SATURATING else None
         self.noise = noise or NoiseModel()
         shape = self.geometry.shape
         # one zeroed block backs every analog plane plus the scratch plane
@@ -185,13 +180,8 @@ class ArrayState:
         if dtype.itemsize > self.dtype.itemsize:
             self._bind(self._block.astype(dtype))
 
-    def saturate(self, values: np.ndarray):
-        """Clamp `values` in place to the saturating range; no-op in ideal mode."""
-        if self.limit is not None:
-            np.clip(values, SAT_MIN, SAT_MAX, out=values)
-
     def _write(self, ufunc, dst: str, srcs: tuple[str, ...], mask: str | None):
-        """dst = clamp(ufunc(*srcs)) where the mask is set, in place.
+        """dst = ufunc(*srcs) where the mask is set, in place.
 
         Unmasked, the ufunc writes straight into dst. Masked, it writes into
         the scratch plane t, which blends in as dst += m * (t - dst): exact
@@ -201,12 +191,10 @@ class ArrayState:
         args = [self.analog[s] for s in srcs]
         if mask is None:
             ufunc(*args, out=out)
-            self.saturate(out)
             return
         m = self.digital[mask].view(np.int8)
         t = self._scratch
         ufunc(*args, out=t)
-        self.saturate(t)
         t -= out
         t *= m
         out += t
@@ -216,9 +204,7 @@ class ArrayState:
         t = other * m, then dst = ufunc(dst, t).
 
         Exact in the planes' wrapping arithmetic, like the blend, since the
-        bound pass bounds the stored result. Ideal mode only: a clamp after
-        accumulating would also clamp an unmasked pixel that holds a value
-        out of range, which the blend keeps.
+        bound pass bounds the stored result.
         """
         out = self.analog[dst]
         t = self._scratch
@@ -228,13 +214,13 @@ class ArrayState:
     # -- analog ops ------------------------------------------------------
 
     def add(self, dst: str, a: str, b: str, mask: str | None = None):
-        if mask is not None and self.limit is None and dst in (a, b):
+        if mask is not None and dst in (a, b):
             self._accumulate(np.add, dst, b if dst == a else a, mask)
         else:
             self._write(np.add, dst, (a, b), mask)
 
     def sub(self, dst: str, a: str, b: str, mask: str | None = None):
-        if mask is not None and self.limit is None and dst == a:
+        if mask is not None and dst == a:
             self._accumulate(np.subtract, dst, b, mask)
         else:
             self._write(np.subtract, dst, (a, b), mask)
@@ -280,7 +266,6 @@ class ArrayState:
             out[:, w - dc:] = 0
         elif dc < 0:
             out[:, :-dc] = 0
-        self.saturate(out)
 
     def threshold_into(self, dst: str, src: str, t: int):
         self.digital[dst] = _read_only(np.greater(self.analog[src], t))

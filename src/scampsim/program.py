@@ -14,26 +14,28 @@ program leaves the state's values and dtype bit-identical. `validate`
 checks what depends on the state:
 - every pattern's shape against the state's geometry;
 - a bound pass, starting from the state's current values, proves the
-  largest magnitude any analog result can reach before it is clamped.
-  Beyond int32 the program is rejected; otherwise execute first widens
-  the state to the narrowest of int8, int16 and int32 that holds it.
-  The pass keeps one bound per block of the geometry for each analog
-  register, as grid x grid int64 arrays, with one rule per opcode (the
-  opcode's `bound` in SPECS): add and sub sum their inputs' bounds, and
-  `sub x a a` is 0 without reading a; neg and copy keep their input's, max
-  takes the larger; a shift takes, per block, the larger bound of the one
-  or two source blocks it reads along its axis, and 0 off the plane; a
-  masked write keeps the larger of the new and the old bound, so no
-  pattern is scanned; saturating mode caps what it stores at the limit.
-  So the replicate stage's adds of blocks that do not overlap prove 1,
-  and the default program proves 32 (2 k^2: a tap's add and sub masks
-  both count on every block), which runs at int8 in both modes.
+  largest magnitude any stored analog value can reach. Past int32 the
+  program is rejected, and in saturating mode past SAT_MAX, since nothing
+  clamps; otherwise execute first widens the state to the narrowest of
+  int8, int16 and int32 that holds it. The pass keeps one bound per block
+  of the geometry for each analog register, as grid x grid int64 arrays,
+  with one rule per opcode (its `bound` in SPECS): add and sub sum their
+  inputs' bounds, and `sub x a a` is 0 without reading a; neg and copy
+  keep their input's, max takes the larger; a shift takes, per block, the
+  larger bound of the one or two source blocks it reads along its axis,
+  and 0 off the plane. A masked write bounds the blocks its mask touches
+  by the larger of the new and the old bound, and keeps the old elsewhere:
+  a `pattern` touches the blocks its bits set; `thresh`, `logic` and a
+  mask read before the program sets it may touch any block. So the
+  replicate stage's adds of blocks that do not overlap prove 1, each conv
+  tap adds 1 per block, and the default program proves 16 (k^2): int8 in
+  both modes.
   The pass reads the state only for the starting block bounds (max
   |value| per block) of the registers the program reads before writing
-  them, which the program alone decides. So an accepted proof is recorded
-  on the program per saturation limit, geometry and those starting block
+  them, which the program alone decides. So a proof, which serves both
+  modes, is recorded on the program per geometry and those starting block
   bounds, and a later state that matches them takes one block reduction
-  per such register instead of the pass; a failing proof is never
+  per such register instead of the pass; a proof past int32 is never
   recorded, so it raises on every call.
 A pattern is kept as a read-only bool view that a `pattern` instruction
 binds without copying. A program's sum_labels, which name its class sums,
@@ -50,9 +52,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import is_binary
-from .planes import (ANALOG_MAX, ANALOG_MIN, ANALOG_REGS, DIGITAL_REGS,
-                     SHIFT_OFFSETS, ArrayState)
+from .geometry import PlaneGeometry, is_binary
+from .planes import (ANALOG_MAX, ANALOG_MIN, ANALOG_REGS, DIGITAL_REGS, SAT_MAX,
+                     SATURATING, SHIFT_OFFSETS, ArrayState)
 
 LOGIC_OPS = ("and", "or", "xor", "not")
 
@@ -134,10 +136,10 @@ class PpaProgram:
 
     instructions: tuple[Instruction, ...]
     sum_labels: list[str] = field(init=False)  # the gsum labels, in order
-    # per (saturation limit, geometry): (the registers the bound pass reads,
-    # {their starting block bounds: the peak proved from them})
-    _proofs: dict[tuple, tuple] = field(default_factory=dict, init=False,
-                                        repr=False, compare=False)
+    # per geometry: (the registers the bound pass reads, {their starting
+    # block bounds: what _prove returned from them})
+    _proofs: dict[PlaneGeometry, tuple] = field(default_factory=dict, init=False,
+                                                repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
@@ -160,7 +162,8 @@ def _pattern_to_hex(pattern: np.ndarray) -> str:
 
 def _pattern_from_hex(text: str) -> np.ndarray:
     """Read-only bool bits from a literal as `_pattern_to_hex` writes it:
-    plain decimal dims, exactly the bytes the bits fill, pad bits 0."""
+    plain decimal dims, exactly the bytes the bits fill, lower-case hex,
+    pad bits 0."""
     dims, _, hexbits = text.partition(":")
     hs, _, ws = dims.partition("x")
     if not all(d.isascii() and d.isdigit() and str(int(d)) == d for d in (hs, ws)):
@@ -171,6 +174,8 @@ def _pattern_from_hex(text: str) -> np.ndarray:
     if len(hexbits) != 2 * nbytes:
         raise ProgramError(f"bad pattern literal: {h}x{w} bits need exactly "
                            f"{2 * nbytes} hex digits, got {len(hexbits)}")
+    if hexbits != hexbits.lower():
+        raise ProgramError("bad pattern literal: hex digits must be lower case")
     try:
         raw = np.frombuffer(bytes.fromhex(hexbits), dtype=np.uint8)
     except ValueError as e:
@@ -237,7 +242,8 @@ class _Bounds(dict):
     """Proven magnitude bound per block of each analog register, as grid x
     grid int64 arrays that are never written in place. A register's first
     read takes its block max-abs from the state, recorded in `starts`; it is
-    the pass's only read of the state."""
+    the pass's only read of the state. `covers` maps each D-register a
+    `pattern` set to the blocks its bits touch, as a 0/1 grid x grid array."""
 
     def __init__(self, state: ArrayState):
         super().__init__()
@@ -246,7 +252,7 @@ class _Bounds(dict):
         grid = state.geometry.block_grid
         self.zero = np.zeros((grid, grid), dtype=np.int64)
         self.starts: dict[str, np.ndarray] = {}
-        self.peak = 0  # largest bound of any result before it is clamped
+        self.covers: dict[str, np.ndarray] = {}
 
     def __missing__(self, reg: str) -> np.ndarray:
         bound = _block_max_abs(self.state.analog[reg], self.state.geometry)
@@ -255,7 +261,7 @@ class _Bounds(dict):
 
 
 # per-block bound rules (see the module docstring): (instruction, _Bounds)
-# -> bound on |value written to dst| per block, before any clamp or mask
+# -> bound on |value written to dst| per block, before any mask
 
 
 def _sum_bound(ins, bounds):
@@ -361,63 +367,68 @@ _GATES = {(op, logic_not): _gate(spec, "not" if logic_not else None)
 # -- validation and execution -------------------------------------------
 
 
-def _check_bound(ins: Instruction, spec: OpSpec, bounds: _Bounds):
-    """Record the per-block bound of the value `ins` writes; raise if it can
-    leave int32."""
-    new = spec.bound(ins, bounds)
-    top = new.max()
-    if top > ANALOG_MAX:
-        raise ProgramError(f"{ins.opcode} can reach magnitude {top}, outside int32")
-    bounds.peak = max(bounds.peak, int(top))
-    # a saturating state clamps what it stores
-    limit = bounds.state.limit
-    if limit is not None and top > limit:
-        new = np.minimum(new, limit)
-    if ins.mask is not None:
-        # unmasked pixels keep their old values
-        new = np.maximum(new, bounds[ins.dst])
-    bounds[ins.dst] = new
-
-
-# proofs kept per program, saturation limit and geometry before the memo
-# starts over
+# proofs kept per program and geometry before the memo starts over
 MAX_PROOFS = 64
+
+
+def _prove(program: PpaProgram, state: ArrayState) -> tuple[int, int | None]:
+    """Run the bound pass and record it on the program: the largest
+    magnitude any stored analog value can reach, and the index of the first
+    instruction that can pass SAT_MAX, or None."""
+    bounds = _Bounds(state)
+    peak, past_sat = 0, None
+    for idx, ins in enumerate(program.instructions):
+        spec = SPECS[ins.opcode]
+        if ins.pattern is not None:
+            bounds.covers[ins.dst] = _block_max_abs(ins.pattern.view(np.int8),
+                                                    state.geometry)
+        elif spec.bound is None:
+            # thresh and logic may set any pixel; gsum sets no register
+            bounds.covers.pop(ins.dst, None)
+        else:
+            new = spec.bound(ins, bounds)
+            if ins.mask in bounds.covers:
+                # blocks the mask does not touch store nothing new
+                new = new * bounds.covers[ins.mask]
+            top = int(new.max())
+            if top > ANALOG_MAX:
+                raise ProgramError(f"instruction {idx} ({ins.opcode}): {ins.opcode} "
+                                   f"can reach magnitude {top}, outside int32")
+            if top > SAT_MAX and past_sat is None:
+                past_sat = idx
+            peak = max(peak, top)
+            if ins.mask is not None:
+                # unmasked pixels keep their old values
+                new = np.maximum(new, bounds[ins.dst])
+            bounds[ins.dst] = new
+    _, proven = program._proofs.setdefault(state.geometry, (tuple(bounds.starts), {}))
+    if len(proven) >= MAX_PROOFS:
+        proven.clear()
+    proven[tuple(b.tobytes() for b in bounds.starts.values())] = peak, past_sat
+    return peak, past_sat
 
 
 def validate(program: PpaProgram, state: ArrayState) -> int:
     """Reject the whole program before any instruction runs: every pattern's
-    shape against the state's geometry, and every analog result's magnitude
-    against int32, starting from the state's current plane values. Returns
-    the largest magnitude any analog result can reach before it is clamped."""
+    shape against the state's geometry, and every stored analog value's
+    magnitude, from the state's current values, against int32 and, in
+    saturating mode, SAT_MAX. Returns the largest such magnitude."""
     geometry = state.geometry
     shape = geometry.shape
     for idx, ins in enumerate(program.instructions):
         if ins.pattern is not None and ins.pattern.shape != shape:
             raise ProgramError(f"instruction {idx} (pattern): bits of shape "
                                f"{ins.pattern.shape}, not the geometry's {shape}")
-    memo = state.limit, geometry
-    proof = program._proofs.get(memo)
-    if proof is not None:
-        reads, peaks = proof
-        peak = peaks.get(tuple(_block_max_abs(state.analog[r], geometry).tobytes()
-                               for r in reads))
-        if peak is not None:
-            return peak
-    bounds = _Bounds(state)
-    for idx, ins in enumerate(program.instructions):
-        spec = SPECS[ins.opcode]
-        if spec.bound is not None:
-            try:
-                _check_bound(ins, spec, bounds)
-            except ProgramError as e:
-                raise ProgramError(f"instruction {idx} ({ins.opcode}): {e}") from None
-    if proof is None:
-        proof = program._proofs[memo] = (tuple(bounds.starts), {})
-    peaks = proof[1]
-    if len(peaks) >= MAX_PROOFS:
-        peaks.clear()
-    peaks[tuple(b.tobytes() for b in bounds.starts.values())] = bounds.peak
-    return bounds.peak
+    reads, proven = program._proofs.get(geometry, ((), {}))
+    peak, past_sat = proven.get(tuple(
+        _block_max_abs(state.analog[r], geometry).tobytes() for r in reads)
+    ) or _prove(program, state)
+    if past_sat is not None and state.mode == SATURATING:
+        op = program.instructions[past_sat].opcode
+        raise ProgramError(f"instruction {past_sat} ({op}): passes the saturating "
+                           f"range of {SAT_MAX}; the program can reach "
+                           f"magnitude {peak}")
+    return peak
 
 
 def execute(program: PpaProgram, state: ArrayState,

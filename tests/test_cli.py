@@ -144,26 +144,55 @@ def test_train_rejects_bad_settings_without_output(tmp_path, capsys, dataset_dir
     assert not out.exists()
 
 
+def _all_plus_one_k12() -> str:
+    """Weights whose conv reaches 144 on an all-ones input: past 127."""
+    m = random_model(0, k=12)
+    m.kernels[:] = 1
+    return save_weights(m)
+
+
+# the k = 12 all-+1 weights and an all-ones 64x64 input, in saturating mode
+K12_SATURATING = {"w.json": _all_plus_one_k12(),
+                  "ones.pgm": b"P5\n64 64\n255\n" + b"\xff" * 64 * 64}
+K12_REFUSED = ("instruction 405 (add): passes the saturating range of 127; the "
+               "program can reach magnitude 144")
+
+
 @pytest.mark.parametrize("command, setup, error", [
-    pytest.param(["lower", "--weights", "w.json"], {"w.json": "5"},
+    pytest.param(["lower", "--weights", "w.json", "--out", "out"], {"w.json": "5"},
                  "weights document must be a JSON object, got 5", id="weights-5"),
-    pytest.param(["train", "--dataset", "ds"], {"ds/manifest.json": "{}"},
+    pytest.param(["train", "--dataset", "ds", "--out", "out"],
+                 {"ds/manifest.json": "{}"},
                  "manifest field 'train' must be a list of entries with a 'file' "
                  "name and an integer 'label'", id="manifest-empty"),
-    pytest.param(["train", "--dataset", "ds"], {"ds/manifest.json": "{"},
+    pytest.param(["train", "--dataset", "ds", "--out", "out"],
+                 {"ds/manifest.json": "{"},
                  "manifest is not valid JSON: Expecting property name enclosed in "
                  "double quotes: line 1 column 2 (char 1)", id="manifest-not-json"),
-    pytest.param(["gen", "--n-train", "2", "--rotation", "nan"], {},
+    pytest.param(["gen", "--n-train", "2", "--rotation", "nan", "--out", "out"], {},
                  "rotation_deg must be a finite number, got nan", id="rotation-nan"),
+    # infer takes no --out: it must print nothing before the error
+    pytest.param(["infer", "--weights", "w.json", "--mode", "saturating", "--check",
+                  "--images", "ones.pgm"], K12_SATURATING, K12_REFUSED,
+                 id="infer-saturating-k12"),
+    pytest.param(["dump", "--weights", "w.json", "--mode", "saturating",
+                  "--image", "ones.pgm", "--out", "out"], K12_SATURATING,
+                 K12_REFUSED, id="dump-saturating-k12"),
+    pytest.param(["loop", "--weights", "w.json", "--mode", "saturating",
+                  "--frames", "ones.pgm", "--duration-us", "2000", "--out", "out"],
+                 K12_SATURATING, K12_REFUSED, id="loop-saturating-k12"),
 ])
 def test_malformed_input_single_line_error_without_output(tmp_path, capsys,
                                                           monkeypatch, command,
                                                           setup, error):
     monkeypatch.chdir(tmp_path)
-    for name, text in setup.items():
+    for name, data in setup.items():
         os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
-        (tmp_path / name).write_text(text)
-    code, stdout, err = run_cli(capsys, *command, "--out", "out")
+        if isinstance(data, bytes):
+            (tmp_path / name).write_bytes(data)
+        else:
+            (tmp_path / name).write_text(data)
+    code, stdout, err = run_cli(capsys, *command)
     assert (code, stdout) == (1, "")
     assert err == f"error: {error}\n"
     assert not (tmp_path / "out").exists()

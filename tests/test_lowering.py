@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import same_planes, snapshot
 
 from scampsim.geometry import PlaneGeometry
 from scampsim.lowering import (LoweringError, border_pattern,
@@ -12,8 +13,8 @@ from scampsim.lowering import (LoweringError, border_pattern,
 from scampsim.model import (BnnModel, default_model, dense_forward, random_model,
                             reference_infer)
 from scampsim.planes import SATURATING, ArrayState
-from scampsim.program import (PpaProgram, disassemble, execute, parse_listing,
-                              validate)
+from scampsim.program import (PpaProgram, ProgramError, disassemble, execute,
+                              parse_listing, validate)
 
 
 def block_of(plane, geometry, b):
@@ -274,9 +275,8 @@ class TestValueRange:
     """The widest lowered models stay far inside int32, and the lowering
     matches the dense oracle over the whole configuration space."""
 
-    # the proof reads 2 k^2, since it cannot tell which blocks a tap's add
-    # and sub masks select: (8, 32) is proven to stay within 2048 and (1, 64)
-    # within 8192, so both run at int16
+    # the proof reads k^2: (8, 32) is proven to stay within 1024 and (1, 64)
+    # within 4096, so both run at int16
     @pytest.mark.parametrize("grid,k,dtype", [(8, 32, np.int16), (1, 64, np.int16)],
                              ids=["8-32", "1-64"])
     def test_widest_kernels_pass_the_bound_pass(self, grid, k, dtype, rng):
@@ -295,34 +295,63 @@ class TestValueRange:
         prog, _ = lower_model(m)
         x = rng.integers(0, 2, size=(64, 64))
         state = make_input_state(x, mode=mode)
-        # 2 k^2 for k = 4: the replicate stage's adds sum blocks that do not
-        # overlap, so they prove 1, not the 512 of one bound per register
-        assert validate(prog, state) == 32
+        # k^2 for k = 4: the replicate stage's adds sum blocks that do not
+        # overlap, so they prove 1, and each conv tap adds 1 per block under
+        # its add or its sub mask
+        assert validate(prog, state) == 16
         _, sums = execute(prog, state)
         assert sums == [4 * s for s in reference_infer(m, x).sums]
         assert state.dtype == np.int8
 
+    @pytest.mark.parametrize("k", [11, 12])
+    def test_all_plus_one_kernels_prove_k_squared(self, k):
+        """All-+1 kernels on an all-ones input reach exactly k*k, so
+        saturating mode runs k = 11 and refuses k = 12 before anything runs."""
+        m = random_model(0, k=k)
+        m.kernels[:] = 1
+        prog, _ = lower_model(m)
+        x = np.ones((64, 64), dtype=np.uint8)
+        expected = [4 * s for s in reference_infer(m, x).sums]
+        ideal = make_input_state(x)
+        assert validate(prog, ideal) == k * k
+        assert execute(prog, ideal)[1] == expected
+        sat = make_input_state(x, mode=SATURATING)
+        if k == 11:
+            assert execute(prog, sat)[1] == expected
+            return
+        assert expected == [29952, -72576, -3456]
+        before = snapshot(sat)
+        with pytest.raises(ProgramError, match=r"^instruction \d+ \(add\): passes the "
+                           r"saturating range of 127; .* magnitude 144$"):
+            execute(prog, sat)
+        assert same_planes(snapshot(sat), before)
+
     @given(grid=st.sampled_from([1, 2, 4, 8]), half=st.integers(1, 8),
            k_frac=st.floats(0, 1), classes=st.integers(2, 8),
            saturating=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    # the widest kernels saturating mode runs (k = 11) and refuses (k = 12)
+    @example(grid=1, half=6, k_frac=10 / 11, classes=3, saturating=True, seed=0)
+    @example(grid=2, half=6, k_frac=1.0, classes=3, saturating=True, seed=0)
     @settings(max_examples=25, deadline=None)
     def test_differential_fuzz(self, grid, half, k_frac, classes, saturating, seed):
         """Lowered sums equal 4x the dense reference on two fresh frames, and
-        listings round-trip.
-
-        Saturating mode draws only k*k <= 127. Conv values reach k*k; past
-        127 they clamp while the oracle does not saturate, a known defect
-        (ROADMAP item 1: lowering accepts such models) outside this space.
-        """
+        listings round-trip. Saturating mode refuses, before anything runs,
+        exactly the models whose conv can pass 127 (k*k > 127)."""
         bs = 2 * half
-        k_max = min(bs, 11) if saturating else bs
-        k = 1 + round(k_frac * (k_max - 1))
+        k = 1 + round(k_frac * (bs - 1))
         g = PlaneGeometry(grid * bs, grid * bs, grid, bs)
         m = random_model(seed=seed, num_classes=classes, k=k, geometry=g)
         prog, _ = lower_model(m)
         assert parse_listing(disassemble(prog)) == prog
         x = np.random.default_rng(seed).integers(0, 2, size=(bs, bs))
         mode = SATURATING if saturating else "ideal"
+        if saturating and k * k > 127:
+            state = make_input_state(x, g, mode)
+            before = snapshot(state)
+            with pytest.raises(ProgramError, match=f"can reach magnitude {k * k}$"):
+                execute(prog, state)
+            assert same_planes(snapshot(state), before)
+            return
         _, sums = execute(prog, make_input_state(x, g, mode))
         assert sums == [4 * s for s in reference_infer(m, x).sums]
         # a second frame of the same program reuses its bound proof and binds

@@ -102,32 +102,6 @@ class TestArithmetic:
                 expect = a[r, c] + b[r, c] if mask[r, c] else prior[r, c]
                 assert got[r, c] == expect
 
-    def test_saturating_masked_accumulate_keeps_unmasked_pixels(self):
-        # 300 is beyond the saturating range; a masked write must not clamp
-        # the pixels it leaves alone
-        state = make_state(mode=SATURATING)
-        state.widen(300)
-        state.analog["C"][:] = 300
-        state.analog["A"][:] = 5
-        mask = np.indices((16, 16))[1] % 2 == 0
-        state.write_pattern("R1", mask)
-        state.add("C", "C", "A", mask="R1")
-        assert np.array_equal(state.analog["C"], np.where(mask, 127, 300))
-
-    def test_saturating_clamps(self):
-        # 100 + 100 leaves int8 before the clamp, so the planes widen first,
-        # as execute would
-        state = make_state(mode=SATURATING)
-        state.widen(200)
-        state.analog["A"][:] = 100
-        state.analog["B"][:] = 100
-        state.add("C", "A", "B")
-        assert np.all(state.analog["C"] == 127)
-        state.sub("C", "B", "A")
-        state.analog["B"][:] = -100
-        state.add("C", "A", "B")
-        assert np.all(state.analog["C"] == 0)
-
 
 # the masked ops, each with its numpy oracle over int64 operands
 MASKED_OPS = {
@@ -150,9 +124,9 @@ def mask_shapes():
 
 
 class TestMaskedWrite:
-    """Every masked op against np.where(m, clip(op(a, b)), old) in int64, for
-    every mask shape, both modes, every plane dtype and every way dst can
-    alias the inputs."""
+    """Every masked op against np.where(m, op(a, b), old) in int64, for every
+    mask shape, both modes (which compute alike), every plane dtype and
+    every way dst can alias the inputs."""
 
     @pytest.mark.parametrize("mode", ["ideal", SATURATING])
     @pytest.mark.parametrize("shape", mask_shapes())
@@ -171,12 +145,9 @@ class TestMaskedWrite:
         state.widen(dtype)
         # inputs whose result fits the dtype but whose difference to the old
         # value (the dtype's minimum at C[0, 0]) does not, so the blend's own
-        # arithmetic wraps; saturating int8 planes hold only results that fit
-        # before the clamp, which is what the bound proof chooses them for
+        # arithmetic wraps
         if dtype == np.int8:
             lo, hi, c00 = -63, 63, -128
-        elif mode == SATURATING:
-            lo, hi, c00 = -128, 127, -128
         elif dtype == np.int16:
             lo, hi, c00 = -2**14 + 1, 2**14 - 1, -2**15
         else:
@@ -188,8 +159,6 @@ class TestMaskedWrite:
         state.write_pattern("R1", mask)
         before = {n: p.astype(np.int64) for n, p in state.analog.items()}
         new = oracle(before[a], before[b])
-        if mode == SATURATING:
-            new = np.clip(new, -128, 127)
         run(state, dst, a, b, "R1")
         assert np.array_equal(state.analog[dst], np.where(mask, new, before[dst]))
         assert state.dtype == dtype and state.analog[dst].dtype == dtype
@@ -437,10 +406,10 @@ class TestWritePattern:
 
 
 class TestStateInvariants:
-    @pytest.mark.parametrize("mode, limit", [("ideal", None), (SATURATING, 128)])
-    def test_one_fixed_register_file_of_plain_arrays(self, mode, limit):
+    @pytest.mark.parametrize("mode", ["ideal", SATURATING])
+    def test_one_fixed_register_file_of_plain_arrays(self, mode):
         state = make_state(mode)
-        assert state.mode == mode and state.limit == limit
+        assert state.mode == mode
         assert list(state.analog) == ["A", "B", "C", "D", "E", "F", "PIX"]
         assert list(state.digital) == [f"R{i}" for i in range(1, 13)] + ["FLAG"]
         assert state.dtype == np.int8
@@ -489,18 +458,6 @@ class TestStateInvariants:
             return snapshot(state)
 
         assert same_planes(run(make_state()), run(make_state()))
-
-    def test_saturation_is_clamp_of_ideal(self, rng):
-        vals_a = rng.integers(-128, 128, size=(16, 16))
-        vals_b = rng.integers(-128, 128, size=(16, 16))
-        ideal, sat = make_state(), make_state(mode=SATURATING)
-        for s in (ideal, sat):
-            s.widen(256)  # a + b leaves int8
-            s.analog["A"][:] = vals_a
-            s.analog["B"][:] = vals_b
-            s.add("C", "A", "B")
-        assert np.array_equal(np.clip(ideal.analog["C"], -128, 127),
-                              sat.analog["C"])
 
 
 # every caller of the one 0/1 check, with the error type it raises

@@ -253,8 +253,13 @@ class TestValidByConstruction:
             try:
                 execute(prog, state)
             except ProgramError as e:
-                # only the state-dependent check may refuse a built program
-                assert str(e).startswith("instruction 0 (pattern): bits of shape")
+                # only the state-dependent checks may refuse a built program:
+                # the pattern's shape, or a saturating value past 127 (the
+                # sum or difference of two magnitudes up to 100)
+                assert (str(e).startswith("instruction 0 (pattern): bits of shape")
+                        or mode == SATURATING and op in ("add", "sub")
+                        and str(e).startswith(f"instruction 0 ({op}): passes the "
+                                              f"saturating range of 127"))
                 assert same_planes(snapshot(state), before)
                 assert state.dtype == np.int8
 
@@ -294,12 +299,21 @@ class TestBoundPass:
     @pytest.mark.parametrize("mode", ["ideal", SATURATING])
     @pytest.mark.parametrize("times, dtype", [(6, np.int8), (7, np.int16)])
     def test_runs_at_int8_up_to_127(self, times, dtype, mode):
-        # saturating mode too: 64 + 64 is clamped only after it is computed
+        # saturating mode holds 64 and refuses 128 before anything runs
         state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=mode)
         state.analog["A"][:] = 1
-        _, sums = execute(parse_listing(doubling_listing(times)), state)
-        top = min(2**times, 127) if mode == SATURATING else 2**times
-        assert sums == [top * 256]
+        prog = parse_listing(doubling_listing(times))
+        if mode == SATURATING and dtype != np.int8:
+            before = snapshot(state)
+            with pytest.raises(ProgramError, match=r"^instruction 6 \(add\): passes "
+                               r"the saturating range of 127; the program can "
+                               r"reach magnitude 128$"):
+                execute(prog, state)
+            assert same_planes(snapshot(state), before)
+            assert state.dtype == np.int8
+            return
+        _, sums = execute(prog, state)
+        assert sums == [2**times * 256]
         assert state.dtype == dtype
 
     def test_bound_starts_from_the_state_values(self):
@@ -328,11 +342,21 @@ class TestBoundPass:
         execute(parse_listing("copy B A\nadd B B B\n"), state)
         assert np.all(state.analog["B"] == 0)
 
-    def test_saturating_mode_caps_the_bound(self):
+    def test_saturating_mode_names_the_first_instruction_past_127(self):
+        # 8 + 60 + 60 passes 127 at instruction 1, and the peak comes later
+        prog = parse_listing("add C A B\nadd C C B\nadd C C C\ngsum C c\n")
         state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=SATURATING)
-        state.analog["A"][:] = 1
-        _, sums = execute(parse_listing(doubling_listing(64)), state)
-        assert sums == [127 * 256]
+        state.analog["A"][:] = 8
+        state.analog["B"][:] = 60
+        before = snapshot(state)
+        with pytest.raises(ProgramError, match=r"^instruction 1 \(add\): passes "
+                           r"the saturating range of 127; the program can reach "
+                           r"magnitude 256$"):
+            execute(prog, state)
+        assert same_planes(snapshot(state), before)
+        state.analog["B"][:] = 20
+        assert execute(prog, state)[1] == [96 * 256]
+        assert state.dtype == np.int8
 
     def test_memoised_proof_follows_the_starting_bounds(self):
         prog = parse_listing(doubling_listing(14))
@@ -345,23 +369,36 @@ class TestBoundPass:
         assert execute(prog, state)[1] == [2**16 * 256]
         assert state.dtype == np.int32
 
-    def test_memoised_proof_follows_the_limit(self):
-        prog = parse_listing(doubling_listing(64))
-        state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=SATURATING)
-        state.analog["A"][:] = 1
-        assert execute(prog, state)[1] == [127 * 256]
-        # a failing proof is not recorded: it raises the same way every time
-        for _ in range(2):
-            state = small_state()
+    def test_one_proof_serves_both_modes(self, monkeypatch):
+        calls = []
+        prove = program_module._prove
+        monkeypatch.setattr(program_module, "_prove",
+                            lambda *args: calls.append(args) or prove(*args))
+        prog = parse_listing(doubling_listing(7))
+        for mode in ("ideal", SATURATING, SATURATING):
+            state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=mode)
             state.analog["A"][:] = 1
-            with pytest.raises(ProgramError, match=r"instruction 30 \(add\)"):
+            if mode == SATURATING:
+                # a memo hit still names the first instruction past 127
+                with pytest.raises(ProgramError, match=r"^instruction 6 \(add\)"):
+                    execute(prog, state)
+            else:
+                assert execute(prog, state)[1] == [128 * 256]
+        assert len(calls) == 1
+        # a proof past int32 is not recorded: it raises the same way every time
+        prog = parse_listing(doubling_listing(64))
+        for mode in ("ideal", SATURATING):
+            state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=mode)
+            state.analog["A"][:] = 1
+            with pytest.raises(ProgramError, match=r"instruction 30 \(add\).*int32"):
                 execute(prog, state)
+        assert len(calls) == 3
 
     def test_equal_starting_bounds_skip_the_bound_pass(self, monkeypatch):
         calls = []
-        check = program_module._check_bound
-        monkeypatch.setattr(program_module, "_check_bound",
-                            lambda *args: calls.append(args) or check(*args))
+        prove = program_module._prove
+        monkeypatch.setattr(program_module, "_prove",
+                            lambda *args: calls.append(args) or prove(*args))
         prog = parse_listing("add C A A\nadd C C A\ngsum C c\n")
         walked, sums = [], []
         for value in (1, 2, 1, 2):
@@ -371,7 +408,7 @@ class TestBoundPass:
             sums += execute(prog, state)[1]
             walked.append(len(calls) - before)
         assert sums == [3 * 256, 6 * 256, 3 * 256, 6 * 256]
-        assert walked == [2, 2, 0, 0]
+        assert walked == [1, 1, 0, 0]
 
     def test_threshold_immediate_must_fit_int32(self):
         for value in (ANALOG_MAX + 1, ANALOG_MIN - 1):
@@ -437,6 +474,14 @@ def narrow_example(listing, **blocks):
                    seed=0, saturating=False)
 
 
+def pattern_line(dst, *pixels):
+    """A `pattern` instruction that sets exactly the given (row, col) pixels."""
+    bits = np.zeros((16, 16), dtype=bool)
+    for pixel in pixels:
+        bits[pixel] = True
+    return f"pattern {dst} 16x16:{np.packbits(bits).tobytes().hex()}\n"
+
+
 class TestNarrowPlanes:
     """A program runs at the type its proof picks exactly as it runs on
     int32 planes: the int32 run is the oracle, and it does not depend on
@@ -447,13 +492,19 @@ class TestNarrowPlanes:
            seed=st.integers(0, 2**16), saturating=st.booleans())
     # a block the proof loses would wrap the sum at int8: a block moved by a
     # shift, the second block a part-block shift reads, the larger operand of
-    # max, and the old value a masked write keeps
+    # max, the old value a masked write keeps, that value on a hot block a
+    # block-select mask leaves out, a mask that touches one pixel of a block
+    # (A and B are both +64 at (5, 4) for seed 0), and a mask `thresh` sets
     @narrow_example("shift C A S 4\nadd C C B\n", A=[0], B=[4])
     @narrow_example("shift C A N 2\nadd C C B\n", A=[4], B=[0])
     @narrow_example("shift C A S 2\nadd C C B\n", A=[0], B=[4])
     @narrow_example("max C A B\nadd C C B\n", B=[0])
     @narrow_example("pattern R1 16x16:" + "0000" * 16 + "\ncopy C A mask=R1\n"
                     "add C C B\n", B=[0], C=[0])
+    @narrow_example(pattern_line("R1", *[(r, c) for r in range(4) for c in range(4)])
+                    + "copy C A mask=R1\nadd C C B\n", B=[5], C=[5])
+    @narrow_example(pattern_line("R1", (5, 4)) + "add C A B mask=R1\n", A=[5], B=[5])
+    @narrow_example("thresh R1 C -1\nadd C A B mask=R1\n", A=[0], B=[0])
     @settings(max_examples=1000, deadline=None)
     def test_proof_chosen_type_matches_int32(self, prog, layout, seed, saturating):
         signs = np.random.default_rng(seed).choice([-1, 1], size=(3, 16, 16))
@@ -475,8 +526,8 @@ class TestNarrowPlanes:
         assert narrow_sums == wide_sums
         assert same_planes(snapshot(narrow), snapshot(wide))
         if saturating:
-            # stored values stay within 128, so two of them sum within int16
-            assert narrow.dtype != np.int32
+            # an accepted saturating program stores nothing past 127
+            assert narrow.dtype == np.int8
 
 
 def _sample_instructions():
@@ -535,7 +586,8 @@ class TestListing:
         ("2x2:ffff", "2x2 bits need exactly 2 hex digits, got 4"),
         ("2x2:ff", "pad bits after the last pixel are set"),
         ("+2x2:f0", "dims '\\+2x2' are not HxW in plain decimal"),
-    ], ids=["extra-bytes", "pad-bits", "signed-dims"])
+        ("2x2:F0", "hex digits must be lower case"),
+    ], ids=["extra-bytes", "pad-bits", "signed-dims", "upper-case"])
     def test_pattern_literal_must_be_canonical(self, literal, error):
         # each once read as 2x2:f0
         assert disassemble(parse_listing("pattern R1 2x2:f0\n")) == \
