@@ -116,29 +116,21 @@ def make_input_state(image: np.ndarray, geometry: PlaneGeometry | None = None,
 # -- mask pattern construction -------------------------------------------
 
 
-def _plane_of_blocks(geometry: PlaneGeometry, blocks: np.ndarray) -> np.ndarray:
-    """A fresh plane whose block (i, j) is blocks[i, j], broadcast to bs x bs."""
-    grid, bs = geometry.block_grid, geometry.block_size
-    out = np.empty(geometry.shape, dtype=blocks.dtype)
-    out.reshape(grid, bs, grid, bs)[...] = blocks.transpose(0, 2, 1, 3)
-    return out
-
-
 def block_select_pattern(geometry: PlaneGeometry, selected: np.ndarray) -> np.ndarray:
     """Full-plane bit pattern with 1s over every selected block."""
-    grid = geometry.block_grid
-    return _plane_of_blocks(geometry, np.asarray(selected).reshape(grid, grid, 1, 1))
+    grid, bs = geometry.block_grid, geometry.block_size
+    return np.asarray(selected).reshape(grid, grid).repeat(bs, 1).repeat(bs, 0)
 
 
 def border_pattern(geometry: PlaneGeometry, k: int) -> np.ndarray:
     """1s on the (k-1)-wide contaminated frame of every block (bottom/right,
     matching top-left window anchoring)."""
-    bs = geometry.block_size
-    block = np.zeros((1, 1, bs, bs), dtype=bool)
+    grid, bs = geometry.block_grid, geometry.block_size
+    out = np.zeros(geometry.shape, dtype=bool)
     if k > 1:
-        block[..., bs - (k - 1):, :] = True
-        block[..., bs - (k - 1):] = True
-    return _plane_of_blocks(geometry, block)
+        out.reshape(grid, bs, -1)[:, bs - (k - 1):] = True
+        out.reshape(-1, grid, bs)[..., bs - (k - 1):] = True
+    return out
 
 
 def parity_pattern(geometry: PlaneGeometry, axis: str, parity: int) -> np.ndarray:
@@ -153,10 +145,14 @@ def parity_pattern(geometry: PlaneGeometry, axis: str, parity: int) -> np.ndarra
 
 def fc_negative_pattern(model: BnnModel, class_index: int) -> np.ndarray:
     """1 where the class's FC weight is -1, expanded to 2x2 pooled cells."""
-    grid = model.geometry.block_grid
+    grid, ps = model.geometry.block_grid, model.geometry.block_size // 2
     neg = model.fc_weights[class_index] == -1  # (nb, ps, ps)
-    cells = neg.reshape(grid, grid, *neg.shape[1:]).repeat(2, 2).repeat(2, 3)
-    return _plane_of_blocks(model.geometry, cells)
+    # the pooled plane, block rows laid side by side
+    pooled = neg.reshape(grid, grid, ps, ps).transpose(0, 2, 1, 3).reshape(grid * ps, -1)
+    # a 0/1 byte times 0x0101 is two equal bytes in either byte order, so
+    # this widens each column to two
+    pairs = np.multiply(pooled, 0x0101, dtype=np.uint16).view(bool)
+    return pairs.repeat(2, 0)
 
 
 # -- stage lowering ------------------------------------------------------
@@ -202,6 +198,7 @@ def lower_conv(model: BnnModel) -> list[Instruction]:
     sub under the -1 union; one of the two is omitted when empty.
     """
     geometry, k = model.geometry, model.k
+    planes: dict[bytes, np.ndarray] = {}  # one per distinct block selection
     ins = [Instruction("sub", dst=REG_ACC, a=REG_ACC, b=REG_ACC)]
     for dy in range(k):
         if dy == 0:
@@ -223,18 +220,14 @@ def lower_conv(model: BnnModel) -> list[Instruction]:
                                            direction="W", steps=1))
                 src = REG_TAP
             weights = model.kernels[:, dy, dx]
-            pos = (weights == 1)
-            neg = (weights == -1)
-            if pos.any():
-                ins.append(Instruction("pattern", dst=MASK_POS,
-                                       pattern=block_select_pattern(geometry, pos)))
-                ins.append(Instruction("add", dst=REG_ACC, a=REG_ACC, b=src,
-                                       mask=MASK_POS))
-            if neg.any():
-                ins.append(Instruction("pattern", dst=MASK_NEG,
-                                       pattern=block_select_pattern(geometry, neg)))
-                ins.append(Instruction("sub", dst=REG_ACC, a=REG_ACC, b=src,
-                                       mask=MASK_NEG))
+            for blocks, mask, op in ((weights == 1, MASK_POS, "add"),
+                                     (weights == -1, MASK_NEG, "sub")):
+                if blocks.any():
+                    key = blocks.tobytes()
+                    if key not in planes:
+                        planes[key] = block_select_pattern(geometry, blocks)
+                    ins.append(Instruction("pattern", dst=mask, pattern=planes[key]))
+                    ins.append(Instruction(op, dst=REG_ACC, a=REG_ACC, b=src, mask=mask))
     # zero the contaminated frame in one masked copy from the zero register
     ins.append(Instruction("pattern", dst=MASK_BORDER,
                            pattern=border_pattern(geometry, k)))

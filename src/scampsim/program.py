@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -118,16 +119,16 @@ class Instruction:
     def __eq__(self, other):
         if not isinstance(other, Instruction):
             return NotImplemented
-        if self.pattern is None or other.pattern is None:
-            pat_eq = self.pattern is other.pattern
-        else:
-            pat_eq = np.array_equal(self.pattern, other.pattern)
-        return pat_eq and all(getattr(self, f) == getattr(other, f)
-                              for f in _FIELDS[:-1])
+        a, b = self.pattern, other.pattern
+        # both bool: equal bytes of equal shapes are equal bits
+        return _SCALARS(self) == _SCALARS(other) and (
+            a is b if a is None or b is None
+            else a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
 _FIELDS = tuple(f.name for f in fields(Instruction))  # opcode first, pattern last
 _UNSET = dict.fromkeys(_FIELDS[1:])  # every operand field, as an unset one
+_SCALARS = attrgetter(*_FIELDS[:-1])  # every field but the pattern, as one tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,12 +175,14 @@ def _pattern_from_hex(text: str) -> np.ndarray:
     if len(hexbits) != 2 * nbytes:
         raise ProgramError(f"bad pattern literal: {h}x{w} bits need exactly "
                            f"{2 * nbytes} hex digits, got {len(hexbits)}")
-    if hexbits != hexbits.lower():
+    if any(c in hexbits for c in "ABCDEF"):
         raise ProgramError("bad pattern literal: hex digits must be lower case")
     try:
         raw = np.frombuffer(bytes.fromhex(hexbits), dtype=np.uint8)
     except ValueError as e:
         raise ProgramError(f"bad pattern literal: {e}") from None
+    if len(raw) != nbytes:  # bytes.fromhex skips whitespace
+        raise ProgramError("bad pattern literal: whitespace inside the hex digits")
     if nbytes and raw[-1] & (0xFF >> (h * w - 8 * (nbytes - 1))):
         raise ProgramError("bad pattern literal: pad bits after the last "
                            "pixel are set")
@@ -209,15 +212,23 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _decimal(text: str) -> int:
+    """An integer as `str` writes it: int() also reads '+1', '01', '1_0',
+    '-0' and non-ASCII digits."""
+    if str(v := int(text)) != text:
+        raise ProgramError(f"integer {text!r} is not in plain decimal")
+    return v
+
+
 AREG = Kind(_one_of(ANALOG_REGS), "unknown analog register {v!r}")
 DREG = Kind(_one_of(DIGITAL_REGS), "unknown digital register {v!r}")
 DREG2 = Kind(*DREG)  # second input of a binary logic op; `not` has none
 MASK = Kind(lambda v: v is None or DREG.ok(v), DREG.error)  # trailing mask=
 DIRECTION = Kind(_one_of(SHIFT_OFFSETS), "bad shift direction {v!r}")
 NONNEG = Kind(lambda v: _is_int(v) and v >= 0,
-              "{name} must be an integer >= 0, got {v!r}", int)
+              "{name} must be an integer >= 0, got {v!r}", _decimal)
 INT32 = Kind(lambda v: _is_int(v) and ANALOG_MIN <= v <= ANALOG_MAX,
-             "needs an int32 immediate value, got {v!r}", int)
+             "needs an int32 immediate value, got {v!r}", _decimal)
 LOGIC = Kind(_one_of(LOGIC_OPS), "bad logic op {v!r}")
 # one listing field: no whitespace, and no `#`, which starts a comment
 LABEL = Kind(lambda v: isinstance(v, str) and v.split() == [v] and "#" not in v,
@@ -243,7 +254,7 @@ class _Bounds(dict):
     grid int64 arrays that are never written in place. A register's first
     read takes its block max-abs from the state, recorded in `starts`; it is
     the pass's only read of the state. `covers` maps each D-register a
-    `pattern` set to the blocks its bits touch, as a 0/1 grid x grid array."""
+    `pattern` set to the blocks its bits touch, as a grid x grid bool array."""
 
     def __init__(self, state: ArrayState):
         super().__init__()
@@ -346,22 +357,23 @@ SPECS: dict[str, OpSpec] = {
 OPCODES = tuple(SPECS)
 
 
-def _listed(spec: OpSpec, logic: str | None) -> list[tuple[str, Kind]]:
-    """The operands that appear in the listing for this logic op."""
-    return [(f, k) for f, k in spec.operands if k is not DREG2 or logic != "not"]
+# per opcode, and for `logic` whether the op is `not`: the operands its
+# listing line holds, in order, with their kinds, and (_GATES) what
+# __init__ checks
+_LISTED = {(op, logic_not): tuple((f, k) for f, k in spec.operands
+                                  if k is not DREG2 or not logic_not)
+           for op, spec in SPECS.items() for logic_not in (False, True)}
 
 
-def _gate(spec: OpSpec, logic: str | None):
+def _gate(spec: OpSpec, listed):
     """The fields an instruction takes, with their kinds, and the ones it
     must leave unset."""
-    checked = _listed(spec, logic) + ([("mask", MASK)] if spec.masked else [])
+    checked = listed + ((("mask", MASK),) if spec.masked else ())
     taken = {f for f, _ in checked}
-    return tuple(checked), tuple(f for f in _FIELDS[1:] if f not in taken)
+    return checked, tuple(f for f in _FIELDS[1:] if f not in taken)
 
 
-# per opcode, and for `logic` whether the op is `not`: what __post_init__ checks
-_GATES = {(op, logic_not): _gate(spec, "not" if logic_not else None)
-          for op, spec in SPECS.items() for logic_not in (False, True)}
+_GATES = {key: _gate(SPECS[key[0]], listed) for key, listed in _LISTED.items()}
 
 
 # -- validation and execution -------------------------------------------
@@ -376,12 +388,14 @@ def _prove(program: PpaProgram, state: ArrayState) -> tuple[int, int | None]:
     magnitude any stored analog value can reach, and the index of the first
     instruction that can pass SAT_MAX, or None."""
     bounds = _Bounds(state)
+    g, bs = state.geometry.block_grid, state.geometry.block_size
     peak, past_sat = 0, None
     for idx, ins in enumerate(program.instructions):
         spec = SPECS[ins.opcode]
         if ins.pattern is not None:
-            bounds.covers[ins.dst] = _block_max_abs(ins.pattern.view(np.int8),
-                                                    state.geometry)
+            # the blocks its bits touch: any bit over a block's rows, then columns
+            rows = np.logical_or.reduce(ins.pattern.reshape(g, bs, g * bs), axis=1)
+            bounds.covers[ins.dst] = rows.reshape(g, g, bs).any(axis=2)
         elif spec.bound is None:
             # thresh and logic may set any pixel; gsum sets no register
             bounds.covers.pop(ins.dst, None)
@@ -454,10 +468,9 @@ def execute(program: PpaProgram, state: ArrayState,
 
 
 def disassemble_instruction(ins: Instruction) -> str:
-    spec = SPECS[ins.opcode]
     fields = [ins.opcode] + [kind.fmt(getattr(ins, name))
-                             for name, kind in _listed(spec, ins.logic)]
-    if spec.masked and ins.mask is not None:
+                             for name, kind in _LISTED[ins.opcode, ins.logic == "not"]]
+    if ins.mask is not None:  # only a masked op takes one
         fields.append(f"mask={ins.mask}")
     return " ".join(fields)
 
@@ -467,36 +480,50 @@ def disassemble(program: PpaProgram) -> str:
     return "".join(disassemble_instruction(i) + "\n" for i in program.instructions)
 
 
-def _parse_line(fields: list[str]) -> Instruction:
-    op, rest = fields[0], fields[1:]
-    spec = SPECS.get(op)
-    if spec is None:
-        raise ProgramError(f"unknown opcode {op!r}")
+def _instruction(op: str, spec: OpSpec, rest: list[str]) -> Instruction:
+    """The instruction of an opcode and its operand fields."""
     kw = {}
     if spec.masked and rest and rest[-1].startswith("mask="):
         kw["mask"] = rest.pop()[len("mask="):]
-    # the logic op precedes the operand it decides on, so zipping the full
-    # operand list against the fields reads it at its listing position
-    logic = dict(zip((f for f, _ in spec.operands), rest)).get("logic")
-    listed = _listed(spec, logic)
+    # only `logic` lists a logic op, second and before the operand it
+    # decides on; a `not` second in any other line selects the same fields
+    listed = _LISTED[op, rest[1:2] == ["not"]]
     if len(rest) != len(listed):
         raise ProgramError(f"{op} takes {len(listed)} operands, got {len(rest)}")
-    for (name, kind), text in zip(listed, rest):
-        kw[name] = kind.parse(text)
+    kw.update((name, kind.parse(text)) for (name, kind), text in zip(listed, rest))
     return Instruction(op, **kw)
 
 
+def _parse_line(line: str, op: str, tail: str = "") -> Instruction:
+    """The instruction on one comment-free line, split into its opcode and
+    the rest. The rest is split only as far as the opcode's fields go, so
+    the last field, such as a pattern's 16 KB literal, is not scanned for
+    whitespace; whitespace inside it fails that field's check, and the full
+    split then raises what it finds first, such as a wrong operand count."""
+    spec = SPECS.get(op)
+    if spec is None:
+        raise ProgramError(f"unknown opcode {op!r}")
+    try:
+        return _instruction(op, spec, tail.split(None, len(spec.operands) + spec.masked - 1))
+    except ValueError:
+        _instruction(op, spec, line.split()[1:])
+        raise
+
+
 def parse_listing(text: str) -> PpaProgram:
-    """Inverse of disassemble. `#` starts a comment; blank lines ignored."""
+    """Inverse of disassemble. `#` starts a comment; blank lines ignored.
+    Equal lines are parsed once, into one (immutable) instruction."""
     instructions: list[Instruction] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            instructions.append(_parse_line(line.split()))
-        except (ValueError, ProgramError) as e:
-            raise ProgramError(f"line {lineno}: {e}") from None
+    parsed: dict[str, Instruction] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.partition("#")[0].rstrip()
+        if line in parsed:
+            instructions.append(parsed[line])
+        elif head := line.split(None, 1):
+            try:
+                instructions.append(parsed.setdefault(line, _parse_line(line, *head)))
+            except ValueError as e:  # ProgramError among them
+                raise ProgramError(f"line {lineno}: {e}") from None
     return PpaProgram(instructions)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -234,6 +236,36 @@ class TestFc:
                                   == neg[b, i, j])
 
 
+def sha256_prefix(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of the listing of random_model(10 * grid + k, k classes, k)
+# on a 256x256 plane: the pattern builders may change no byte of them
+LISTING_DIGESTS = {
+    (1, 2): "a6ef8b97c9d0916d",
+    (1, 3): "fe31e7cccf7bb849",
+    (1, 4): "0599237425acbe3c",
+    (1, 5): "acb4f0aa0b4e7a0e",
+    (1, 6): "723bdbbdc382e2b4",
+    (2, 2): "73935cac332c1b08",
+    (2, 3): "5bc0b2f0f56df826",
+    (2, 4): "938e5929627a732b",
+    (2, 5): "8bd2f6e1974fe11e",
+    (2, 6): "813740dd04e908d4",
+    (4, 2): "96cb720e88cd69c4",
+    (4, 3): "4545abfbcc65fca7",
+    (4, 4): "3e6f4dfbf0e036a0",
+    (4, 5): "6db8dbc8f57dfae7",
+    (4, 6): "dff4c5e82db922c1",
+    (8, 2): "04f57d04e69b8c17",
+    (8, 3): "81ebc58feb2d42ae",
+    (8, 4): "3fcc8d8dfd6f0754",
+    (8, 5): "b0af39c9f87a63a4",
+    (8, 6): "15baf5931c268d40",
+}
+
+
 class TestLowerModel:
     def test_execution_matches_oracle_times_four(self, rng):
         m = random_model(seed=8)
@@ -269,6 +301,17 @@ class TestLowerModel:
         _, plan = lower_model(random_model(seed=12))
         doc = json.loads(plan.to_json())
         assert "registers" in doc and "instruction_counts" in doc
+
+    @pytest.mark.parametrize("grid,k", LISTING_DIGESTS)
+    def test_listing_keeps_its_bytes(self, grid, k):
+        g = PlaneGeometry(256, 256, grid, 256 // grid)
+        prog, _ = lower_model(random_model(10 * grid + k, k, k, g))
+        assert sha256_prefix(disassemble(prog)) == LISTING_DIGESTS[grid, k]
+
+    def test_default_program_and_plan_keep_their_bytes(self):
+        prog, plan = lower_model(default_model())
+        assert sha256_prefix(disassemble(prog)) == "b52aabd1413ae619"
+        assert sha256_prefix(plan.to_json()) == "116834838704df99"
 
 
 class TestValueRange:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -410,6 +411,27 @@ class TestBoundPass:
         assert sums == [3 * 256, 6 * 256, 3 * 256, 6 * 256]
         assert walked == [1, 1, 0, 0]
 
+    # block sizes that are not a multiple of 8
+    @pytest.mark.parametrize("geometry", [PlaneGeometry(4, 4, 2, 2),
+                                          PlaneGeometry(12, 12, 3, 4),
+                                          PlaneGeometry(24, 24, 2, 12)],
+                             ids=["4-2-2", "12-3-4", "24-2-12"])
+    @given(seed=st.integers(0, 2**16), density=st.sampled_from([0, 0.005, 0.05, 0.5, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_block_coverage_matches_a_loop(self, geometry, seed, density):
+        """A masked write bounds exactly the blocks its mask's pattern
+        touches, the blocks with any bit set: 1 on one block of A proves
+        1 after `copy C A mask=R1` if the bits touch that block, else 0."""
+        bs = geometry.block_size
+        bits = np.random.default_rng(seed).random(geometry.shape) < density
+        prog = PpaProgram([Instruction("pattern", dst="R1", pattern=bits),
+                           Instruction("copy", dst="C", a="A", mask="R1")])
+        for r, c in np.ndindex(geometry.block_grid, geometry.block_grid):
+            block = np.s_[r * bs:(r + 1) * bs, c * bs:(c + 1) * bs]
+            state = ArrayState(geometry)
+            state.analog["A"][block] = 1
+            assert program_module.validate(prog, state) == bits[block].any()
+
     def test_threshold_immediate_must_fit_int32(self):
         for value in (ANALOG_MAX + 1, ANALOG_MIN - 1):
             with pytest.raises(ProgramError,
@@ -548,6 +570,117 @@ def _sample_instructions():
     ]
 
 
+def reference_parse(text: str) -> PpaProgram:
+    """A reader that strips each line's comment and splits every field of
+    it, then reads the fields with the same kinds: the oracle of
+    test_parser_matches_the_reference_reader."""
+    instructions = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        op, *rest = line.split()
+        try:
+            spec = program_module.SPECS.get(op)
+            if spec is None:
+                raise ProgramError(f"unknown opcode {op!r}")
+            kw = {}
+            if spec.masked and rest and rest[-1].startswith("mask="):
+                kw["mask"] = rest.pop()[len("mask="):]
+            logic = dict(zip((f for f, _ in spec.operands), rest)).get("logic")
+            listed = [(f, k) for f, k in spec.operands
+                      if k is not program_module.DREG2 or logic != "not"]
+            if len(rest) != len(listed):
+                raise ProgramError(f"{op} takes {len(listed)} operands, got {len(rest)}")
+            kw.update((f, k.parse(t)) for (f, k), t in zip(listed, rest))
+            instructions.append(Instruction(op, **kw))
+        except ValueError as e:
+            raise ProgramError(f"line {lineno}: {e}") from None
+    return PpaProgram(instructions)
+
+
+def random_listing_program(seed: int) -> PpaProgram:
+    """Instructions of every opcode, with patterns whose sizes leave pad
+    bits or none."""
+    rng = np.random.default_rng(seed)
+    pool = _sample_instructions()
+    picks = [pool[i] for i in rng.integers(0, len(pool), size=6)]
+    for _ in range(rng.integers(1, 3)):
+        shape = rng.integers(1, 20, size=2)
+        picks.insert(rng.integers(0, len(picks) + 1),
+                     Instruction("pattern", dst="R2", pattern=rng.integers(0, 2, shape)))
+    return PpaProgram(picks)
+
+
+def _edit_separator(sep):
+    def edit(line, at):
+        spaces = [i for i, c in enumerate(line[0]) if c == " "]
+        if spaces:
+            i = spaces[at % len(spaces)]
+            line[0] = line[0][:i] + sep + line[0][i + 1:]
+    return edit
+
+
+def _edit_field(word):
+    def edit(line, at):
+        fields = line[0].split(" ")
+        fields[at % len(fields)] = word
+        line[0] = " ".join(fields)
+    return edit
+
+
+def _edit_end(end):
+    def edit(line, at):
+        line[1] = end
+    return edit
+
+
+def _edit_hex(edit):
+    """Edit a pattern literal's hex digits at one place, if the line has
+    one: edit(digits, i) gives the new digits."""
+    def edit_line(line, at):
+        head, colon, digits = line[0].partition(":")
+        if digits:
+            line[0] = head + colon + edit(digits, at % len(digits))
+    return edit_line
+
+
+def _append(tail):
+    def edit(line, at):
+        line[0] += tail
+    return edit
+
+
+# edits of one line of a listing, each [body, line end], at a drawn place:
+# other field separators, line breaks splitlines knows, a `not` field,
+# comments, an extra field, whitespace inside a pattern literal, and an
+# upper-case or non-hex digit
+LISTING_EDITS = {
+    "tab": _edit_separator("\t"),
+    "spaces": _edit_separator("   "),
+    "mixed-blanks": _edit_separator(" \t\x1f\xa0\u3000"),
+    "crlf": _edit_end("\r\n"),
+    "cr": _edit_end("\r"),
+    "formfeed": _edit_end("\x0c"),
+    "vertical-tab": _edit_end("\x0b"),
+    "file-separator": _edit_end("\x1c"),
+    "next-line": _edit_end("\x85"),
+    "line-separator": _edit_end("\u2028"),
+    # `not` where `logic` lists its logic op, or anywhere else
+    "not-field": _edit_field("not"),
+    "comment": _append(" # a note"),
+    "bare-comment": _append("#note mask=R1"),
+    "trailing-spaces": _append(" \t "),
+    "extra-field": _append(" 00"),
+    "space-in-hex": _edit_hex(lambda d, i: d[:i] + " " + d[i:]),
+    "tab-in-hex": _edit_hex(lambda d, i: d[:i] + "\t" + d[i:]),
+    # as many characters as before, one byte fewer
+    "blanks-for-a-byte": _edit_hex(lambda d, i: d[:i] + "  " + d[i + 2:]),
+    "upper-hex": _edit_hex(lambda d, i: d[:i] + d[i].upper() + d[i + 1:]),
+    "non-hex": _edit_hex(lambda d, i: d[:i] + "g" + d[i + 1:]),
+}
+
+
 class TestListing:
     def test_empty_listing(self):
         assert disassemble(PpaProgram([])) == ""
@@ -595,6 +728,51 @@ class TestListing:
         with pytest.raises(ProgramError,
                            match=f"^line 3: bad pattern literal: {error}$"):
             parse_listing(f"gsum A a\n\npattern R1 {literal}\n")
+
+    @pytest.mark.parametrize("line, field", [
+        ("shift A B N 1_0", "1_0"), ("shift A B N +1", "+1"), ("shift A B N 01", "01"),
+        ("thresh R1 A -0", "-0"), ("shift A B N \u0663", "\u0663"),
+    ], ids=["underscore", "plus", "leading-zero", "minus-zero", "arabic-indic"])
+    def test_integer_operands_must_be_canonical(self, line, field):
+        # int() reads each, and each once listed back as another text
+        error = f"line 2: integer '{field}' is not in plain decimal"
+        with pytest.raises(ProgramError, match=f"^{re.escape(error)}$"):
+            parse_listing(f"gsum A a\n{line}\n")
+
+    @given(seed=st.integers(0, 2**16),
+           edits=st.lists(st.tuples(st.sampled_from(sorted(LISTING_EDITS)),
+                                    st.integers(0, 2**16)), max_size=5))
+    # `not` as the first input of `logic R1 xor R2 R3`
+    @example(seed=0, edits=[("not-field", 8)])
+    # an extra field after the 16x16 literal, a space inside it (also with
+    # blanks after it), and `F0` for the 1x4 literal
+    @example(seed=0, edits=[("extra-field", 7)])
+    @example(seed=0, edits=[("space-in-hex", 7)])
+    @example(seed=0, edits=[("space-in-hex", 7), ("trailing-spaces", 7)])
+    @example(seed=0, edits=[("upper-hex", 12)])
+    @settings(max_examples=300, deadline=None)
+    def test_parser_matches_the_reference_reader(self, seed, edits):
+        """Whatever the spacing, line breaks and comments of a listing, the
+        parser returns what the reference reader returns, or raises its
+        error."""
+        lines = [[body, "\n"] for body in
+                 disassemble(random_listing_program(seed)).splitlines()]
+        for name, at in edits:
+            LISTING_EDITS[name](lines[at % len(lines)], at)
+        text = "".join(body + end for body, end in lines)
+        try:
+            expected = reference_parse(text)
+        except ProgramError as e:
+            with pytest.raises(ProgramError) as got:
+                parse_listing(text)
+            assert str(got.value) == str(e)
+            return
+        assert parse_listing(text) == expected
+
+    def test_equal_lines_are_one_instruction(self):
+        prog = parse_listing("shift A B N 1\nadd A A B\nshift A B N 1  # again\n")
+        first, _, again = prog.instructions
+        assert again is first
 
     def test_parsed_pattern_is_read_only_bool(self):
         bits = parse_listing("pattern R1 3x3:ff80\n").instructions[0].pattern
