@@ -27,6 +27,13 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line, like any failure."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _load_weights(args):
     if args.weights:
         return load_weights_file(args.weights)
@@ -208,7 +215,7 @@ def _add_common(p, cost=False, mode=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scampsim",
         description="Simulated in-sensor binary CNN inference with servo loop")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -268,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except Exception as e:  # single-line machine-parsable failure
         msg = str(e).replace("\n", " | ")

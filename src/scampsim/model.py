@@ -133,33 +133,55 @@ def dense_forward(kernels: np.ndarray, fc: np.ndarray, xs: np.ndarray):
 
     kernels (nb, k, k) and fc (classes, nb, bs/2, bs/2) hold {-1,+1} in any
     numeric dtype; xs is (n, bs, bs) of {0,1}. conv[i, b, r, c] sums kernel b
-    times the k x k window of xs[i] anchored top-left at (r, c); outputs whose
-    window would cross the block edge are zero. Then ReLU, a 2x2
-    non-overlapping max-pool and the FC sum per class.
+    times the k x k window of xs[i] anchored top-left at (r, c). Only the
+    v x v valid region (v = bs - k + 1), where the window stays inside the
+    block, is computed; the block's other conv outputs are zero. Then ReLU,
+    a 2x2 non-overlapping max-pool and the FC sum per class.
 
-    Returns int64 scores (n, classes) and a dict of the float32 "conv",
-    "relu" (n, nb, bs, bs) and "pooled" (n, nb, bs/2, bs/2) tensors. The
-    conv runs in float32, exact for any k < 4096 since every partial sum is
-    an integer of magnitude <= k^2 < 2^24; the FC sum runs in int64.
+    Returns int64 scores (n, classes) and a dict of the float32 "conv"
+    (n, nb, v, v), the valid region only, and "pooled" (n, nb, bs/2, bs/2).
+    The pool takes the ReLU of each cell's maximum over its valid positions,
+    which equals pooling the ReLU of the zero-bordered conv; a cell with no
+    valid position is 0.
+
+    Every step is exact integer arithmetic. The conv is k plain float32
+    matmuls per image, (nb, k) x (k, v*v), one per kernel row: every partial
+    sum is an integer of magnitude <= k^2, exact below 2^24, so for any
+    k < 4096. The FC sum is a float64 matrix-vector product per image:
+    every partial sum is an integer of magnitude <= nb * (bs/2)^2 * k^2,
+    exact below 2^53, which holds for any plane up to 8192 pixels wide.
     """
     n, bs = xs.shape[0], xs.shape[1]
     nb, k = kernels.shape[0], kernels.shape[1]
-    v = bs - k + 1
-    rows = kernels.astype(np.float32).transpose(1, 2, 0)  # (k, k, nb)
-    # windows along the columns only, (n, bs, v, k): one matmul per kernel row
-    cols = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
-        xs.astype(np.float32), k, axis=2))
-    valid = cols[:, :v] @ rows[0]
-    for dy in range(1, k):
-        valid += cols[:, dy:dy + v] @ rows[dy]
-    conv = np.zeros((n, nb, bs, bs), dtype=np.float32)
-    conv[:, :, :v, :v] = valid.transpose(0, 3, 1, 2)
-    relu = np.maximum(conv, 0)
-    pooled = np.maximum(np.maximum(relu[..., 0::2, 0::2], relu[..., 0::2, 1::2]),
-                        np.maximum(relu[..., 1::2, 0::2], relu[..., 1::2, 1::2]))
-    scores = np.einsum("bm,cm->bc", pooled.reshape(n, -1).astype(np.int64),
-                       fc.reshape(fc.shape[0], -1).astype(np.int64))
-    return scores, {"conv": conv, "relu": relu, "pooled": pooled}
+    v, ps = bs - k + 1, bs // 2
+    half, pv = v // 2, (v + 1) // 2  # whole cells, cells with a valid position
+    rows = kernels.astype(np.float32)
+    conv = np.empty((n, nb, v, v), dtype=np.float32)
+    pooled = np.zeros((n, nb, ps, ps), dtype=np.float32)
+    # per-image buffers: shifted[dx] is the image moved dx columns left, so
+    # shifted[:, dy:dy + v] is kernel row dy's (k, v*v) operand without a copy
+    shifted = np.empty((k, bs, v), dtype=np.float32)
+    term = np.empty((nb, v * v), dtype=np.float32)
+    pairs = np.empty((nb, pv, v), dtype=np.float32)
+    weights = fc.reshape(fc.shape[0], -1).astype(np.float64)
+    scores = np.empty((n, fc.shape[0]))
+    for i in range(n):
+        for dx in range(k):
+            shifted[dx] = xs[i, :, dx:dx + v]
+        out = conv[i].reshape(nb, v * v)
+        np.matmul(rows[:, 0], shifted[:, :v].reshape(k, v * v), out=out)
+        for dy in range(1, k):
+            np.matmul(rows[:, dy], shifted[:, dy:dy + v].reshape(k, v * v), out=term)
+            out += term
+        # ReLU, then the 2x2 max over the valid region: row pairs, then
+        # column pairs; an odd v leaves a last row and column that pool alone
+        c, p = conv[i], pooled[i, :, :pv, :pv]
+        np.maximum(c[:, 0:v:2], 0, out=pairs)
+        np.maximum(pairs[:, :half], c[:, 1:v:2], out=pairs[:, :half])
+        p[...] = pairs[..., 0:v:2]
+        np.maximum(p[..., :half], pairs[..., 1:v:2], out=p[..., :half])
+        scores[i] = weights @ pooled[i].reshape(-1)
+    return scores.astype(np.int64), {"conv": conv, "pooled": pooled}
 
 
 @dataclass

@@ -6,6 +6,14 @@ the same call that reference_infer and batch_predict make, on that binarized
 snapshot. Softmax cross-entropy over scores scaled by
 1/(blocks * pooled_size^2) drives plain SGD; gradients pass straight through
 the sign to the latents, which are clipped to [-1, 1].
+
+The max-pool's gradient goes to the first position of each 2x2 cell, in
+row-major order, whose ReLU equals the pooled value, and only where that
+value is > 0; four masks over the cell offsets write it straight into the
+valid-region conv gradient. The forward is exact integer arithmetic, so
+the gradients are bit for bit those of a backward that takes a 4-wide
+argmax over the zero-bordered ReLU tensor (but for the sign of a zero),
+and a trained weights file is byte-identical to that backward's.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ class TrainConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -96,13 +106,43 @@ class LatentModel:
                         self.class_names, self.geometry)
 
 
+def _route(conv: np.ndarray, pooled: np.ndarray, gpooled: np.ndarray) -> np.ndarray:
+    """The gradient of the valid-region conv, written over conv.
+
+    conv (n, nb, v, v) and pooled (n, nb, bs/2, bs/2) are dense_forward's;
+    gpooled is the loss gradient of pooled. Four masks, one per 2x2 cell
+    offset in row-major order, route each cell's gradient: a position
+    receives it when it is the first in its cell to equal the pooled value
+    and that value is > 0, which already implies conv > 0, so ReLU passes
+    it. Every other position receives 0. Each offset reads its own
+    positions before it writes them, and no other offset reads them.
+    """
+    unrouted = pooled > 0
+    for dy in (0, 1):
+        for dx in (0, 1):
+            # positions (2i + dy, 2j + dx) of the valid region, and their cells (i, j)
+            at = conv[..., dy::2, dx::2]
+            cells = (..., slice(at.shape[2]), slice(at.shape[3]))
+            first = (at == pooled[cells]) & unrouted[cells]
+            np.multiply(first, gpooled[cells], out=at)
+            unrouted[cells] &= ~first
+    return conv
+
+
 def _forward_backward(latent: LatentModel, xs: np.ndarray, ys: np.ndarray):
     """One minibatch: loss plus straight-through gradients on the latents.
 
     The forward pass is model.dense_forward on the binarized weights, so the
-    trainer scores exactly what reference_infer scores; the backward reuses
-    its conv, ReLU and pooled tensors and routes each pooled gradient to the
-    first maximum of its 2x2 cell.
+    trainer scores exactly what reference_infer scores. _route sends each
+    pooled gradient to the first maximum of its 2x2 cell (row-major), only
+    where that maximum is > 0, straight into the valid-region conv gradient.
+
+    Every forward value is an exact integer, so the three float32 gradient
+    reductions below see the same values, shapes, dtypes and C-contiguous
+    layouts as those of a dense backward that takes a 4-wide argmax over
+    the zero-bordered ReLU and multiplies by conv > 0. The einsum calls are
+    the same too, so the gradients are bit-equal to that backward's but
+    for the sign of a zero, which the update x - lr * g cannot see.
     """
     geometry = latent.geometry
     bs = geometry.block_size
@@ -113,11 +153,8 @@ def _forward_backward(latent: LatentModel, xs: np.ndarray, ys: np.ndarray):
 
     bf = _sign(latent.fc_weights).astype(np.float32)
     sums, inter = dense_forward(_sign(latent.kernels).astype(np.float32), bf, xs)
-    conv, pooled = inter["conv"], inter["pooled"]
+    pooled = inter["pooled"]
     batch = xs.shape[0]
-    flat = inter["relu"].reshape(batch, nb, ps, 2, ps, 2) \
-        .transpose(0, 1, 2, 4, 3, 5).reshape(batch, nb, ps, ps, 4)
-    arg = flat.argmax(axis=-1)
 
     z = sums.astype(np.float32) * scale
     z -= z.max(axis=1, keepdims=True)
@@ -131,15 +168,8 @@ def _forward_backward(latent: LatentModel, xs: np.ndarray, ys: np.ndarray):
 
     gfc = np.einsum("bc,bnij->cnij", gscore, pooled)
     gpooled = np.einsum("bc,cnij->bnij", gscore, bf)
-
-    gflat = np.zeros_like(flat)
-    np.put_along_axis(gflat, arg[..., None], gpooled[..., None].astype(np.float32),
-                      axis=-1)
-    grelu = gflat.reshape(batch, nb, ps, ps, 2, 2) \
-        .transpose(0, 1, 2, 4, 3, 5).reshape(batch, nb, bs, bs)
-    gconv = grelu * (conv > 0)
     v = bs - k + 1
-    gvalid = gconv[:, :, :v, :v].reshape(batch, nb, v * v)
+    gvalid = _route(inter["conv"], pooled, gpooled).reshape(batch, nb, v * v)
     windows = np.lib.stride_tricks.sliding_window_view(
         xs.astype(np.float32), (k, k), axis=(1, 2))
     windows = np.ascontiguousarray(windows).reshape(batch, v * v, k * k)

@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scampsim.cli import main
 from scampsim.geometry import PlaneGeometry
@@ -133,6 +139,9 @@ def test_lower_rejects_mistyped_weights_without_output(tmp_path, capsys):
                  id="lr-inf"),
     pytest.param("--lr", "-1", "learning rate must be a finite number >= 0, got -1.0",
                  id="lr-negative"),
+    pytest.param("--seed", "-1", "seed must be >= 0, got -1", id="seed-negative"),
+    pytest.param("--epochs", "nan", "argument --epochs: invalid int value: 'nan'",
+                 id="epochs-nan"),
 ])
 def test_train_rejects_bad_settings_without_output(tmp_path, capsys, dataset_dir,
                                                    option, value, error):
@@ -142,6 +151,95 @@ def test_train_rejects_bad_settings_without_output(tmp_path, capsys, dataset_dir
     assert (code, stdout) == (1, "")
     assert err == f"error: {error}\n"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tiny")
+    assert main(["gen", "--seed", "2", "--n-train", "1", "--n-test", "1",
+                 "--out", str(d)]) == 0
+    return d
+
+
+BAD_LABELS = st.one_of(st.booleans(), st.text(max_size=3), st.integers(max_value=-1),
+                       st.integers(min_value=3))
+BAD_PGMS = st.one_of(
+    st.just(b""),
+    st.sampled_from([b"P2", b"P6", b"P5x", b"PGM"]).map(
+        lambda magic: magic + b"\n64 64\n255\n" + b"\0" * 64 * 64),
+    st.sampled_from([b"0", b"1", b"65535", b"x"]).map(
+        lambda maxval: b"P5\n64 64\n" + maxval + b"\n" + b"\0" * 64 * 64),
+    st.integers(0, 64 * 64 - 1).map(lambda n: b"P5\n64 64\n255\n" + b"\0" * n),
+    st.tuples(st.integers(0, 80), st.integers(0, 80))
+    .filter(lambda hw: hw != (64, 64))
+    .map(lambda hw: b"P5\n%d %d\n255\n" % (hw[1], hw[0]) + b"\0" * (hw[0] * hw[1])),
+)
+BAD_VALUES = st.one_of(st.sampled_from(["0", "nan", "inf", "-inf"]),
+                       st.integers(max_value=-1).map(str),
+                       st.floats(max_value=-1e-9, allow_infinity=False).map(repr))
+TRAIN_MUTATIONS = st.one_of(
+    st.tuples(st.just("label"), st.sampled_from(["train", "test"]),
+              st.integers(0, 2), BAD_LABELS),
+    st.tuples(st.just("missing"), st.sampled_from(["train", "test"]),
+              st.integers(0, 2), st.none()),
+    st.tuples(st.just("pgm"), st.sampled_from(["train", "test"]),
+              st.integers(0, 2), BAD_PGMS),
+    st.tuples(st.just("option"),
+              st.sampled_from(["--epochs", "--batch-size", "--lr", "--seed"]),
+              st.none(), BAD_VALUES),
+)
+
+
+@given(mutation=TRAIN_MUTATIONS)
+@settings(max_examples=120, deadline=None)
+@example(mutation=("label", "train", 0, True))
+@example(mutation=("label", "test", 1, -1))
+@example(mutation=("label", "train", 2, 3))
+@example(mutation=("missing", "train", 1, None))
+@example(mutation=("pgm", "train", 0, b"P5\n32 32\n255\n" + b"\0" * 32 * 32))
+@example(mutation=("pgm", "test", 0, b"P5\n32 32\n255\n" + b"\0" * 32 * 32))
+@example(mutation=("option", "--epochs", None, "nan"))
+@example(mutation=("option", "--seed", None, "-1"))
+@example(mutation=("option", "--lr", None, "0"))
+@example(mutation=("option", "--seed", None, "0"))
+def test_train_meets_the_error_contract(tiny_dataset_dir, mutation):
+    """`train` on one mutated manifest label, data file or option either
+    writes its weights and log, or prints one `error:` line and no --out."""
+    kind, where, index, value = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        ds, out = os.path.join(tmp, "ds"), os.path.join(tmp, "out")
+        shutil.copytree(tiny_dataset_dir, ds)
+        argv = ["train", "--dataset", ds, "--epochs", "1", "--out", out]
+        if kind == "option":
+            argv += [where, value]
+        else:
+            with open(os.path.join(ds, "manifest.json")) as f:
+                manifest = json.load(f)
+            entry = manifest[where][index]
+            if kind == "label":
+                entry["label"] = value
+                with open(os.path.join(ds, "manifest.json"), "w") as f:
+                    json.dump(manifest, f)
+            elif kind == "missing":
+                os.remove(os.path.join(ds, entry["file"]))
+            else:
+                with open(os.path.join(ds, entry["file"]), "wb") as f:
+                    f.write(value)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == ""
+            assert sorted(os.listdir(out)) == ["log.csv", "weights.json"]
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err and stdout.getvalue() == ""
+            assert not os.path.exists(out)
+        # a learning rate or seed of 0 is valid; every other mutation is not
+        assert (code == 0) == (kind == "option" and where in ("--lr", "--seed")
+                               and value == "0")
 
 
 def _all_plus_one_k12() -> str:

@@ -45,6 +45,22 @@ def brute_force_infer(model, x):
     return scores
 
 
+def tap_loop_forward(kernels, fc, xs):
+    """Scores, zero-bordered conv and pooled in int64, one shifted add per
+    kernel tap: no BLAS call and no code shared with dense_forward."""
+    n, bs = xs.shape[0], xs.shape[1]
+    nb, k = kernels.shape[0], kernels.shape[1]
+    v, ps = bs - k + 1, bs // 2
+    conv = np.zeros((n, nb, bs, bs), dtype=np.int64)
+    for dy in range(k):
+        for dx in range(k):
+            conv[:, :, :v, :v] += (kernels[None, :, dy, dx, None, None]
+                                   * xs[:, None, dy:dy + v, dx:dx + v])
+    pooled = np.maximum(conv, 0).reshape(n, nb, ps, 2, ps, 2).max(axis=(3, 5))
+    scores = (pooled[:, None] * fc[None]).sum(axis=(2, 3, 4))
+    return scores, conv, pooled
+
+
 class TestArgmax:
     def test_tie_breaks_to_lowest_index(self):
         assert argmax([5, 5, 3]) == 0
@@ -104,6 +120,26 @@ class TestReferenceInfer:
         scores = reference_infer(m, x)
         assert scores.sums == brute_force_infer(m, x)
 
+    # every (grid, k) of perfbench's config-sweep design on the 256x256
+    # plane; an even k gives an odd valid side v = bs - k + 1
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("grid", [1, 2, 4, 8])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_sweep_design_matches_tap_loop(self, grid, k, n):
+        geometry = PlaneGeometry(256, 256, grid, 256 // grid)
+        m = random_model(seed=10 * grid + k, num_classes=2 + (grid + k) % 7, k=k,
+                         geometry=geometry)
+        rng = np.random.default_rng(grid * k * n)
+        xs = rng.integers(0, 2, (n, geometry.block_size, geometry.block_size))
+        scores, inter = dense_forward(m.kernels, m.fc_weights, xs.astype(np.uint8))
+        want_scores, want_conv, want_pooled = tap_loop_forward(
+            m.kernels, m.fc_weights, xs)
+        v = geometry.block_size - k + 1
+        assert scores.dtype == np.int64
+        assert np.array_equal(scores, want_scores)
+        assert np.array_equal(inter["pooled"], want_pooled)
+        assert np.array_equal(inter["conv"], want_conv[..., :v, :v])
+
     def test_batch_predict_matches_reference_across_chunks(self, rng):
         m = random_model(seed=8)
         xs = rng.integers(0, 2, size=(7, 64, 64)).astype(np.uint8)
@@ -125,7 +161,8 @@ class TestReferenceInfer:
         _, inter = dense_forward(m.kernels, m.fc_weights, x[None])
         k2 = m.k * m.k
         assert inter["conv"].min() >= -k2 and inter["conv"].max() <= k2
-        assert inter["relu"].min() >= 0
+        # ReLU is applied in the pool; no ReLU tensor is kept
+        assert inter["pooled"].min() >= 0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)

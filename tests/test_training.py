@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from scampsim.dataset import DatasetSplit, GestureSample, generate, images_labels
-from scampsim.model import load_weights, save_weights
-from scampsim.training import (LatentModel, TrainConfig, TrainingError,
-                               _forward_backward, evaluate, train)
+from scampsim.geometry import PlaneGeometry
+from scampsim.model import dense_forward, load_weights, save_weights
+from scampsim.training import (LatentModel, TrainConfig, TrainingError, _route,
+                               _forward_backward, _sign, evaluate, train)
 
 
 def pixel_dataset(n_per_class=8):
@@ -67,6 +70,19 @@ class TestTrain:
                                                   learning_rate=1000.0))
         assert load_weights(save_weights(model)) == model
 
+    # sha256 prefixes of save_weights(train(...)[0]) as a backward taking a
+    # 4-wide argmax over the zero-bordered ReLU gives them: one changed
+    # gradient bit changes them
+    @pytest.mark.parametrize("split, config, prefix", [
+        pytest.param((9, 12, 4), TrainConfig(seed=1, epochs=2), "cd8edc2b92c4cf2b",
+                     id="gen9-seed1"),
+        pytest.param((7, 20, 8), TrainConfig(seed=3, epochs=2), "8aa9e7180d4f0520",
+                     id="gen7-seed3"),
+    ])
+    def test_trained_weights_keep_their_bytes(self, split, config, prefix):
+        weights = save_weights(train(generate(*split), config)[0])
+        assert hashlib.sha256(weights.encode()).hexdigest()[:16] == prefix
+
     def test_log_csv_shape(self, small_split):
         _, log = train(small_split, TrainConfig(seed=0, epochs=2,
                                                 learning_rate=1000.0))
@@ -101,3 +117,86 @@ class TestEvaluate:
         acc, confusion = evaluate(random_model(seed=1), small_split.test)
         _, ys = images_labels(small_split.test)
         assert confusion.sum(axis=1).tolist() == np.bincount(ys).tolist()
+
+
+def oracle_forward_backward(latent, xs, ys):
+    """Per-cell loops in float64: the loss, gk, gf and the conv positions
+    that receive a pooled gradient. Each cell's gradient goes to the first
+    maximum of its 2x2 cell (row-major, invalid positions reading 0), only
+    where that maximum is > 0."""
+    kern = np.where(latent.kernels >= 0, 1.0, -1.0)
+    fc = np.where(latent.fc_weights >= 0, 1.0, -1.0)
+    n, bs = xs.shape[0], xs.shape[1]
+    nb, k = kern.shape[0], kern.shape[1]
+    ps, v = bs // 2, bs - k + 1
+    conv = np.zeros((n, nb, bs, bs))
+    for i in range(n):
+        for b in range(nb):
+            for r in range(v):
+                for c in range(v):
+                    conv[i, b, r, c] = (kern[b] * xs[i, r:r + k, c:c + k]).sum()
+    pooled = np.zeros((n, nb, ps, ps))
+    winner = {}  # (i, b, cell row, cell col) -> (row, col) of the first maximum
+    for i in range(n):
+        for b in range(nb):
+            for ci in range(ps):
+                for cj in range(ps):
+                    cell = [(2 * ci + a, 2 * cj + d) for a in (0, 1) for d in (0, 1)]
+                    relu = [max(conv[i, b, r, c], 0.0) for r, c in cell]
+                    pooled[i, b, ci, cj] = max(relu)
+                    if max(relu) > 0:
+                        winner[i, b, ci, cj] = cell[relu.index(max(relu))]
+    scale = 1.0 / (nb * ps ** 2)
+    z = np.einsum("bnij,cnij->bc", pooled, fc) * scale
+    probs = np.exp(z - z.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    loss = -np.log(probs[np.arange(n), ys]).mean()
+    gscore = probs.copy()
+    gscore[np.arange(n), ys] -= 1.0
+    gscore *= scale / n
+    gf = np.einsum("bc,bnij->cnij", gscore, pooled)
+    gk = np.zeros((nb, k, k))
+    for (i, b, ci, cj), (r, c) in winner.items():
+        g = (gscore[i] * fc[:, b, ci, cj]).sum()
+        gk[b] += g * xs[i, r:r + k, c:c + k]
+    routed = {(i, b, r, c) for (i, b, _, _), (r, c) in winner.items()}
+    return loss, gk, gf, routed, pooled, conv
+
+
+class TestBackward:
+    """_forward_backward against a per-cell loop on a small plane."""
+
+    @pytest.mark.parametrize("k, seed", [
+        pytest.param(3, 0, id="k3-even-v"),
+        pytest.param(2, 1, id="k2-odd-v"),
+        pytest.param(3, 2, id="k3-seed2"),
+    ])
+    def test_matches_per_cell_loop(self, k, seed):
+        geometry = PlaneGeometry(16, 16, 2, 8)
+        rng = np.random.default_rng(seed)
+        latent = LatentModel(rng.uniform(-1, 1, (4, k, k)),
+                             rng.uniform(-1, 1, (3, 4, 4, 4)), geometry,
+                             ("a", "b", "c"))
+        xs = rng.integers(0, 2, (5, 8, 8)).astype(np.uint8)
+        ys = rng.integers(0, 3, 5)
+        loss, gk, gf, routed, pooled, conv = oracle_forward_backward(latent, xs, ys)
+        # ties are the case a mask rewrite gets wrong: there must be cells
+        # whose maximum is > 0 and held by more than one position
+        cells = np.maximum(conv, 0).reshape(5, 4, 4, 2, 4, 2)
+        tied = (cells == pooled[:, :, :, None, :, None]).sum(axis=(3, 5))
+        assert ((tied > 1) & (pooled > 0)).sum() >= 5
+
+        got_loss, got_gk, got_gf = _forward_backward(latent, xs, ys)
+        assert got_loss == pytest.approx(loss, rel=1e-5)
+        for got, want in ((got_gk, gk), (got_gf, gf)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-4,
+                                       atol=1e-6 * np.abs(want).max())
+
+        # the routed set, with a pooled gradient that is nowhere zero
+        _, inter = dense_forward(_sign(latent.kernels), _sign(latent.fc_weights), xs)
+        gpooled = rng.uniform(0.5, 1.5, inter["pooled"].shape).astype(np.float32)
+        gvalid = _route(inter["conv"], inter["pooled"], gpooled)
+        assert {tuple(p) for p in np.argwhere(gvalid != 0)} == routed
+        for i, b, r, c in routed:
+            assert gvalid[i, b, r, c] == gpooled[i, b, r // 2, c // 2]
