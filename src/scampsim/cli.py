@@ -168,7 +168,11 @@ def cmd_loop(args):
 def cmd_dump(args):
     model = _load_weights(args)
     program, plan = lowering.lower_model(model)
-    (_, img), = _iter_input_images(args.image, model.geometry.block_size)
+    images = list(_iter_input_images(args.image, model.geometry.block_size))
+    if len(images) > 1:
+        raise CliError(f"dump takes one image, found {len(images)} PGM files "
+                       f"in {args.image}")
+    (_, img), = images
     state = lowering.make_input_state(img, model.geometry, args.mode,
                                       NoiseModel(args.noise_sigma, args.seed))
     # a refused program leaves no --out behind

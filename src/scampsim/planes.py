@@ -20,7 +20,10 @@ operation allocates a result plane. A masked add or sub that accumulates
 into one of its own operands (dst = dst +/- other) takes two passes,
 dst +/-= other * m; every other masked write blends its scratch result in
 as dst += m * (t - dst). Both multiply by the mask viewed as int8, which
-costs no copy and, on int8 planes, no cast. Integer arithmetic wraps on
+costs no copy and, on int8 planes, no cast; `accumulate` and `scale` take
+any int8 plane of weights, such as the sign planes of a program's step
+list. The global sum adds in int32 when the plane's type and pixel count
+alone make that exact, else in int64. Integer arithmetic wraps on
 overflow, and so does numpy's assignment of a wider value into a plane,
 so nothing here checks magnitudes per operation: program.execute proves
 how large a whole program's stored values can get, and first widens the
@@ -98,13 +101,17 @@ class NoiseModel:
 
 def global_sum(values: np.ndarray, noise: NoiseModel | None = None,
                rng: np.random.Generator | None = None) -> int:
-    """Sum of all pixels, with optional integer-rounded gaussian error.
+    """Sum of all pixels of an integer plane, with optional integer-rounded
+    gaussian error.
 
     When `rng` is omitted a fresh generator is seeded from the noise model,
     making a standalone call reproducible; callers holding state (the
     program executor) pass their own stream.
     """
-    exact = int(values.sum(dtype=np.int64))
+    # int32 is exact, and faster, when even a plane of the type's minimum
+    # sums within int32; every partial sum is then in range too
+    wide = np.int32 if values.size << (8 * values.itemsize - 1) <= 1 << 31 else np.int64
+    exact = int(values.sum(dtype=wide))
     if noise is None or noise.sigma == 0:
         return exact
     if rng is None:
@@ -199,29 +206,31 @@ class ArrayState:
         t *= m
         out += t
 
-    def _accumulate(self, ufunc, dst: str, other: str, mask: str):
-        """dst = ufunc(dst, other) where the mask is set, in two passes:
-        t = other * m, then dst = ufunc(dst, t).
+    def accumulate(self, ufunc, dst: str, other: str, weights: np.ndarray):
+        """dst = ufunc(dst, other * weights) in two passes, t = other *
+        weights, then dst = ufunc(dst, t), for an int8 plane of weights: a
+        mask viewed as int8, or signs -1, 0 and +1.
 
         Exact in the planes' wrapping arithmetic, like the blend, since the
         bound pass bounds the stored result.
         """
         out = self.analog[dst]
         t = self._scratch
-        np.multiply(self.analog[other], self.digital[mask].view(np.int8), out=t)
+        np.multiply(self.analog[other], weights, out=t)
         ufunc(out, t, out=out)
 
     # -- analog ops ------------------------------------------------------
 
     def add(self, dst: str, a: str, b: str, mask: str | None = None):
         if mask is not None and dst in (a, b):
-            self._accumulate(np.add, dst, b if dst == a else a, mask)
+            self.accumulate(np.add, dst, b if dst == a else a,
+                            self.digital[mask].view(np.int8))
         else:
             self._write(np.add, dst, (a, b), mask)
 
     def sub(self, dst: str, a: str, b: str, mask: str | None = None):
         if mask is not None and dst == a:
-            self._accumulate(np.subtract, dst, b, mask)
+            self.accumulate(np.subtract, dst, b, self.digital[mask].view(np.int8))
         else:
             self._write(np.subtract, dst, (a, b), mask)
 
@@ -233,6 +242,10 @@ class ArrayState:
 
     def max_combine(self, dst: str, a: str, b: str, mask: str | None = None):
         self._write(np.maximum, dst, (a, b), mask)
+
+    def scale(self, dst: str, weights: np.ndarray):
+        """dst *= weights, for an int8 plane of weights, in one pass."""
+        np.multiply(self.analog[dst], weights, out=self.analog[dst])
 
     def shift(self, dst: str, src: str, direction: str, steps: int):
         """dst(r,c) = src(r + steps*dr, c + steps*dc); zeros enter at edges.

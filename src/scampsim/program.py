@@ -37,6 +37,21 @@ checks what depends on the state:
   bounds, and a later state that matches them takes one block reduction
   per such register instead of the pass; a proof past int32 is never
   recorded, so it raises on every call.
+From its third execute at a geometry on (STEPS_FROM_RUN, a fixed rule), a
+program runs its step list, built on that run and kept with its proofs in
+one cache per geometry. Each step replays one instruction, except for two
+rewrites that take fewer passes over the planes:
+- a conv tap pair `pattern Rx; add C C X mask=Rx; pattern Ry; sub C C X
+  mask=Ry`, with X not C, is C += X * s for the int8 sign plane s = Rx - Ry;
+- `pattern R; neg F F mask=R` is F *= 1 - 2R, also with an int8 plane.
+Both are exact in the planes' wrapping arithmetic for any masks, and both
+still bind the D-registers their patterns set, so every register ends as
+the instructions leave it. (The third saving, a global sum that adds in
+int32 where that is exact, is planes.global_sum's and serves every run.) A
+program run once or twice, such as one lowered to be checked in each mode
+and dropped, never pays for the build or its sign planes. A run with an
+`on_instruction` hook runs the instructions as listed, so the hook sees
+each of them.
 A pattern is kept as a read-only bool view that a `pattern` instruction
 binds without copying. A program's sum_labels, which name its class sums,
 are derived from its gsum instructions in order. Timing is a pure
@@ -47,6 +62,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -131,16 +147,27 @@ _UNSET = dict.fromkeys(_FIELDS[1:])  # every operand field, as an unset one
 _SCALARS = attrgetter(*_FIELDS[:-1])  # every field but the pattern, as one tuple
 
 
+@dataclass
+class _Compiled:
+    """What a program keeps per geometry: the registers its bound pass reads
+    before writing them, what _prove returned for each tuple of their
+    starting block bounds, how often it has run, and its step list once
+    built."""
+
+    reads: tuple[str, ...] = ()
+    proofs: dict[tuple[bytes, ...], tuple[int, int | None]] = field(default_factory=dict)
+    runs: int = 0
+    steps: list[tuple[Callable, object]] | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class PpaProgram:
     """Immutable after construction; safely shareable across threads."""
 
     instructions: tuple[Instruction, ...]
     sum_labels: list[str] = field(init=False)  # the gsum labels, in order
-    # per geometry: (the registers the bound pass reads, {their starting
-    # block bounds: what _prove returned from them})
-    _proofs: dict[PlaneGeometry, tuple] = field(default_factory=dict, init=False,
-                                                repr=False, compare=False)
+    _compiled: dict[PlaneGeometry, _Compiled] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
@@ -415,10 +442,11 @@ def _prove(program: PpaProgram, state: ArrayState) -> tuple[int, int | None]:
                 # unmasked pixels keep their old values
                 new = np.maximum(new, bounds[ins.dst])
             bounds[ins.dst] = new
-    _, proven = program._proofs.setdefault(state.geometry, (tuple(bounds.starts), {}))
-    if len(proven) >= MAX_PROOFS:
-        proven.clear()
-    proven[tuple(b.tobytes() for b in bounds.starts.values())] = peak, past_sat
+    compiled = program._compiled.setdefault(state.geometry, _Compiled())
+    compiled.reads = tuple(bounds.starts)
+    if len(compiled.proofs) >= MAX_PROOFS:
+        compiled.proofs.clear()
+    compiled.proofs[tuple(b.tobytes() for b in bounds.starts.values())] = peak, past_sat
     return peak, past_sat
 
 
@@ -433,9 +461,9 @@ def validate(program: PpaProgram, state: ArrayState) -> int:
         if ins.pattern is not None and ins.pattern.shape != shape:
             raise ProgramError(f"instruction {idx} (pattern): bits of shape "
                                f"{ins.pattern.shape}, not the geometry's {shape}")
-    reads, proven = program._proofs.get(geometry, ((), {}))
-    peak, past_sat = proven.get(tuple(
-        _block_max_abs(state.analog[r], geometry).tobytes() for r in reads)
+    compiled = program._compiled.get(geometry) or _Compiled()
+    peak, past_sat = compiled.proofs.get(tuple(
+        _block_max_abs(state.analog[r], geometry).tobytes() for r in compiled.reads)
     ) or _prove(program, state)
     if past_sat is not None and state.mode == SATURATING:
         op = program.instructions[past_sat].opcode
@@ -445,16 +473,82 @@ def validate(program: PpaProgram, state: ArrayState) -> int:
     return peak
 
 
+# the run of a program, at one geometry, from which it runs its step list
+STEPS_FROM_RUN = 3
+
+
+def _is_tap_pair(plus, add, minus, sub) -> bool:
+    """pattern Rx; add C C X mask=Rx; pattern Ry; sub C C X mask=Ry; X not C."""
+    return (plus.opcode == minus.opcode == "pattern" and add.opcode == "add"
+            and sub.opcode == "sub" and add.mask == plus.dst and sub.mask == minus.dst
+            and add.dst == add.a != add.b
+            and (sub.dst, sub.a, sub.b) == (add.dst, add.a, add.b))
+
+
+def _is_sign_flip(pattern, neg) -> bool:
+    """pattern R; neg F F mask=R."""
+    return (pattern.opcode == "pattern" and neg.opcode == "neg"
+            and neg.mask == pattern.dst and neg.dst == neg.a)
+
+
+def _run_tap_pair(state: ArrayState, step) -> None:
+    acc, src, signs, plus_reg, plus, minus_reg, minus = step
+    state.accumulate(np.add, acc, src, signs)
+    state.write_pattern(plus_reg, plus)
+    state.write_pattern(minus_reg, minus)
+
+
+def _run_sign_flip(state: ArrayState, step) -> None:
+    reg, signs, mask, bits = step
+    state.scale(reg, signs)
+    state.write_pattern(mask, bits)
+
+
+def _steps(instructions: tuple[Instruction, ...]) -> list[tuple[Callable, object]]:
+    """The program as (run, operands) steps, run(state, operands) -> global
+    sum or None, with the rewrites of the module docstring."""
+    steps: list[tuple[Callable, object]] = []
+    i = 0
+    while i < len(instructions):
+        window = instructions[i:i + 4]
+        if len(window) == 4 and _is_tap_pair(*window):
+            plus, add, minus, _ = window
+            signs = plus.pattern.view(np.int8) - minus.pattern.view(np.int8)
+            steps.append((_run_tap_pair, (add.dst, add.b, signs, plus.dst,
+                                          plus.pattern, minus.dst, minus.pattern)))
+            i += 4
+        elif len(window) >= 2 and _is_sign_flip(*window[:2]):
+            pattern, neg = window[:2]
+            signs = 1 - 2 * pattern.pattern.view(np.int8)
+            steps.append((_run_sign_flip, (neg.dst, signs, pattern.dst, pattern.pattern)))
+            i += 2
+        else:
+            steps.append((SPECS[window[0].opcode].run, window[0]))
+            i += 1
+    return steps
+
+
 def execute(program: PpaProgram, state: ArrayState,
             on_instruction=None) -> tuple[ArrayState, list[int]]:
     """Run the program; return the mutated state and recorded global sums.
 
     `on_instruction(index, instruction, state)` is called after each
-    instruction, for tracing/dumping. The state is first widened to the
-    narrowest type that holds every value the program can produce.
+    instruction, for tracing/dumping; a run with it runs every instruction
+    as it is listed. The state is first widened to the narrowest type that
+    holds every value the program can produce.
     """
     state.widen(validate(program, state))
+    compiled = program._compiled[state.geometry]
+    compiled.runs += 1
     sums: list[int] = []
+    if on_instruction is None and compiled.runs >= STEPS_FROM_RUN:
+        if compiled.steps is None:
+            compiled.steps = _steps(program.instructions)
+        for run, operands in compiled.steps:
+            result = run(state, operands)
+            if result is not None:
+                sums.append(result)
+        return state, sums
     for idx, ins in enumerate(program.instructions):
         result = SPECS[ins.opcode].run(state, ins)
         if result is not None:
@@ -543,10 +637,26 @@ class CostModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CostModel":
-        doc = json.loads(text)
-        overhead = float(doc.pop("overhead_us", 0.0))
-        costs = {k: float(v) for k, v in doc.items() if not k.startswith("_")}
-        return cls(costs, overhead)
+        """A JSON object of per-opcode costs and an optional `overhead_us`,
+        each a finite number >= 0 (not a bool); keys that start with `_`
+        are comments."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise CostError(f"cost table is not valid JSON: {e}") from None
+        if not isinstance(doc, dict):
+            raise CostError(f"cost table must be a JSON object, got {doc!r:.40}")
+        costs = {}
+        for key, value in doc.items():
+            if key.startswith("_"):
+                continue
+            # NaN fails both bounds; an integer past the largest float is out
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 <= value <= sys.float_info.max):
+                raise CostError(f"cost table field {key!r} must be a finite "
+                                f"number >= 0, got {value!r:.40}")
+            costs[key] = float(value)
+        return cls(costs, costs.pop("overhead_us", 0.0))
 
 
 @dataclass
@@ -574,5 +684,7 @@ def estimate(program: PpaProgram, cost: CostModel) -> TimingReport:
     if missing:
         raise CostError(f"cost table missing opcode(s): {', '.join(missing)}")
     latency = cost.overhead_us + sum(cost.costs[op] * n for op, n in counts.items())
+    if math.isinf(latency):
+        raise CostError("latency overflows a float: the costs are too large")
     fps = math.inf if latency == 0 else 1e6 / latency
     return TimingReport(counts, latency, fps)

@@ -279,6 +279,19 @@ K12_REFUSED = ("instruction 405 (add): passes the saturating range of 127; the "
     pytest.param(["loop", "--weights", "w.json", "--mode", "saturating",
                   "--frames", "ones.pgm", "--duration-us", "2000", "--out", "out"],
                  K12_SATURATING, K12_REFUSED, id="loop-saturating-k12"),
+    pytest.param(["bench", "--cost-table", "c.json"], {"c.json": '{"add": Infinity}'},
+                 "cost table field 'add' must be a finite number >= 0, got inf",
+                 id="cost-infinity"),
+    pytest.param(["loop", "--cost-table", "c.json", "--frames", "ones.pgm",
+                  "--duration-us", "2000", "--out", "out"],
+                 {"c.json": '{"add": true}', "ones.pgm": K12_SATURATING["ones.pgm"]},
+                 "cost table field 'add' must be a finite number >= 0, got True",
+                 id="cost-bool"),
+    pytest.param(["bench", "--cost-table", "c.json"], {"c.json": "5"},
+                 "cost table must be a JSON object, got 5", id="cost-5"),
+    pytest.param(["dump", "--image", "imgs", "--out", "out"],
+                 {f"imgs/{n}.pgm": K12_SATURATING["ones.pgm"] for n in "abc"},
+                 "dump takes one image, found 3 PGM files in imgs", id="dump-directory"),
 ])
 def test_malformed_input_single_line_error_without_output(tmp_path, capsys,
                                                           monkeypatch, command,

@@ -281,6 +281,18 @@ class TestGlobalSum:
                                                     dtype=np.int32)
         assert global_sum(vals) == int(vals.sum())
 
+    # planes of each type's extremes, at sizes where an int32 sum is exact
+    # (int16 at 256x256 reaches -2**31 exactly) and where it is not
+    @pytest.mark.parametrize("dtype, shape", [(np.int8, (256, 256)),
+                                              (np.int8, (4096, 4096 + 1)),
+                                              (np.int16, (256, 256)),
+                                              (np.int16, (256, 257)),
+                                              (np.int32, (2, 1))])
+    def test_type_extremes_sum_exactly(self, dtype, shape):
+        for value in np.iinfo(dtype).min, np.iinfo(dtype).max:
+            plane = np.full(shape, value, dtype=dtype)
+            assert global_sum(plane) == value * plane.size
+
     def test_gaussian_noise_reproducible_under_seed(self, geometry, rng):
         p = rng.integers(-100, 100, size=geometry.shape, dtype=np.int32)
         noise = NoiseModel(sigma=8.0, seed=7)

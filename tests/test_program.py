@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from importlib import resources
 
 import numpy as np
@@ -12,7 +13,9 @@ from conftest import same_planes, snapshot
 
 from scampsim import program as program_module
 from scampsim.geometry import PlaneGeometry
-from scampsim.planes import ANALOG_MAX, ANALOG_MIN, SATURATING, ArrayState
+from scampsim.lowering import lower_model, make_input_state
+from scampsim.model import default_model
+from scampsim.planes import ANALOG_MAX, ANALOG_MIN, SATURATING, ArrayState, NoiseModel
 from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
                               PpaProgram, ProgramError, disassemble,
                               disassemble_instruction, estimate, execute,
@@ -552,6 +555,121 @@ class TestNarrowPlanes:
             assert narrow.dtype == np.int8
 
 
+# start values of the step-list property, per plane type: int8's wrap
+# values, and each wider type's extremes
+START_VALUES = {np.dtype(np.int8): [0, 1, -1, 3, -5, 127, -128],
+                np.dtype(np.int16): [0, 2, -9, 300, -32768, 32767],
+                np.dtype(np.int32): [0, -4, 70000, -2**31, 2**31 - 1]}
+
+
+@st.composite
+def stepped_programs(draw):
+    """Random programs of the shapes the step list rewrites, near misses of
+    them and other instructions between: conv tap pairs over one or two
+    D-registers with equal, disjoint or overlapping masks; a pair with a
+    write to its source or accumulator inside it; pattern-then-neg, in place
+    or not; masks that thresh and logic set; and global sums."""
+    areg = st.sampled_from(NARROW_AREGS)
+    dreg = st.sampled_from(["R1", "R2"])
+
+    def bits():
+        seed, density = draw(st.integers(0, 2**16)), draw(st.sampled_from([0, 0.3, 1]))
+        return np.random.default_rng(seed).random((16, 16)) < density
+
+    instructions = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["tap", "tap", "split-tap", "flip", "logic",
+                                     "other", "other"]))
+        if kind in ("tap", "split-tap"):
+            acc, src = draw(st.permutations(NARROW_AREGS))[:2]
+            plus_reg, minus_reg, plus = draw(dreg), draw(dreg), bits()
+            masks = draw(st.sampled_from(["equal", "disjoint", "any"]))
+            minus = (plus if masks == "equal" else ~plus & bits() if masks == "disjoint"
+                     else bits())
+            instructions += [Instruction("pattern", dst=plus_reg, pattern=plus),
+                             Instruction("add", dst=acc, a=acc, b=src, mask=plus_reg)]
+            if kind == "split-tap":
+                target = draw(st.sampled_from([acc, src]))
+                instructions.append(draw(st.sampled_from([
+                    Instruction("neg", dst=target, a=target),
+                    Instruction("shift", dst=target, a=target, direction="E", steps=1),
+                    Instruction("add", dst=target, a=target, b=target)])))
+            instructions += [Instruction("pattern", dst=minus_reg, pattern=minus),
+                             Instruction("sub", dst=acc, a=acc, b=src, mask=minus_reg)]
+        elif kind == "flip":
+            dst = draw(areg)
+            instructions += [Instruction("pattern", dst=(mask := draw(dreg)),
+                                         pattern=bits()),
+                             Instruction("neg", dst=dst, mask=mask,
+                                         a=dst if draw(st.booleans()) else draw(areg))]
+        elif kind == "logic":
+            op = draw(st.sampled_from(program_module.LOGIC_OPS))
+            instructions.append(Instruction("logic", dst=draw(dreg), logic=op,
+                                            a=draw(dreg),
+                                            b=None if op == "not" else draw(dreg)))
+        else:
+            instructions += draw(narrow_programs()).instructions[:2]
+    return PpaProgram(instructions + [Instruction("gsum", a=draw(areg), label="s")])
+
+
+class TestStepList:
+    """From its third run at a geometry a program runs its step list, which
+    must leave every plane, the plane type and every sum as running each
+    instruction does."""
+
+    @given(prog=stepped_programs(), dtype=st.sampled_from(list(START_VALUES)),
+           data=st.data(), seed=st.integers(0, 2**16), saturating=st.booleans(),
+           sigma=st.sampled_from([0.0, 3.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_steps_match_the_instructions(self, prog, dtype, data, seed, saturating,
+                                          sigma):
+        menu = data.draw(st.lists(st.sampled_from(START_VALUES[dtype]),
+                                  min_size=1, max_size=3))
+        values = np.random.default_rng(seed).choice(menu, size=(3, 16, 16))
+        geometry = PlaneGeometry(16, 16, 4, 4)
+
+        def state():
+            s = ArrayState(geometry, mode=SATURATING if saturating else "ideal",
+                           noise=NoiseModel(sigma, seed))
+            s.widen(dtype)
+            for reg, plane in zip(NARROW_AREGS, values):
+                s.analog[reg][:] = plane
+            return s
+
+        def hook(*_):
+            pass
+
+        plain = state()
+        try:
+            _, plain_sums = execute(prog, plain, on_instruction=hook)
+        except ProgramError:
+            with pytest.raises(ProgramError):
+                execute(prog, state())
+            return
+        execute(prog, state(), on_instruction=hook)
+        stepped = state()
+        _, stepped_sums = execute(prog, stepped)
+        assert prog._compiled[geometry].steps is not None
+        assert stepped_sums == plain_sums
+        assert stepped.dtype == plain.dtype
+        assert same_planes(snapshot(stepped), snapshot(plain))
+
+    def test_default_program_is_built_on_its_third_run(self):
+        prog, _ = lower_model(default_model())
+        image = np.random.default_rng(2).integers(0, 2, (64, 64))
+        compiled = []
+        for _ in range(3):
+            execute(prog, make_input_state(image))
+            compiled.append(prog._compiled[PlaneGeometry()].steps)
+        assert compiled[:2] == [None, None]
+        # 16 tap pairs of 4 instructions and 3 sign flips of 2 are one step each
+        assert len(compiled[2]) == 124 - 16 * 3 - 3 == 73
+        # a hook still sees every instruction
+        seen = []
+        execute(prog, make_input_state(image), on_instruction=lambda i, *_: seen.append(i))
+        assert seen == list(range(124))
+
+
 def _sample_instructions():
     pat = np.zeros((16, 16), dtype=np.uint8)
     pat[::3, 1::2] = 1
@@ -834,6 +952,29 @@ class TestCostModel:
         text = '{"_note": "us per op", "add": 1.5, "shift": 0.25, "overhead_us": 3}'
         assert CostModel.from_json(text) == CostModel({"add": 1.5, "shift": 0.25},
                                                       overhead_us=3.0)
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"add": Infinity}', "field 'add' must be a finite number >= 0, got inf"),
+        ('{"add": NaN}', "field 'add' must be a finite number >= 0, got nan"),
+        ('{"add": true}', "field 'add' must be a finite number >= 0, got True"),
+        ('{"add": "x"}', "field 'add' must be a finite number >= 0, got 'x'"),
+        ('{"add": null}', "field 'add' must be a finite number >= 0, got None"),
+        ('{"overhead_us": -0.5}',
+         "field 'overhead_us' must be a finite number >= 0, got -0.5"),
+        ('{"add": 1' + "0" * 400 + "}",
+         "field 'add' must be a finite number >= 0, got 1" + "0" * 39),
+        ("5", "must be a JSON object, got 5"),
+        ("[1]", "must be a JSON object, got [1]"),
+        ("{", "is not valid JSON: Expecting property name"),
+    ])
+    def test_from_json_names_the_bad_field(self, text, error):
+        with pytest.raises(CostError, match="^cost table " + re.escape(error)):
+            CostModel.from_json(text)
+
+    def test_latency_past_the_largest_float_rejected(self):
+        prog = PpaProgram([Instruction("add", dst="A", a="A", b="A")] * 2)
+        with pytest.raises(CostError, match="^latency overflows"):
+            estimate(prog, CostModel({"add": sys.float_info.max}))
 
     @given(costs=st.lists(st.floats(0.001, 10.0), min_size=1, max_size=20))
     @settings(max_examples=40, deadline=None)
