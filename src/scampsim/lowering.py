@@ -86,9 +86,15 @@ def prepare_input(img: np.ndarray, block_size: int = 64) -> np.ndarray:
         )
     s = side // block_size
     count = np.min_scalar_type(s * s)  # holds every cell's count, up to s^2
-    bits = (img > GRAY_THRESHOLD).reshape(block_size, s, block_size, s)
-    # rows of a cell first: a reduction over the tiny inner axis is slow
-    cells = bits.sum(axis=1, dtype=count).sum(axis=2, dtype=count)
+    bits = img > GRAY_THRESHOLD
+    # add a cell's s rows, then its s columns, as strided slices: a
+    # reduction over a tiny inner axis is slow
+    rows = bits[::s].astype(count)
+    for i in range(1, s):
+        rows += bits[i::s]
+    cells = rows[:, ::s].copy()
+    for j in range(1, s):
+        cells += rows[:, j::s]
     return (cells > s * s // 2).astype(np.uint8)  # 2 * count > s^2
 
 
@@ -116,10 +122,19 @@ def make_input_state(image: np.ndarray, geometry: PlaneGeometry | None = None,
 # -- mask pattern construction -------------------------------------------
 
 
+# The pattern builders return read-only planes, which an Instruction keeps
+# without a copy.
+
+
+def _read_only(plane: np.ndarray) -> np.ndarray:
+    plane.flags.writeable = False
+    return plane
+
+
 def block_select_pattern(geometry: PlaneGeometry, selected: np.ndarray) -> np.ndarray:
     """Full-plane bit pattern with 1s over every selected block."""
     grid, bs = geometry.block_grid, geometry.block_size
-    return np.asarray(selected).reshape(grid, grid).repeat(bs, 1).repeat(bs, 0)
+    return _read_only(np.asarray(selected).reshape(grid, grid).repeat(bs, 1).repeat(bs, 0))
 
 
 def border_pattern(geometry: PlaneGeometry, k: int) -> np.ndarray:
@@ -130,7 +145,7 @@ def border_pattern(geometry: PlaneGeometry, k: int) -> np.ndarray:
     if k > 1:
         out.reshape(grid, bs, -1)[:, bs - (k - 1):] = True
         out.reshape(-1, grid, bs)[..., bs - (k - 1):] = True
-    return out
+    return _read_only(out)
 
 
 def parity_pattern(geometry: PlaneGeometry, axis: str, parity: int) -> np.ndarray:
@@ -140,7 +155,7 @@ def parity_pattern(geometry: PlaneGeometry, axis: str, parity: int) -> np.ndarra
         out[:, parity::2] = True
     else:
         out[parity::2, :] = True
-    return out
+    return _read_only(out)
 
 
 def fc_negative_pattern(model: BnnModel, class_index: int) -> np.ndarray:
@@ -152,7 +167,7 @@ def fc_negative_pattern(model: BnnModel, class_index: int) -> np.ndarray:
     # a 0/1 byte times 0x0101 is two equal bytes in either byte order, so
     # this widens each column to two
     pairs = np.multiply(pooled, 0x0101, dtype=np.uint16).view(bool)
-    return pairs.repeat(2, 0)
+    return _read_only(pairs.repeat(2, 0))
 
 
 # -- stage lowering ------------------------------------------------------

@@ -20,9 +20,8 @@ operation allocates a result plane. A masked add or sub that accumulates
 into one of its own operands (dst = dst +/- other) takes two passes,
 dst +/-= other * m; every other masked write blends its scratch result in
 as dst += m * (t - dst). Both multiply by the mask viewed as int8, which
-costs no copy and, on int8 planes, no cast; `accumulate` and `scale` take
-any int8 plane of weights, such as the sign planes of a program's step
-list. The global sum adds in int32 when the plane's type and pixel count
+costs no copy and, on int8 planes, no cast. A program's step list
+computes its conv taps in the same scratch plane. The global sum adds in int32 when the plane's type and pixel count
 alone make that exact, else in int64. Integer arithmetic wraps on
 overflow, and so does numpy's assignment of a wider value into a plane,
 so nothing here checks magnitudes per operation: program.execute proves
@@ -208,8 +207,8 @@ class ArrayState:
 
     def accumulate(self, ufunc, dst: str, other: str, weights: np.ndarray):
         """dst = ufunc(dst, other * weights) in two passes, t = other *
-        weights, then dst = ufunc(dst, t), for an int8 plane of weights: a
-        mask viewed as int8, or signs -1, 0 and +1.
+        weights, then dst = ufunc(dst, t), for an int8 plane of weights, a
+        mask viewed as int8.
 
         Exact in the planes' wrapping arithmetic, like the blend, since the
         bound pass bounds the stored result.
@@ -242,10 +241,6 @@ class ArrayState:
 
     def max_combine(self, dst: str, a: str, b: str, mask: str | None = None):
         self._write(np.maximum, dst, (a, b), mask)
-
-    def scale(self, dst: str, weights: np.ndarray):
-        """dst *= weights, for an int8 plane of weights, in one pass."""
-        np.multiply(self.analog[dst], weights, out=self.analog[dst])
 
     def shift(self, dst: str, src: str, direction: str, steps: int):
         """dst(r,c) = src(r + steps*dr, c + steps*dc); zeros enter at edges.

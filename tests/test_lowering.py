@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 from conftest import same_planes, snapshot
 
 from scampsim.geometry import PlaneGeometry
-from scampsim.lowering import (LoweringError, border_pattern,
-                               fc_negative_pattern, lower_conv, lower_fc,
-                               lower_maxpool, lower_model, lower_relu,
+from scampsim.lowering import (LoweringError, block_select_pattern,
+                               border_pattern, fc_negative_pattern, lower_conv,
+                               lower_fc, lower_maxpool, lower_model, lower_relu,
                                lower_replicate, make_input_state,
-                               prepare_input)
+                               parity_pattern, prepare_input)
 from scampsim.model import (BnnModel, default_model, dense_forward, random_model,
                             reference_infer)
 from scampsim.planes import SATURATING, ArrayState
-from scampsim.program import (PpaProgram, ProgramError, disassemble, execute,
-                              parse_listing, validate)
+from scampsim.program import (Instruction, PpaProgram, ProgramError, disassemble,
+                              execute, parse_listing, validate)
 
 
 def block_of(plane, geometry, b):
@@ -36,7 +36,42 @@ def replicated_state(x, geometry=None):
     return state
 
 
+def majority_oracle(img, block_size):
+    """prepare_input's contract, one cell at a time."""
+    s = img.shape[0] // block_size
+    out = np.zeros((block_size, block_size), dtype=np.uint8)
+    for r in range(block_size):
+        for c in range(block_size):
+            cell = img[r * s:(r + 1) * s, c * s:(c + 1) * s] > 127
+            out[r, c] = 2 * int(cell.sum()) > s * s
+    return out
+
+
+def near_half_image(rng, block_size, s):
+    """Cells with one fewer than, exactly, or one more than half their
+    pixels above the threshold, at random places, with gray levels on
+    either side of it."""
+    half = s * s // 2
+    counts = np.clip(rng.integers(half - 1, half + 2, (block_size, block_size)), 0, s * s)
+    ranks = rng.random((block_size, block_size, s * s)).argsort(-1).argsort(-1)
+    above = (ranks < counts[..., None]).reshape(block_size, block_size, s, s)
+    above = above.transpose(0, 2, 1, 3).reshape(block_size * s, -1)
+    return np.where(above, rng.integers(128, 256, above.shape),
+                    rng.integers(0, 128, above.shape)).astype(np.uint8)
+
+
 class TestPrepareInput:
+    @pytest.mark.parametrize("s", [1, 2, 4, 16, 32])
+    def test_matches_a_per_cell_majority_oracle(self, s):
+        block_size = 64 if s <= 4 else 256 // s
+        rng = np.random.default_rng(s)
+        side = block_size * s
+        for img in (rng.integers(0, 256, (side, side), dtype=np.uint8),
+                    near_half_image(rng, block_size, s)):
+            out = prepare_input(img, block_size)
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, majority_oracle(img, block_size))
+
     def test_majority_downsample_256(self, rng):
         img = (rng.integers(0, 2, size=(256, 256)) * 255).astype(np.uint8)
         out = prepare_input(img)
@@ -290,6 +325,15 @@ class TestLowerModel:
         prog, _ = lower_model(m)
         assert sum(1 for i in prog.instructions if i.opcode == "gsum") == 1
         assert prog.sum_labels == ["class0"]
+
+    def test_patterns_are_read_only_and_kept_without_a_copy(self):
+        m = random_model(seed=7)
+        g = m.geometry
+        for plane in (block_select_pattern(g, np.arange(16) % 3 == 0),
+                      border_pattern(g, 4), parity_pattern(g, "col", 1),
+                      fc_negative_pattern(m, 0)):
+            assert not plane.flags.writeable
+            assert Instruction("pattern", dst="R1", pattern=plane).pattern is plane
 
     def test_border_pattern_width(self):
         g = PlaneGeometry()

@@ -349,6 +349,7 @@ class TestReadOnlyDRegisters:
 
     def test_pattern_binds_the_instruction_bits(self):
         bits = np.indices((16, 16)).sum(axis=0) % 3 == 0
+        bits.flags.writeable = False  # so both instructions keep bits itself
         prog = PpaProgram([Instruction("pattern", dst="R1", pattern=bits),
                            Instruction("pattern", dst="R2", pattern=bits)])
         state = make_state()
@@ -363,7 +364,8 @@ class TestReadOnlyDRegisters:
 
     def test_thresh_and_logic_leave_the_pattern_alone(self, rng):
         bits = rng.integers(0, 2, (16, 16)).astype(bool)
-        expect = bits.copy()  # the instruction's pattern is a view of bits
+        expect = bits.copy()
+        bits.flags.writeable = False  # so the instruction keeps bits itself
         prog = PpaProgram([
             Instruction("pattern", dst="R1", pattern=bits),
             Instruction("copy", dst="B", a="A", mask="R1"),

@@ -562,24 +562,56 @@ START_VALUES = {np.dtype(np.int8): [0, 1, -1, 3, -5, 127, -128],
                 np.dtype(np.int32): [0, -4, 70000, -2**31, 2**31 - 1]}
 
 
+# shift steps of the alias chains below: within a block, a whole block,
+# across blocks, one short of the 16-pixel plane's edge and past it
+ALIAS_STEPS = [0, 1, 2, 3, 4, 5, 8, 15, 16, 17]
+
+
 @st.composite
 def stepped_programs(draw):
     """Random programs of the shapes the step list rewrites, near misses of
     them and other instructions between: conv tap pairs over one or two
     D-registers with equal, disjoint or overlapping masks; a pair with a
     write to its source or accumulator inside it; pattern-then-neg, in place
-    or not; masks that thresh and logic set; and global sums."""
+    or not; masks that thresh and logic set; and global sums. The step list
+    keeps unmasked shifts and copies as offset aliases, so the programs also
+    hold shift chains in all four directions, unmasked copies and register
+    swaps, writes to a register that others read through an alias, and
+    masked ops, thresholds and sums that read aliased registers."""
     areg = st.sampled_from(NARROW_AREGS)
     dreg = st.sampled_from(["R1", "R2"])
+    maybe_mask = st.sampled_from([None, "R1", "R2"])
 
     def bits():
         seed, density = draw(st.integers(0, 2**16)), draw(st.sampled_from([0, 0.3, 1]))
         return np.random.default_rng(seed).random((16, 16)) < density
 
+    def shift(dst, src):
+        return Instruction("shift", dst=dst, a=src, direction=draw(st.sampled_from("NSEW")),
+                           steps=draw(st.sampled_from(ALIAS_STEPS)))
+
+    def alias(dst, src):
+        """An unmasked copy or shift of src into dst, then shifts of dst."""
+        moves = [draw(st.sampled_from([Instruction("copy", dst=dst, a=src),
+                                       shift(dst, src)]))]
+        return moves + [shift(dst, dst) for _ in range(draw(st.integers(0, 3)))]
+
+    def read(reg):
+        """An instruction that reads reg other than as a tap's source."""
+        other = draw(areg)
+        return draw(st.sampled_from([
+            Instruction("gsum", a=reg, label="s"),
+            Instruction("thresh", dst="R1", a=reg, value=draw(st.integers(-2, 2))),
+            Instruction("add", dst=other, a=reg, b=draw(areg), mask=draw(maybe_mask)),
+            Instruction("max", dst=other, a=draw(areg), b=reg, mask=draw(maybe_mask)),
+            Instruction("copy", dst=other, a=reg, mask=draw(dreg)),
+            Instruction("neg", dst=reg, a=other, mask=draw(dreg))]))
+
     instructions = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["tap", "tap", "split-tap", "flip", "logic",
-                                     "other", "other"]))
+                                     "other", "other", "chain", "chain", "swap",
+                                     "write-base", "read"]))
         if kind in ("tap", "split-tap"):
             acc, src = draw(st.permutations(NARROW_AREGS))[:2]
             plus_reg, minus_reg, plus = draw(dreg), draw(dreg), bits()
@@ -607,6 +639,30 @@ def stepped_programs(draw):
             instructions.append(Instruction("logic", dst=draw(dreg), logic=op,
                                             a=draw(dreg),
                                             b=None if op == "not" else draw(dreg)))
+        elif kind == "chain":
+            instructions += alias(draw(areg), draw(areg))
+        elif kind == "swap":
+            x, y, t = draw(st.permutations(NARROW_AREGS))
+            instructions += draw(st.sampled_from([
+                [Instruction("copy", dst=x, a=y), Instruction("copy", dst=y, a=x)],
+                [Instruction("copy", dst=t, a=x), Instruction("copy", dst=x, a=y),
+                 Instruction("copy", dst=y, a=t)]]))
+        elif kind == "write-base":
+            reader, base, other = draw(st.permutations(NARROW_AREGS))
+            if draw(st.booleans()):  # the base reads its own plane shifted
+                instructions.append(shift(base, base))
+            instructions += alias(reader, base)
+            instructions += draw(st.sampled_from([
+                [Instruction("add", dst=base, a=base, b=other, mask=draw(maybe_mask))],
+                [Instruction("neg", dst=base, a=other)],
+                [Instruction("sub", dst=base, a=base, b=base)],
+                [Instruction("pattern", dst="R1", pattern=bits()),
+                 Instruction("neg", dst=base, a=base, mask="R1")],
+                [read(base)],
+                alias(base, other)[:1]]))
+            instructions.append(read(reader))
+        elif kind == "read":
+            instructions.append(read(draw(areg)))
         else:
             instructions += draw(narrow_programs()).instructions[:2]
     return PpaProgram(instructions + [Instruction("gsum", a=draw(areg), label="s")])
@@ -654,6 +710,55 @@ class TestStepList:
         assert stepped.dtype == plain.dtype
         assert same_planes(snapshot(stepped), snapshot(plain))
 
+    # each needs a rule of the step list's offset aliases: a register that
+    # reads another's plane through an alias is written before that plane
+    # (by an op, a tap pair, a sign flip, or its own alias), and before the
+    # plane's register becomes an alias itself; and every alias is written
+    # out by the end of the program
+    TAP = (pattern_line("R1", (0, 0), (3, 5), (9, 9)) + "add A A B mask=R1\n"
+           + pattern_line("R2", (3, 5), (15, 15)) + "sub A A B mask=R2\n")
+    ALIAS_CASES = {
+        "op writes the base": "copy D A\nadd A A B\ngsum D s\n",
+        "tap pair writes the base": "shift D A E 1\n" + TAP + "gsum D s\n",
+        "sign flip writes the base": ("copy D A\n" + pattern_line("R1", (2, 2))
+                                      + "neg A A mask=R1\ngsum D s\n"),
+        "the base's own alias is written": "shift A A W 1\ncopy D A\ngsum A s\ngsum D s\n",
+        "the base becomes an alias": "copy B C\ncopy C A\ncopy A B\ngsum A s\n",
+        "swap": "copy A B\ncopy B A\n",
+        "left as aliases": "shift A A N 3\nshift D A W 2\nshift C B S 20\n",
+    }
+
+    @pytest.mark.parametrize("listing", ALIAS_CASES.values(), ids=ALIAS_CASES)
+    def test_aliases_are_written_before_their_planes_change(self, listing):
+        prog = parse_listing(listing)
+        values = np.random.default_rng(7).integers(-9, 10, (3, 16, 16))
+        runs = []
+        for hook in (lambda *_: None, None, None):
+            state = small_state()
+            for reg, plane in zip(NARROW_AREGS, values):
+                state.analog[reg][:] = plane
+            runs.append((execute(prog, state, on_instruction=hook)[1], snapshot(state)))
+        assert prog._compiled[PlaneGeometry(16, 16, 4, 4)].steps is not None
+        (plain_sums, plain), _, (stepped_sums, stepped) = runs
+        assert stepped_sums == plain_sums
+        assert same_planes(stepped, plain)
+
+    @pytest.mark.parametrize("mode", ["ideal", SATURATING])
+    def test_default_program_steps_match_a_hooked_run(self, mode):
+        prog, _ = lower_model(default_model())
+        images = [np.random.default_rng(seed).integers(0, 2, (64, 64)) for seed in range(4)]
+        for image in images[:2]:  # the runs before the step list is built
+            execute(prog, make_input_state(image, mode=mode))
+        for image in images:
+            hooked = make_input_state(image, mode=mode)
+            _, hooked_sums = execute(prog, hooked, on_instruction=lambda *_: None)
+            for _ in range(2):  # a stepped run leaves nothing for the next
+                stepped = make_input_state(image, mode=mode)
+                _, stepped_sums = execute(prog, stepped)
+                assert prog._compiled[PlaneGeometry()].steps is not None
+                assert stepped_sums == hooked_sums
+                assert same_planes(snapshot(stepped), snapshot(hooked))
+
     def test_default_program_is_built_on_its_third_run(self):
         prog, _ = lower_model(default_model())
         image = np.random.default_rng(2).integers(0, 2, (64, 64))
@@ -662,8 +767,11 @@ class TestStepList:
             execute(prog, make_input_state(image))
             compiled.append(prog._compiled[PlaneGeometry()].steps)
         assert compiled[:2] == [None, None]
-        # 16 tap pairs of 4 instructions and 3 sign flips of 2 are one step each
-        assert len(compiled[2]) == 124 - 16 * 3 - 3 == 73
+        # 16 tap pairs of 4 instructions and 3 sign flips of 2 are one step
+        # each; the 16 shifts and 4 copies that feed the taps and the 3 FC
+        # copies are offset aliases, read by the taps and the flips; A, left
+        # an alias of B, is written at the end
+        assert len(compiled[2]) == 124 - 16 * 3 - 3 - 20 - 3 + 1 == 51
         # a hook still sees every instruction
         seen = []
         execute(prog, make_input_state(image), on_instruction=lambda i, *_: seen.append(i))
@@ -896,6 +1004,35 @@ class TestListing:
         bits = parse_listing("pattern R1 3x3:ff80\n").instructions[0].pattern
         assert bits.dtype == bool and not bits.flags.writeable
         assert np.array_equal(bits, np.ones((3, 3), dtype=bool))
+
+    def test_parsed_pattern_is_kept_without_a_copy(self):
+        bits = program_module._pattern_from_hex("3x3:ff80")
+        assert not bits.base.flags.writeable
+        assert Instruction("pattern", dst="R1", pattern=bits).pattern is bits
+
+    @pytest.mark.parametrize("source_of", [
+        lambda a: a, lambda a: a.view(np.uint8), lambda a: a.reshape(16, 16)],
+        ids=["writable", "uint8-view", "writable-base"])
+    def test_writing_the_source_changes_no_instruction(self, source_of):
+        source = np.ones((16, 16), dtype=bool)
+        bits = source_of(source)
+        if bits.base is source:  # a read-only view of a writable array
+            bits.flags.writeable = False
+        prog = PpaProgram([Instruction("pattern", dst="R1", pattern=bits),
+                           Instruction("copy", dst="A", a="B", mask="R1"),
+                           Instruction("gsum", a="A", label="s")])
+        listing = disassemble(prog)
+
+        def run(hook=None):
+            state = small_state()
+            state.analog["B"][:] = 1
+            return execute(prog, state, on_instruction=hook)[1]
+
+        assert [run() for _ in range(3)] == [[256]] * 3
+        source[:] = False
+        assert prog.instructions[0].pattern.all()
+        assert disassemble(prog) == listing
+        assert run() == run(lambda *_: None) == [256]
 
     def test_bool_and_uint8_patterns_are_one_instruction(self):
         bits = np.eye(16, dtype=np.uint8)
