@@ -147,9 +147,11 @@ def dense_forward(kernels: np.ndarray, fc: np.ndarray, xs: np.ndarray):
     Every step is exact integer arithmetic. The conv is k plain float32
     matmuls per image, (nb, k) x (k, v*v), one per kernel row: every partial
     sum is an integer of magnitude <= k^2, exact below 2^24, so for any
-    k < 4096. The FC sum is a float64 matrix-vector product per image:
-    every partial sum is an integer of magnitude <= nb * (bs/2)^2 * k^2,
-    exact below 2^53, which holds for any plane up to 8192 pixels wide.
+    k < 4096. The FC sums are one matrix product for the whole batch, whose
+    partial sums are integers of magnitude <= nb * (bs/2)^2 * k^2: in
+    float32 while that is below 2^24 (every 256x256 geometry up to k 31),
+    else in float64, exact below 2^53, so for any plane up to 8192 pixels
+    wide.
     """
     n, bs = xs.shape[0], xs.shape[1]
     nb, k = kernels.shape[0], kernels.shape[1]
@@ -163,8 +165,8 @@ def dense_forward(kernels: np.ndarray, fc: np.ndarray, xs: np.ndarray):
     shifted = np.empty((k, bs, v), dtype=np.float32)
     term = np.empty((nb, v * v), dtype=np.float32)
     pairs = np.empty((nb, pv, v), dtype=np.float32)
-    weights = fc.reshape(fc.shape[0], -1).astype(np.float64)
-    scores = np.empty((n, fc.shape[0]))
+    exact = np.float32 if nb * ps * ps * k * k < 1 << 24 else np.float64
+    weights = fc.reshape(fc.shape[0], -1).astype(exact, copy=False)
     for i in range(n):
         for dx in range(k):
             shifted[dx] = xs[i, :, dx:dx + v]
@@ -180,7 +182,7 @@ def dense_forward(kernels: np.ndarray, fc: np.ndarray, xs: np.ndarray):
         np.maximum(pairs[:, :half], c[:, 1:v:2], out=pairs[:, :half])
         p[...] = pairs[..., 0:v:2]
         np.maximum(p[..., :half], pairs[..., 1:v:2], out=p[..., :half])
-        scores[i] = weights @ pooled[i].reshape(-1)
+    scores = pooled.reshape(n, nb * ps * ps).astype(exact, copy=False) @ weights.T
     return scores.astype(np.int64), {"conv": conv, "pooled": pooled}
 
 

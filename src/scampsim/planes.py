@@ -21,8 +21,9 @@ into one of its own operands (dst = dst +/- other) takes two passes,
 dst +/-= other * m; every other masked write blends its scratch result in
 as dst += m * (t - dst). Both multiply by the mask viewed as int8, which
 costs no copy and, on int8 planes, no cast. A program's step list
-computes its conv taps in the same scratch plane. The global sum adds in int32 when the plane's type and pixel count
-alone make that exact, else in int64. Integer arithmetic wraps on
+computes in the same scratch plane. The global sum adds an int8 plane as
+int16 partial sums first, then adds in int32 when the plane's type and
+pixel count alone make that exact, else in int64. Integer arithmetic wraps on
 overflow, and so does numpy's assignment of a wider value into a plane,
 so nothing here checks magnitudes per operation: program.execute proves
 how large a whole program's stored values can get, and first widens the
@@ -72,6 +73,10 @@ SHIFT_OFFSETS = {
 
 LOGIC_UFUNCS = {"and": np.logical_and, "or": np.logical_or, "xor": np.logical_xor}
 
+# rows of the int16 partial sums of an int8 global sum: at most 256 keeps
+# them exact, and 64 was fastest at 256x256
+PARTIAL_ROWS = 64
+
 
 class PlaneError(ValueError):
     """Unknown analog mode or a bad noise sigma."""
@@ -110,6 +115,11 @@ def global_sum(values: np.ndarray, noise: NoiseModel | None = None,
     # int32 is exact, and faster, when even a plane of the type's minimum
     # sums within int32; every partial sum is then in range too
     wide = np.int32 if values.size << (8 * values.itemsize - 1) <= 1 << 31 else np.int64
+    if values.dtype == np.int8:
+        # faster still: int16 column sums of the plane as PARTIAL_ROWS rows
+        # (or fewer), exact since 256 int8 values lie in [-32768, 32512]
+        values = values.reshape(math.gcd(values.size, PARTIAL_ROWS), -1).sum(
+            axis=0, dtype=np.int16)
     exact = int(values.sum(dtype=wide))
     if noise is None or noise.sigma == 0:
         return exact

@@ -76,10 +76,13 @@ def decode_pgm(data: bytes) -> np.ndarray:
     w, h, maxval = int(ws), int(hs), int(ms)
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval}, expected 255")
+    if w < 1 or h < 1:
+        raise PnmError(f"PGM dims {w}x{h} must be at least 1x1")
     i += 1  # single whitespace byte after maxval
     raster = data[i:i + w * h]
     if len(raster) != w * h:
-        raise PnmError("truncated PGM raster")
+        raise PnmError(f"truncated PGM raster: a {w}x{h} image needs {w * h} "
+                       f"bytes, got {len(raster)}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
 
 

@@ -39,33 +39,14 @@ checks what depends on the state:
   per such register instead of the pass; a proof past int32 is never
   recorded, so it raises on every call.
 From its third execute at a geometry on (STEPS_FROM_RUN, a fixed rule), a
-program runs its step list, built on that run and kept with its proofs in
-one cache per geometry. Each step replays one instruction, except where
-the list takes fewer passes over the planes:
-- an unmasked `shift` or `copy` moves no plane. It records its destination
-  as an offset alias of a base register: the base, a row and column
-  offset, and the valid rectangle, outside which the shifts filled in 0.
-  Shifts of an alias compose into it;
-- a conv tap pair `pattern Rx; add C C X mask=Rx; pattern Ry; sub C C X
-  mask=Ry`, with X not C, is C += X * s for the int8 sign plane s = Rx - Ry,
-  read through X's alias (offset 0 when X has none), with the rectangle
-  folded into s as zeros;
-- `pattern R; neg F F mask=R` is F = base * (1 - 2R) through F's alias, also
-  with an int8 plane, so the FC stage's `copy F C` moves nothing.
-The rewrites are exact in the planes' wrapping arithmetic for any masks,
-and still bind the D-registers their patterns set. Every other reader of
-an alias gets a step that writes the alias out (materializes it) just
-before it, and three rules keep every plane ending as the instructions
-leave it: the aliases that read a register's plane are materialized before
-that plane is written, and before the register becomes an alias itself
-(as in the swap `copy A B; copy B A`), and every alias left at the end of
-the program is materialized, those that read another register's plane
-first. So the default program's 124 instructions run as 51 steps. (The
-global sum's saving, adding in int32 where that is exact, is
-planes.global_sum's and serves every run.) A program run once or twice,
-such as one lowered to be checked in each mode and dropped, never pays for
-the build or its sign planes. A run with an `on_instruction` hook runs the
-instructions as listed, so the hook sees each of them.
+program runs its step list (see scampsim.steps), built on that run and kept
+with its proofs in one cache per geometry: fewer passes over the planes,
+with every plane, sum and the plane type as the instructions leave them.
+(The global sum's saving, int16 partial sums and int32 where that is
+exact, is planes.global_sum's and serves every run.) A program run once or
+twice, such as one lowered to be checked in each mode and dropped, never
+pays for the build or its planes. A run with an `on_instruction` hook runs
+the instructions as listed, so the hook sees each of them.
 A pattern is kept as read-only bool bits that a `pattern` instruction
 binds without copying: the caller's array itself when nothing can write
 to it, which holds for the planes lowering builds and the literals
@@ -507,199 +488,6 @@ def validate(program: PpaProgram, state: ArrayState) -> int:
 STEPS_FROM_RUN = 3
 
 
-def _is_tap_pair(plus, add, minus, sub) -> bool:
-    """pattern Rx; add C C X mask=Rx; pattern Ry; sub C C X mask=Ry; X not C."""
-    return (plus.opcode == minus.opcode == "pattern" and add.opcode == "add"
-            and sub.opcode == "sub" and add.mask == plus.dst and sub.mask == minus.dst
-            and add.dst == add.a != add.b
-            and (sub.dst, sub.a, sub.b) == (add.dst, add.a, add.b))
-
-
-def _is_sign_flip(pattern, neg) -> bool:
-    """pattern R; neg F F mask=R."""
-    return (pattern.opcode == "pattern" and neg.opcode == "neg"
-            and neg.mask == pattern.dst and neg.dst == neg.a)
-
-
-class _Alias(NamedTuple):
-    """A register whose value is another plane, its base, read at an offset:
-    pixel (r, c) holds base(r + dr, c + dc) inside the valid rectangle rows
-    r0:r1, columns c0:c1, and 0 outside it, as the zero fill of the shifts
-    that made it. The rectangle only ever covers base pixels on the plane."""
-
-    base: str
-    dr: int
-    dc: int
-    r0: int
-    r1: int
-    c0: int
-    c1: int
-
-    def shifted(self, dr: int, dc: int, shape) -> "_Alias":
-        """This alias shifted as `shift` does: (r, c) reads (r + dr, c + dc)."""
-        h, w = shape
-        r0, r1 = max(self.r0 - dr, 0), min(self.r1 - dr, h)
-        c0, c1 = max(self.c0 - dc, 0), min(self.c1 - dc, w)
-        if r0 >= r1 or c0 >= c1:  # all zero fill
-            return _Alias(self.base, 0, 0, 0, 0, 0, 0)
-        return _Alias(self.base, self.dr + dr, self.dc + dc, r0, r1, c0, c1)
-
-    def flat(self, w: int) -> tuple[str, slice, slice]:
-        """(base, span, moved): the flat pixels `span` cover the rectangle
-        and read the base's flat pixels `moved`, the same span at the
-        offset; the pixels of the span outside the rectangle are the
-        columns left and right of it."""
-        if self.r0 == self.r1:
-            return self.base, slice(0, 0), slice(0, 0)
-        lo, hi = self.r0 * w + self.c0, (self.r1 - 1) * w + self.c1
-        off = self.dr * w + self.dc
-        return self.base, slice(lo, hi), slice(lo + off, hi + off)
-
-    def weights(self, plane: np.ndarray) -> np.ndarray:
-        """An int8 plane of weights, zero outside the rectangle, as the
-        contiguous span of flat pixels that `flat` names."""
-        _, span, _ = self.flat(plane.shape[1])
-        folded = np.zeros_like(plane)
-        rect = slice(self.r0, self.r1), slice(self.c0, self.c1)
-        folded[rect] = plane[rect]
-        return folded.reshape(-1)[span].copy()
-
-
-# Step runners: run(state, flat, operands) -> global sum or None, where flat
-# maps each analog register, and None the scratch plane, to a flat view of
-# its plane, made once per run.
-
-
-def _replay(state: ArrayState, flat, ins: Instruction):
-    return SPECS[ins.opcode].run(state, ins)
-
-
-def _zero_fill(out: np.ndarray, span: slice) -> None:
-    """Zero a flat plane outside the span."""
-    if span.start:
-        out[:span.start] = 0
-    if span.stop < len(out):
-        out[span.stop:] = 0
-
-
-def _run_move(state: ArrayState, flat, step) -> None:
-    """Write a register from its alias: the base's pixels at the offset inside
-    the rectangle, 0 outside it."""
-    dst, base, span, moved, c0, c1 = step
-    out = flat[dst]
-    # numpy buffers an overlapping move, so base may be dst
-    out[span] = flat[base][moved]
-    _zero_fill(out, span)
-    plane = state.analog[dst]
-    if c0:
-        plane[:, :c0] = 0
-    if c1 < len(plane):
-        plane[:, c1:] = 0
-
-
-def _run_tap_pair(state: ArrayState, flat, step) -> None:
-    """acc += source * signs over the span, the source read through its
-    alias and signs 0 outside the alias's rectangle."""
-    acc, base, span, moved, signs, plus_reg, plus, minus_reg, minus = step
-    t = flat[None][span]
-    np.multiply(flat[base][moved], signs, out=t)
-    out = flat[acc][span]
-    np.add(out, t, out=out)
-    state.write_pattern(plus_reg, plus)
-    state.write_pattern(minus_reg, minus)
-
-
-def _run_sign_flip(state: ArrayState, flat, step) -> None:
-    """reg = its alias * signs, 1 - 2R inside the rectangle, 0 outside."""
-    reg, base, span, moved, signs, mask, bits = step
-    out = flat[reg]
-    np.multiply(flat[base][moved], signs, out=out[span])
-    _zero_fill(out, span)
-    state.write_pattern(mask, bits)
-
-
-def _analog_reads(ins: Instruction) -> list[str]:
-    """The analog registers an instruction reads: its inputs, and its
-    destination when a mask keeps some of its old pixels."""
-    reads = [getattr(ins, f) for f, kind in SPECS[ins.opcode].operands
-             if kind is AREG and f != "dst"]
-    return reads + [ins.dst] if ins.mask is not None else reads
-
-
-def _steps(instructions: tuple[Instruction, ...], shape) -> list[tuple[Callable, object]]:
-    """The program as (run, operands) steps for the runners above, with the
-    rewrites and offset aliases of the module docstring."""
-    h, w = shape
-    steps: list[tuple[Callable, object]] = []
-    aliases: dict[str, _Alias] = {}
-
-    def plain(reg: str) -> _Alias:
-        return _Alias(reg, 0, 0, 0, h, 0, w)
-
-    def source(reg: str) -> _Alias:
-        return aliases.get(reg) or plain(reg)
-
-    def release(reg: str) -> None:
-        """Materialize the other registers that read reg's plane through an
-        alias, before reg's plane is written or reg becomes an alias."""
-        for other in [r for r, a in aliases.items() if a.base == reg and r != reg]:
-            materialize(other)
-
-    def materialize(reg: str) -> None:
-        release(reg)
-        alias = aliases.pop(reg)
-        steps.append((_run_move, (reg, *alias.flat(w), alias.c0, alias.c1)))
-
-    i = 0
-    while i < len(instructions):
-        window = instructions[i:i + 4]
-        ins = window[0]
-        if len(window) == 4 and _is_tap_pair(*window):
-            plus, add, minus, _ = window
-            if add.dst in aliases:
-                materialize(add.dst)
-            release(add.dst)
-            alias = source(add.b)
-            signs = alias.weights(plus.pattern.view(np.int8) - minus.pattern.view(np.int8))
-            steps.append((_run_tap_pair, (add.dst, *alias.flat(w), signs, plus.dst,
-                                          plus.pattern, minus.dst, minus.pattern)))
-            i += 4
-        elif len(window) >= 2 and _is_sign_flip(*window[:2]):
-            pattern, neg = window[:2]
-            release(neg.dst)
-            alias = source(neg.dst)
-            aliases.pop(neg.dst, None)
-            signs = alias.weights(1 - 2 * pattern.pattern.view(np.int8))
-            steps.append((_run_sign_flip, (neg.dst, *alias.flat(w), signs,
-                                           pattern.dst, pattern.pattern)))
-            i += 2
-        elif ins.opcode in ("shift", "copy") and ins.mask is None:
-            release(ins.dst)
-            alias = source(ins.a)
-            if ins.opcode == "shift":
-                dr, dc = SHIFT_OFFSETS[ins.direction]
-                alias = alias.shifted(dr * ins.steps, dc * ins.steps, shape)
-            if alias == plain(ins.dst):  # its own plane, as it is
-                aliases.pop(ins.dst, None)
-            else:
-                aliases[ins.dst] = alias
-            i += 1
-        else:
-            for reg in _analog_reads(ins):
-                if reg in aliases:
-                    materialize(reg)
-            if SPECS[ins.opcode].bound is not None:  # it writes an analog plane
-                release(ins.dst)
-                aliases.pop(ins.dst, None)
-            steps.append((_replay, ins))
-            i += 1
-    # materialize writes the registers that read a plane before that plane
-    for reg in list(aliases):
-        if reg in aliases:
-            materialize(reg)
-    return steps
-
-
 def execute(program: PpaProgram, state: ArrayState,
             on_instruction=None) -> tuple[ArrayState, list[int]]:
     """Run the program; return the mutated state and recorded global sums.
@@ -715,7 +503,8 @@ def execute(program: PpaProgram, state: ArrayState,
     sums: list[int] = []
     if on_instruction is None and compiled.runs >= STEPS_FROM_RUN:
         if compiled.steps is None:
-            compiled.steps = _steps(program.instructions, state.geometry.shape)
+            from .steps import build_steps  # steps imports this module
+            compiled.steps = build_steps(program.instructions, state.geometry.shape)
         flat = {reg: plane.reshape(-1) for reg, plane in state.analog.items()}
         flat[None] = state._scratch.reshape(-1)
         for run, operands in compiled.steps:

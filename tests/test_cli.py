@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -242,6 +243,102 @@ def test_train_meets_the_error_contract(tiny_dataset_dir, mutation):
                                and value == "0")
 
 
+def _run_quietly(argv) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# one value put in place of a weights header field or of one kernel or FC
+# weight: wrong types, bools, strings, NaN, +-inf and numbers other than +-1
+BAD_WEIGHT_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.integers(-3, 3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -1.5, 1.0, -1.0, [1], {}]))
+# images with dims below 1x1 as well as the malformed ones train meets
+INFER_PGMS = st.one_of(
+    BAD_PGMS,
+    st.tuples(st.integers(-80, 0), st.integers(-80, 80)).map(
+        lambda hw: b"P5\n%d %d\n255\n" % hw[::-1] + b"\0" * 64 * 64),
+)
+INFER_MUTATIONS = st.one_of(
+    st.tuples(st.just("weights"),
+              st.sampled_from(["version", "k", "block_size", "block_grid", "classes",
+                               "kernels", "fc"]), BAD_WEIGHT_VALUES),
+    st.tuples(st.just("pgm"), st.none(), INFER_PGMS),
+    st.tuples(st.just("option"), st.just("--noise-sigma"), BAD_VALUES),
+    st.tuples(st.just("option"), st.just("--mode"),
+              st.one_of(st.text(max_size=12), st.sampled_from(["ideal", "saturating",
+                                                               "IDEAL", " ideal"]))),
+)
+
+
+def _valid_infer_mutation(kind, where, value) -> bool:
+    """A weight equal to +-1 (a bool True included, as numpy reads it), the
+    version's own value 1, a noise sigma of 0 and either mode are valid."""
+    if kind == "weights":
+        if where in ("kernels", "fc"):
+            return isinstance(value, (int, float)) and value in (1, -1)
+        return where == "version" and type(value) is int and value == 1
+    if kind == "option":
+        return value in (("0",) if where == "--noise-sigma" else ("ideal", "saturating"))
+    return False
+
+
+@given(mutation=INFER_MUTATIONS)
+@settings(max_examples=120, deadline=None)
+@example(mutation=("pgm", None, b"P5\n0 0\n255\n"))
+@example(mutation=("pgm", None, b"P5\n-64 -64\n255\n"))
+@example(mutation=("weights", "kernels", True))
+@example(mutation=("weights", "kernels", math.nan))
+@example(mutation=("weights", "fc", "1"))
+@example(mutation=("weights", "fc", -math.inf))
+@example(mutation=("weights", "k", True))
+@example(mutation=("weights", "version", 1))
+@example(mutation=("option", "--noise-sigma", "nan"))
+@example(mutation=("option", "--noise-sigma", "0"))
+@example(mutation=("option", "--mode", "saturating"))
+@example(mutation=("option", "--mode", "IDEAL"))
+@example(mutation=("option", "--mode", "0"))
+def test_infer_meets_the_error_contract(mutation):
+    """`infer --check` with one mutated weight, image or option either
+    prints its sums and the oracle's agreement, or prints one `error:`
+    line and nothing on stdout."""
+    kind, where, value = mutation
+    doc = json.loads(save_weights(random_model(5)))
+    image = b"P5\n64 64\n255\n" + np.random.default_rng(5).integers(
+        0, 2, 64 * 64, dtype=np.uint8).tobytes() * 255
+    argv = []
+    if kind == "weights":
+        if where in ("kernels", "fc"):
+            inner = doc[where]
+            while isinstance(inner[0], list):
+                inner = inner[0]
+            inner[0] = value
+        else:
+            doc[where] = value
+    elif kind == "pgm":
+        image = value
+    else:
+        argv = [where, value]
+    with tempfile.TemporaryDirectory() as tmp:
+        weights, pgm = os.path.join(tmp, "w.json"), os.path.join(tmp, "x.pgm")
+        with open(weights, "w") as f:
+            json.dump(doc, f)
+        with open(pgm, "wb") as f:
+            f.write(image)
+        code, out, err = _run_quietly(["infer", "--weights", weights, "--images", pgm,
+                                       "--check", *argv])
+    if code == 0:
+        assert err == ""
+        assert out.endswith("oracle_agreement=yes\noracle agreement: 1/1\n")
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and out == ""
+    assert (code == 0) == _valid_infer_mutation(kind, where, value)
+
+
 def _all_plus_one_k12() -> str:
     """Weights whose conv reaches 144 on an all-ones input: past 127."""
     m = random_model(0, k=12)
@@ -289,6 +386,11 @@ K12_REFUSED = ("instruction 405 (add): passes the saturating range of 127; the "
                  id="cost-bool"),
     pytest.param(["bench", "--cost-table", "c.json"], {"c.json": "5"},
                  "cost table must be a JSON object, got 5", id="cost-5"),
+    pytest.param(["infer", "--images", "empty.pgm"], {"empty.pgm": b"P5\n0 0\n255\n"},
+                 "PGM dims 0x0 must be at least 1x1", id="infer-pgm-0x0"),
+    pytest.param(["infer", "--images", "negative.pgm"],
+                 {"negative.pgm": b"P5\n-64 -64\n255\n"},
+                 "PGM dims -64x-64 must be at least 1x1", id="infer-pgm-negative"),
     pytest.param(["dump", "--image", "imgs", "--out", "out"],
                  {f"imgs/{n}.pgm": K12_SATURATING["ones.pgm"] for n in "abc"},
                  "dump takes one image, found 3 PGM files in imgs", id="dump-directory"),

@@ -140,6 +140,22 @@ class TestReferenceInfer:
         assert np.array_equal(inter["pooled"], want_pooled)
         assert np.array_equal(inter["conv"], want_conv[..., :v, :v])
 
+    # the FC product runs in float32 while blocks * (bs/2)^2 * k^2 < 2^24,
+    # else in float64: k 31 and k 32 on the 256x256 plane sit on either side,
+    # and the 512x512 plane's all-+1 weights over a dense input reach sums
+    # past 2^24 that float32 cannot hold
+    @pytest.mark.parametrize("side, k", [(256, 31), (256, 32), (512, 32)])
+    def test_fc_sums_are_exact_on_both_sides_of_float32(self, side, k):
+        geometry = PlaneGeometry(side, side, 1, side)
+        m = random_model(seed=k, num_classes=2, k=k, geometry=geometry)
+        if side == 512:
+            m.kernels[:] = 1
+            m.fc_weights[0] = 1
+        xs = np.random.default_rng(k).random((2, side, side)) < 0.9
+        scores, _ = dense_forward(m.kernels, m.fc_weights, xs.astype(np.uint8))
+        want, _, _ = tap_loop_forward(m.kernels, m.fc_weights, xs.astype(np.int64))
+        assert np.array_equal(scores, want)
+
     def test_batch_predict_matches_reference_across_chunks(self, rng):
         m = random_model(seed=8)
         xs = rng.integers(0, 2, size=(7, 64, 64)).astype(np.uint8)

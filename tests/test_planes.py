@@ -282,16 +282,28 @@ class TestGlobalSum:
         assert global_sum(vals) == int(vals.sum())
 
     # planes of each type's extremes, at sizes where an int32 sum is exact
-    # (int16 at 256x256 reaches -2**31 exactly) and where it is not
+    # (int16 at 256x256 reaches -2**31 exactly) and where it is not. An int8
+    # plane is summed as int16 partial sums of PARTIAL_ROWS rows of the flat
+    # plane, or of the fewest rows that divide its size: 1 at 255x255, the
+    # whole plane at 1x1; a partial sum of more than 256 int8 minima would
+    # wrap
     @pytest.mark.parametrize("dtype, shape", [(np.int8, (256, 256)),
                                               (np.int8, (4096, 4096 + 1)),
                                               (np.int16, (256, 256)),
                                               (np.int16, (256, 257)),
-                                              (np.int32, (2, 1))])
+                                              (np.int32, (2, 1)),
+                                              (np.int8, (255, 255)),
+                                              (np.int8, (16, 16)),
+                                              (np.int8, (1, 1)),
+                                              (np.int8, (256, 258))])
     def test_type_extremes_sum_exactly(self, dtype, shape):
         for value in np.iinfo(dtype).min, np.iinfo(dtype).max:
             plane = np.full(shape, value, dtype=dtype)
             assert global_sum(plane) == value * plane.size
+        if dtype == np.int8:
+            plane = np.random.default_rng(plane.size).integers(-128, 128, shape,
+                                                               dtype=np.int8)
+            assert global_sum(plane) == int(plane.sum(dtype=np.int64))
 
     def test_gaussian_noise_reproducible_under_seed(self, geometry, rng):
         p = rng.integers(-100, 100, size=geometry.shape, dtype=np.int32)

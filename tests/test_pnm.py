@@ -32,8 +32,15 @@ class TestPgm:
             decode_pgm(b"P6\n2 2\n255\n" + b"\0" * 12)
 
     def test_truncated_raster_rejected(self):
-        with pytest.raises(PnmError):
+        with pytest.raises(PnmError, match="^truncated PGM raster: a 4x4 image "
+                                           "needs 16 bytes, got 1$"):
             decode_pgm(b"P5\n4 4\n255\n\x00")
+
+    @pytest.mark.parametrize("dims", ["0 0", "0 4", "4 0", "-64 -64", "-4 4"])
+    def test_dims_below_one_rejected_by_name(self, dims):
+        w, h = dims.split()
+        with pytest.raises(PnmError, match=f"^PGM dims {w}x{h} must be at least 1x1$"):
+            decode_pgm(f"P5\n{dims}\n255\n".encode() + b"\0" * 16)
 
 
 class TestAtomicWrite:

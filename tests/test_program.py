@@ -15,7 +15,8 @@ from scampsim import program as program_module
 from scampsim.geometry import PlaneGeometry
 from scampsim.lowering import lower_model, make_input_state
 from scampsim.model import default_model
-from scampsim.planes import ANALOG_MAX, ANALOG_MIN, SATURATING, ArrayState, NoiseModel
+from scampsim.planes import (ANALOG_MAX, ANALOG_MIN, ANALOG_REGS, SATURATING, ArrayState,
+                             NoiseModel)
 from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
                               PpaProgram, ProgramError, disassemble,
                               disassemble_instruction, estimate, execute,
@@ -577,7 +578,13 @@ def stepped_programs(draw):
     keeps unmasked shifts and copies as offset aliases, so the programs also
     hold shift chains in all four directions, unmasked copies and register
     swaps, writes to a register that others read through an alias, and
-    masked ops, thresholds and sums that read aliased registers."""
+    masked ops, thresholds and sums that read aliased registers. They hold
+    `sub x y y` (a zero alias) followed by writes, reads, shifts, masked
+    copies and tap pairs into x; masked `max` and `copy` from a zero register under masks
+    a pattern sets (bits the step list knows) or thresh and logic set, over
+    plain and aliased operands; in-place adds and subs that read their own
+    plane or another register's through an alias; and aliases overwritten,
+    or left dead by a write to their base, before anything reads them."""
     areg = st.sampled_from(NARROW_AREGS)
     dreg = st.sampled_from(["R1", "R2"])
     maybe_mask = st.sampled_from([None, "R1", "R2"])
@@ -607,11 +614,32 @@ def stepped_programs(draw):
             Instruction("copy", dst=other, a=reg, mask=draw(dreg)),
             Instruction("neg", dst=reg, a=other, mask=draw(dreg))]))
 
+    def set_mask(reg):
+        """A pattern into reg, or a thresh, maybe inverted by a logic op."""
+        if draw(st.booleans()):
+            return [Instruction("pattern", dst=reg, pattern=bits())]
+        setters = [Instruction("thresh", dst=reg, a=draw(areg),
+                               value=draw(st.integers(-2, 2)))]
+        if draw(st.booleans()):
+            setters.append(Instruction("logic", dst=reg, logic="not", a=reg))
+        return setters
+
+    def write(reg):
+        """An instruction that writes reg, some reading it too."""
+        other = draw(areg)
+        return draw(st.sampled_from([
+            Instruction("add", dst=reg, a=reg, b=other, mask=draw(maybe_mask)),
+            Instruction("neg", dst=reg, a=other),
+            Instruction("copy", dst=reg, a=other, mask=draw(dreg)),
+            Instruction("max", dst=reg, a=reg, b=other, mask=draw(dreg)),
+            shift(reg, other)]))
+
     instructions = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["tap", "tap", "split-tap", "flip", "logic",
                                      "other", "other", "chain", "chain", "swap",
-                                     "write-base", "read"]))
+                                     "write-base", "read", "zero", "masked",
+                                     "masked", "in-place", "overwrite"]))
         if kind in ("tap", "split-tap"):
             acc, src = draw(st.permutations(NARROW_AREGS))[:2]
             plus_reg, minus_reg, plus = draw(dreg), draw(dreg), bits()
@@ -663,6 +691,55 @@ def stepped_programs(draw):
             instructions.append(read(reader))
         elif kind == "read":
             instructions.append(read(draw(areg)))
+        elif kind == "zero":
+            x = draw(areg)
+            instructions.append(Instruction("sub", dst=x, a=(y := draw(areg)), b=y))
+            if draw(st.booleans()):
+                instructions.append(write(x))
+            for _ in range(draw(st.integers(1, 3))):
+                other, mask = draw(areg), draw(dreg)
+                src = draw(st.sampled_from([r for r in NARROW_AREGS if r != x]))
+                instructions += draw(st.sampled_from([
+                    [read(x)], [shift(other, x)],
+                    set_mask(mask) + [Instruction("copy", dst=other, a=x, mask=mask)],
+                    [Instruction(draw(st.sampled_from(["add", "sub"])), dst=other,
+                                 a=other, b=x)],
+                    [Instruction("pattern", dst="R1", pattern=bits()),
+                     Instruction("add", dst=x, a=x, b=src, mask="R1"),
+                     Instruction("pattern", dst="R2", pattern=bits()),
+                     Instruction("sub", dst=x, a=x, b=src, mask="R2")]]))
+        elif kind == "masked":
+            # max x x y, max x y x or copy x z, y read through an alias of x's
+            # plane or another's, or as it is, x maybe an alias itself
+            x, y, t = draw(st.permutations(NARROW_AREGS))
+            mask = draw(dreg)
+            setters, moves, src = set_mask(mask), [], draw(st.sampled_from([x, y]))
+            if draw(st.booleans()):
+                moves, src = alias(t, src), t
+            if draw(st.booleans()):
+                moves.append(shift(x, x))
+            instructions += draw(st.sampled_from([setters + moves, moves + setters]))
+            instructions.append(draw(st.sampled_from([
+                Instruction("max", dst=x, a=x, b=src, mask=mask),
+                Instruction("max", dst=x, a=src, b=x, mask=mask),
+                Instruction("copy", dst=x, a=src, mask=mask)])))
+        elif kind == "in-place":
+            # x +-= y, y an alias of x's plane or another's, or x itself an alias
+            x, y, t = draw(st.permutations(NARROW_AREGS))
+            src = draw(st.sampled_from([x, y]))
+            moves, b = draw(st.sampled_from([(alias(t, src), t), (alias(x, src), x)]))
+            instructions += moves + [Instruction(draw(st.sampled_from(["add", "sub"])),
+                                                 dst=x, a=x, b=b)]
+        elif kind == "overwrite":
+            # t aliases base's plane, then base is written and t overwritten
+            # before anything reads t
+            t, base, other = draw(st.permutations(NARROW_AREGS))
+            instructions += alias(t, base)
+            if draw(st.booleans()):
+                instructions.append(write(base))
+            instructions.append(draw(st.sampled_from([
+                shift(t, other), Instruction("neg", dst=t, a=other),
+                Instruction("sub", dst=t, a=t, b=t)])))
         else:
             instructions += draw(narrow_programs()).instructions[:2]
     return PpaProgram(instructions + [Instruction("gsum", a=draw(areg), label="s")])
@@ -727,6 +804,27 @@ class TestStepList:
         "swap": "copy A B\ncopy B A\n",
         "left as aliases": "shift A A N 3\nshift D A W 2\nshift C B S 20\n",
     }
+    # and each a rewrite: an in-place add or sub through an alias of its own
+    # plane (dead after it, so read through the alias) or another's, over
+    # whole rows or part of them (after a masked add leaves values in the
+    # scratch plane), or of all-zero fill; a tap pair into an all-zero
+    # register; and a masked max or copy of zero under a mask a pattern set
+    # and a thresh or logic op then changed
+    MASK = pattern_line("R1", *[(r, c) for r in range(16) for c in range(0, 16, 3)])
+    ALIAS_CASES |= {
+        "in-place add of its own rows": "shift D B S 5\nadd B B D\nsub D D D\n",
+        "in-place add of part rows": (MASK + "add C C A mask=R1\nshift D B E 3\n"
+                                      "add B B D\nsub D D D\n"),
+        "in-place sub of another plane": (MASK + "add C C A mask=R1\nshift D A W 2\n"
+                                          "sub B B D\n"),
+        "in-place add of zero fill": "shift D A N 16\nadd B B D\n",
+        "in-place add of itself": "shift A A E 1\nadd A A A\n",
+        "tap pair into zero": "sub A A A\n" + TAP,
+        "thresh after a pattern": (MASK + "sub E E E\nthresh R1 A 0\nmax B B C mask=R1\n"
+                                   "copy C E mask=R1\n"),
+        "logic after a pattern": (MASK + "sub E E E\nlogic R1 not R1\nmax B C B mask=R1\n"
+                                  "copy C E mask=R1\n"),
+    }
 
     @pytest.mark.parametrize("listing", ALIAS_CASES.values(), ids=ALIAS_CASES)
     def test_aliases_are_written_before_their_planes_change(self, listing):
@@ -742,6 +840,52 @@ class TestStepList:
         (plain_sums, plain), _, (stepped_sums, stepped) = runs
         assert stepped_sums == plain_sums
         assert same_planes(stepped, plain)
+
+    def test_masked_rewrites_match_at_every_plane_type(self):
+        """Masked maxes over plain, shifted and all-zero sources and masked
+        copies of zero, under masks a pattern sets (bits the step list
+        knows) and a thresh sets (bits it does not), run stepped on int8,
+        then int16, then int32 planes of each type's extremes: one step
+        list, whose max planes are built per type."""
+        rng = np.random.default_rng(3)
+
+        def pattern(dst):
+            return Instruction("pattern", dst=dst, pattern=rng.random((16, 16)) < 0.5)
+
+        prog = PpaProgram([
+            pattern("R1"), Instruction("shift", dst="D", a="A", direction="W", steps=1),
+            Instruction("max", dst="A", a="A", b="D", mask="R1"),
+            pattern("R2"), Instruction("shift", dst="D", a="B", direction="N", steps=5),
+            Instruction("max", dst="B", a="D", b="B", mask="R2"),
+            Instruction("shift", dst="D", a="C", direction="S", steps=16),
+            Instruction("max", dst="C", a="C", b="D", mask="R1"),
+            Instruction("max", dst="D", a="D", b="A", mask="R2"),
+            Instruction("sub", dst="E", a="E", b="E"),
+            Instruction("copy", dst="F", a="E", mask="R2"),
+            Instruction("thresh", dst="R3", a="A", value=0),
+            Instruction("copy", dst="B", a="E", mask="R3"),
+            Instruction("max", dst="C", a="C", b="B", mask="R3"),
+            Instruction("gsum", a="A", label="s"),
+        ])
+        # each type's extremes that the bound proof keeps on that type
+        for dtype in START_VALUES:
+            top = np.iinfo(dtype).max
+            values = rng.choice([0, 1, -1, top, -top, top // 3, -top // 3],
+                                size=(len(ANALOG_REGS), 16, 16))
+            runs = []
+            for hook in (lambda *_: None, None, None):
+                state = small_state()
+                state.widen(dtype)
+                for reg, plane in zip(ANALOG_REGS, values):
+                    state.analog[reg][:] = plane
+                runs.append((execute(prog, state, on_instruction=hook)[1], snapshot(state)))
+            (plain_sums, plain), _, (stepped_sums, stepped) = runs
+            assert stepped_sums == plain_sums
+            assert same_planes(stepped, plain)
+            assert plain["A"].dtype == dtype
+        steps = prog._compiled[PlaneGeometry(16, 16, 4, 4)].steps
+        ceilings = [op[-1] for run, op in steps if run.__name__ == "_run_masked_max"]
+        assert len(ceilings) == 4 and all(len(c) == 3 for c in ceilings)
 
     @pytest.mark.parametrize("mode", ["ideal", SATURATING])
     def test_default_program_steps_match_a_hooked_run(self, mode):
@@ -768,10 +912,14 @@ class TestStepList:
             compiled.append(prog._compiled[PlaneGeometry()].steps)
         assert compiled[:2] == [None, None]
         # 16 tap pairs of 4 instructions and 3 sign flips of 2 are one step
-        # each; the 16 shifts and 4 copies that feed the taps and the 3 FC
-        # copies are offset aliases, read by the taps and the flips; A, left
-        # an alias of B, is written at the end
-        assert len(compiled[2]) == 124 - 16 * 3 - 3 - 20 - 3 + 1 == 51
+        # each; the 32 unmasked shifts and copies are offset aliases and the
+        # 2 `sub X X X` zero ones, read by the taps (the first writes C, all
+        # zero, without adding), the flips, the in-place adds, the masked
+        # copies of zero and the masked maxes. Written out: B before the
+        # first add reads it as its accumulator, D before the last max
+        # writes C, whose alias it is, as D is live at the end (the other
+        # three are overwritten first), and A and E at the end
+        assert len(compiled[2]) == 124 - 16 * 3 - 3 - 32 - 2 + 4 == 43
         # a hook still sees every instruction
         seen = []
         execute(prog, make_input_state(image), on_instruction=lambda i, *_: seen.append(i))
