@@ -57,6 +57,17 @@ def _read_tokens(data: bytes, n: int, start: int) -> tuple[list[bytes], int]:
     return tokens, i
 
 
+def _header_number(field: str, token: bytes) -> int:
+    """A header number: ASCII decimal digits, maybe after a minus sign, so
+    that a negative dimension is refused by its range check."""
+    if not token.removeprefix(b"-").isdigit():  # bytes: ASCII digits only
+        raise PnmError(f"PGM {field} {repr(token)[1:]} is not a decimal integer")
+    try:
+        return int(token)
+    except ValueError:  # past the interpreter's limit on digits
+        raise PnmError(f"PGM {field} of {len(token)} digits is out of range") from None
+
+
 def encode_pgm(values: np.ndarray, mode: str) -> bytes:
     """An analog plane of a state in `mode` as a PGM."""
     if mode == SATURATING:
@@ -72,8 +83,8 @@ def decode_pgm(data: bytes) -> np.ndarray:
     (magic,), i = _read_tokens(data, 1, 0)
     if magic != b"P5":
         raise PnmError(f"not a binary PGM (magic {magic!r})")
-    (ws, hs, ms), i = _read_tokens(data, 3, i)
-    w, h, maxval = int(ws), int(hs), int(ms)
+    tokens, i = _read_tokens(data, 3, i)
+    w, h, maxval = map(_header_number, ("width", "height", "maxval"), tokens)
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval}, expected 255")
     if w < 1 or h < 1:

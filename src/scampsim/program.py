@@ -41,7 +41,9 @@ checks what depends on the state:
 From its third execute at a geometry on (STEPS_FROM_RUN, a fixed rule), a
 program runs its step list (see scampsim.steps), built on that run and kept
 with its proofs in one cache per geometry: fewer passes over the planes,
-with every plane, sum and the plane type as the instructions leave them.
+linear ones for most arithmetic and none for a `pattern`, whose bits are
+bound when a replayed instruction reads them or at the end, so that every
+plane, sum and the plane type end as the instructions leave them.
 (The global sum's saving, int16 partial sums and int32 where that is
 exact, is planes.global_sum's and serves every run.) A program run once or
 twice, such as one lowered to be checked in each mode and dropped, never

@@ -1,46 +1,54 @@
 """The step list a program runs from its third execute at a geometry.
 
 program.execute builds it once per program and geometry (build_steps) and
-keeps it with its proofs. Each step replays one instruction, except where
-the list takes fewer passes over the planes:
+keeps it with its proofs. It reads the instructions one at a time, and
+each either runs as one step, as it is (a replay), or as one of these:
 - an unmasked `shift` or `copy` moves no plane. It records its destination
   as an offset alias of a base register: the base, a row and column
   offset, and the valid rectangle, outside which the shifts filled in 0.
   Shifts of an alias compose into it. An unmasked `sub X Y Y` makes X an
   alias with an empty rectangle, all zero fill, so no pass runs for it;
-- a conv tap pair `pattern Rx; add C C X mask=Rx; pattern Ry; sub C C X
-  mask=Ry`, with X not C, is C += X * s for the int8 sign plane s = Rx - Ry,
-  read through X's alias (offset 0 when X has none), with the rectangle
-  folded into s as zeros; C = X * s when C is an all-zero alias;
-- `pattern R; neg F F mask=R` is F = base * (1 - 2R) through F's alias, also
-  with an int8 plane, so the FC stage's `copy F C` moves nothing;
-- an unmasked `add X X Y` or `sub X X Y` with Y an alias adds or subtracts
-  the base's pixels at the offset over the rectangle only, and nothing at
-  all when the rectangle is empty;
-- `copy X Z mask=M`, Z an empty alias, is X *= 1 - M, one pass. The int8
-  plane 1 - M is built with the step when M's bits are known, meaning a
-  `pattern` set them and no `thresh` or `logic` changed them since, else
-  computed from M on each run;
+- a `pattern` runs no step. Its bits are known until a `thresh` or `logic`
+  writes its D-register, and they are bound to the register, with those
+  of every pattern not yet bound, in one step before a replay that reads
+  a D-register they set, and at the end of the program;
+- a linear step, dst = (dst if it accumulates, else 0) + base * w over the
+  span of flat pixels its source's alias covers, base read at the alias's
+  offset and w an int8 plane that is 0 outside the rectangle, or None,
+  meaning 1, when the rectangle spans whole rows; a write also zeroes dst
+  outside the span. With M a mask whose bits are known and Y' a source
+  read through its alias (offset 0 when it has none):
+  `add X X Y mask=M` (Y not X) accumulates Y' * M, `sub X X Y mask=M`
+  accumulates Y' * -M, `neg X X mask=M` writes X' * (1 - 2M), `copy X Z
+  mask=M` with Z all-zero writes X' * (1 - M), and an unmasked `add X X Y`
+  or `sub X X Y` with Y an alias accumulates +-Y'. An accumulate into an
+  all-zero alias is a write, one of an all-zero source is no step, and a
+  write of one leaves dst an all-zero alias. A linear step that
+  accumulates into the destination of the step just before it, from the
+  same source alias on another register's plane, merges into that step
+  by adding the weights, while their sum fits in int8: so a conv tap pair
+  `add C C X mask=Rx; sub C C X mask=Ry` is one step, C += X' * (Rx - Ry);
+- `copy X Z mask=M`, Z all-zero and M's bits not known, is X *= 1 - M;
 - `max X X Y mask=M` (or `max X Y X`), M's bits known, is t = min(Y, hi),
   X = max(X, t), with Y read through its alias: hi holds the type's
   maximum where M is set inside Y's rectangle, 0 where M is set outside it
   and the type's minimum where M is clear, and t outside the rectangle is
   hi itself. hi is built per plane type on that type's first run.
-The rewrites are exact in the planes' wrapping arithmetic for any masks
-and plane type, and still bind the D-registers their patterns set.
+The steps are exact in the planes' wrapping arithmetic for any masks and
+plane type.
 A backward pass first finds, after each instruction, the analog registers
 that a later instruction reads before writing all of their pixels; every
 register counts as read at the end of the program. Every other reader of
-an alias gets a step that writes the alias out (materializes it) just
-before it, and three rules keep every plane ending as the instructions
-leave it: the aliases that read a register's plane are materialized
-before that plane is written, and before the register becomes an alias
-itself (as in the swap `copy A B; copy B A`), but only while they are
-live: a dead one is dropped, or left stale when the writing step reads it
-through its alias before it writes, since nothing reads it again before
-it is overwritten. Every alias left at the end of the program is
-materialized, those that read another register's plane first. So the
-default program's 124 instructions run as 43 steps.
+an alias gets a step that writes the alias out (materializes it, a linear
+write) just before it, and three rules keep every plane ending as the
+instructions leave it: the aliases that read a register's plane are
+materialized before that plane is written, and before the register
+becomes an alias itself (as in the swap `copy A B; copy B A`), but only
+while they are live: a dead one is dropped, or left stale when the
+writing step reads it through its alias before it writes, since nothing
+reads it again before it is overwritten. Every alias left at the end of
+the program is materialized, those that read another register's plane
+first. So the default program's 124 instructions run as 39 steps.
 """
 
 from __future__ import annotations
@@ -51,20 +59,6 @@ import numpy as np
 
 from .planes import ANALOG_REGS, SHIFT_OFFSETS, ArrayState
 from .program import AREG, SPECS, Instruction
-
-
-def _is_tap_pair(plus, add, minus, sub) -> bool:
-    """pattern Rx; add C C X mask=Rx; pattern Ry; sub C C X mask=Ry; X not C."""
-    return (plus.opcode == minus.opcode == "pattern" and add.opcode == "add"
-            and sub.opcode == "sub" and add.mask == plus.dst and sub.mask == minus.dst
-            and add.dst == add.a != add.b
-            and (sub.dst, sub.a, sub.b) == (add.dst, add.a, add.b))
-
-
-def _is_sign_flip(pattern, neg) -> bool:
-    """pattern R; neg F F mask=R."""
-    return (pattern.opcode == "pattern" and neg.opcode == "neg"
-            and neg.mask == pattern.dst and neg.dst == neg.a)
 
 
 class _Alias(NamedTuple):
@@ -110,13 +104,17 @@ class _Alias(NamedTuple):
         """The rectangle as 2-D slices."""
         return slice(self.r0, self.r1), slice(self.c0, self.c1)
 
-    def weights(self, plane: np.ndarray) -> np.ndarray:
-        """An int8 plane of weights, zero outside the rectangle, as the
-        contiguous span of flat pixels that `flat` names."""
-        _, span, _ = self.flat(plane.shape[1])
-        folded = np.zeros_like(plane)
+    def weights(self, plane: np.ndarray | None, shape) -> np.ndarray | None:
+        """The int8 weights of a step that reads through this alias, as the
+        contiguous span of flat pixels that `flat` names: the plane's inside
+        the rectangle, 1 where plane is None, and 0 outside it. None,
+        meaning 1, when plane is None and the rectangle spans whole rows."""
+        if plane is None and self.c1 - self.c0 == shape[1]:
+            return None
+        folded = np.zeros(shape, dtype=np.int8)
         rect = self.rect()
-        folded[rect] = plane[rect]
+        folded[rect] = 1 if plane is None else plane[rect]
+        _, span, _ = self.flat(shape[1])
         return folded.reshape(-1)[span].copy()
 
 
@@ -149,80 +147,40 @@ def _replay(state: ArrayState, flat, ins: Instruction):
     return SPECS[ins.opcode].run(state, ins)
 
 
-def _zero_fill(out: np.ndarray, span: slice) -> None:
-    """Zero a flat plane outside the span."""
-    if span.start:
-        out[:span.start] = 0
-    if span.stop < len(out):
-        out[span.stop:] = 0
+def _run_bind(state: ArrayState, flat, binds) -> None:
+    """Bind the pattern bits, read-only bool as every instruction keeps
+    them, to their D-registers."""
+    state.digital.update(binds)
 
 
-def _run_move(state: ArrayState, flat, step) -> None:
-    """Write a register from its alias: the base's pixels at the offset inside
-    the rectangle, 0 outside it."""
-    dst, base, span, moved, c0, c1 = step
-    out = flat[dst]
-    # numpy buffers an overlapping move, so base may be dst
-    out[span] = flat[base][moved]
-    _zero_fill(out, span)
-    plane = state.analog[dst]
-    if c0:
-        plane[:, :c0] = 0
-    if c1 < plane.shape[1]:
-        plane[:, c1:] = 0
-
-
-def _run_tap_pair(state: ArrayState, flat, step) -> None:
-    """acc += source * signs over the span, the source read through its
-    alias and signs 0 outside the alias's rectangle; then bind the
-    patterns."""
-    acc, base, span, moved, signs, binds = step
-    t = flat[None][span]
-    np.multiply(flat[base][moved], signs, out=t)
-    out = flat[acc][span]
-    np.add(out, t, out=out)
-    for reg, bits in binds:
-        state.write_pattern(reg, bits)
-
-
-def _run_signed(state: ArrayState, flat, step) -> None:
-    """dst = source * signs, the source read through its alias and signs 0
-    outside its rectangle, and 0 outside the span; then bind the patterns."""
-    dst, base, span, moved, signs, binds = step
-    out = flat[dst]
-    np.multiply(flat[base][moved], signs, out=out[span])
-    _zero_fill(out, span)
-    for reg, bits in binds:
-        state.write_pattern(reg, bits)
-
-
-def _run_add_moved(state: ArrayState, flat, step) -> None:
-    """dst = ufunc(dst, source) over the span, the source read through its
-    alias: as it is when the rectangle spans whole rows, else moved into
-    the scratch plane with 0 in the columns left and right of it."""
-    ufunc, dst, base, span, moved, c0, c1 = step
-    source = flat[base][moved]
-    plane = state._scratch
-    if c0 or c1 < plane.shape[1]:
-        t = flat[None]
-        t[span] = source
-        plane[:, :c0] = 0
-        plane[:, c1:] = 0
-        source = t[span]
-    out = flat[dst][span]
+def _run_linear(state: ArrayState, flat, step) -> None:
+    """dst = (dst if accumulating else 0) + source * w over the span, the
+    source read at the alias's offset and w 1 where None; a write zeroes
+    dst outside the span."""
+    dst, base, span, moved, w, accumulate = step
+    out, source = flat[dst], flat[base][moved]
     # numpy buffers an overlapping read, so base may be dst
-    ufunc(out, source, out=out)
+    if accumulate:
+        if w is not None:
+            source = np.multiply(source, w, out=flat[None][span])
+        target = out[span]
+        np.add(target, source, out=target)
+        return
+    if w is None:
+        out[span] = source
+    else:
+        np.multiply(source, w, out=out[span])
+    out[:span.start] = 0
+    out[span.stop:] = 0
 
 
 def _run_clear(state: ArrayState, flat, step) -> None:
-    """dst *= 1 - M: 0 where the mask is set. `keep` is the int8 plane
-    1 - M when the step was built with M's bits, else None, and 1 - M is
-    computed into the scratch plane's first bytes."""
-    dst, mask, keep = step
+    """dst *= 1 - M, 0 where the mask is set, with 1 - M computed into the
+    scratch plane's first bytes."""
+    dst, mask = step
     out = flat[dst]
-    if keep is None:
-        keep = flat[None].view(np.int8)[:len(out)]
-        np.subtract(1, state.digital[mask].reshape(-1).view(np.int8), out=keep)
+    keep = flat[None].view(np.int8)[:len(out)]
+    np.subtract(1, state.digital[mask].reshape(-1).view(np.int8), out=keep)
     np.multiply(out, keep, out=out)
 
 
@@ -270,16 +228,29 @@ def _live_after(instructions: tuple[Instruction, ...]) -> list[frozenset[str]]:
     return after[::-1]
 
 
+def _summed(w1: np.ndarray | None, w2: np.ndarray | None, n: int) -> np.ndarray | None:
+    """The int8 sum of two steps' weights over a span of n pixels, None
+    meaning 1, or None when the sum does not fit in int8."""
+    total = np.zeros(n, dtype=np.int16)
+    for w in (w1, w2):
+        total += 1 if w is None else w
+    summed = total.astype(np.int8)
+    return summed if np.array_equal(summed, total) else None
+
+
 def build_steps(instructions: tuple[Instruction, ...],
                 shape) -> list[tuple[Callable, object]]:
     """The program as (run, operands) steps for the runners above, with the
-    rewrites, offset aliases and liveness of the module docstring."""
+    rules, offset aliases and liveness of the module docstring."""
     h, w = shape
     lives = _live_after(instructions)
     steps: list[tuple[Callable, object]] = []
     aliases: dict[str, _Alias] = {}
-    known: dict[str, np.ndarray] = {}  # D-register -> the bits a pattern set
-    # of the instructions a step covers: what is live after them, what they read
+    # D-register -> the bits a pattern set, unchanged since; and of those,
+    # the ones no step has bound yet
+    known: dict[str, np.ndarray] = {}
+    pending: dict[str, np.ndarray] = {}
+    # of the instruction a step covers: what is live after it, what it reads
     live = reads = frozenset()
 
     def plain(reg: str) -> _Alias:
@@ -309,7 +280,8 @@ def build_steps(instructions: tuple[Instruction, ...],
     def materialize(reg: str) -> None:
         release(reg)
         alias = aliases.pop(reg)
-        steps.append((_run_move, (reg, *alias.flat(w), alias.c0, alias.c1)))
+        steps.append((_run_linear, (reg, *alias.flat(w), alias.weights(None, shape),
+                                    False)))
 
     def read(reg: str) -> None:
         if reg in aliases:
@@ -324,85 +296,90 @@ def build_steps(instructions: tuple[Instruction, ...],
         release(dst, keep=(src,))
         return source(src)
 
-    i = 0
-    while i < len(instructions):
-        window = instructions[i:i + 4]
-        ins = window[0]
-        tap = len(window) == 4 and _is_tap_pair(*window)
-        flip = not tap and len(window) >= 2 and _is_sign_flip(*window[:2])
-        size = 4 if tap else 2 if flip else 1
-        live = lives[i + size - 1]
-        reads = frozenset(r for covered in window[:size] for r in _analog_reads(covered))
-        i += size
-        masked_with = known.get(ins.mask)
-        if tap:
-            plus, add, minus, _ = window
-            binds = ((plus.dst, plus.pattern), (minus.dst, minus.pattern))
-            signs = plus.pattern.view(np.int8) - minus.pattern.view(np.int8)
-            if is_zero(add.dst):  # nothing to add to: write X * s
-                release(add.dst)
-                del aliases[add.dst]
-                alias = source(add.b)
-                run = _run_signed
-            else:
-                alias = through(add.dst, add.b)
-                run = _run_tap_pair
-            steps.append((run, (add.dst, *alias.flat(w), alias.weights(signs), binds)))
-            known.update(binds)
-        elif flip:
-            pattern, neg = window[:2]
-            release(neg.dst)
-            alias = source(neg.dst)
-            aliases.pop(neg.dst, None)
-            signs = alias.weights(1 - 2 * pattern.pattern.view(np.int8))
-            steps.append((_run_signed, (neg.dst, *alias.flat(w), signs,
-                                        ((pattern.dst, pattern.pattern),))))
-            known[pattern.dst] = pattern.pattern
-        elif ins.opcode in ("shift", "copy") and ins.mask is None:
-            release(ins.dst)
+    def linear(dst: str, src: str, plane: np.ndarray | None, accumulate: bool) -> None:
+        """dst = (dst if accumulate else 0) + src * plane, src read through
+        its alias, plane None meaning 1."""
+        if is_zero(src):  # adding 0 leaves dst as it is, alias or not
+            if not accumulate:
+                release(dst)
+                aliases[dst] = zero(dst)
+            return
+        if accumulate and not is_zero(dst):
+            alias = through(dst, src)
+        else:  # nothing to add to: a write
+            release(dst)
+            alias = source(src)
+            aliases.pop(dst, None)
+            accumulate = False
+        step = (dst, *alias.flat(w))
+        weights = alias.weights(plane, shape)
+        run, prev = steps[-1] if steps else (None, None)
+        if (accumulate and run is _run_linear and prev[:4] == step
+                and alias.base != dst):
+            span = step[2]
+            summed = _summed(prev[4], weights, span.stop - span.start)
+            if summed is not None:
+                steps[-1] = (_run_linear, (*step, summed, prev[5]))
+                return
+        steps.append((_run_linear, (*step, weights, accumulate)))
+
+    for i, ins in enumerate(instructions):
+        live, reads = lives[i], frozenset(_analog_reads(ins))
+        op, dst = ins.opcode, ins.dst
+        bits = known.get(ins.mask)
+        if op == "pattern":
+            known[dst] = pending[dst] = ins.pattern
+        elif op in ("shift", "copy") and ins.mask is None:
+            release(dst)
             alias = source(ins.a)
-            if ins.opcode == "shift":
+            if op == "shift":
                 dr, dc = SHIFT_OFFSETS[ins.direction]
                 alias = alias.shifted(dr * ins.steps, dc * ins.steps, shape)
             if alias.empty:  # zero whatever its base holds
-                aliases[ins.dst] = zero(ins.dst)
-            elif alias == plain(ins.dst):  # its own plane, as it is
-                aliases.pop(ins.dst, None)
+                aliases[dst] = zero(dst)
+            elif alias == plain(dst):  # its own plane, as it is
+                aliases.pop(dst, None)
             else:
-                aliases[ins.dst] = alias
-        elif ins.opcode == "sub" and ins.a == ins.b and ins.mask is None:
-            release(ins.dst)
-            aliases[ins.dst] = zero(ins.dst)
-        elif (ins.opcode in ("add", "sub") and ins.mask is None and ins.a == ins.dst
-              and ins.b in aliases):
-            if not is_zero(ins.b):  # adding 0 leaves dst as it is, alias or not
-                alias = through(ins.dst, ins.b)
-                ufunc = np.add if ins.opcode == "add" else np.subtract
-                steps.append((_run_add_moved, (ufunc, ins.dst, *alias.flat(w),
-                                               alias.c0, alias.c1)))
-        elif ins.opcode == "copy" and is_zero(ins.a) and ins.dst != ins.a:
-            read(ins.dst)
-            release(ins.dst)
-            keep = (None if masked_with is None
-                    else np.logical_not(masked_with).view(np.int8).reshape(-1))
-            steps.append((_run_clear, (ins.dst, ins.mask, keep)))
-        elif (ins.opcode == "max" and masked_with is not None
-              and ins.dst in (ins.a, ins.b)):
-            other = ins.b if ins.a == ins.dst else ins.a
-            alias = through(ins.dst, other)
-            steps.append((_run_masked_max, (ins.dst, *alias.flat(w), alias.c0, alias.c1,
-                                            _Ceilings(masked_with, alias))))
+                aliases[dst] = alias
+        elif op == "sub" and ins.a == ins.b and ins.mask is None:
+            release(dst)
+            aliases[dst] = zero(dst)
+        elif op in ("add", "sub") and bits is not None and dst == ins.a != ins.b:
+            signs = bits.view(np.int8)
+            linear(dst, ins.b, signs if op == "add" else -signs, True)
+        elif op in ("add", "sub") and ins.mask is None and dst == ins.a and ins.b in aliases:
+            linear(dst, ins.b, None if op == "add" else np.full(shape, -1, np.int8), True)
+        elif op == "neg" and bits is not None and dst == ins.a:
+            linear(dst, dst, 1 - 2 * bits.view(np.int8), False)
+        elif op == "copy" and is_zero(ins.a) and dst != ins.a:
+            if bits is not None:
+                linear(dst, dst, np.logical_not(bits).view(np.int8), False)
+            else:
+                read(dst)
+                release(dst)
+                steps.append((_run_clear, (dst, ins.mask)))
+        elif op == "max" and bits is not None and dst in (ins.a, ins.b):
+            other = ins.b if ins.a == dst else ins.a
+            alias = through(dst, other)
+            steps.append((_run_masked_max, (dst, *alias.flat(w), alias.c0, alias.c1,
+                                            _Ceilings(bits, alias))))
         else:
+            # D-register and analog register names differ, so this finds
+            # the pending patterns that the mask or a logic input reads
+            if pending.keys() & {ins.mask, ins.a, ins.b}:
+                steps.append((_run_bind, tuple(pending.items())))
+                pending.clear()
             for reg in _analog_reads(ins):
                 read(reg)
-            if SPECS[ins.opcode].bound is not None:  # it writes an analog plane
-                release(ins.dst)
-                aliases.pop(ins.dst, None)
-            elif ins.opcode == "pattern":
-                known[ins.dst] = ins.pattern
-            elif ins.opcode in ("thresh", "logic"):
-                known.pop(ins.dst, None)
+            if SPECS[op].bound is not None:  # it writes an analog plane
+                release(dst)
+                aliases.pop(dst, None)
+            elif op in ("thresh", "logic"):
+                known.pop(dst, None)
+                pending.pop(dst, None)
             steps.append((_replay, ins))
+    if pending:
+        steps.append((_run_bind, tuple(pending.items())))
     # materialize writes the registers that read a plane before that plane
     live = reads = frozenset(ANALOG_REGS)
     for reg in list(aliases):

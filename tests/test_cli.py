@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -261,10 +263,10 @@ INFER_PGMS = st.one_of(
     st.tuples(st.integers(-80, 0), st.integers(-80, 80)).map(
         lambda hw: b"P5\n%d %d\n255\n" % hw[::-1] + b"\0" * 64 * 64),
 )
+WEIGHT_FIELDS = st.sampled_from(["version", "k", "block_size", "block_grid", "classes",
+                                 "kernels", "fc"])
 INFER_MUTATIONS = st.one_of(
-    st.tuples(st.just("weights"),
-              st.sampled_from(["version", "k", "block_size", "block_grid", "classes",
-                               "kernels", "fc"]), BAD_WEIGHT_VALUES),
+    st.tuples(st.just("weights"), WEIGHT_FIELDS, BAD_WEIGHT_VALUES),
     st.tuples(st.just("pgm"), st.none(), INFER_PGMS),
     st.tuples(st.just("option"), st.just("--noise-sigma"), BAD_VALUES),
     st.tuples(st.just("option"), st.just("--mode"),
@@ -339,6 +341,76 @@ def test_infer_meets_the_error_contract(mutation):
     assert (code == 0) == _valid_infer_mutation(kind, where, value)
 
 
+COST_FIELDS = st.sampled_from(["add", "sub", "neg", "copy", "max", "shift", "thresh",
+                               "logic", "pattern", "gsum", "overhead_us"])
+LOWER_BENCH_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["lower", "bench"]), st.just("weights"), WEIGHT_FIELDS,
+              BAD_WEIGHT_VALUES),
+    st.tuples(st.just("bench"), st.just("cost"), COST_FIELDS, BAD_WEIGHT_VALUES),
+)
+
+
+@given(mutation=LOWER_BENCH_MUTATIONS)
+@settings(max_examples=120, deadline=None)
+@example(mutation=("lower", "weights", "kernels", 0))
+@example(mutation=("lower", "weights", "fc", math.inf))
+@example(mutation=("lower", "weights", "block_grid", True))
+@example(mutation=("bench", "weights", "k", "3"))
+@example(mutation=("bench", "cost", "add", math.nan))
+@example(mutation=("bench", "cost", "shift", -math.inf))
+@example(mutation=("bench", "cost", "gsum", True))
+@example(mutation=("bench", "cost", "pattern", -1))
+@example(mutation=("bench", "cost", "overhead_us", 0))
+@example(mutation=("bench", "cost", "max", "1"))
+def test_lower_and_bench_meet_the_error_contract(mutation):
+    """`lower` and `bench` with one mutated weight or cost-table field
+    either write their outputs, or print one `error:` line, nothing on
+    stdout and no --out."""
+    command, kind, where, value = mutation
+    doc = json.loads(save_weights(random_model(5)))
+    cost = json.loads(resources.files("scampsim.data").joinpath(
+        "default_cost.json").read_text())
+    if kind == "cost":
+        cost[where] = value
+    elif where in ("kernels", "fc"):
+        inner = doc[where]
+        while isinstance(inner[0], list):
+            inner = inner[0]
+        inner[0] = value
+    else:
+        doc[where] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        weights, table = os.path.join(tmp, "w.json"), os.path.join(tmp, "c.json")
+        out = os.path.join(tmp, "out")
+        with open(weights, "w") as f:
+            json.dump(doc, f)
+        with open(table, "w") as f:
+            json.dump(cost, f)
+        argv = ([command, "--weights", weights, "--out", out] if command == "lower"
+                else [command, "--weights", weights, "--cost-table", table])
+        code, stdout, err = _run_quietly(argv)
+        if code == 0:
+            assert err == ""
+            if command == "lower":
+                assert re.fullmatch(rf"lowered \d+ instructions to {re.escape(out)}\n",
+                                    stdout), stdout
+                assert sorted(os.listdir(out)) == ["plan.json", "program.txt"]
+            else:
+                assert re.fullmatch(r"latency_us=\d+\.\d fps=\d+\n", stdout), stdout
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err and stdout == ""
+            assert not os.path.exists(out)
+    if kind == "cost":
+        # a finite number >= 0, not a bool, is a cost
+        valid = (not isinstance(value, bool) and isinstance(value, (int, float))
+                 and 0 <= value < math.inf)
+    else:
+        valid = _valid_infer_mutation(kind, where, value)
+    assert (code == 0) == valid
+
+
 def _all_plus_one_k12() -> str:
     """Weights whose conv reaches 144 on an all-ones input: past 127."""
     m = random_model(0, k=12)
@@ -391,6 +463,9 @@ K12_REFUSED = ("instruction 405 (add): passes the saturating range of 127; the "
     pytest.param(["infer", "--images", "negative.pgm"],
                  {"negative.pgm": b"P5\n-64 -64\n255\n"},
                  "PGM dims -64x-64 must be at least 1x1", id="infer-pgm-negative"),
+    pytest.param(["infer", "--images", "letters.pgm"],
+                 {"letters.pgm": b"P5\nab 64\n255\n" + b"\0" * 4096},
+                 "PGM width 'ab' is not a decimal integer", id="infer-pgm-letters"),
     pytest.param(["dump", "--image", "imgs", "--out", "out"],
                  {f"imgs/{n}.pgm": K12_SATURATING["ones.pgm"] for n in "abc"},
                  "dump takes one image, found 3 PGM files in imgs", id="dump-directory"),

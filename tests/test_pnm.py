@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,24 @@ class TestPgm:
         w, h = dims.split()
         with pytest.raises(PnmError, match=f"^PGM dims {w}x{h} must be at least 1x1$"):
             decode_pgm(f"P5\n{dims}\n255\n".encode() + b"\0" * 16)
+
+    @pytest.mark.parametrize("header, field, text", [
+        (b"P5\n1_0 4\n255\n", "width", "'1_0'"),
+        (b"P5\n+5 4\n255\n", "width", "'+5'"),
+        (b"P5\nab 4\n255\n", "width", "'ab'"),
+        (b"P5\n4 0x4\n255\n", "height", "'0x4'"),
+        (b"P5\n4 -\n255\n", "height", "'-'"),
+        (b"P5\n4 4\n2.5e2\n", "maxval", "'2.5e2'"),
+        (b"P5\n4 4\n\xd9\xa2\xd9\xa5\xd9\xa5\n", "maxval", "'\\xd9\\xa2\\xd9\\xa5\\xd9\\xa5'"),
+    ])
+    def test_header_numbers_are_ascii_decimal_by_name(self, header, field, text):
+        with pytest.raises(PnmError, match=f"^PGM {field} {re.escape(text)} "
+                                           "is not a decimal integer$"):
+            decode_pgm(header + b"\0" * 16)
+
+    def test_header_number_past_the_digit_limit_named(self):
+        with pytest.raises(PnmError, match="^PGM height of 5000 digits is out of range$"):
+            decode_pgm(b"P5\n4 " + b"1" * 5000 + b"\n255\n")
 
 
 class TestAtomicWrite:

@@ -584,7 +584,15 @@ def stepped_programs(draw):
     a pattern sets (bits the step list knows) or thresh and logic set, over
     plain and aliased operands; in-place adds and subs that read their own
     plane or another register's through an alias; and aliases overwritten,
-    or left dead by a write to their base, before anything reads them."""
+    or left dead by a write to their base, before anything reads them. The
+    step list runs a masked add or sub from a pattern's mask as a linear
+    step and merges the next one from the same source alias into it, and
+    binds patterns only before a replay that reads them and at the end, so
+    the programs also hold single-sign taps, two masked accumulates from
+    one source into one register with no tap pair around them (the second
+    maybe through an alias of the register's own plane, made again in
+    between), replayed masked ops and logic ops that read a pattern's
+    register, and patterns that a thresh or logic op overwrites unread."""
     areg = st.sampled_from(NARROW_AREGS)
     dreg = st.sampled_from(["R1", "R2"])
     maybe_mask = st.sampled_from([None, "R1", "R2"])
@@ -639,7 +647,9 @@ def stepped_programs(draw):
         kind = draw(st.sampled_from(["tap", "tap", "split-tap", "flip", "logic",
                                      "other", "other", "chain", "chain", "swap",
                                      "write-base", "read", "zero", "masked",
-                                     "masked", "in-place", "overwrite"]))
+                                     "masked", "in-place", "overwrite", "single-tap",
+                                     "same-source", "replay-pending",
+                                     "pending-overwritten"]))
         if kind in ("tap", "split-tap"):
             acc, src = draw(st.permutations(NARROW_AREGS))[:2]
             plus_reg, minus_reg, plus = draw(dreg), draw(dreg), bits()
@@ -740,6 +750,49 @@ def stepped_programs(draw):
             instructions.append(draw(st.sampled_from([
                 shift(t, other), Instruction("neg", dst=t, a=other),
                 Instruction("sub", dst=t, a=t, b=t)])))
+        elif kind == "single-tap":
+            # acc +-= src under a pattern's mask, src maybe an alias
+            acc, src, t = draw(st.permutations(NARROW_AREGS))
+            if draw(st.booleans()):
+                instructions += alias(t, src)
+                src = t
+            instructions += [Instruction("pattern", dst=(mask := draw(dreg)),
+                                         pattern=bits()),
+                             Instruction(draw(st.sampled_from(["add", "sub"])), dst=acc,
+                                         a=acc, b=src, mask=mask)]
+        elif kind == "same-source":
+            # acc +-= src twice under two patterns' masks, set before both,
+            # or src an alias of acc's own plane that is made again between
+            # the two and then overwritten
+            acc, src, t = draw(st.permutations(NARROW_AREGS))
+            own = draw(st.booleans())
+            move = shift(t, acc) if own else None
+            ops = [Instruction(draw(st.sampled_from(["add", "sub"])), dst=acc, a=acc,
+                               b=t if own else src, mask=reg) for reg in ("R1", "R2")]
+            instructions += [Instruction("pattern", dst="R1", pattern=bits()),
+                             Instruction("pattern", dst="R2", pattern=bits())]
+            instructions += ([move, ops[0], move, ops[1], Instruction("sub", dst=t, a=t, b=t)]
+                             if own else ops)
+        elif kind == "replay-pending":
+            # an op that reads a pattern's register and replays: a masked op
+            # whose destination is none of its operands, or a logic op
+            x, y, z = draw(st.permutations(NARROW_AREGS))
+            mask = draw(dreg)
+            instructions += [Instruction("pattern", dst=mask, pattern=bits()),
+                             draw(st.sampled_from([
+                                 Instruction("add", dst=x, a=y, b=z, mask=mask),
+                                 Instruction("max", dst=x, a=y, b=z, mask=mask),
+                                 Instruction("copy", dst=x, a=y, mask=mask),
+                                 Instruction("neg", dst=x, a=y, mask=mask),
+                                 Instruction("logic", dst="R3", logic="xor", a="R1",
+                                             b=mask)]))]
+        elif kind == "pending-overwritten":
+            mask = draw(dreg)
+            instructions += [Instruction("pattern", dst=mask, pattern=bits()),
+                             draw(st.sampled_from([
+                                 Instruction("thresh", dst=mask, a=draw(areg),
+                                             value=draw(st.integers(-2, 2))),
+                                 Instruction("logic", dst=mask, logic="not", a="R3")]))]
         else:
             instructions += draw(narrow_programs()).instructions[:2]
     return PpaProgram(instructions + [Instruction("gsum", a=draw(areg), label="s")])
@@ -825,6 +878,20 @@ class TestStepList:
         "logic after a pattern": (MASK + "sub E E E\nlogic R1 not R1\nmax B C B mask=R1\n"
                                   "copy C E mask=R1\n"),
     }
+    # and the linear steps' rules: a pattern bound before a replay that
+    # reads it, and not when thresh overwrites it first; 130 masked adds of
+    # one source, one step until the summed weights pass int8; no merge of
+    # two accumulates that read the destination's own plane; and a single
+    # tap through an alias of part rows
+    ALIAS_CASES |= {
+        "pattern bound before a replay": MASK + "add D A B mask=R1\n",
+        "pattern overwritten unread": MASK + "thresh R1 A 0\nadd A A B mask=R1\n",
+        "merges up to int8": MASK + "add A A B mask=R1\n" * 130,
+        "no merge through its own plane": (
+            MASK + "shift D A E 1\nadd A A D mask=R1\nshift D A E 1\n"
+            + pattern_line("R2", (0, 3), (4, 4)) + "sub A A D mask=R2\nsub D D D\n"),
+        "single tap of part rows": MASK + "shift D B W 3\nadd A A D mask=R1\n",
+    }
 
     @pytest.mark.parametrize("listing", ALIAS_CASES.values(), ids=ALIAS_CASES)
     def test_aliases_are_written_before_their_planes_change(self, listing):
@@ -903,6 +970,25 @@ class TestStepList:
                 assert stepped_sums == hooked_sums
                 assert same_planes(snapshot(stepped), snapshot(hooked))
 
+    def test_stage_slices_run_stepped_as_the_whole_program(self):
+        """The default program as its five stage slices, run in turn on one
+        state, each past its third run: the planes and sums equal a hooked
+        run of the whole program, which needs each slice's step list to
+        bind its patterns at its end."""
+        prog, plan = lower_model(default_model())
+        slices = [PpaProgram(prog.instructions[a:b]) for a, b in plan.stage_ranges.values()]
+        assert len(slices) == 5
+        image = np.random.default_rng(5).integers(0, 2, (64, 64))
+        whole = make_input_state(image)
+        _, whole_sums = execute(prog, whole, on_instruction=lambda *_: None)
+        for _ in range(3):
+            state, sums = make_input_state(image), []
+            for sl in slices:
+                sums += execute(sl, state)[1]
+        assert all(sl._compiled[PlaneGeometry()].steps is not None for sl in slices)
+        assert sums == whole_sums
+        assert same_planes(snapshot(state), snapshot(whole))
+
     def test_default_program_is_built_on_its_third_run(self):
         prog, _ = lower_model(default_model())
         image = np.random.default_rng(2).integers(0, 2, (64, 64))
@@ -911,15 +997,15 @@ class TestStepList:
             execute(prog, make_input_state(image))
             compiled.append(prog._compiled[PlaneGeometry()].steps)
         assert compiled[:2] == [None, None]
-        # 16 tap pairs of 4 instructions and 3 sign flips of 2 are one step
-        # each; the 32 unmasked shifts and copies are offset aliases and the
-        # 2 `sub X X X` zero ones, read by the taps (the first writes C, all
-        # zero, without adding), the flips, the in-place adds, the masked
-        # copies of zero and the masked maxes. Written out: B before the
-        # first add reads it as its accumulator, D before the last max
-        # writes C, whose alias it is, as D is live at the end (the other
-        # three are overwritten first), and A and E at the end
-        assert len(compiled[2]) == 124 - 16 * 3 - 3 - 32 - 2 + 4 == 43
+        # the 40 patterns run no step; the 32 unmasked shifts and copies are
+        # offset aliases and the 2 `sub X X X` zero ones; each of the 16 tap
+        # pairs' masked add and sub merge into one step (the first writes C,
+        # all zero, without adding). Written out: B before the first add
+        # reads it as its accumulator, D before the last max writes C, whose
+        # alias it is, as D is live at the end (the other three are
+        # overwritten first), and A and E at the end; and one step binds
+        # the patterns at the end
+        assert len(compiled[2]) == 124 - 40 - 32 - 2 - 16 + 4 + 1 == 39
         # a hook still sees every instruction
         seen = []
         execute(prog, make_input_state(image), on_instruction=lambda i, *_: seen.append(i))
