@@ -130,6 +130,9 @@ def cmd_bench(args):
 
 
 def cmd_loop(args):
+    # checked before the bank, whose models a huge count would allocate
+    if not 1 <= args.servos <= servo.MAX_SERVOS:
+        raise CliError(f"--servos must be 1..{servo.MAX_SERVOS}, got {args.servos}")
     # a zero or negative frame interval would never reach the duration
     period_us = 1e6 / args.fps if args.fps > 0 else math.nan
     interval = int(round(period_us)) if math.isfinite(period_us) else 0
@@ -184,13 +187,10 @@ def cmd_dump(args):
     rep = plan.registers["replicated"]
     fc_reg = plan.registers["fc_scratch"]
     stage_reg = {"replicate": rep, "conv": acc, "relu": acc, "maxpool": acc}
-    fc_index = [0]
 
     def snap(idx, ins, st):
         if ins.opcode == "gsum":
-            name = f"fc_class_{program.sum_labels[fc_index[0]]}"
-            fc_index[0] += 1
-            pnm.atomic_write(os.path.join(args.out, f"{name}.pgm"),
+            pnm.atomic_write(os.path.join(args.out, f"fc_class_{ins.label}.pgm"),
                              pnm.encode_pgm(st.analog[fc_reg], st.mode))
         if idx in stage_end:
             stage = stage_end[idx]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -39,6 +40,18 @@ class JitterParams:
             if (isinstance(v, bool) or not isinstance(v, (int, float))
                     or not math.isfinite(v)):
                 raise DatasetError(f"{f.name} must be a finite number, got {v!r}")
+        # a jitter v is drawn from U(-v, v), whose range 2v must be finite
+        top = sys.float_info.max / 2
+        for name in ("rotation_deg", "translation_px"):
+            v = getattr(self, name)
+            if not 0 <= v <= top:
+                raise DatasetError(f"{name} must be in [0, {top!r}], got {v!r}")
+        # the drawn scale factor 1 + U(-scale, scale) must stay above 0
+        if not 0 <= self.scale < 1:
+            raise DatasetError(f"scale must be in [0, 1), got {self.scale!r}")
+        if not 0 <= self.boundary_flip <= 1:
+            raise DatasetError(f"boundary_flip must be in [0, 1], "
+                               f"got {self.boundary_flip!r}")
 
 
 @dataclass
@@ -96,9 +109,12 @@ def render_gesture(label: int, rotation_deg: float = 0.0,
     x = xs - c - translation[0]
     y = ys - c - translation[1]
     th = math.radians(-rotation_deg)
-    xr = (math.cos(th) * x - math.sin(th) * y) / scale
-    yr = (math.sin(th) * x + math.cos(th) * y) / scale
-    return _shape_membership(label, xr, yr).astype(np.uint8)
+    # far enough from the shape a coordinate overflows to inf, or to nan
+    # where two infs meet: either lies outside it
+    with np.errstate(over="ignore", invalid="ignore"):
+        xr = (math.cos(th) * x - math.sin(th) * y) / scale
+        yr = (math.sin(th) * x + math.cos(th) * y) / scale
+        return _shape_membership(label, xr, yr).astype(np.uint8)
 
 
 def _boundary_pixels(img: np.ndarray) -> np.ndarray:
@@ -131,6 +147,10 @@ def generate(seed: int, n_train_per_class: int, n_test_per_class: int = 0,
     """Balanced synthetic dataset, bit-deterministic under seed."""
     if n_train_per_class < 1:
         raise DatasetError("n_train_per_class must be >= 1")
+    if n_test_per_class < 0:
+        raise DatasetError(f"n_test_per_class must be >= 0, got {n_test_per_class}")
+    if seed < 0:
+        raise DatasetError(f"seed must be >= 0, got {seed}")
     params = params or JitterParams()
     rng = np.random.default_rng(seed)
     train: list[GestureSample] = []

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import PlaneGeometry, is_binary
 from .model import BnnModel
-from .planes import ArrayState, NoiseModel
+from .planes import ArrayState, NoiseModel, read_only
 from .program import Instruction, PpaProgram
 
 # Register roles. A stages the input and doubles as the conv row register
@@ -126,15 +126,10 @@ def make_input_state(image: np.ndarray, geometry: PlaneGeometry | None = None,
 # without a copy.
 
 
-def _read_only(plane: np.ndarray) -> np.ndarray:
-    plane.flags.writeable = False
-    return plane
-
-
 def block_select_pattern(geometry: PlaneGeometry, selected: np.ndarray) -> np.ndarray:
     """Full-plane bit pattern with 1s over every selected block."""
     grid, bs = geometry.block_grid, geometry.block_size
-    return _read_only(np.asarray(selected).reshape(grid, grid).repeat(bs, 1).repeat(bs, 0))
+    return read_only(np.asarray(selected).reshape(grid, grid).repeat(bs, 1).repeat(bs, 0))
 
 
 def border_pattern(geometry: PlaneGeometry, k: int) -> np.ndarray:
@@ -145,7 +140,7 @@ def border_pattern(geometry: PlaneGeometry, k: int) -> np.ndarray:
     if k > 1:
         out.reshape(grid, bs, -1)[:, bs - (k - 1):] = True
         out.reshape(-1, grid, bs)[..., bs - (k - 1):] = True
-    return _read_only(out)
+    return read_only(out)
 
 
 def parity_pattern(geometry: PlaneGeometry, axis: str, parity: int) -> np.ndarray:
@@ -155,7 +150,7 @@ def parity_pattern(geometry: PlaneGeometry, axis: str, parity: int) -> np.ndarra
         out[:, parity::2] = True
     else:
         out[parity::2, :] = True
-    return _read_only(out)
+    return read_only(out)
 
 
 def fc_negative_pattern(model: BnnModel, class_index: int) -> np.ndarray:
@@ -167,7 +162,7 @@ def fc_negative_pattern(model: BnnModel, class_index: int) -> np.ndarray:
     # a 0/1 byte times 0x0101 is two equal bytes in either byte order, so
     # this widens each column to two
     pairs = np.multiply(pooled, 0x0101, dtype=np.uint16).view(bool)
-    return _read_only(pairs.repeat(2, 0))
+    return read_only(pairs.repeat(2, 0))
 
 
 # -- stage lowering ------------------------------------------------------

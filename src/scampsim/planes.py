@@ -10,9 +10,10 @@ and program.validate refuses it any program that could pass them.
 The state exposes the primitive operations every higher layer composes:
 elementwise arithmetic with optional digital masking, neighbour shifts,
 thresholding, bit logic, pattern writes and the global summation.
-The ops trust their operands, which a program.Instruction checked when it
-was built (and program.validate checked each pattern's shape against the
-state), and read the `analog` and `digital` dicts directly.
+The ops trust their operands, which a program.Instruction checked and, for
+a pattern, froze as read-only bool bits when it was built (program.validate
+checks each pattern's shape against the state), and read the `analog` and
+`digital` dicts directly.
 
 Every analog operation writes into its destination plane in place; a masked
 write computes into one scratch plane owned by the state, so no analog
@@ -21,20 +22,21 @@ into one of its own operands (dst = dst +/- other) takes two passes,
 dst +/-= other * m; every other masked write blends its scratch result in
 as dst += m * (t - dst). Both multiply by the mask viewed as int8, which
 costs no copy and, on int8 planes, no cast. A program's step list
-computes in the same scratch plane. The global sum adds an int8 plane as
-int16 partial sums first, then adds in int32 when the plane's type and
-pixel count alone make that exact, else in int64. Integer arithmetic wraps on
-overflow, and so does numpy's assignment of a wider value into a plane,
-so nothing here checks magnitudes per operation: program.execute proves
-how large a whole program's stored values can get, and first widens the
-state to the narrowest type that holds them. A caller that writes values
-beyond int8 into a plane directly must call `widen()` first.
+computes in the same scratch plane. The global sum is exact: it adds an
+int8 plane as int16 partial sums first, then adds in int32 when the plane's
+type and pixel count alone make that exact, else in int64; the state adds
+its noise to it. Integer arithmetic wraps on overflow, and so does
+numpy's assignment of a wider value into a plane, so nothing here checks
+magnitudes per operation: program.execute proves how large a whole
+program's stored values can get, and first widens the state to the
+narrowest type that holds them. A caller that writes values beyond int8
+into a plane directly must call `widen()` first.
 
 D-registers are read-only arrays that operations rebind rather than write
-into: `pattern` binds the pattern bits themselves (a program's patterns are
-read-only, so nothing is copied), `thresh` and `logic` bind the fresh result
-of their ufunc. As with `widen()`, a reference taken to a D-register before
-an operation does not see its result; read `digital[name]` afterwards.
+into: `pattern` binds the pattern bits themselves, which nothing can write,
+so nothing is copied; `thresh` and `logic` bind the fresh result of their
+ufunc. As with `widen()`, a reference taken to a D-register before an
+operation does not see its result; read `digital[name]` afterwards.
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ class NoiseModel:
 
     sigma 0 keeps every operation bit-deterministic and draws nothing; any
     other sigma adds an integer-rounded N(0, sigma^2) draw to each global
-    sum. The RNG stream lives in the owning ArrayState so a fixed seed gives
-    a fixed sequence of draws regardless of threading elsewhere.
+    sum. The RNG stream, seeded with `seed`, lives in the owning ArrayState
+    so a fixed seed gives a fixed sequence of draws regardless of
+    threading elsewhere.
     """
 
     sigma: float = 0.0
@@ -99,19 +102,9 @@ class NoiseModel:
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise PlaneError("noise sigma must be a finite number >= 0")
 
-    def make_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
-
-def global_sum(values: np.ndarray, noise: NoiseModel | None = None,
-               rng: np.random.Generator | None = None) -> int:
-    """Sum of all pixels of an integer plane, with optional integer-rounded
-    gaussian error.
-
-    When `rng` is omitted a fresh generator is seeded from the noise model,
-    making a standalone call reproducible; callers holding state (the
-    program executor) pass their own stream.
-    """
+def global_sum(values: np.ndarray) -> int:
+    """The exact sum of all pixels of an integer plane."""
     # int32 is exact, and faster, when even a plane of the type's minimum
     # sums within int32; every partial sum is then in range too
     wide = np.int32 if values.size << (8 * values.itemsize - 1) <= 1 << 31 else np.int64
@@ -120,17 +113,13 @@ def global_sum(values: np.ndarray, noise: NoiseModel | None = None,
         # (or fewer), exact since 256 int8 values lie in [-32768, 32512]
         values = values.reshape(math.gcd(values.size, PARTIAL_ROWS), -1).sum(
             axis=0, dtype=np.int16)
-    exact = int(values.sum(dtype=wide))
-    if noise is None or noise.sigma == 0:
-        return exact
-    if rng is None:
-        rng = noise.make_rng()
-    return exact + int(round(rng.normal(0.0, noise.sigma)))
+    return int(values.sum(dtype=wide))
 
 
-def _read_only(bits: np.ndarray) -> np.ndarray:
-    bits.flags.writeable = False
-    return bits
+def read_only(plane: np.ndarray) -> np.ndarray:
+    """The plane itself, made read-only."""
+    plane.flags.writeable = False
+    return plane
 
 
 def dtype_holding(peak: int) -> np.dtype:
@@ -172,7 +161,7 @@ class ArrayState:
         self._bind(np.zeros((len(ANALOG_REGS) + 1, *shape), dtype=DTYPES[0]))
         # ops rebind D-registers instead of writing into them, so all of
         # them can start on one shared all-False plane
-        clear = _read_only(np.zeros(shape, dtype=bool))
+        clear = read_only(np.zeros(shape, dtype=bool))
         self.digital: dict[str, np.ndarray] = dict.fromkeys(DIGITAL_REGS, clear)
         self.rng: np.random.Generator | None = None
 
@@ -215,31 +204,29 @@ class ArrayState:
         t *= m
         out += t
 
-    def accumulate(self, ufunc, dst: str, other: str, weights: np.ndarray):
-        """dst = ufunc(dst, other * weights) in two passes, t = other *
-        weights, then dst = ufunc(dst, t), for an int8 plane of weights, a
-        mask viewed as int8.
+    def accumulate(self, ufunc, dst: str, other: str, mask: str):
+        """dst = ufunc(dst, other * m) in two passes, t = other * m, then
+        dst = ufunc(dst, t), for m the mask viewed as int8.
 
         Exact in the planes' wrapping arithmetic, like the blend, since the
         bound pass bounds the stored result.
         """
         out = self.analog[dst]
         t = self._scratch
-        np.multiply(self.analog[other], weights, out=t)
+        np.multiply(self.analog[other], self.digital[mask].view(np.int8), out=t)
         ufunc(out, t, out=out)
 
     # -- analog ops ------------------------------------------------------
 
     def add(self, dst: str, a: str, b: str, mask: str | None = None):
         if mask is not None and dst in (a, b):
-            self.accumulate(np.add, dst, b if dst == a else a,
-                            self.digital[mask].view(np.int8))
+            self.accumulate(np.add, dst, b if dst == a else a, mask)
         else:
             self._write(np.add, dst, (a, b), mask)
 
     def sub(self, dst: str, a: str, b: str, mask: str | None = None):
         if mask is not None and dst == a:
-            self.accumulate(np.subtract, dst, b, self.digital[mask].view(np.int8))
+            self.accumulate(np.subtract, dst, b, mask)
         else:
             self._write(np.subtract, dst, (a, b), mask)
 
@@ -286,25 +273,27 @@ class ArrayState:
             out[:, :-dc] = 0
 
     def threshold_into(self, dst: str, src: str, t: int):
-        self.digital[dst] = _read_only(np.greater(self.analog[src], t))
+        self.digital[dst] = read_only(np.greater(self.analog[src], t))
 
     def global_sum_of(self, src: str) -> int:
-        if self.rng is None and self.noise.sigma != 0:
-            self.rng = self.noise.make_rng()
-        return global_sum(self.analog[src], self.noise, self.rng)
+        """The global sum of src plus, when the noise sigma is not 0, an
+        integer-rounded N(0, sigma^2) draw from the state's own stream."""
+        total = global_sum(self.analog[src])
+        if self.noise.sigma == 0:
+            return total
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.noise.seed)
+        return total + int(round(self.rng.normal(0.0, self.noise.sigma)))
 
     # -- digital ops -----------------------------------------------------
 
     def dreg_logic(self, dst: str, op: str, a: str, b: str | None = None):
         av = self.digital[a]
         bits = np.logical_not(av) if op == "not" else LOGIC_UFUNCS[op](av, self.digital[b])
-        self.digital[dst] = _read_only(bits)
+        self.digital[dst] = read_only(bits)
 
     def write_pattern(self, dst: str, pattern: np.ndarray):
-        """Bind `pattern`, 0/1 bits of the geometry's shape, to dst: itself
-        if it is already read-only bool, else a read-only bool copy, so later
-        writes to it cannot reach dst."""
-        if pattern.dtype != bool or pattern.flags.writeable:
-            pattern = _read_only(pattern.astype(bool))
+        """Bind `pattern`, read-only bool bits of the geometry's shape as an
+        Instruction keeps them, to dst."""
         self.digital[dst] = pattern
 

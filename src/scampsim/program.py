@@ -11,11 +11,11 @@ must be unset. So an Instruction that exists is valid, and the
 ArrayState ops trust their operands. Execution is validate-then-execute,
 and nothing runs until the whole program is accepted, so a rejected
 program leaves the state's values and dtype bit-identical. `validate`
-checks what depends on the state:
-- every pattern's shape against the state's geometry, until a proof at
-  that geometry is recorded;
-- a bound pass, starting from the state's current values, proves the
-  largest magnitude any stored analog value can reach. Past int32 the
+checks what depends on the state in one bound pass:
+- starting from the state's current values, the pass checks each
+  pattern's shape against the state's geometry before it takes the blocks
+  the bits touch, and proves the largest magnitude any stored analog value
+  can reach. Past int32 the
   program is rejected, and in saturating mode past SAT_MAX, since nothing
   clamps; otherwise execute first widens the state to the narrowest of
   int8, int16 and int32 that holds it. The pass keeps one bound per block
@@ -70,7 +70,7 @@ import numpy as np
 
 from .geometry import PlaneGeometry, is_binary
 from .planes import (ANALOG_MAX, ANALOG_MIN, ANALOG_REGS, DIGITAL_REGS, SAT_MAX,
-                     SATURATING, SHIFT_OFFSETS, ArrayState)
+                     SATURATING, SHIFT_OFFSETS, ArrayState, read_only)
 
 LOGIC_OPS = ("and", "or", "xor", "not")
 
@@ -146,8 +146,7 @@ def _frozen_bits(pattern: np.ndarray) -> np.ndarray:
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
     if pattern.dtype != bool or base is not None:
-        pattern = pattern.astype(bool)
-        pattern.flags.writeable = False
+        pattern = read_only(pattern.astype(bool))
     return pattern
 
 
@@ -222,9 +221,8 @@ def _pattern_from_hex(text: str) -> np.ndarray:
     if nbytes and raw[-1] & (0xFF >> (h * w - 8 * (nbytes - 1))):
         raise ProgramError("bad pattern literal: pad bits after the last "
                            "pixel are set")
-    bits = np.unpackbits(raw, count=h * w)
-    bits.flags.writeable = False  # before the views, which inherit it
-    return bits.reshape(h, w).view(bool)
+    # read-only before the views, which inherit it
+    return read_only(np.unpackbits(raw, count=h * w)).reshape(h, w).view(bool)
 
 
 class Kind(NamedTuple):
@@ -422,13 +420,18 @@ MAX_PROOFS = 64
 def _prove(program: PpaProgram, state: ArrayState) -> tuple[int, int | None]:
     """Run the bound pass and record it on the program: the largest
     magnitude any stored analog value can reach, and the index of the first
-    instruction that can pass SAT_MAX, or None."""
+    instruction that can pass SAT_MAX, or None. A pattern's shape is
+    checked against the geometry before its block coverage is taken."""
     bounds = _Bounds(state)
     g, bs = state.geometry.block_grid, state.geometry.block_size
+    shape = state.geometry.shape
     peak, past_sat = 0, None
     for idx, ins in enumerate(program.instructions):
         spec = SPECS[ins.opcode]
         if ins.pattern is not None:
+            if ins.pattern.shape != shape:
+                raise ProgramError(f"instruction {idx} (pattern): bits of shape "
+                                   f"{ins.pattern.shape}, not the geometry's {shape}")
             # the blocks its bits touch: any bit over a block's rows, then columns
             rows = np.logical_or.reduce(ins.pattern.reshape(g, bs, g * bs), axis=1)
             bounds.covers[ins.dst] = rows.reshape(g, g, bs).any(axis=2)
@@ -466,18 +469,9 @@ def validate(program: PpaProgram, state: ArrayState) -> int:
     saturating mode, SAT_MAX. Returns the largest such magnitude."""
     geometry = state.geometry
     compiled = program._compiled.get(geometry)
-    if compiled is None:
-        # an entry is made only by a proof, after this check passed, and
-        # an instruction's pattern keeps its shape
-        shape = geometry.shape
-        for idx, ins in enumerate(program.instructions):
-            if ins.pattern is not None and ins.pattern.shape != shape:
-                raise ProgramError(f"instruction {idx} (pattern): bits of shape "
-                                   f"{ins.pattern.shape}, not the geometry's {shape}")
-        compiled = _Compiled()
-    peak, past_sat = compiled.proofs.get(tuple(
-        _block_max_abs(state.analog[r], geometry).tobytes() for r in compiled.reads)
-    ) or _prove(program, state)
+    proof = None if compiled is None else compiled.proofs.get(tuple(
+        _block_max_abs(state.analog[r], geometry).tobytes() for r in compiled.reads))
+    peak, past_sat = proof or _prove(program, state)
     if past_sat is not None and state.mode == SATURATING:
         op = program.instructions[past_sat].opcode
         raise ProgramError(f"instruction {past_sat} ({op}): passes the saturating "

@@ -12,6 +12,9 @@ each either runs as one step, as it is (a replay), or as one of these:
   writes its D-register, and they are bound to the register, with those
   of every pattern not yet bound, in one step before a replay that reads
   a D-register they set, and at the end of the program;
+- `copy X Z mask=M`, Z an all-zero alias and X not Z, is read as the `sub
+  X X X mask=M` it equals: both zero X where M is set and keep it
+  elsewhere. With M's bits not known, that `sub` replays;
 - a linear step, dst = (dst if it accumulates, else 0) + base * w over the
   span of flat pixels its source's alias covers, base read at the alias's
   offset and w an int8 plane that is 0 outside the rectangle, or None,
@@ -19,16 +22,15 @@ each either runs as one step, as it is (a replay), or as one of these:
   outside the span. With M a mask whose bits are known and Y' a source
   read through its alias (offset 0 when it has none):
   `add X X Y mask=M` (Y not X) accumulates Y' * M, `sub X X Y mask=M`
-  accumulates Y' * -M, `neg X X mask=M` writes X' * (1 - 2M), `copy X Z
-  mask=M` with Z all-zero writes X' * (1 - M), and an unmasked `add X X Y`
-  or `sub X X Y` with Y an alias accumulates +-Y'. An accumulate into an
-  all-zero alias is a write, one of an all-zero source is no step, and a
-  write of one leaves dst an all-zero alias. A linear step that
-  accumulates into the destination of the step just before it, from the
-  same source alias on another register's plane, merges into that step
-  by adding the weights, while their sum fits in int8: so a conv tap pair
-  `add C C X mask=Rx; sub C C X mask=Ry` is one step, C += X' * (Rx - Ry);
-- `copy X Z mask=M`, Z all-zero and M's bits not known, is X *= 1 - M;
+  accumulates Y' * -M, `neg X X mask=M` writes X' * (1 - 2M), `sub X X X
+  mask=M` writes X' * (1 - M), and an unmasked `add X X Y` or `sub X X Y`
+  with Y an alias accumulates +-Y'. An accumulate into an all-zero alias
+  is a write, one of an all-zero source is no step, and a write of one
+  leaves dst an all-zero alias. A linear step that accumulates into the
+  destination of the step just before it, from the same source alias on
+  another register's plane, merges into that step by adding the weights,
+  while their sum fits in int8: so a conv tap pair `add C C X mask=Rx;
+  sub C C X mask=Ry` is one step, C += X' * (Rx - Ry);
 - `max X X Y mask=M` (or `max X Y X`), M's bits known, is t = min(Y, hi),
   X = max(X, t), with Y read through its alias: hi holds the type's
   maximum where M is set inside Y's rectangle, 0 where M is set outside it
@@ -138,7 +140,8 @@ class _Ceilings(dict):
         return hi
 
 
-# Step runners: run(state, flat, operands) -> global sum or None, where flat
+# The four step kinds, replay, bind, linear and masked max, as runners:
+# run(state, flat, operands) -> global sum or None, where flat
 # maps each analog register, and None the scratch plane, to a flat view of
 # its plane, made once per run.
 
@@ -172,16 +175,6 @@ def _run_linear(state: ArrayState, flat, step) -> None:
         np.multiply(source, w, out=out[span])
     out[:span.start] = 0
     out[span.stop:] = 0
-
-
-def _run_clear(state: ArrayState, flat, step) -> None:
-    """dst *= 1 - M, 0 where the mask is set, with 1 - M computed into the
-    scratch plane's first bytes."""
-    dst, mask = step
-    out = flat[dst]
-    keep = flat[None].view(np.int8)[:len(out)]
-    np.subtract(1, state.digital[mask].reshape(-1).view(np.int8), out=keep)
-    np.multiply(out, keep, out=out)
 
 
 def _run_masked_max(state: ArrayState, flat, step) -> None:
@@ -324,6 +317,9 @@ def build_steps(instructions: tuple[Instruction, ...],
         steps.append((_run_linear, (*step, weights, accumulate)))
 
     for i, ins in enumerate(instructions):
+        if ins.opcode == "copy" and is_zero(ins.a) and ins.dst != ins.a:
+            # X where M is clear and 0 where it is set, as `sub X X X mask=M`
+            ins = Instruction("sub", dst=ins.dst, a=ins.dst, b=ins.dst, mask=ins.mask)
         live, reads = lives[i], frozenset(_analog_reads(ins))
         op, dst = ins.opcode, ins.dst
         bits = known.get(ins.mask)
@@ -351,13 +347,8 @@ def build_steps(instructions: tuple[Instruction, ...],
             linear(dst, ins.b, None if op == "add" else np.full(shape, -1, np.int8), True)
         elif op == "neg" and bits is not None and dst == ins.a:
             linear(dst, dst, 1 - 2 * bits.view(np.int8), False)
-        elif op == "copy" and is_zero(ins.a) and dst != ins.a:
-            if bits is not None:
-                linear(dst, dst, np.logical_not(bits).view(np.int8), False)
-            else:
-                read(dst)
-                release(dst)
-                steps.append((_run_clear, (dst, ins.mask)))
+        elif op == "sub" and dst == ins.a == ins.b and bits is not None:
+            linear(dst, dst, np.logical_not(bits).view(np.int8), False)
         elif op == "max" and bits is not None and dst in (ins.a, ins.b):
             other = ins.b if ins.a == dst else ins.a
             alias = through(dst, other)

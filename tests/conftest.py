@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scampsim.geometry import PlaneGeometry
+from scampsim.planes import read_only
 
 
 @pytest.fixture
@@ -23,3 +24,9 @@ def snapshot(state) -> dict:
 def same_planes(a: dict, b: dict) -> bool:
     """Whether two snapshots hold the same registers with equal values."""
     return a.keys() == b.keys() and all(np.array_equal(a[n], b[n]) for n in a)
+
+
+def frozen_bits(values) -> np.ndarray:
+    """0/1 values as the read-only bool bits an Instruction keeps, which
+    are what ArrayState.write_pattern binds."""
+    return read_only(np.array(values, dtype=bool))

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shutil
+import sys
 import tempfile
 from importlib import resources
 
@@ -411,6 +412,152 @@ def test_lower_and_bench_meet_the_error_contract(mutation):
     assert (code == 0) == valid
 
 
+# gen's numeric options and their valid values: integers in [lo, hi], or
+# numbers that pass the test
+GEN_INTS = {"--seed": (0, math.inf), "--n-train": (1, math.inf),
+            "--n-test": (0, math.inf)}
+GEN_RANGES = {"--rotation": lambda v: 0 <= v <= sys.float_info.max / 2,
+              "--translation": lambda v: 0 <= v <= sys.float_info.max / 2,
+              "--scale": lambda v: 0 <= v < 1, "--boundary-flip": lambda v: 0 <= v <= 1}
+# BAD_VALUES and valid or large values near the ranges' ends; no count past 2
+OPTION_VALUES = st.one_of(BAD_VALUES, st.sampled_from(
+    ["0.5", "1", "2", "1e308", repr(sys.float_info.max / 2)]))
+
+
+def _valid_number(option, text, ints, ranges) -> bool:
+    if option in ints:
+        lo, hi = ints[option]
+        return re.fullmatch(r"-?\d+", text) is not None and lo <= int(text) <= hi
+    return ranges[option](float(text))
+
+
+@given(option=st.sampled_from([*GEN_INTS, *GEN_RANGES]), value=OPTION_VALUES)
+@settings(max_examples=120, deadline=None)
+@example(option="--seed", value="-1")
+@example(option="--n-test", value="-1")
+@example(option="--n-test", value="0")
+@example(option="--rotation", value="-5")
+@example(option="--translation", value="1e308")
+@example(option="--translation", value=repr(sys.float_info.max / 2))
+@example(option="--boundary-flip", value="-0.5")
+@example(option="--boundary-flip", value="2")
+@example(option="--boundary-flip", value="1")
+@example(option="--scale", value="2")
+@example(option="--scale", value="1")
+@example(option="--scale", value="0.5")
+def test_gen_meets_the_error_contract(option, value):
+    """`gen` with one mutated option either writes its samples and manifest,
+    or prints one `error:` line, nothing on stdout and no --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = {"--n-train": "1", "--n-test": "1", option: value, "--out": out}
+        code, stdout, err = _run_quietly(["gen", *[w for kv in argv.items() for w in kv]])
+        if code == 0:
+            assert err == ""
+            n = 3 * (int(argv["--n-train"]) + int(argv["--n-test"]))
+            assert stdout.startswith("wrote ") and len(os.listdir(out)) == n + 1
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err and stdout == ""
+            assert not os.path.exists(out)
+    assert (code == 0) == _valid_number(option, value, GEN_INTS, GEN_RANGES)
+
+
+# loop's numeric options, as gen's; --fps is valid while its frame interval
+# is finite and rounds to at least 1 us
+LOOP_INTS = {"--duration-us": (0, math.inf), "--servos": (1, 5)}
+LOOP_RANGES = {"--fps": lambda v: 0 < v < 2e6 and math.isfinite(1e6 / v),
+               "--noise-sigma": lambda v: 0 <= v < math.inf}
+LOOP_DUMP_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["loop", "dump"]), st.just("weights"), WEIGHT_FIELDS,
+              BAD_WEIGHT_VALUES),
+    st.tuples(st.sampled_from(["loop", "dump"]), st.just("pgm"), st.none(), INFER_PGMS),
+    st.tuples(st.sampled_from(["loop", "dump"]), st.just("option"),
+              st.just("--noise-sigma"), BAD_VALUES),
+    st.tuples(st.just("loop"), st.just("cost"), COST_FIELDS, BAD_WEIGHT_VALUES),
+    st.tuples(st.just("loop"), st.just("option"), st.just("--fps"),
+              st.one_of(OPTION_VALUES, st.just("500"))),
+    st.tuples(st.just("loop"), st.just("option"), st.just("--duration-us"), OPTION_VALUES),
+    st.tuples(st.just("loop"), st.just("option"), st.just("--servos"),
+              st.one_of(OPTION_VALUES, st.sampled_from(["6", "1000000000"]))),
+)
+
+
+@given(mutation=LOOP_DUMP_MUTATIONS)
+@settings(max_examples=60, deadline=None)
+@example(mutation=("loop", "option", "--servos", "1000000000"))
+@example(mutation=("loop", "option", "--servos", "6"))
+@example(mutation=("loop", "option", "--servos", "2"))
+@example(mutation=("loop", "option", "--fps", "500"))
+@example(mutation=("loop", "option", "--duration-us", "0"))
+@example(mutation=("loop", "cost", "gsum", True))
+@example(mutation=("loop", "weights", "fc", 1))
+@example(mutation=("dump", "weights", "kernels", math.nan))
+@example(mutation=("dump", "pgm", None, b"P5\n0 0\n255\n"))
+@example(mutation=("dump", "option", "--noise-sigma", "0"))
+def test_loop_and_dump_meet_the_error_contract(mutation):
+    """`loop` and `dump` with one mutated weight, frame, cost-table field or
+    option either write their outputs, or print one `error:` line, nothing
+    on stdout and no --out."""
+    command, kind, where, value = mutation
+    doc = json.loads(save_weights(random_model(5)))
+    cost = json.loads(resources.files("scampsim.data").joinpath(
+        "default_cost.json").read_text())
+    image = b"P5\n64 64\n255\n" + np.random.default_rng(5).integers(
+        0, 2, 64 * 64, dtype=np.uint8).tobytes() * 255
+    options = {}
+    if kind == "weights" and where in ("kernels", "fc"):
+        inner = doc[where]
+        while isinstance(inner[0], list):
+            inner = inner[0]
+        inner[0] = value
+    elif kind == "weights":
+        doc[where] = value
+    elif kind == "cost":
+        cost[where] = value
+    elif kind == "pgm":
+        image = value
+    else:
+        options[where] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        weights, table = os.path.join(tmp, "w.json"), os.path.join(tmp, "c.json")
+        pgm, out = os.path.join(tmp, "x.pgm"), os.path.join(tmp, "out")
+        with open(weights, "w") as f:
+            json.dump(doc, f)
+        with open(table, "w") as f:
+            json.dump(cost, f)
+        with open(pgm, "wb") as f:
+            f.write(image)
+        if command == "loop":
+            argv = {"--frames": pgm, "--cost-table": table, "--duration-us": "2000"}
+        else:
+            argv = {"--image": pgm}
+        argv |= {"--weights": weights, "--out": out, **options}
+        code, stdout, err = _run_quietly([command, *[w for kv in argv.items() for w in kv]])
+        if code == 0:
+            assert err == ""
+            if command == "loop":
+                assert stdout.startswith("frames=")
+                assert sorted(os.listdir(out)) == ["reaction.csv", "timeline.csv"]
+            else:
+                assert stdout.startswith("sums=")
+                assert len(os.listdir(out)) == 5 + len(doc["classes"])
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err and stdout == ""
+            assert not os.path.exists(out)
+    if kind == "cost":
+        valid = (not isinstance(value, bool) and isinstance(value, (int, float))
+                 and 0 <= value < math.inf)
+    elif kind == "option":
+        valid = _valid_number(where, value, LOOP_INTS, LOOP_RANGES)
+    else:
+        valid = _valid_infer_mutation(kind, where, value)
+    assert (code == 0) == valid
+
+
 def _all_plus_one_k12() -> str:
     """Weights whose conv reaches 144 on an all-ones input: past 127."""
     m = random_model(0, k=12)
@@ -438,6 +585,23 @@ K12_REFUSED = ("instruction 405 (add): passes the saturating range of 127; the "
                  "double quotes: line 1 column 2 (char 1)", id="manifest-not-json"),
     pytest.param(["gen", "--n-train", "2", "--rotation", "nan", "--out", "out"], {},
                  "rotation_deg must be a finite number, got nan", id="rotation-nan"),
+    pytest.param(["gen", "--seed", "-1", "--out", "out"], {},
+                 "seed must be >= 0, got -1", id="gen-seed-negative"),
+    pytest.param(["gen", "--n-test", "-1", "--out", "out"], {},
+                 "n_test_per_class must be >= 0, got -1", id="gen-n-test-negative"),
+    pytest.param(["gen", "--rotation", "-5", "--out", "out"], {},
+                 "rotation_deg must be in [0, 8.988465674311579e+307], got -5.0",
+                 id="gen-rotation-negative"),
+    pytest.param(["gen", "--translation", "1e308", "--out", "out"], {},
+                 "translation_px must be in [0, 8.988465674311579e+307], got 1e+308",
+                 id="gen-translation-1e308"),
+    pytest.param(["gen", "--scale", "2", "--out", "out"], {},
+                 "scale must be in [0, 1), got 2.0", id="gen-scale-2"),
+    pytest.param(["gen", "--boundary-flip", "-0.5", "--out", "out"], {},
+                 "boundary_flip must be in [0, 1], got -0.5", id="gen-boundary-flip"),
+    pytest.param(["loop", "--frames", "missing.pgm", "--servos", "1000000000",
+                  "--out", "out"], {},
+                 "--servos must be 1..5, got 1000000000", id="loop-servos-1e9"),
     # infer takes no --out: it must print nothing before the error
     pytest.param(["infer", "--weights", "w.json", "--mode", "saturating", "--check",
                   "--images", "ones.pgm"], K12_SATURATING, K12_REFUSED,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import same_planes, snapshot
+from conftest import frozen_bits, same_planes, snapshot
 
 from scampsim.dataset import DatasetError, GestureSample
 from scampsim.geometry import GeometryError, PlaneGeometry
@@ -94,7 +94,7 @@ class TestArithmetic:
         state.analog["B"][:] = b
         state.analog["C"][:] = prior
         mask = np.indices((16, 16)).sum(axis=0) % 2
-        state.write_pattern("R1", mask)
+        state.write_pattern("R1", frozen_bits(mask))
         state.add("C", "A", "B", mask="R1")
         got = state.analog["C"]
         for r in range(16):
@@ -156,7 +156,7 @@ class TestMaskedWrite:
             state.analog[reg][:] = r.integers(lo, hi + 1, (16, 16))
         state.analog["C"][0, 0] = c00
         mask = mask_shapes()[shape]
-        state.write_pattern("R1", mask)
+        state.write_pattern("R1", frozen_bits(mask))
         before = {n: p.astype(np.int64) for n, p in state.analog.items()}
         new = oracle(before[a], before[b])
         run(state, dst, a, b, "R1")
@@ -306,9 +306,13 @@ class TestGlobalSum:
             assert global_sum(plane) == int(plane.sum(dtype=np.int64))
 
     def test_gaussian_noise_reproducible_under_seed(self, geometry, rng):
-        p = rng.integers(-100, 100, size=geometry.shape, dtype=np.int32)
-        noise = NoiseModel(sigma=8.0, seed=7)
-        assert global_sum(p, noise) == global_sum(p, noise)
+        p = rng.integers(-100, 100, size=geometry.shape)
+        sums = []
+        for _ in range(2):
+            state = ArrayState(geometry, noise=NoiseModel(sigma=8.0, seed=7))
+            state.analog["A"][:] = p
+            sums.append([state.global_sum_of("A") for _ in range(3)])
+        assert sums[0] == sums[1]
 
     def test_state_builds_its_rng_on_the_first_noisy_draw(self, geometry):
         quiet = ArrayState(geometry)
@@ -326,8 +330,8 @@ class TestGlobalSum:
             NoiseModel(sigma)
 
     def test_gaussian_noise_perturbs(self, geometry):
-        p = np.zeros(geometry.shape, dtype=np.int32)
-        draws = {global_sum(p, NoiseModel(100.0, s)) for s in range(20)}
+        draws = {ArrayState(geometry, noise=NoiseModel(100.0, s)).global_sum_of("A")
+                 for s in range(20)}
         assert len(draws) > 1
 
 
@@ -335,21 +339,21 @@ class TestDregOps:
     def test_and_with_ones(self, rng):
         state = make_state()
         bits = rng.integers(0, 2, size=(16, 16))
-        state.write_pattern("R1", bits)
-        state.write_pattern("R2", np.ones((16, 16), dtype=np.uint8))
+        state.write_pattern("R1", frozen_bits(bits))
+        state.write_pattern("R2", frozen_bits(np.ones((16, 16))))
         state.dreg_logic("R3", "and", "R1", "R2")
         assert np.array_equal(state.digital["R3"], bits.astype(np.uint8))
 
     def test_xor_self_is_zero(self, rng):
         state = make_state()
-        state.write_pattern("R1", rng.integers(0, 2, size=(16, 16)))
+        state.write_pattern("R1", frozen_bits(rng.integers(0, 2, size=(16, 16))))
         state.dreg_logic("R2", "xor", "R1", "R1")
         assert np.all(state.digital["R2"] == 0)
 
     def test_not_is_involution(self, rng):
         state = make_state()
         bits = rng.integers(0, 2, size=(16, 16)).astype(np.uint8)
-        state.write_pattern("R1", bits)
+        state.write_pattern("R1", frozen_bits(bits))
         state.dreg_logic("R2", "not", "R1")
         state.dreg_logic("R3", "not", "R2")
         assert np.array_equal(state.digital["R3"], bits)
@@ -369,7 +373,7 @@ class TestReadOnlyDRegisters:
         pattern = prog.instructions[0].pattern
         assert np.shares_memory(state.digital["R1"], pattern)
         assert np.shares_memory(state.digital["R2"], pattern)
-        state.write_pattern("R3", np.ones((16, 16), dtype=np.uint8))
+        state.write_pattern("R3", frozen_bits(np.ones((16, 16))))
         for name in state.digital:
             with pytest.raises(ValueError):
                 state.digital[name][0, 0] = True
@@ -402,7 +406,7 @@ class TestReadOnlyDRegisters:
 class TestWritePattern:
     def test_all_ones(self):
         state = make_state()
-        state.write_pattern("R1", np.ones((16, 16), dtype=np.uint8))
+        state.write_pattern("R1", frozen_bits(np.ones((16, 16))))
         assert np.all(state.digital["R1"] == 1)
 
     def test_block_mask_covers_exactly_one_block(self, geometry):
@@ -465,7 +469,7 @@ class TestStateInvariants:
             assert same_planes(snapshot(state), before)
             assert all(p.dtype == dtype for p in state.analog.values())
         # the masked blend computes into the scratch plane: it widened too
-        state.write_pattern("R1", np.ones((16, 16), dtype=bool))
+        state.write_pattern("R1", frozen_bits(np.ones((16, 16))))
         state.analog["A"][:] = 2**20
         state.add("B", "A", "A", mask="R1")
         assert np.all(state.analog["B"] == 2**21)
@@ -478,7 +482,7 @@ class TestStateInvariants:
             state.analog["A"][:] = np.arange(256).reshape(16, 16)
             state.shift("B", "A", "E", 2)
             state.add("C", "A", "B")
-            state.write_pattern("R1", np.eye(16, dtype=np.uint8))
+            state.write_pattern("R1", frozen_bits(np.eye(16)))
             state.sub("C", "C", "A", mask="R1")
             state.threshold_into("R2", "C", 10)
             return snapshot(state)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import same_planes, snapshot
+from conftest import frozen_bits, same_planes, snapshot
 
 from scampsim import program as program_module
 from scampsim.geometry import PlaneGeometry
@@ -21,6 +21,7 @@ from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
                               PpaProgram, ProgramError, disassemble,
                               disassemble_instruction, estimate, execute,
                               parse_listing)
+from scampsim.steps import _replay, _run_bind, _run_linear, _run_masked_max, build_steps
 
 
 def small_state():
@@ -253,7 +254,7 @@ class TestValidByConstruction:
             state = ArrayState(PlaneGeometry(16, 16, 4, 4), mode=mode)
             for name in ("A", "B", "C"):
                 state.analog[name][:] = rng.integers(-100, 100, (16, 16))
-            state.write_pattern("R1", rng.integers(0, 2, (16, 16)))
+            state.write_pattern("R1", frozen_bits(rng.integers(0, 2, (16, 16))))
             before = snapshot(state)
             try:
                 execute(prog, state)
@@ -340,7 +341,7 @@ class TestBoundPass:
         state = small_state()
         state.widen()
         state.analog["B"][:] = 2**30
-        state.write_pattern("R1", np.ones((16, 16), dtype=bool))
+        state.write_pattern("R1", frozen_bits(np.ones((16, 16))))
         prog = parse_listing("copy B A mask=R1\nadd B B B\n")
         with pytest.raises(ProgramError, match="instruction 1"):
             execute(prog, state)
@@ -592,7 +593,10 @@ def stepped_programs(draw):
     one source into one register with no tap pair around them (the second
     maybe through an alias of the register's own plane, made again in
     between), replayed masked ops and logic ops that read a pattern's
-    register, and patterns that a thresh or logic op overwrites unread."""
+    register, and patterns that a thresh or logic op overwrites unread. And
+    they hold `sub x x x mask=M`, which a masked copy of zero is read as,
+    under masks a pattern, a thresh or a thresh and a `not` set, with x its
+    own plane or an alias of its own or another's."""
     areg = st.sampled_from(NARROW_AREGS)
     dreg = st.sampled_from(["R1", "R2"])
     maybe_mask = st.sampled_from([None, "R1", "R2"])
@@ -649,7 +653,7 @@ def stepped_programs(draw):
                                      "write-base", "read", "zero", "masked",
                                      "masked", "in-place", "overwrite", "single-tap",
                                      "same-source", "replay-pending",
-                                     "pending-overwritten"]))
+                                     "pending-overwritten", "masked-zero"]))
         if kind in ("tap", "split-tap"):
             acc, src = draw(st.permutations(NARROW_AREGS))[:2]
             plus_reg, minus_reg, plus = draw(dreg), draw(dreg), bits()
@@ -793,6 +797,15 @@ def stepped_programs(draw):
                                  Instruction("thresh", dst=mask, a=draw(areg),
                                              value=draw(st.integers(-2, 2))),
                                  Instruction("logic", dst=mask, logic="not", a="R3")]))]
+        elif kind == "masked-zero":
+            # sub x x x under a mask that a pattern, thresh or thresh and not
+            # set, x its own plane or an alias
+            x, t = draw(st.permutations(NARROW_AREGS))[:2]
+            mask = draw(dreg)
+            setters = set_mask(mask)
+            moves = alias(x, draw(st.sampled_from([x, t]))) if draw(st.booleans()) else []
+            instructions += draw(st.sampled_from([setters + moves, moves + setters]))
+            instructions.append(Instruction("sub", dst=x, a=x, b=x, mask=mask))
         else:
             instructions += draw(narrow_programs()).instructions[:2]
     return PpaProgram(instructions + [Instruction("gsum", a=draw(areg), label="s")])
@@ -892,6 +905,26 @@ class TestStepList:
             + pattern_line("R2", (0, 3), (4, 4)) + "sub A A D mask=R2\nsub D D D\n"),
         "single tap of part rows": MASK + "shift D B W 3\nadd A A D mask=R1\n",
     }
+    # and masked zeroing: a masked copy of an all-zero register into another
+    # is the `sub X X X` it equals, a linear step under a pattern's mask and
+    # a replay of that `sub` under a mask that thresh or logic set; a masked
+    # copy of a register that is not all zero, or of one into itself,
+    # replays as it is. REPLAYS lists what each replays
+    ALIAS_CASES |= {
+        "zeroing under a pattern's mask": MASK + "sub E E E\ncopy C E mask=R1\n",
+        "zeroing under a thresh's mask": ("sub E E E\nthresh R1 A 0\nshift C B S 2\n"
+                                          "copy C E mask=R1\n"),
+        "copy of a register not all zero": "thresh R1 A 0\ncopy C E mask=R1\n",
+        "copy of zero into itself": "sub E E E\nthresh R1 A 0\ncopy E E mask=R1\n",
+        "sub under a pattern's mask": MASK + "shift C C W 1\nsub C C C mask=R1\n",
+    }
+    REPLAYS = {
+        "zeroing under a pattern's mask": [],
+        "zeroing under a thresh's mask": ["thresh R1 A 0", "sub C C C mask=R1"],
+        "copy of a register not all zero": ["thresh R1 A 0", "copy C E mask=R1"],
+        "copy of zero into itself": ["thresh R1 A 0", "copy E E mask=R1"],
+        "sub under a pattern's mask": [],
+    }
 
     @pytest.mark.parametrize("listing", ALIAS_CASES.values(), ids=ALIAS_CASES)
     def test_aliases_are_written_before_their_planes_change(self, listing):
@@ -907,6 +940,13 @@ class TestStepList:
         (plain_sums, plain), _, (stepped_sums, stepped) = runs
         assert stepped_sums == plain_sums
         assert same_planes(stepped, plain)
+
+    @pytest.mark.parametrize("case", REPLAYS)
+    def test_masked_zeroing_replays_the_sub_it_equals(self, case):
+        prog = parse_listing(self.ALIAS_CASES[case])
+        steps = build_steps(prog.instructions, (16, 16))
+        assert [disassemble_instruction(ins) for run, ins in steps
+                if run is _replay] == self.REPLAYS[case]
 
     def test_masked_rewrites_match_at_every_plane_type(self):
         """Masked maxes over plain, shifted and all-zero sources and masked
@@ -1006,6 +1046,9 @@ class TestStepList:
         # overwritten first), and A and E at the end; and one step binds
         # the patterns at the end
         assert len(compiled[2]) == 124 - 40 - 32 - 2 - 16 + 4 + 1 == 39
+        # of the four step kinds, each of which it uses
+        assert {run for run, _ in compiled[2]} == {_replay, _run_bind, _run_linear,
+                                                   _run_masked_max}
         # a hook still sees every instruction
         seen = []
         execute(prog, make_input_state(image), on_instruction=lambda i, *_: seen.append(i))
