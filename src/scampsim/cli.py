@@ -18,7 +18,7 @@ from . import lowering, pnm, servo, training
 from .model import (argmax, default_model, load_weights_file, reference_infer,
                     save_weights)
 from .planes import NoiseModel
-from .program import CostModel, disassemble, estimate, execute, validate
+from .program import CostModel, disassemble, estimate, execute
 
 DEFAULT_COST_RESOURCE = "default_cost.json"
 
@@ -155,7 +155,7 @@ def cmd_loop(args):
                               args.mode, NoiseModel(args.noise_sigma, args.seed),
                               geometry=model.geometry)
     os.makedirs(args.out, exist_ok=True)
-    pnm.atomic_write(os.path.join(args.out, "timeline.csv"), timeline.to_csv())
+    pnm.atomic_write(os.path.join(args.out, "timeline.csv"), timeline.chunks())
     records = servo.reaction_latency(timeline)
     latched = [r for r in records if r.latched]
     lines = ["frame_index,frame_t_us,latched,reaction_us"]
@@ -178,27 +178,27 @@ def cmd_dump(args):
     (_, img), = images
     state = lowering.make_input_state(img, model.geometry, args.mode,
                                       NoiseModel(args.noise_sigma, args.seed))
-    # a refused program leaves no --out behind
-    validate(program, state)
-    os.makedirs(args.out, exist_ok=True)
-
     stage_end = {end - 1: name for name, (_, end) in plan.stage_ranges.items()}
     acc = plan.registers["accumulator"]
     rep = plan.registers["replicated"]
     fc_reg = plan.registers["fc_scratch"]
     stage_reg = {"replicate": rep, "conv": acc, "relu": acc, "maxpool": acc}
+    planes = {}
 
     def snap(idx, ins, st):
         if ins.opcode == "gsum":
-            pnm.atomic_write(os.path.join(args.out, f"fc_class_{ins.label}.pgm"),
-                             pnm.encode_pgm(st.analog[fc_reg], st.mode))
+            planes[f"fc_class_{ins.label}.pgm"] = pnm.encode_pgm(st.analog[fc_reg], st.mode)
         if idx in stage_end:
             stage = stage_end[idx]
             if stage in stage_reg:
-                pnm.atomic_write(os.path.join(args.out, f"post_{stage}.pgm"),
-                                 pnm.encode_pgm(st.analog[stage_reg[stage]], st.mode))
+                planes[f"post_{stage}.pgm"] = pnm.encode_pgm(
+                    st.analog[stage_reg[stage]], st.mode)
 
     _, sums = execute(program, state, on_instruction=snap)
+    # only a run that completes makes --out
+    os.makedirs(args.out, exist_ok=True)
+    for name, data in planes.items():
+        pnm.atomic_write(os.path.join(args.out, name), data)
     pnm.write_gray_pgm(
         os.path.join(args.out, f"input_{model.geometry.block_size}.pgm"), img * 255)
     print(f"sums={sums} predicted={program.sum_labels[argmax(sums)]} "

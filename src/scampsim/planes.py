@@ -81,7 +81,7 @@ PARTIAL_ROWS = 64
 
 
 class PlaneError(ValueError):
-    """Unknown analog mode or a bad noise sigma."""
+    """Unknown analog mode or a bad noise sigma or seed."""
 
 
 @dataclass
@@ -101,6 +101,9 @@ class NoiseModel:
     def __post_init__(self):
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise PlaneError("noise sigma must be a finite number >= 0")
+        # checked here, since a seed reaches numpy only at the first draw
+        if type(self.seed) is not int or self.seed < 0:
+            raise PlaneError(f"noise seed must be an integer >= 0, got {self.seed!r}")
 
 
 def global_sum(values: np.ndarray) -> int:

@@ -12,6 +12,7 @@ Byte layout is fixed so dumps are diffable:
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -22,13 +23,14 @@ class PnmError(ValueError):
     pass
 
 
-def atomic_write(path, data: bytes | str):
-    """Write through `<path>.tmp` and a rename: the destination ends up with
-    all of `data` or stays as it was, and no temporary file is left behind."""
+def atomic_write(path, data: bytes | str | Iterable[str]):
+    """Write `data`, or each text chunk it yields, through `<path>.tmp` and a
+    rename: the destination ends up with all of it or stays as it was, and
+    no temporary file is left behind."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
-            f.write(data)
+            f.writelines([data] if isinstance(data, (bytes, str)) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

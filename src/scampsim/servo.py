@@ -12,12 +12,10 @@ throughout.
 
 run_loop classifies each distinct frame once per call: a memo keyed by the
 frame object's identity sits in front of a cache keyed by the frame's shape,
-dtype and bytes. It then emits the timeline already in order, with no sort:
-the frame and inference_done events up to each edge (frames first on ties),
-the edge, and the edge's angle updates by servo id. Events and reaction
-records are immutable named tuples, TimelineEvent and ReactionRecord. The
-timeline keeps each frame's capture time, so reaction_latency reads them
-without scanning the events.
+dtype and bytes. Its timeline keeps O(frames) state, and one walk over the
+PWM edges holds the ordering, latch and slew rules: chunks() formats it
+straight to CSV text a few thousand rows at a time, and events builds it as
+TimelineEvent named tuples when read.
 """
 
 from __future__ import annotations
@@ -89,20 +87,102 @@ def _csv_field(name: str | None) -> str:
 
 @dataclass
 class ServoTimeline:
-    events: list[TimelineEvent]
     inference_latency_us: int
     frame_latched_at: dict[int, int]      # frame index -> latch edge time
     dropped_frames: list[int]
     frame_times: list[int]                # capture time of each frame, by index
+    frame_classes: list[str]
+    done_times: list[int]                 # inference_done time of each frame
+    steps: list[float]                    # each servo's max_step_deg
+    tables: list[dict[str, float]]        # each servo's angles, clamped
+    duration_us: int
+
+    def _walk(self):
+        """(captures, t_edge, latched class, (servo id, angle) updates) per
+        edge, then (the captures after the last edge, None, None, ()). The
+        captures index frame_times + done_times, frames first on ties."""
+        times = self.frame_times + self.done_times
+        # a stable sort of two sorted runs merges them
+        order = sorted(range(len(times)), key=times.__getitem__)
+        ordered_times = [times[k] for k in order]
+        latch = {edge: idx for idx, edge in self.frame_latched_at.items()}
+        steps, tables = self.steps, self.tables
+        angles = [0.0] * len(steps)
+        emitted = 0
+        latched = None
+        for t_edge in range(0, self.duration_us + 1, PWM_PERIOD_US):
+            upto = bisect_right(ordered_times, t_edge, emitted)
+            captures, emitted = order[emitted:upto], upto
+            idx = latch.get(t_edge)
+            if idx is not None:
+                latched = self.frame_classes[idx]
+            updates = []
+            if latched is not None:
+                for sid, angle in enumerate(angles):
+                    target = tables[sid].get(latched, angle)
+                    if idx is not None or angle != target:
+                        # land on the target when it is within one step
+                        step = steps[sid]
+                        if abs(target - angle) <= step:
+                            angle = target
+                        else:
+                            angle += step if target > angle else -step
+                        angles[sid] = angle
+                        updates.append((sid, angle))
+            yield captures, t_edge, latched, updates
+        yield order[emitted:], None, None, ()
+
+    def chunks(self):
+        """The CSV `t_us,event,servo_id,class,angle` in about 4k-row pieces."""
+        classes = self.frame_classes
+        quoted = {c: _csv_field(c) for c in set(classes)}
+        frame = {c: f",frame,,{q},\n" for c, q in quoted.items()}
+        done = {c: f",inference_done,,{q},\n" for c, q in quoted.items()}
+        times = self.frame_times + self.done_times
+        tails = [frame[c] for c in classes] + [done[c] for c in classes]
+        rows = ["t_us,event,servo_id,class,angle\n"]
+        append = rows.append
+        # each angle formatted once per chunk; a zero each time, as -0.0 == 0.0
+        angle_text = {}
+        for captures, t_edge, latched, updates in self._walk():
+            for k in captures:
+                append(f"{times[k]}{tails[k]}")
+            if t_edge is None:
+                break
+            append(f"{t_edge},pwm_edge,,,\n")
+            if updates:
+                q = quoted[latched]
+                for sid, angle in updates:
+                    text = angle_text.get(angle)
+                    if text is None:
+                        text = f"{angle:.4f}\n"
+                        if angle:
+                            angle_text[angle] = text
+                    append(f"{t_edge},angle_update,{sid},{q},{text}")
+            if len(rows) >= 4096:
+                yield "".join(rows)
+                rows = []
+                append = rows.append
+                angle_text.clear()
+        yield "".join(rows)
 
     def to_csv(self) -> str:
-        events = self.events
-        quoted = {c: _csv_field(c) for c in {e.class_name for e in events}}
-        rows = ["t_us,event,servo_id,class,angle\n"]
-        rows += [f"{t},{kind},{'' if sid is None else sid},{quoted[c]},"
-                 f"{'' if angle is None else f'{angle:.4f}'}\n"
-                 for t, kind, sid, c, angle, _ in events]
-        return "".join(rows)
+        return "".join(self.chunks())
+
+    @property
+    def events(self) -> list[TimelineEvent]:
+        """The timeline's rows, built on each read."""
+        n, times = len(self.frame_times), self.frame_times + self.done_times
+        events = []
+        for captures, t_edge, latched, updates in self._walk():
+            events += [TimelineEvent(times[k], "frame" if k < n else "inference_done",
+                                     None, self.frame_classes[k % n], None, k % n)
+                       for k in captures]
+            if t_edge is not None:
+                events.append(TimelineEvent(t_edge, "pwm_edge"))
+                events += [TimelineEvent(t_edge, "angle_update", sid, latched, angle)
+                           for sid, angle in updates]
+        return events
 
 
 def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
@@ -146,70 +226,18 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
 
     # per-edge latch: last writer wins among commands ready before the edge
     latch_at_edge: dict[int, int] = {}      # edge time -> frame index
-    frame_latched_at: dict[int, int] = {}
     for idx, done in enumerate(dones):
         # the first edge strictly after completion
         edge = (done // PWM_PERIOD_US + 1) * PWM_PERIOD_US
         if edge <= duration_us:
             latch_at_edge[edge] = idx
-    for edge, idx in latch_at_edge.items():
-        frame_latched_at[idx] = edge
+    frame_latched_at = {idx: edge for edge, idx in latch_at_edge.items()}
     dropped = [idx for idx in range(len(times)) if idx not in frame_latched_at]
-
-    # The captures in timeline order: a two-pointer merge of the frame and
-    # inference_done rows, frames first on ties (no frame completes before
-    # its capture), each stream in frame order. Events are built with
-    # tuple.__new__, which skips the NamedTuple's keyword-taking __new__.
-    new, Event = tuple.__new__, TimelineEvent
-    captures: list[TimelineEvent] = []
-    n = len(times)
-    i = j = 0
-    while j < n:
-        if i < n and times[i] <= dones[j]:
-            captures.append(new(Event, (times[i], "frame", None, classes[i],
-                                        None, i)))
-            i += 1
-        else:
-            captures.append(new(Event, (dones[j], "inference_done", None,
-                                        classes[j], None, j)))
-            j += 1
-    capture_times = [e.t_us for e in captures]
-
-    # Each edge follows the captures at or before it and precedes its angle
-    # updates, which go by servo id; the captures after the last edge close.
-    servos = bank.servos
-    steps = [s.max_step_deg for s in servos]
-    tabled = [{c: min(max(a, 0.0), 180.0) for c, a in s.class_angles.items()}
-              for s in servos]
-    angles = [0.0] * len(servos)
-    events: list[TimelineEvent] = []
-    append = events.append
-    emitted = 0
-    latched_class: str | None = None
-    for t_edge in range(0, duration_us + 1, PWM_PERIOD_US):
-        upto = bisect_right(capture_times, t_edge, emitted)
-        events += captures[emitted:upto]
-        emitted = upto
-        append(new(Event, (t_edge, "pwm_edge", None, None, None, None)))
-        idx = latch_at_edge.get(t_edge)
-        if idx is not None:
-            latched_class = classes[idx]
-        elif latched_class is None:
-            continue
-        for sid, angle in enumerate(angles):
-            target = tabled[sid].get(latched_class, angle)
-            if idx is not None or angle != target:
-                # land on the target when it is within one step
-                step = steps[sid]
-                if abs(target - angle) <= step:
-                    angle = target
-                else:
-                    angle += step if target > angle else -step
-                angles[sid] = angle
-                append(new(Event, (t_edge, "angle_update", sid, latched_class,
-                                   angle, None)))
-    events += captures[emitted:]
-    return ServoTimeline(events, latency_us, frame_latched_at, dropped, times)
+    return ServoTimeline(
+        latency_us, frame_latched_at, dropped, times, classes, dones,
+        [s.max_step_deg for s in bank.servos],
+        [{c: min(max(a, 0.0), 180.0) for c, a in s.class_angles.items()}
+         for s in bank.servos], duration_us)
 
 
 class ReactionRecord(NamedTuple):

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scampsim import pnm
 from scampsim.cli import main
 from scampsim.geometry import PlaneGeometry
 from scampsim.model import random_model, save_weights
+from scampsim.planes import ArrayState
 from scampsim.pnm import write_gray_pgm
 
 
@@ -270,6 +272,8 @@ INFER_MUTATIONS = st.one_of(
     st.tuples(st.just("weights"), WEIGHT_FIELDS, BAD_WEIGHT_VALUES),
     st.tuples(st.just("pgm"), st.none(), INFER_PGMS),
     st.tuples(st.just("option"), st.just("--noise-sigma"), BAD_VALUES),
+    st.tuples(st.just("option"), st.just("--seed"),
+              st.one_of(BAD_VALUES, st.sampled_from(["2", "1.5"]))),
     st.tuples(st.just("option"), st.just("--mode"),
               st.one_of(st.text(max_size=12), st.sampled_from(["ideal", "saturating",
                                                                "IDEAL", " ideal"]))),
@@ -278,11 +282,14 @@ INFER_MUTATIONS = st.one_of(
 
 def _valid_infer_mutation(kind, where, value) -> bool:
     """A weight equal to +-1 (a bool True included, as numpy reads it), the
-    version's own value 1, a noise sigma of 0 and either mode are valid."""
+    version's own value 1, a noise sigma of 0, a seed that is an integer
+    >= 0 and either mode are valid."""
     if kind == "weights":
         if where in ("kernels", "fc"):
             return isinstance(value, (int, float)) and value in (1, -1)
         return where == "version" and type(value) is int and value == 1
+    if where == "--seed":
+        return _valid_number(where, value, SEED_INTS, {})
     if kind == "option":
         return value in (("0",) if where == "--noise-sigma" else ("ideal", "saturating"))
     return False
@@ -303,15 +310,18 @@ def _valid_infer_mutation(kind, where, value) -> bool:
 @example(mutation=("option", "--mode", "saturating"))
 @example(mutation=("option", "--mode", "IDEAL"))
 @example(mutation=("option", "--mode", "0"))
+@example(mutation=("option", "--seed", "-1"))
+@example(mutation=("option", "--seed", "2"))
 def test_infer_meets_the_error_contract(mutation):
     """`infer --check` with one mutated weight, image or option either
     prints its sums and the oracle's agreement, or prints one `error:`
-    line and nothing on stdout."""
+    line and nothing on stdout. A seed is tried under noise and without
+    `--check`, whose oracle the noisy sums would not match."""
     kind, where, value = mutation
     doc = json.loads(save_weights(random_model(5)))
     image = b"P5\n64 64\n255\n" + np.random.default_rng(5).integers(
         0, 2, 64 * 64, dtype=np.uint8).tobytes() * 255
-    argv = []
+    argv = ["--check"]
     if kind == "weights":
         if where in ("kernels", "fc"):
             inner = doc[where]
@@ -322,8 +332,10 @@ def test_infer_meets_the_error_contract(mutation):
             doc[where] = value
     elif kind == "pgm":
         image = value
+    elif where == "--seed":
+        argv = ["--noise-sigma", "1", where, value]
     else:
-        argv = [where, value]
+        argv += [where, value]
     with tempfile.TemporaryDirectory() as tmp:
         weights, pgm = os.path.join(tmp, "w.json"), os.path.join(tmp, "x.pgm")
         with open(weights, "w") as f:
@@ -331,10 +343,13 @@ def test_infer_meets_the_error_contract(mutation):
         with open(pgm, "wb") as f:
             f.write(image)
         code, out, err = _run_quietly(["infer", "--weights", weights, "--images", pgm,
-                                       "--check", *argv])
+                                       *argv])
     if code == 0:
         assert err == ""
-        assert out.endswith("oracle_agreement=yes\noracle agreement: 1/1\n")
+        if "--check" in argv:
+            assert out.endswith("oracle_agreement=yes\noracle agreement: 1/1\n")
+        else:
+            assert out.startswith("x.pgm: sums=") and out.count("\n") == 1
     else:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -466,7 +481,8 @@ def test_gen_meets_the_error_contract(option, value):
 
 # loop's numeric options, as gen's; --fps is valid while its frame interval
 # is finite and rounds to at least 1 us
-LOOP_INTS = {"--duration-us": (0, math.inf), "--servos": (1, 5)}
+SEED_INTS = {"--seed": (0, math.inf)}
+LOOP_INTS = {"--duration-us": (0, math.inf), "--servos": (1, 5), **SEED_INTS}
 LOOP_RANGES = {"--fps": lambda v: 0 < v < 2e6 and math.isfinite(1e6 / v),
                "--noise-sigma": lambda v: 0 <= v < math.inf}
 LOOP_DUMP_MUTATIONS = st.one_of(
@@ -475,6 +491,8 @@ LOOP_DUMP_MUTATIONS = st.one_of(
     st.tuples(st.sampled_from(["loop", "dump"]), st.just("pgm"), st.none(), INFER_PGMS),
     st.tuples(st.sampled_from(["loop", "dump"]), st.just("option"),
               st.just("--noise-sigma"), BAD_VALUES),
+    st.tuples(st.sampled_from(["loop", "dump"]), st.just("option"),
+              st.just("--seed"), OPTION_VALUES),
     st.tuples(st.just("loop"), st.just("cost"), COST_FIELDS, BAD_WEIGHT_VALUES),
     st.tuples(st.just("loop"), st.just("option"), st.just("--fps"),
               st.one_of(OPTION_VALUES, st.just("500"))),
@@ -496,10 +514,13 @@ LOOP_DUMP_MUTATIONS = st.one_of(
 @example(mutation=("dump", "weights", "kernels", math.nan))
 @example(mutation=("dump", "pgm", None, b"P5\n0 0\n255\n"))
 @example(mutation=("dump", "option", "--noise-sigma", "0"))
+@example(mutation=("dump", "option", "--seed", "-1"))
+@example(mutation=("loop", "option", "--seed", "-1"))
+@example(mutation=("loop", "option", "--seed", "1"))
 def test_loop_and_dump_meet_the_error_contract(mutation):
     """`loop` and `dump` with one mutated weight, frame, cost-table field or
     option either write their outputs, or print one `error:` line, nothing
-    on stdout and no --out."""
+    on stdout and no --out. A seed is tried under noise, where it is used."""
     command, kind, where, value = mutation
     doc = json.loads(save_weights(random_model(5)))
     cost = json.loads(resources.files("scampsim.data").joinpath(
@@ -520,6 +541,8 @@ def test_loop_and_dump_meet_the_error_contract(mutation):
         image = value
     else:
         options[where] = value
+        if where == "--seed":
+            options["--noise-sigma"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
         weights, table = os.path.join(tmp, "w.json"), os.path.join(tmp, "c.json")
         pgm, out = os.path.join(tmp, "x.pgm"), os.path.join(tmp, "out")
@@ -633,6 +656,13 @@ K12_REFUSED = ("instruction 405 (add): passes the saturating range of 127; the "
     pytest.param(["dump", "--image", "imgs", "--out", "out"],
                  {f"imgs/{n}.pgm": K12_SATURATING["ones.pgm"] for n in "abc"},
                  "dump takes one image, found 3 PGM files in imgs", id="dump-directory"),
+    # numpy would see the seed only at the first noise draw, or never
+    pytest.param(["infer", "--noise-sigma", "1", "--seed", "-1", "--images", "ones.pgm"],
+                 {"ones.pgm": K12_SATURATING["ones.pgm"]},
+                 "noise seed must be an integer >= 0, got -1", id="infer-noise-seed"),
+    pytest.param(["loop", "--seed", "-1", "--frames", "ones.pgm", "--out", "out"],
+                 {"ones.pgm": K12_SATURATING["ones.pgm"]},
+                 "noise seed must be an integer >= 0, got -1", id="loop-seed-no-noise"),
 ])
 def test_malformed_input_single_line_error_without_output(tmp_path, capsys,
                                                           monkeypatch, command,
@@ -761,6 +791,30 @@ class TestLoopAndDump:
             assert (out / f"post_{stage}.pgm").exists()
         for cls in ("rock", "paper", "scissors"):
             assert (out / f"fc_class_{cls}.pgm").exists()
+
+    def test_dump_failing_after_its_stage_planes_leaves_no_output(
+            self, tmp_path, capsys, monkeypatch, dataset_dir):
+        encode_pgm, encoded, encoded_by_failure = pnm.encode_pgm, [], []
+
+        def encode(*args):
+            encoded.append(args)
+            return encode_pgm(*args)
+
+        def fail(state, src):
+            encoded_by_failure.append(len(encoded))
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr(pnm, "encode_pgm", encode)
+        monkeypatch.setattr(ArrayState, "global_sum_of", fail)
+        out = tmp_path / "dump"
+        code, stdout, err = run_cli(
+            capsys, "dump", "--image", str(dataset_dir / "train_00000_rock.pgm"),
+            "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: forced failure\n")
+        # replicate, conv, relu and maxpool were encoded before the FC's
+        # first global sum failed
+        assert encoded_by_failure == [4]
+        assert not out.exists()
 
     def test_non_default_geometry_runs_infer_dump_and_loop(self, tmp_path, capsys,
                                                            rng):

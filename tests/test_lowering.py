@@ -424,8 +424,8 @@ class TestValueRange:
     @example(grid=2, half=6, k_frac=1.0, classes=3, saturating=True, seed=0)
     @settings(max_examples=25, deadline=None)
     def test_differential_fuzz(self, grid, half, k_frac, classes, saturating, seed):
-        """Lowered sums equal 4x the dense reference on two fresh frames, and
-        listings round-trip. Saturating mode refuses, before anything runs,
+        """Lowered sums equal 4x the dense reference on three fresh frames,
+        the third run by the geometry's step list, and listings round-trip. Saturating mode refuses, before anything runs,
         exactly the models whose conv can pass 127 (k*k > 127)."""
         bs = 2 * half
         k = 1 + round(k_frac * (bs - 1))
@@ -447,3 +447,6 @@ class TestValueRange:
         # a second frame of the same program reuses its bound proof and binds
         # the same pattern arrays
         assert execute(prog, make_input_state(x, g, mode))[1] == sums
+        assert prog._compiled[g].steps is None
+        assert execute(prog, make_input_state(x, g, mode))[1] == sums
+        assert prog._compiled[g].steps is not None

@@ -329,6 +329,13 @@ class TestGlobalSum:
         with pytest.raises(PlaneError, match="finite number >= 0"):
             NoiseModel(sigma)
 
+    # sigma 0 draws nothing, so a bad seed would otherwise pass unseen
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_noise_seed_must_be_an_integer_at_least_0(self, seed):
+        with pytest.raises(PlaneError, match=rf"^noise seed must be an integer "
+                           rf">= 0, got {seed!r}$"):
+            NoiseModel(0.0, seed)
+
     def test_gaussian_noise_perturbs(self, geometry):
         draws = {ArrayState(geometry, noise=NoiseModel(100.0, s)).global_sum_of("A")
                  for s in range(20)}

@@ -76,3 +76,18 @@ class TestAtomicWrite:
             atomic_write(dest, b"new")
         assert dest.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["out.pgm"]
+
+    def test_chunks_failing_midway_leave_destination_and_no_tmp(self, tmp_path):
+        dest = tmp_path / "timeline.csv"
+        dest.write_text("old\n")
+
+        def chunks():
+            yield "new,"
+            raise RuntimeError("walk failed")
+
+        with pytest.raises(RuntimeError, match="walk failed"):
+            atomic_write(dest, chunks())
+        assert dest.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["timeline.csv"]
+        atomic_write(dest, iter(["new,", "rows\n"]))
+        assert dest.read_text() == "new,rows\n"

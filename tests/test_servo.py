@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scampsim import servo
 from scampsim.lowering import LoweringError, lower_model, make_input_state
 from scampsim.model import BnnModel, argmax, random_model, reference_infer
 from scampsim.planes import NoiseModel
+from scampsim.pnm import atomic_write
 from scampsim.program import CostModel, execute
 from scampsim.servo import (DEFAULT_CLASS_ANGLES, MAX_SERVOS, PWM_PERIOD_US,
                             ReactionRecord, ServoBank, ServoError, ServoModel,
@@ -383,3 +385,56 @@ class TestCsvQuoting:
         rows = list(csv.reader(io.StringIO(text)))[1:]
         assert [r[3] for r in rows] == [e.class_name or "" for e in tl.events]
         assert set(names) <= {r[3] for r in rows}
+
+
+class TestStreamedCsv:
+    def test_a_long_loop_streams_the_reference_bytes(self, rig, tmp_path):
+        # 5 servos at 1000 fps over 5 s: about 20k rows, several chunks
+        duration = 5_000_000
+        times = list(range(0, duration + 1, 1000))
+        picks = np.random.default_rng(1).integers(0, 3, len(times)).tolist()
+        slews = [100.0, 300.0, 600.0, 1200.0, 2400.0]
+        frames = [(t, rig.pool[p]) for t, p in zip(times, picks)]
+        tl = run_loop(frames, rig.program, rig.cost,
+                      ServoBank([ServoModel(slew_limit_deg_per_s=s) for s in slews]),
+                      duration)
+        assert len(list(tl.chunks())) > 3
+        path = tmp_path / "timeline.csv"
+        atomic_write(path, tl.chunks())
+        text = tl.to_csv()
+        assert path.read_text() == text
+        expected, _ = reference_loop(times, [rig.names[p] for p in picks], slews,
+                                     duration)
+        assert text == expected
+
+    def test_negative_zero_keeps_its_sign(self, rig):
+        # -0.0 == 0.0, so the two must not share one formatted angle
+        times, picks = [0, 6006, 12012], [0, 1, 0]
+        tables = [{rig.names[0]: -0.0, rig.names[1]: 0.0}]
+        frames = [(t, rig.pool[p]) for t, p in zip(times, picks)]
+        tl = run_loop(frames, rig.program, rig.cost,
+                      ServoBank([ServoModel(dict(tables[0]))]), 20_000)
+        expected, _ = reference_loop(times, [rig.names[p] for p in picks], [600.0],
+                                     20_000, tables)
+        assert tl.to_csv() == expected
+        assert ",-0.0000\n" in expected and ",0.0000\n" in expected
+
+    def test_streaming_memory_does_not_grow_with_duration(self, rig):
+        """run_loop and its streamed CSV over the same 500 frames peak alike
+        in traced memory for 5 s and 50 s of loop; the rows the longer loop
+        adds would take megabytes if they were kept."""
+        frames = [(t, rig.pool[i % 3]) for i, t in enumerate(range(0, 500_000, 1000))]
+        bank = ServoBank([ServoModel() for _ in range(MAX_SERVOS)])
+
+        def peak(duration):
+            tracemalloc.start()
+            try:
+                for _ in run_loop(frames, rig.program, rig.cost, bank,
+                                  duration).chunks():
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5_000_000)  # the program's first runs build what it keeps
+        assert peak(50_000_000) <= peak(5_000_000) + 64 * 1024
