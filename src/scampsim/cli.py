@@ -18,7 +18,7 @@ from . import lowering, pnm, servo, training
 from .model import (argmax, default_model, load_weights_file, reference_infer,
                     save_weights)
 from .planes import NoiseModel
-from .program import CostModel, disassemble, estimate, execute
+from .program import CostModel, PpaProgram, disassemble, estimate, execute, validate
 
 DEFAULT_COST_RESOURCE = "default_cost.json"
 
@@ -178,23 +178,24 @@ def cmd_dump(args):
     (_, img), = images
     state = lowering.make_input_state(img, model.geometry, args.mode,
                                       NoiseModel(args.noise_sigma, args.seed))
-    stage_end = {end - 1: name for name, (_, end) in plan.stage_ranges.items()}
-    acc = plan.registers["accumulator"]
-    rep = plan.registers["replicated"]
-    fc_reg = plan.registers["fc_scratch"]
-    stage_reg = {"replicate": rep, "conv": acc, "relu": acc, "maxpool": acc}
-    planes = {}
-
-    def snap(idx, ins, st):
-        if ins.opcode == "gsum":
-            planes[f"fc_class_{ins.label}.pgm"] = pnm.encode_pgm(st.analog[fc_reg], st.mode)
-        if idx in stage_end:
-            stage = stage_end[idx]
-            if stage in stage_reg:
-                planes[f"post_{stage}.pgm"] = pnm.encode_pgm(
-                    st.analog[stage_reg[stage]], st.mode)
-
-    _, sums = execute(program, state, on_instruction=snap)
+    regs = plan.registers
+    acc = regs["accumulator"]
+    stage_reg = {"replicate": regs["replicated"], "conv": acc, "relu": acc, "maxpool": acc}
+    ends = {end: name for name, (_, end) in plan.stage_ranges.items()}
+    cuts = sorted(ends.keys() | {i + 1 for i, ins in enumerate(program.instructions)
+                                 if ins.opcode == "gsum"})
+    validate(program, state)  # a refusal names the whole program's instruction
+    # dump runs the plan's stage slices, cut after each gsum too, in turn on
+    # one state, and encodes a stage's register or the FC scratch as it ends
+    planes, sums = {}, []
+    for start, end in zip([0] + cuts, cuts):
+        part = PpaProgram(program.instructions[start:end])
+        sums += execute(part, state)[1]
+        ended = [(f"fc_class_{label}", regs["fc_scratch"]) for label in part.sum_labels]
+        if ends.get(end) in stage_reg:
+            ended.append((f"post_{ends[end]}", stage_reg[ends[end]]))
+        for name, reg in ended:
+            planes[f"{name}.pgm"] = pnm.encode_pgm(state.analog[reg], state.mode)
     # only a run that completes makes --out
     os.makedirs(args.out, exist_ok=True)
     for name, data in planes.items():

@@ -146,7 +146,7 @@ def generate(seed: int, n_train_per_class: int, n_test_per_class: int = 0,
              params: JitterParams | None = None) -> DatasetSplit:
     """Balanced synthetic dataset, bit-deterministic under seed."""
     if n_train_per_class < 1:
-        raise DatasetError("n_train_per_class must be >= 1")
+        raise DatasetError(f"n_train_per_class must be >= 1, got {n_train_per_class}")
     if n_test_per_class < 0:
         raise DatasetError(f"n_test_per_class must be >= 0, got {n_test_per_class}")
     if seed < 0:

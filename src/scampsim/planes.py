@@ -100,7 +100,8 @@ class NoiseModel:
 
     def __post_init__(self):
         if not math.isfinite(self.sigma) or self.sigma < 0:
-            raise PlaneError("noise sigma must be a finite number >= 0")
+            raise PlaneError(f"noise sigma must be a finite number >= 0, "
+                             f"got {self.sigma!r}")
         # checked here, since a seed reaches numpy only at the first draw
         if type(self.seed) is not int or self.seed < 0:
             raise PlaneError(f"noise seed must be an integer >= 0, got {self.seed!r}")

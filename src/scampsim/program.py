@@ -47,8 +47,7 @@ plane, sum and the plane type end as the instructions leave them.
 (The global sum's saving, int16 partial sums and int32 where that is
 exact, is planes.global_sum's and serves every run.) A program run once or
 twice, such as one lowered to be checked in each mode and dropped, never
-pays for the build or its planes. A run with an `on_instruction` hook runs
-the instructions as listed, so the hook sees each of them.
+pays for the build or its planes.
 A pattern is kept as read-only bool bits that a `pattern` instruction
 binds without copying: the caller's array itself when nothing can write
 to it, which holds for the planes lowering builds and the literals
@@ -484,20 +483,17 @@ def validate(program: PpaProgram, state: ArrayState) -> int:
 STEPS_FROM_RUN = 3
 
 
-def execute(program: PpaProgram, state: ArrayState,
-            on_instruction=None) -> tuple[ArrayState, list[int]]:
+def execute(program: PpaProgram, state: ArrayState) -> tuple[ArrayState, list[int]]:
     """Run the program; return the mutated state and recorded global sums.
 
-    `on_instruction(index, instruction, state)` is called after each
-    instruction, for tracing/dumping; a run with it runs every instruction
-    as it is listed. The state is first widened to the narrowest type that
-    holds every value the program can produce.
+    The state is first widened to the narrowest type that holds every value
+    the program can produce.
     """
     state.widen(validate(program, state))
     compiled = program._compiled[state.geometry]
     compiled.runs += 1
     sums: list[int] = []
-    if on_instruction is None and compiled.runs >= STEPS_FROM_RUN:
+    if compiled.runs >= STEPS_FROM_RUN:
         if compiled.steps is None:
             from .steps import build_steps  # steps imports this module
             compiled.steps = build_steps(program.instructions, state.geometry.shape)
@@ -508,12 +504,10 @@ def execute(program: PpaProgram, state: ArrayState,
             if result is not None:
                 sums.append(result)
         return state, sums
-    for idx, ins in enumerate(program.instructions):
+    for ins in program.instructions:
         result = SPECS[ins.opcode].run(state, ins)
         if result is not None:
             sums.append(result)
-        if on_instruction is not None:
-            on_instruction(idx, ins, state)
     return state, sums
 
 

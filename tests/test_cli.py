@@ -97,7 +97,8 @@ class TestInfer:
         code, out, err = run_cli(capsys, "infer", "--images", str(img),
                                  "--noise-sigma", sigma)
         assert (code, out) == (1, "")
-        assert err == "error: noise sigma must be a finite number >= 0\n"
+        assert err == (f"error: noise sigma must be a finite number >= 0, "
+                       f"got {float(sigma)!r}\n")
 
     def test_missing_weights_single_line_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "infer", "--weights",
@@ -610,6 +611,8 @@ K12_REFUSED = ("instruction 405 (add): passes the saturating range of 127; the "
                  "rotation_deg must be a finite number, got nan", id="rotation-nan"),
     pytest.param(["gen", "--seed", "-1", "--out", "out"], {},
                  "seed must be >= 0, got -1", id="gen-seed-negative"),
+    pytest.param(["gen", "--n-train", "-1", "--out", "out"], {},
+                 "n_train_per_class must be >= 1, got -1", id="gen-n-train-negative"),
     pytest.param(["gen", "--n-test", "-1", "--out", "out"], {},
                  "n_test_per_class must be >= 0, got -1", id="gen-n-test-negative"),
     pytest.param(["gen", "--rotation", "-5", "--out", "out"], {},
@@ -791,6 +794,21 @@ class TestLoopAndDump:
             assert (out / f"post_{stage}.pgm").exists()
         for cls in ("rock", "paper", "scissors"):
             assert (out / f"fc_class_{cls}.pgm").exists()
+
+    def test_dump_draws_noise_as_infer_does(self, tmp_path, capsys, dataset_dir):
+        """dump's slices draw the noise of each global sum in the order that
+        one run of the whole program does."""
+        img = str(dataset_dir / "train_00000_rock.pgm")
+
+        def sums(*argv):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            return re.search(r"sums=(\[.*?\])", stdout)[1]
+
+        noisy = ["--noise-sigma", "3", "--seed", "7"]
+        dumped = sums("dump", "--image", img, "--out", str(tmp_path / "dump"), *noisy)
+        assert dumped == sums("infer", "--images", img, *noisy)
+        assert dumped != sums("infer", "--images", img)
 
     def test_dump_failing_after_its_stage_planes_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, dataset_dir):

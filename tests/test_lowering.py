@@ -425,13 +425,16 @@ class TestValueRange:
     @settings(max_examples=25, deadline=None)
     def test_differential_fuzz(self, grid, half, k_frac, classes, saturating, seed):
         """Lowered sums equal 4x the dense reference on three fresh frames,
-        the third run by the geometry's step list, and listings round-trip. Saturating mode refuses, before anything runs,
-        exactly the models whose conv can pass 127 (k*k > 127)."""
+        the third run by the geometry's step list, and listings round-trip.
+        Saturating mode refuses, before anything runs, exactly the models
+        whose conv can pass 127 (k*k > 127). The slices `dump` runs, the
+        plan's stages cut after each gsum too, run in turn on one state give
+        the same sums, by instructions and by their step lists."""
         bs = 2 * half
         k = 1 + round(k_frac * (bs - 1))
         g = PlaneGeometry(grid * bs, grid * bs, grid, bs)
         m = random_model(seed=seed, num_classes=classes, k=k, geometry=g)
-        prog, _ = lower_model(m)
+        prog, plan = lower_model(m)
         assert parse_listing(disassemble(prog)) == prog
         x = np.random.default_rng(seed).integers(0, 2, size=(bs, bs))
         mode = SATURATING if saturating else "ideal"
@@ -450,3 +453,11 @@ class TestValueRange:
         assert prog._compiled[g].steps is None
         assert execute(prog, make_input_state(x, g, mode))[1] == sums
         assert prog._compiled[g].steps is not None
+        cuts = sorted({end for _, end in plan.stage_ranges.values()}
+                      | {i + 1 for i, ins in enumerate(prog.instructions)
+                         if ins.opcode == "gsum"})
+        slices = [PpaProgram(prog.instructions[a:b]) for a, b in zip([0] + cuts, cuts)]
+        for _ in range(3):
+            state = make_input_state(x, g, mode)
+            assert [s for sl in slices for s in execute(sl, state)[1]] == sums
+        assert all(sl._compiled[g].steps is not None for sl in slices)

@@ -28,6 +28,15 @@ def small_state():
     return ArrayState(PlaneGeometry(16, 16, 4, 4))
 
 
+def run_unfused(prog, state):
+    """Execute the instructions one at a time: the oracle of the step list.
+    A fresh program's first run is unfused."""
+    oracle = PpaProgram(prog.instructions)
+    result = execute(oracle, state)
+    assert oracle._compiled[state.geometry].steps is None
+    return result
+
+
 # one bad operand per opcode: every one but the pattern is rejected when its
 # Instruction is built, the pattern (8x8 bits, valid on an 8x8 array) when
 # the program meets a 16x16 state
@@ -835,17 +844,15 @@ class TestStepList:
                 s.analog[reg][:] = plane
             return s
 
-        def hook(*_):
-            pass
-
         plain = state()
         try:
-            _, plain_sums = execute(prog, plain, on_instruction=hook)
+            _, plain_sums = run_unfused(prog, plain)
         except ProgramError:
             with pytest.raises(ProgramError):
                 execute(prog, state())
             return
-        execute(prog, state(), on_instruction=hook)
+        for _ in range(2):
+            execute(prog, state())
         stepped = state()
         _, stepped_sums = execute(prog, stepped)
         assert prog._compiled[geometry].steps is not None
@@ -931,13 +938,13 @@ class TestStepList:
         prog = parse_listing(listing)
         values = np.random.default_rng(7).integers(-9, 10, (3, 16, 16))
         runs = []
-        for hook in (lambda *_: None, None, None):
+        for run in (run_unfused, execute, execute, execute):
             state = small_state()
             for reg, plane in zip(NARROW_AREGS, values):
                 state.analog[reg][:] = plane
-            runs.append((execute(prog, state, on_instruction=hook)[1], snapshot(state)))
+            runs.append((run(prog, state)[1], snapshot(state)))
         assert prog._compiled[PlaneGeometry(16, 16, 4, 4)].steps is not None
-        (plain_sums, plain), _, (stepped_sums, stepped) = runs
+        (plain_sums, plain), *_, (stepped_sums, stepped) = runs
         assert stepped_sums == plain_sums
         assert same_planes(stepped, plain)
 
@@ -980,13 +987,13 @@ class TestStepList:
             values = rng.choice([0, 1, -1, top, -top, top // 3, -top // 3],
                                 size=(len(ANALOG_REGS), 16, 16))
             runs = []
-            for hook in (lambda *_: None, None, None):
+            for run in (run_unfused, execute, execute, execute):
                 state = small_state()
                 state.widen(dtype)
                 for reg, plane in zip(ANALOG_REGS, values):
                     state.analog[reg][:] = plane
-                runs.append((execute(prog, state, on_instruction=hook)[1], snapshot(state)))
-            (plain_sums, plain), _, (stepped_sums, stepped) = runs
+                runs.append((run(prog, state)[1], snapshot(state)))
+            (plain_sums, plain), *_, (stepped_sums, stepped) = runs
             assert stepped_sums == plain_sums
             assert same_planes(stepped, plain)
             assert plain["A"].dtype == dtype
@@ -995,32 +1002,32 @@ class TestStepList:
         assert len(ceilings) == 4 and all(len(c) == 3 for c in ceilings)
 
     @pytest.mark.parametrize("mode", ["ideal", SATURATING])
-    def test_default_program_steps_match_a_hooked_run(self, mode):
+    def test_default_program_steps_match_an_unfused_run(self, mode):
         prog, _ = lower_model(default_model())
         images = [np.random.default_rng(seed).integers(0, 2, (64, 64)) for seed in range(4)]
         for image in images[:2]:  # the runs before the step list is built
             execute(prog, make_input_state(image, mode=mode))
         for image in images:
-            hooked = make_input_state(image, mode=mode)
-            _, hooked_sums = execute(prog, hooked, on_instruction=lambda *_: None)
+            unfused = make_input_state(image, mode=mode)
+            _, unfused_sums = run_unfused(prog, unfused)
             for _ in range(2):  # a stepped run leaves nothing for the next
                 stepped = make_input_state(image, mode=mode)
                 _, stepped_sums = execute(prog, stepped)
                 assert prog._compiled[PlaneGeometry()].steps is not None
-                assert stepped_sums == hooked_sums
-                assert same_planes(snapshot(stepped), snapshot(hooked))
+                assert stepped_sums == unfused_sums
+                assert same_planes(snapshot(stepped), snapshot(unfused))
 
     def test_stage_slices_run_stepped_as_the_whole_program(self):
         """The default program as its five stage slices, run in turn on one
-        state, each past its third run: the planes and sums equal a hooked
-        run of the whole program, which needs each slice's step list to
-        bind its patterns at its end."""
+        state, each past its third run: the planes and sums equal an unfused
+        run of the whole program, which needs each slice's step list to bind
+        its patterns at its end."""
         prog, plan = lower_model(default_model())
         slices = [PpaProgram(prog.instructions[a:b]) for a, b in plan.stage_ranges.values()]
         assert len(slices) == 5
         image = np.random.default_rng(5).integers(0, 2, (64, 64))
         whole = make_input_state(image)
-        _, whole_sums = execute(prog, whole, on_instruction=lambda *_: None)
+        _, whole_sums = run_unfused(prog, whole)
         for _ in range(3):
             state, sums = make_input_state(image), []
             for sl in slices:
@@ -1049,10 +1056,6 @@ class TestStepList:
         # of the four step kinds, each of which it uses
         assert {run for run, _ in compiled[2]} == {_replay, _run_bind, _run_linear,
                                                    _run_masked_max}
-        # a hook still sees every instruction
-        seen = []
-        execute(prog, make_input_state(image), on_instruction=lambda i, *_: seen.append(i))
-        assert seen == list(range(124))
 
 
 def _sample_instructions():
@@ -1300,16 +1303,16 @@ class TestListing:
                            Instruction("gsum", a="A", label="s")])
         listing = disassemble(prog)
 
-        def run(hook=None):
+        def run(runner=execute):
             state = small_state()
             state.analog["B"][:] = 1
-            return execute(prog, state, on_instruction=hook)[1]
+            return runner(prog, state)[1]
 
         assert [run() for _ in range(3)] == [[256]] * 3
         source[:] = False
         assert prog.instructions[0].pattern.all()
         assert disassemble(prog) == listing
-        assert run() == run(lambda *_: None) == [256]
+        assert run() == run(run_unfused) == [256]
 
     def test_bool_and_uint8_patterns_are_one_instruction(self):
         bits = np.eye(16, dtype=np.uint8)
