@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .geometry import is_binary
+from .lowering import GRAY_THRESHOLD
 from .model import DEFAULT_CLASS_NAMES as CLASS_NAMES
 from .pnm import atomic_write, read_pgm, write_gray_pgm
 
@@ -215,7 +216,7 @@ def load_dataset(directory) -> DatasetSplit:
         samples = []
         for entry in entries:
             img = read_pgm(os.path.join(directory, entry["file"]))
-            samples.append(GestureSample((img > 127).astype(np.uint8),
+            samples.append(GestureSample((img > GRAY_THRESHOLD).astype(np.uint8),
                                          entry["label"]))
         splits[split_name] = samples
     params = JitterParams(**manifest["params"]) if manifest.get("params") else None

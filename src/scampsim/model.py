@@ -81,6 +81,10 @@ class BnnModel:
             )
         if len(self.class_names) != self.num_classes:
             raise ModelError("class_names length != number of FC weight planes")
+        # a name picks a class's dump plane and its prediction
+        for i, name in enumerate(self.class_names):
+            if name in self.class_names[:i]:
+                raise ModelError(f"class names must be distinct, got {name!r} twice")
 
     @property
     def k(self) -> int:

@@ -173,6 +173,8 @@ class ArrayState:
         self._block = block
         self.analog: dict[str, np.ndarray] = dict(zip(ANALOG_REGS, block))
         self._scratch = block[-1]
+        # the same planes as flat views, the scratch plane's under None
+        self.flat = dict(zip(ANALOG_REGS + (None,), block.reshape(len(block), -1)))
 
     @property
     def dtype(self) -> np.dtype:

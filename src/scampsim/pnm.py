@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .planes import SATURATING
+from .planes import IDEAL, SATURATING
 
 
 class PnmError(ValueError):
@@ -71,7 +71,9 @@ def _header_number(field: str, token: bytes) -> int:
 
 
 def encode_pgm(values: np.ndarray, mode: str) -> bytes:
-    """An analog plane of a state in `mode` as a PGM."""
+    """An analog plane of a state in `mode`, or any 2-D image, as a PGM."""
+    if values.ndim != 2:
+        raise PnmError("expected a 2-D grayscale image")
     if mode == SATURATING:
         # widen first: 128 is out of range of an int8 plane
         values = values.astype(np.int64) + 128
@@ -106,8 +108,4 @@ def read_pgm(path) -> np.ndarray:
 
 def write_gray_pgm(path, img: np.ndarray):
     """Write a plain uint8 image (e.g. a 64x64 binary sample scaled to 0/255)."""
-    img = np.asarray(img, dtype=np.uint8)
-    if img.ndim != 2:
-        raise PnmError("expected a 2-D grayscale image")
-    h, w = img.shape
-    atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + img.tobytes())
+    atomic_write(path, encode_pgm(np.asarray(img, dtype=np.uint8), IDEAL))

@@ -38,12 +38,15 @@ checks what depends on the state in one bound pass:
   bounds, and a later state that matches them takes one block reduction
   per such register instead of the pass; a proof past int32 is never
   recorded, so it raises on every call.
-From its third execute at a geometry on (STEPS_FROM_RUN, a fixed rule), a
-program runs its step list (see scampsim.steps), built on that run and kept
-with its proofs in one cache per geometry: fewer passes over the planes,
-linear ones for most arithmetic and none for a `pattern`, whose bits are
-bound when a replayed instruction reads them or at the end, so that every
-plane, sum and the plane type end as the instructions leave them.
+Every run is one loop over (runner, operands) steps, each runner called
+as run(state, operands). On a program's first two runs at a geometry the
+steps are its instructions, each with its own SPECS run. From the third
+run on (STEPS_FROM_RUN, a fixed rule) they are its step list (see
+scampsim.steps), built on that run and kept with its proofs in one cache
+per geometry: fewer passes over the planes, linear ones for most
+arithmetic and none for a `pattern`, whose bits are bound when a replayed
+instruction reads them or at the end, so that every plane, sum and the
+plane type end as the instructions leave them.
 (The global sum's saving, int16 partial sums and int32 where that is
 exact, is planes.global_sum's and serves every run.) A program run once or
 twice, such as one lowered to be checked in each mode and dropped, never
@@ -492,20 +495,15 @@ def execute(program: PpaProgram, state: ArrayState) -> tuple[ArrayState, list[in
     state.widen(validate(program, state))
     compiled = program._compiled[state.geometry]
     compiled.runs += 1
+    steps = compiled.steps
+    if steps is None and compiled.runs < STEPS_FROM_RUN:
+        steps = ((SPECS[ins.opcode].run, ins) for ins in program.instructions)
+    elif steps is None:
+        from .steps import build_steps  # steps imports this module
+        steps = compiled.steps = build_steps(program.instructions, state.geometry.shape)
     sums: list[int] = []
-    if compiled.runs >= STEPS_FROM_RUN:
-        if compiled.steps is None:
-            from .steps import build_steps  # steps imports this module
-            compiled.steps = build_steps(program.instructions, state.geometry.shape)
-        flat = {reg: plane.reshape(-1) for reg, plane in state.analog.items()}
-        flat[None] = state._scratch.reshape(-1)
-        for run, operands in compiled.steps:
-            result = run(state, flat, operands)
-            if result is not None:
-                sums.append(result)
-        return state, sums
-    for ins in program.instructions:
-        result = SPECS[ins.opcode].run(state, ins)
+    for run, operands in steps:
+        result = run(state, operands)
         if result is not None:
             sums.append(result)
     return state, sums
@@ -585,7 +583,8 @@ class CostModel:
     overhead_us: float = 0.0
 
     def __post_init__(self):
-        if self.overhead_us < 0 or any(c < 0 for c in self.costs.values()):
+        # `not c >= 0` also refuses NaN, which fails every comparison
+        if not self.overhead_us >= 0 or any(not c >= 0 for c in self.costs.values()):
             raise CostError("all costs must be >= 0")
 
     @classmethod

@@ -10,12 +10,11 @@ A servo heads for a class's table angle clamped to 0..180 degrees, and holds
 its angle for a class outside its table. Time is integer microseconds
 throughout.
 
-run_loop classifies each distinct frame once per call: a memo keyed by the
-frame object's identity sits in front of a cache keyed by the frame's shape,
-dtype and bytes. Its timeline keeps O(frames) state, and one walk over the
-PWM edges holds the ordering, latch and slew rules: chunks() formats it
-straight to CSV text a few thousand rows at a time, and events builds it as
-TimelineEvent named tuples when read.
+run_loop classifies each frame object once per call, by its identity. Its
+timeline keeps O(frames) state, and one walk over the PWM edges holds the
+ordering, latch and slew rules: chunks() formats it straight to CSV text a
+few thousand rows at a time, and events builds it as TimelineEvent named
+tuples when read.
 """
 
 from __future__ import annotations
@@ -203,24 +202,16 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
     latency_us = int(round(estimate(program, cost).latency_us))
 
     # classify every frame up front; event times are pure arithmetic after.
-    # Identical frames classify identically, noise or not: every fresh state
-    # seeds its own noise stream from NoiseModel.seed. Shape and dtype are in
-    # the content key so that a malformed frame with a valid frame's bytes is
-    # checked. `frames` keeps every array alive, so an id seen twice within
-    # this call is the same unchanged object and skips the content key.
+    # A frame object classifies once, noise or not: every fresh state seeds
+    # its own noise stream from NoiseModel.seed. `frames` keeps every array
+    # alive, so an id seen twice within this call is the same object.
     by_id: dict[int, str] = {}
-    by_content: dict[tuple, str] = {}
     classes: list[str] = []
     for _, img in frames:
         cls = by_id.get(id(img))
         if cls is None:
-            x = np.asarray(img)
-            key = (x.shape, x.dtype, x.tobytes())
-            cls = by_content.get(key)
-            if cls is None:
-                _, sums = execute(program, make_input_state(x, geometry, mode, noise))
-                cls = by_content[key] = program.sum_labels[argmax(sums)]
-            by_id[id(img)] = cls
+            _, sums = execute(program, make_input_state(img, geometry, mode, noise))
+            cls = by_id[id(img)] = program.sum_labels[argmax(sums)]
         classes.append(cls)
     dones = [t + latency_us for t in times]
 

@@ -2,7 +2,9 @@
 
 program.execute builds it once per program and geometry (build_steps) and
 keeps it with its proofs. It reads the instructions one at a time, and
-each either runs as one step, as it is (a replay), or as one of these:
+each either runs as one step, as it is (a replay: the instruction with its
+own SPECS run, as the first two runs take every instruction), or as one of
+these:
 - an unmasked `shift` or `copy` moves no plane. It records its destination
   as an offset alias of a base register: the base, a row and column
   offset, and the valid rectangle, outside which the shifts filled in 0.
@@ -25,8 +27,7 @@ each either runs as one step, as it is (a replay), or as one of these:
   accumulates Y' * -M, `neg X X mask=M` writes X' * (1 - 2M), `sub X X X
   mask=M` writes X' * (1 - M), and an unmasked `add X X Y` or `sub X X Y`
   with Y an alias accumulates +-Y'. An accumulate into an all-zero alias
-  is a write, one of an all-zero source is no step, and a write of one
-  leaves dst an all-zero alias. A linear step that accumulates into the
+  is a write. A linear step that accumulates into the
   destination of the step just before it, from the same source alias on
   another register's plane, merges into that step by adding the weights,
   while their sum fits in int8: so a conv tap pair `add C C X mask=Rx;
@@ -38,19 +39,18 @@ each either runs as one step, as it is (a replay), or as one of these:
   hi itself. hi is built per plane type on that type's first run.
 The steps are exact in the planes' wrapping arithmetic for any masks and
 plane type.
-A backward pass first finds, after each instruction, the analog registers
-that a later instruction reads before writing all of their pixels; every
-register counts as read at the end of the program. Every other reader of
-an alias gets a step that writes the alias out (materializes it, a linear
-write) just before it, and three rules keep every plane ending as the
-instructions leave it: the aliases that read a register's plane are
-materialized before that plane is written, and before the register
-becomes an alias itself (as in the swap `copy A B; copy B A`), but only
-while they are live: a dead one is dropped, or left stale when the
-writing step reads it through its alias before it writes, since nothing
-reads it again before it is overwritten. Every alias left at the end of
-the program is materialized, those that read another register's plane
-first. So the default program's 124 instructions run as 39 steps.
+Every other reader of an alias gets a step that writes the alias out
+(materializes it, a linear write) just before it, and three rules keep
+every plane ending as the instructions leave it: the aliases that read a
+register's plane are materialized before that plane is written, and
+before the register becomes an alias itself (as in the swap `copy A B;
+copy B A`). The one exception is the alias a step reads through before
+it writes the plane: it is left stale if it is dead after the step, which
+a backward pass finds (no later instruction reads it before writing all
+of its pixels, and every register counts as read at the end), since
+nothing reads it again before it is overwritten. Every alias left at the
+end of the program is materialized, those that read another register's
+plane first. So the default program's 124 instructions run as 39 steps.
 """
 
 from __future__ import annotations
@@ -140,27 +140,24 @@ class _Ceilings(dict):
         return hi
 
 
-# The four step kinds, replay, bind, linear and masked max, as runners:
-# run(state, flat, operands) -> global sum or None, where flat
-# maps each analog register, and None the scratch plane, to a flat view of
-# its plane, made once per run.
+# The three step kinds besides a replay, which is an instruction's own SPECS
+# run, as runners: run(state, operands) -> global sum or None. They read
+# the planes through state.flat, which maps each analog register, and None
+# the scratch plane, to a flat view of its plane.
 
 
-def _replay(state: ArrayState, flat, ins: Instruction):
-    return SPECS[ins.opcode].run(state, ins)
-
-
-def _run_bind(state: ArrayState, flat, binds) -> None:
+def _run_bind(state: ArrayState, binds) -> None:
     """Bind the pattern bits, read-only bool as every instruction keeps
     them, to their D-registers."""
     state.digital.update(binds)
 
 
-def _run_linear(state: ArrayState, flat, step) -> None:
+def _run_linear(state: ArrayState, step) -> None:
     """dst = (dst if accumulating else 0) + source * w over the span, the
     source read at the alias's offset and w 1 where None; a write zeroes
     dst outside the span."""
     dst, base, span, moved, w, accumulate = step
+    flat = state.flat
     out, source = flat[dst], flat[base][moved]
     # numpy buffers an overlapping read, so base may be dst
     if accumulate:
@@ -177,13 +174,13 @@ def _run_linear(state: ArrayState, flat, step) -> None:
     out[span.stop:] = 0
 
 
-def _run_masked_max(state: ArrayState, flat, step) -> None:
+def _run_masked_max(state: ArrayState, step) -> None:
     """dst = max(dst, t), t = min(source, hi) over the span with the source
     read through its alias, and t = hi outside the rectangle, where the
     source reads 0: 0 where the mask is set, the type's minimum, which max
     ignores, where it is clear."""
     dst, base, span, moved, c0, c1, ceilings = step
-    hi = ceilings[state.dtype]
+    hi, flat = ceilings[state.dtype], state.flat
     t, flat_hi = flat[None], hi.reshape(-1)
     np.minimum(flat[base][moved], flat_hi[span], out=t[span])
     t[:span.start] = flat_hi[:span.start]
@@ -243,8 +240,6 @@ def build_steps(instructions: tuple[Instruction, ...],
     # the ones no step has bound yet
     known: dict[str, np.ndarray] = {}
     pending: dict[str, np.ndarray] = {}
-    # of the instruction a step covers: what is live after it, what it reads
-    live = reads = frozenset()
 
     def plain(reg: str) -> _Alias:
         return _Alias(reg, 0, 0, 0, h, 0, w)
@@ -260,15 +255,12 @@ def build_steps(instructions: tuple[Instruction, ...],
 
     def release(reg: str, keep=()) -> None:
         """Before reg's plane is written or reg becomes an alias: materialize
-        the other registers that read it through an alias and are live or
-        read here, and drop the rest. Those in `keep`, which the step reads
-        through their aliases before it writes reg's plane, stay aliases
-        unless they are live after it."""
+        the other registers that read it through an alias. One in `keep`,
+        which the step reads through its alias before it writes reg's
+        plane, stays an alias unless it is live after the step."""
         for other in [r for r, a in aliases.items() if a.base == reg and r != reg]:
-            if other in live or (other in reads and other not in keep):
+            if other in live or other not in keep:
                 materialize(other)
-            elif other not in keep:
-                del aliases[other]
 
     def materialize(reg: str) -> None:
         release(reg)
@@ -292,11 +284,6 @@ def build_steps(instructions: tuple[Instruction, ...],
     def linear(dst: str, src: str, plane: np.ndarray | None, accumulate: bool) -> None:
         """dst = (dst if accumulate else 0) + src * plane, src read through
         its alias, plane None meaning 1."""
-        if is_zero(src):  # adding 0 leaves dst as it is, alias or not
-            if not accumulate:
-                release(dst)
-                aliases[dst] = zero(dst)
-            return
         if accumulate and not is_zero(dst):
             alias = through(dst, src)
         else:  # nothing to add to: a write
@@ -320,7 +307,7 @@ def build_steps(instructions: tuple[Instruction, ...],
         if ins.opcode == "copy" and is_zero(ins.a) and ins.dst != ins.a:
             # X where M is clear and 0 where it is set, as `sub X X X mask=M`
             ins = Instruction("sub", dst=ins.dst, a=ins.dst, b=ins.dst, mask=ins.mask)
-        live, reads = lives[i], frozenset(_analog_reads(ins))
+        live = lives[i]  # what is live after the instruction a step covers
         op, dst = ins.opcode, ins.dst
         bits = known.get(ins.mask)
         if op == "pattern":
@@ -331,12 +318,7 @@ def build_steps(instructions: tuple[Instruction, ...],
             if op == "shift":
                 dr, dc = SHIFT_OFFSETS[ins.direction]
                 alias = alias.shifted(dr * ins.steps, dc * ins.steps, shape)
-            if alias.empty:  # zero whatever its base holds
-                aliases[dst] = zero(dst)
-            elif alias == plain(dst):  # its own plane, as it is
-                aliases.pop(dst, None)
-            else:
-                aliases[dst] = alias
+            aliases[dst] = alias
         elif op == "sub" and ins.a == ins.b and ins.mask is None:
             release(dst)
             aliases[dst] = zero(dst)
@@ -368,11 +350,10 @@ def build_steps(instructions: tuple[Instruction, ...],
             elif op in ("thresh", "logic"):
                 known.pop(dst, None)
                 pending.pop(dst, None)
-            steps.append((_replay, ins))
+            steps.append((SPECS[op].run, ins))
     if pending:
         steps.append((_run_bind, tuple(pending.items())))
     # materialize writes the registers that read a plane before that plane
-    live = reads = frozenset(ANALOG_REGS)
     for reg in list(aliases):
         if reg in aliases:
             materialize(reg)

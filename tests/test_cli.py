@@ -257,10 +257,12 @@ def _run_quietly(argv) -> tuple[int, str, str]:
 
 
 # one value put in place of a weights header field or of one kernel or FC
-# weight: wrong types, bools, strings, NaN, +-inf and numbers other than +-1
+# weight: wrong types, bools, strings, NaN, +-inf, numbers other than +-1
+# and class names that repeat
 BAD_WEIGHT_VALUES = st.one_of(
     st.booleans(), st.none(), st.text(max_size=3), st.integers(-3, 3),
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -1.5, 1.0, -1.0, [1], {}]))
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -1.5, 1.0, -1.0, [1], {},
+                     ["a", "a", "c"]]))
 # images with dims below 1x1 as well as the malformed ones train meets
 INFER_PGMS = st.one_of(
     BAD_PGMS,
@@ -513,6 +515,7 @@ LOOP_DUMP_MUTATIONS = st.one_of(
 @example(mutation=("loop", "cost", "gsum", True))
 @example(mutation=("loop", "weights", "fc", 1))
 @example(mutation=("dump", "weights", "kernels", math.nan))
+@example(mutation=("dump", "weights", "classes", ["a", "a", "c"]))
 @example(mutation=("dump", "pgm", None, b"P5\n0 0\n255\n"))
 @example(mutation=("dump", "option", "--noise-sigma", "0"))
 @example(mutation=("dump", "option", "--seed", "-1"))
@@ -594,6 +597,9 @@ K12_SATURATING = {"w.json": _all_plus_one_k12(),
                   "ones.pgm": b"P5\n64 64\n255\n" + b"\xff" * 64 * 64}
 K12_REFUSED = ("instruction 405 (add): passes the saturating range of 127; the "
                "program can reach magnitude 144")
+# weights whose class names repeat: dump would write one plane for two classes
+REPEATED_CLASSES = json.dumps(json.loads(save_weights(random_model(0)))
+                              | {"classes": ["a", "a", "c"]})
 
 
 @pytest.mark.parametrize("command, setup, error", [
@@ -648,6 +654,9 @@ K12_REFUSED = ("instruction 405 (add): passes the saturating range of 127; the "
                  id="cost-bool"),
     pytest.param(["bench", "--cost-table", "c.json"], {"c.json": "5"},
                  "cost table must be a JSON object, got 5", id="cost-5"),
+    pytest.param(["dump", "--weights", "w.json", "--image", "ones.pgm", "--out", "out"],
+                 {"w.json": REPEATED_CLASSES, "ones.pgm": K12_SATURATING["ones.pgm"]},
+                 "class names must be distinct, got 'a' twice", id="dump-repeated-class"),
     pytest.param(["infer", "--images", "empty.pgm"], {"empty.pgm": b"P5\n0 0\n255\n"},
                  "PGM dims 0x0 must be at least 1x1", id="infer-pgm-0x0"),
     pytest.param(["infer", "--images", "negative.pgm"],

@@ -21,7 +21,7 @@ from scampsim.program import (OPCODES, CostError, CostModel, Instruction,
                               PpaProgram, ProgramError, disassemble,
                               disassemble_instruction, estimate, execute,
                               parse_listing)
-from scampsim.steps import _replay, _run_bind, _run_linear, _run_masked_max, build_steps
+from scampsim.steps import _run_bind, _run_linear, _run_masked_max, build_steps
 
 
 def small_state():
@@ -953,7 +953,7 @@ class TestStepList:
         prog = parse_listing(self.ALIAS_CASES[case])
         steps = build_steps(prog.instructions, (16, 16))
         assert [disassemble_instruction(ins) for run, ins in steps
-                if run is _replay] == self.REPLAYS[case]
+                if isinstance(ins, Instruction)] == self.REPLAYS[case]
 
     def test_masked_rewrites_match_at_every_plane_type(self):
         """Masked maxes over plain, shifted and all-zero sources and masked
@@ -1053,9 +1053,32 @@ class TestStepList:
         # overwritten first), and A and E at the end; and one step binds
         # the patterns at the end
         assert len(compiled[2]) == 124 - 40 - 32 - 2 - 16 + 4 + 1 == 39
-        # of the four step kinds, each of which it uses
-        assert {run for run, _ in compiled[2]} == {_replay, _run_bind, _run_linear,
-                                                   _run_masked_max}
+        # of the four step kinds, each of which it uses: 6 replays (thresh,
+        # not, the masked sub of relu and the 3 gsums), each the
+        # instruction's own run, 28 linear steps, 4 masked maxes and 1 bind
+        replays = [(run, ins) for run, ins in compiled[2] if isinstance(ins, Instruction)]
+        assert [ins.opcode for _, ins in replays] == ["thresh", "logic", "sub"] + ["gsum"] * 3
+        assert all(run is program_module.SPECS[ins.opcode].run for run, ins in replays)
+        kinds = [run for run, ins in compiled[2] if not isinstance(ins, Instruction)]
+        assert [kinds.count(run) for run in (_run_linear, _run_masked_max, _run_bind)] \
+            == [28, 4, 1]
+
+    def test_default_program_slices_build_their_pinned_step_lists(self):
+        """The five stage slices build 43 steps and dump's seven slices,
+        the stages cut after each gsum too, 45: each slice writes out its
+        aliases and binds its patterns at its own end."""
+        prog, plan = lower_model(default_model())
+        shape = PlaneGeometry().shape
+        stages = [len(build_steps(prog.instructions[a:b], shape))
+                  for a, b in plan.stage_ranges.values()]
+        assert stages == [7, 20, 3, 6, 7]
+        cuts = sorted({end for _, end in plan.stage_ranges.values()}
+                      | {i + 1 for i, ins in enumerate(prog.instructions)
+                         if ins.opcode == "gsum"})
+        assert cuts == [10, 97, 100, 112, 116, 120, 124]
+        dumped = [len(build_steps(prog.instructions[a:b], shape))
+                  for a, b in zip([0] + cuts, cuts)]
+        assert dumped == [7, 20, 3, 6, 3, 3, 3] and sum(dumped) == 45
 
 
 def _sample_instructions():
@@ -1364,6 +1387,15 @@ class TestCostModel:
     def test_negative_cost_rejected(self):
         with pytest.raises(CostError):
             CostModel({"add": -1.0})
+
+    # NaN fails every comparison, `c < 0` too: a check on that alone lets
+    # it through, and the latency becomes NaN
+    @pytest.mark.parametrize("costs, overhead", [({"add": math.nan}, 0.0),
+                                                 ({"add": 1.0}, math.nan)],
+                             ids=["cost", "overhead"])
+    def test_nan_cost_rejected(self, costs, overhead):
+        with pytest.raises(CostError, match="^all costs must be >= 0$"):
+            CostModel(costs, overhead_us=overhead)
 
     def test_from_json_reads_table_and_skips_comments(self):
         text = '{"_note": "us per op", "add": 1.5, "shift": 0.25, "overhead_us": 3}'

@@ -5,12 +5,22 @@ tests.
 A name counts as used when it appears, as a name, an attribute or an
 imported name, anywhere in src/scampsim or perfbench outside its own
 definition. Dunder methods are called by Python itself and are exempt.
+
+Likewise every statement of steps.build_steps runs for some lowered
+program: a rule that no lowered program reaches is a guess about traffic,
+not a measured one.
 """
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
+
+from scampsim import steps
+from scampsim.geometry import PlaneGeometry
+from scampsim.lowering import lower_model
+from scampsim.model import default_model, random_model
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "scampsim").glob("*.py"))
@@ -61,3 +71,68 @@ def test_every_library_definition_has_a_caller_outside_tests():
             if uses[name] == _names(node).count(name):
                 unused.append(f"{path.name}: {qualname}")
     assert not unused, "defined but only tests call: " + ", ".join(unused)
+
+
+def _statement_spans(function: ast.FunctionDef) -> list[tuple[int, int]]:
+    """(first, last) line of each statement in the function and the ones
+    nested in it, docstrings left out: a compound statement's header, a
+    simple statement's whole extent."""
+    spans = []
+    for node in ast.walk(function):
+        if node is function or not isinstance(node, ast.stmt):
+            continue
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # a docstring, which runs nothing
+        if isinstance(node, (ast.If, ast.While)):
+            spans.append((node.lineno, node.test.end_lineno))
+        elif isinstance(node, ast.For):
+            spans.append((node.lineno, node.iter.end_lineno))
+        elif isinstance(node, ast.FunctionDef):
+            spans.append((node.lineno, node.lineno))
+        else:
+            spans.append((node.lineno, node.end_lineno))
+    return spans
+
+
+def _code_objects(code):
+    """The code object and those of the functions defined inside it."""
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            yield from _code_objects(const)
+
+
+def test_every_statement_of_build_steps_runs_for_a_lowered_program():
+    """The default model, a grid-1 k-2 model and a grid-8 k-6 model, each as
+    the whole program, its stage slices and dump's slices (the stages cut
+    after each gsum too)."""
+    models = [default_model(),
+              random_model(seed=0, k=2, geometry=PlaneGeometry(8, 8, 1, 8)),
+              random_model(seed=0, k=6, geometry=PlaneGeometry(64, 64, 8, 8))]
+    ours = set(_code_objects(steps.build_steps.__code__))
+    reached = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            reached.add(frame.f_lineno)
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code in ours else None)
+    try:
+        for model in models:
+            prog, plan = lower_model(model)
+            cuts = sorted({end for _, end in plan.stage_ranges.values()}
+                          | {i + 1 for i, ins in enumerate(prog.instructions)
+                             if ins.opcode == "gsum"})
+            for a, b in [(0, len(prog)), *plan.stage_ranges.values(),
+                         *zip([0] + cuts, cuts)]:
+                steps.build_steps(prog.instructions[a:b], model.geometry.shape)
+    finally:
+        sys.settrace(previous)
+    tree = ast.parse(Path(steps.__file__).read_text())
+    function = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                    and node.name == "build_steps")
+    missed = [first for first, last in _statement_spans(function)
+              if not reached & set(range(first, last + 1))]
+    assert not missed, f"build_steps lines no lowered program reaches: {missed}"
