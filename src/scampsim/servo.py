@@ -4,23 +4,29 @@ Each captured frame runs the lowered program; the classification becomes a
 target-angle command that latches into the PWM servo bank at the first edge
 of the one PWM period, PWM_PERIOD_US, strictly after inference completes
 (last writer wins within a period). At every edge each servo's angle slews
-toward the latched target, bounded by that servo's slew limit. A ServoModel
-is configuration only: run_loop owns the angles, all starting at 0 degrees.
-A servo heads for a class's table angle clamped to 0..180 degrees, and holds
-its angle for a class outside its table. Time is integer microseconds
-throughout.
+toward the latched target, bounded by that servo's slew limit (a number
+> 0 deg/s; infinite lands on the target at once). A ServoModel is
+configuration only: run_loop owns the angles, all starting at 0 degrees. A
+servo heads for a class's table angle (finite) clamped to 0..180 degrees,
+and holds its angle for a class outside its table. Time is integer
+microseconds throughout.
 
-run_loop classifies each frame object once per call, by its identity. Its
-timeline keeps O(frames) state, and one walk over the PWM edges holds the
-ordering, latch and slew rules: chunks() formats it straight to CSV text a
-few thousand rows at a time, and events builds it as TimelineEvent named
-tuples when read.
+run_loop classifies each frame object once per call, by its identity, and
+finds every frame's latch edge or drop in one pass. Its timeline keeps
+O(frames) state. One walk over the PWM edges holds the ordering, latch and
+slew rules; it hands out each edge's captures as an index range into their
+time order and memoises each edge's move. chunks() formats it straight to
+CSV text a few thousand rows at a time: every capture row once, up front,
+and each edge's rows as the edge time before the row tails of its move,
+formatted once and kept, with the memo, for one chunk. events builds the
+walk as TimelineEvent named tuples when read.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -48,6 +54,16 @@ class ServoModel:
     class_angles: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_CLASS_ANGLES))
     slew_limit_deg_per_s: float = 600.0
+
+    def __post_init__(self):
+        slew = self.slew_limit_deg_per_s
+        if isinstance(slew, bool) or not isinstance(slew, (int, float)) or not slew > 0:
+            raise ServoError(f"slew limit must be a number > 0 deg/s, got {slew!r}")
+        for name, angle in self.class_angles.items():
+            if (isinstance(angle, bool) or not isinstance(angle, (int, float))
+                    or not -math.inf < angle < math.inf):
+                raise ServoError(f"class angle for {name!r} must be a finite "
+                                 f"number, got {angle!r}")
 
     @property
     def max_step_deg(self) -> float:
@@ -96,40 +112,54 @@ class ServoTimeline:
     tables: list[dict[str, float]]        # each servo's angles, clamped
     duration_us: int
 
-    def _walk(self):
-        """(captures, t_edge, latched class, (servo id, angle) updates) per
-        edge, then (the captures after the last edge, None, None, ()). The
-        captures index frame_times + done_times, frames first on ties."""
+    def _captures(self) -> tuple[list[int], list[int]]:
+        """The frame and inference_done captures in time order, frames first
+        on ties, as indices into frame_times + done_times, and their times."""
         times = self.frame_times + self.done_times
         # a stable sort of two sorted runs merges them
         order = sorted(range(len(times)), key=times.__getitem__)
-        ordered_times = [times[k] for k in order]
+        return order, [times[k] for k in order]
+
+    def _walk(self, capture_times: list[int], memo: dict):
+        """(lo, hi, t_edge, latched class, (servo id, angle) updates) per
+        edge, where captures lo..hi-1 come up to the edge, then (lo, the
+        capture count, None, None, ()) for those after the last edge. `memo`
+        keeps each edge's move, its new angles and updates, by (angles,
+        latched class, latching); the caller may clear it between edges."""
         latch = {edge: idx for idx, edge in self.frame_latched_at.items()}
         steps, tables = self.steps, self.tables
-        angles = [0.0] * len(steps)
-        emitted = 0
-        latched = None
+        angles = (0.0,) * len(steps)
+        lo, latched = 0, None
         for t_edge in range(0, self.duration_us + 1, PWM_PERIOD_US):
-            upto = bisect_right(ordered_times, t_edge, emitted)
-            captures, emitted = order[emitted:upto], upto
+            hi = bisect_right(capture_times, t_edge, lo)
             idx = latch.get(t_edge)
             if idx is not None:
                 latched = self.frame_classes[idx]
-            updates = []
+            updates = ()
             if latched is not None:
-                for sid, angle in enumerate(angles):
-                    target = tables[sid].get(latched, angle)
-                    if idx is not None or angle != target:
-                        # land on the target when it is within one step
-                        step = steps[sid]
-                        if abs(target - angle) <= step:
-                            angle = target
-                        else:
-                            angle += step if target > angle else -step
-                        angles[sid] = angle
-                        updates.append((sid, angle))
-            yield captures, t_edge, latched, updates
-        yield order[emitted:], None, None, ()
+                key = angles, latched, idx is not None
+                move = memo.get(key)
+                if move is None:
+                    moved, updates = list(angles), []
+                    for sid, angle in enumerate(angles):
+                        target = tables[sid].get(latched, angle)
+                        if idx is not None or angle != target:
+                            # land on the target when it is within one step
+                            step = steps[sid]
+                            if abs(target - angle) <= step:
+                                angle = target
+                            else:
+                                angle += step if target > angle else -step
+                            moved[sid] = angle
+                            updates.append((sid, angle))
+                    move = tuple(moved), updates
+                    # -0.0 == 0.0 and the two hash alike: no zero in a key
+                    if 0.0 not in angles:
+                        memo[key] = move
+                angles, updates = move
+            yield lo, hi, t_edge, latched, updates
+            lo = hi
+        yield lo, len(capture_times), None, None, ()
 
     def chunks(self):
         """The CSV `t_us,event,servo_id,class,angle` in about 4k-row pieces."""
@@ -137,32 +167,33 @@ class ServoTimeline:
         quoted = {c: _csv_field(c) for c in set(classes)}
         frame = {c: f",frame,,{q},\n" for c, q in quoted.items()}
         done = {c: f",inference_done,,{q},\n" for c, q in quoted.items()}
-        times = self.frame_times + self.done_times
         tails = [frame[c] for c in classes] + [done[c] for c in classes]
-        rows = ["t_us,event,servo_id,class,angle\n"]
-        append = rows.append
-        # each angle formatted once per chunk; a zero each time, as -0.0 == 0.0
-        angle_text = {}
-        for captures, t_edge, latched, updates in self._walk():
-            for k in captures:
-                append(f"{times[k]}{tails[k]}")
+        order, capture_times = self._captures()
+        captures = [f"{t}{tails[k]}" for t, k in zip(capture_times, order)]
+        middles = {c: [f",angle_update,{sid},{q}," for sid in range(len(self.steps))]
+                   for c, q in quoted.items()}
+        rows, count = ["t_us,event,servo_id,class,angle\n"], 1
+        # An edge's rows are its time before each of its rows' tails. The
+        # tails are kept per chunk by the identity of the walk's updates,
+        # the same object whenever the memo repeats a move; each entry holds
+        # its updates, so no other object can take that id meanwhile.
+        memo, tails_of = {}, {}
+        for lo, hi, t_edge, latched, updates in self._walk(capture_times, memo):
+            rows += captures[lo:hi]
             if t_edge is None:
                 break
-            append(f"{t_edge},pwm_edge,,,\n")
-            if updates:
-                q = quoted[latched]
-                for sid, angle in updates:
-                    text = angle_text.get(angle)
-                    if text is None:
-                        text = f"{angle:.4f}\n"
-                        if angle:
-                            angle_text[angle] = text
-                    append(f"{t_edge},angle_update,{sid},{q},{text}")
-            if len(rows) >= 4096:
+            entry = tails_of.get(id(updates))
+            if entry is None:
+                entry = tails_of[id(updates)] = updates, [",pwm_edge,,,\n"] + [
+                    f"{middles[latched][sid]}{angle:.4f}\n" for sid, angle in updates]
+            head = str(t_edge)
+            rows.append(head + head.join(entry[1]))
+            count += hi - lo + 1 + len(updates)
+            if count >= 4096:
                 yield "".join(rows)
-                rows = []
-                append = rows.append
-                angle_text.clear()
+                rows, count = [], 0
+                memo.clear()
+                tails_of.clear()
         yield "".join(rows)
 
     def to_csv(self) -> str:
@@ -171,12 +202,13 @@ class ServoTimeline:
     @property
     def events(self) -> list[TimelineEvent]:
         """The timeline's rows, built on each read."""
-        n, times = len(self.frame_times), self.frame_times + self.done_times
+        n, classes = len(self.frame_times), self.frame_classes
+        order, capture_times = self._captures()
         events = []
-        for captures, t_edge, latched, updates in self._walk():
-            events += [TimelineEvent(times[k], "frame" if k < n else "inference_done",
-                                     None, self.frame_classes[k % n], None, k % n)
-                       for k in captures]
+        for lo, hi, t_edge, latched, updates in self._walk(capture_times, {}):
+            events += [TimelineEvent(t, "frame" if k < n else "inference_done",
+                                     None, classes[k % n], None, k % n)
+                       for t, k in zip(capture_times[lo:hi], order[lo:hi])]
             if t_edge is not None:
                 events.append(TimelineEvent(t_edge, "pwm_edge"))
                 events += [TimelineEvent(t_edge, "angle_update", sid, latched, angle)
@@ -194,7 +226,7 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
     if duration_us < 0:
         raise ServoError(f"duration must be >= 0 us, got {duration_us}")
     times = [t for t, _ in frames]
-    if any(a > b for a, b in zip(times, times[1:])):
+    if sorted(times) != times:
         raise ServoError("frame timestamps must be nondecreasing")
     if times and times[-1] > duration_us:
         raise ServoError("duration does not cover all frames")
@@ -215,15 +247,17 @@ def run_loop(frames: list[tuple[int, np.ndarray]], program: PpaProgram,
         classes.append(cls)
     dones = [t + latency_us for t in times]
 
-    # per-edge latch: last writer wins among commands ready before the edge
-    latch_at_edge: dict[int, int] = {}      # edge time -> frame index
-    for idx, done in enumerate(dones):
-        # the first edge strictly after completion
-        edge = (done // PWM_PERIOD_US + 1) * PWM_PERIOD_US
-        if edge <= duration_us:
-            latch_at_edge[edge] = idx
-    frame_latched_at = {idx: edge for edge, idx in latch_at_edge.items()}
-    dropped = [idx for idx in range(len(times)) if idx not in frame_latched_at]
+    # A command latches at the first edge strictly after its completion,
+    # and the last writer wins among the commands ready before an edge: a
+    # frame is dropped when the next one latches at its edge too.
+    edges = [(done // PWM_PERIOD_US + 1) * PWM_PERIOD_US for done in dones]
+    frame_latched_at: dict[int, int] = {}   # frame index -> latch edge time
+    dropped: list[int] = []
+    for idx, (edge, following) in enumerate(zip(edges, edges[1:] + [None])):
+        if edge != following and edge <= duration_us:
+            frame_latched_at[idx] = edge
+        else:
+            dropped.append(idx)
     return ServoTimeline(
         latency_us, frame_latched_at, dropped, times, classes, dones,
         [s.max_step_deg for s in bank.servos],
@@ -240,11 +274,8 @@ class ReactionRecord(NamedTuple):
 
 def reaction_latency(timeline: ServoTimeline) -> list[ReactionRecord]:
     """Per-frame time from capture to the first angle update reflecting it."""
-    latched_at = timeline.frame_latched_at
+    latched_at = timeline.frame_latched_at.get
     new, Record = tuple.__new__, ReactionRecord
-    records = []
-    for idx, t in enumerate(timeline.frame_times):
-        edge = latched_at.get(idx)
-        records.append(new(Record, (idx, t, edge is not None,
-                                    None if edge is None else edge - t)))
-    return records
+    return [new(Record, (idx, t, (edge := latched_at(idx)) is not None,
+                         None if edge is None else edge - t))
+            for idx, t in enumerate(timeline.frame_times)]

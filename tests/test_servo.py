@@ -30,11 +30,15 @@ def program(model):
     return prog
 
 
-@pytest.fixture(scope="module")
-def cost_121(program):
-    # uniform per-op cost giving exactly integer-rounded 121 us latency
+def uniform_cost_121(program):
+    """A uniform per-op cost giving exactly integer-rounded 121 us latency."""
     return CostModel({op: 121.0 / len(program) for op in
                       {i.opcode for i in program.instructions}})
+
+
+@pytest.fixture(scope="module")
+def cost_121(program):
+    return uniform_cost_121(program)
 
 
 def one_frame(rng=None):
@@ -57,6 +61,39 @@ class TestServoBank:
     def test_zero_rejected(self):
         with pytest.raises(ServoError):
             ServoBank([])
+
+    @pytest.mark.parametrize("slew, line", [
+        (-600.0, "slew limit must be a number > 0 deg/s, got -600.0"),
+        (0, "slew limit must be a number > 0 deg/s, got 0"),
+        (math.nan, "slew limit must be a number > 0 deg/s, got nan"),
+        (-math.inf, "slew limit must be a number > 0 deg/s, got -inf"),
+        ("600", "slew limit must be a number > 0 deg/s, got '600'"),
+        (True, "slew limit must be a number > 0 deg/s, got True"),
+    ])
+    def test_bad_slew_limit_rejected(self, slew, line):
+        with pytest.raises(ServoError) as err:
+            ServoModel(slew_limit_deg_per_s=slew)
+        assert str(err.value) == line
+
+    @pytest.mark.parametrize("angle, line", [
+        (math.nan, "class angle for 'rock' must be a finite number, got nan"),
+        (math.inf, "class angle for 'rock' must be a finite number, got inf"),
+        (-math.inf, "class angle for 'rock' must be a finite number, got -inf"),
+        ("90", "class angle for 'rock' must be a finite number, got '90'"),
+        (None, "class angle for 'rock' must be a finite number, got None"),
+        (False, "class angle for 'rock' must be a finite number, got False"),
+    ])
+    def test_bad_class_angle_rejected(self, angle, line):
+        with pytest.raises(ServoError) as err:
+            ServoModel({"paper": 90.0, "rock": angle})
+        assert str(err.value) == line
+
+    def test_infinite_slew_lands_on_the_target_at_one_edge(self, program, cost_121):
+        x = np.ones((64, 64), dtype=np.uint8)   # classified as rock
+        servos = ServoBank([ServoModel({"rock": 180.0}, math.inf)])
+        tl = run_loop([(0, x)], program, cost_121, servos, 10_000)
+        assert [(e.t_us, e.angle) for e in tl.events if e.kind == "angle_update"] \
+            == [(PWM_PERIOD_US, 180.0)]
 
 
 class TestRunLoop:
@@ -314,31 +351,79 @@ def loops(draw):
     return duration, times, picks, slews, tables
 
 
+# a frame captured on an edge; a frame captured as the one before it
+# completes; two frames sharing one timestamp; a servo holding, for a class
+# outside its table, the angle one step has reached; a step that lands on a
+# target which angle + (target - angle) misses; two servos at -0.0 and 0.0
+# on one edge, held there by a class outside both tables at a later edge
+LOOP_EXAMPLES = [
+    (7000, [PWM_PERIOD_US], [1], [600.0], [DEFAULT_CLASS_ANGLES]),
+    (7000, [100, 100 + LATENCY_US], [0, 2], [600.0], [DEFAULT_CLASS_ANGLES]),
+    (7000, [500, 500], [2, 0], [600.0, 30.0], [DEFAULT_CLASS_ANGLES, {"rock": 45.0}]),
+    (15_000, [0, 3100], [0, 1], [600.0], [{"rock": 90.0}]),
+    (15_000, [0, 3100], [2, 0], [100_000.0], [{"scissors": 180.0, "rock": 1e-17}]),
+    (12_000, [0, 3100, 6200], [1, 0, 1], [600.0, 600.0],
+     [{"rock": -0.0}, {"rock": 0.0}]),
+]
+
+
+def with_examples(cases):
+    """@example(case=c) for each of `cases`."""
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return decorate
+
+
+def loop_of(rig, case):
+    """run_loop's timeline of one loops() case."""
+    duration, times, picks, slews, tables = case
+    frames = [(t, rig.pool[p]) for t, p in zip(times, picks)]
+    servos = ServoBank([ServoModel(dict(table), s) for s, table in zip(slews, tables)])
+    return run_loop(frames, rig.program, rig.cost, servos, duration)
+
+
+def streamed_loop(rig):
+    """5 servos at 1000 fps over 5 s: about 20k rows, several chunks. The
+    timeline and its frame times, picks and slews."""
+    duration = 5_000_000
+    times = list(range(0, duration + 1, 1000))
+    picks = np.random.default_rng(1).integers(0, 3, len(times)).tolist()
+    slews = [100.0, 300.0, 600.0, 1200.0, 2400.0]
+    frames = [(t, rig.pool[p]) for t, p in zip(times, picks)]
+    tl = run_loop(frames, rig.program, rig.cost,
+                  ServoBank([ServoModel(slew_limit_deg_per_s=s) for s in slews]),
+                  duration)
+    return tl, times, picks, slews
+
+
+def written_by_csv_writer(events) -> str:
+    """The timeline CSV of `events`, each row written by csv.writer."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t_us", "event", "servo_id", "class", "angle"])
+    for e in events:
+        w.writerow([e.t_us, e.kind,
+                    "" if e.servo_id is None else e.servo_id,
+                    "" if e.class_name is None else e.class_name,
+                    "" if e.angle is None else f"{e.angle:.4f}"])
+    return buf.getvalue()
+
+
 class TestAgainstReference:
     @given(case=loops())
     @settings(max_examples=200, deadline=None)
-    # a frame captured on an edge; a frame captured as the one before it
-    # completes; two frames sharing one timestamp; a servo holding, for a
-    # class outside its table, the angle one step has reached; a step that
-    # lands on a target which angle + (target - angle) misses
-    @example(case=(7000, [PWM_PERIOD_US], [1], [600.0], [DEFAULT_CLASS_ANGLES]))
-    @example(case=(7000, [100, 100 + LATENCY_US], [0, 2], [600.0],
-                   [DEFAULT_CLASS_ANGLES]))
-    @example(case=(7000, [500, 500], [2, 0], [600.0, 30.0],
-                   [DEFAULT_CLASS_ANGLES, {"rock": 45.0}]))
-    @example(case=(15_000, [0, 3100], [0, 1], [600.0], [{"rock": 90.0}]))
-    @example(case=(15_000, [0, 3100], [2, 0], [100_000.0],
-                   [{"scissors": 180.0, "rock": 1e-17}]))
+    @with_examples(LOOP_EXAMPLES)
     def test_run_loop_matches_reference(self, rig, case):
         duration, times, picks, slews, tables = case
-        frames = [(t, rig.pool[p]) for t, p in zip(times, picks)]
-        servos = ServoBank([ServoModel(dict(table), s)
-                            for s, table in zip(slews, tables)])
-        tl = run_loop(frames, rig.program, rig.cost, servos, duration)
+        tl = loop_of(rig, case)
         expected, records = reference_loop(
             times, [rig.names[p] for p in picks], slews, duration, tables)
         assert tl.to_csv() == expected
         assert reaction_latency(tl) == records
+        # events and chunks() read one walk
+        assert written_by_csv_writer(tl.events) == expected
 
         # a latch comes strictly after completion, at most one period later
         done = [t + LATENCY_US for t in times]
@@ -372,16 +457,8 @@ class TestCsvQuoting:
         servos = ServoBank([ServoModel({n: 90.0 for n in names})])
         tl = run_loop(frames, program, cost_121, servos, 20_000)
 
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t_us", "event", "servo_id", "class", "angle"])
-        for e in tl.events:
-            w.writerow([e.t_us, e.kind,
-                        "" if e.servo_id is None else e.servo_id,
-                        "" if e.class_name is None else e.class_name,
-                        "" if e.angle is None else f"{e.angle:.4f}"])
         text = tl.to_csv()
-        assert text == buf.getvalue()
+        assert text == written_by_csv_writer(tl.events)
         rows = list(csv.reader(io.StringIO(text)))[1:]
         assert [r[3] for r in rows] == [e.class_name or "" for e in tl.events]
         assert set(names) <= {r[3] for r in rows}
@@ -389,22 +466,14 @@ class TestCsvQuoting:
 
 class TestStreamedCsv:
     def test_a_long_loop_streams_the_reference_bytes(self, rig, tmp_path):
-        # 5 servos at 1000 fps over 5 s: about 20k rows, several chunks
-        duration = 5_000_000
-        times = list(range(0, duration + 1, 1000))
-        picks = np.random.default_rng(1).integers(0, 3, len(times)).tolist()
-        slews = [100.0, 300.0, 600.0, 1200.0, 2400.0]
-        frames = [(t, rig.pool[p]) for t, p in zip(times, picks)]
-        tl = run_loop(frames, rig.program, rig.cost,
-                      ServoBank([ServoModel(slew_limit_deg_per_s=s) for s in slews]),
-                      duration)
+        tl, times, picks, slews = streamed_loop(rig)
         assert len(list(tl.chunks())) > 3
         path = tmp_path / "timeline.csv"
         atomic_write(path, tl.chunks())
         text = tl.to_csv()
         assert path.read_text() == text
         expected, _ = reference_loop(times, [rig.names[p] for p in picks], slews,
-                                     duration)
+                                     tl.duration_us)
         assert text == expected
 
     def test_negative_zero_keeps_its_sign(self, rig):

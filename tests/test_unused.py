@@ -8,7 +8,9 @@ definition. Dunder methods are called by Python itself and are exempt.
 
 Likewise every statement of steps.build_steps runs for some lowered
 program: a rule that no lowered program reaches is a guess about traffic,
-not a measured one.
+not a measured one. And every statement of the servo timeline's edge walk
+and CSV sink runs for a loop the servo tests check against their
+reference, so no special case stays there that no loop reaches.
 """
 
 import ast
@@ -17,7 +19,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from scampsim import steps
+import pytest
+from test_servo import (LOOP_EXAMPLES, Rig, loop_of, streamed_loop,
+                        uniform_cost_121)
+
+from scampsim import servo, steps
 from scampsim.geometry import PlaneGeometry
 from scampsim.lowering import lower_model
 from scampsim.model import default_model, random_model
@@ -102,14 +108,12 @@ def _code_objects(code):
             yield from _code_objects(const)
 
 
-def test_every_statement_of_build_steps_runs_for_a_lowered_program():
-    """The default model, a grid-1 k-2 model and a grid-8 k-6 model, each as
-    the whole program, its stage slices and dump's slices (the stages cut
-    after each gsum too)."""
-    models = [default_model(),
-              random_model(seed=0, k=2, geometry=PlaneGeometry(8, 8, 1, 8)),
-              random_model(seed=0, k=6, geometry=PlaneGeometry(64, 64, 8, 8))]
-    ours = set(_code_objects(steps.build_steps.__code__))
+def _unreached(module, qualname: str, run) -> list[int]:
+    """First line of each statement of `module`'s function or method
+    `qualname` that does not run while run() does."""
+    owner, _, name = qualname.rpartition(".")
+    function = getattr(getattr(module, owner), name) if owner else getattr(module, name)
+    ours = set(_code_objects(function.__code__))
     reached = set()
 
     def line(frame, event, arg):
@@ -120,6 +124,24 @@ def test_every_statement_of_build_steps_runs_for_a_lowered_program():
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: line if frame.f_code in ours else None)
     try:
+        run()
+    finally:
+        sys.settrace(previous)
+    tree = ast.parse(Path(module.__file__).read_text())
+    node = dict(_definitions(tree))[qualname]
+    return [first for first, last in _statement_spans(node)
+            if not reached & set(range(first, last + 1))]
+
+
+def test_every_statement_of_build_steps_runs_for_a_lowered_program():
+    """The default model, a grid-1 k-2 model and a grid-8 k-6 model, each as
+    the whole program, its stage slices and dump's slices (the stages cut
+    after each gsum too)."""
+    models = [default_model(),
+              random_model(seed=0, k=2, geometry=PlaneGeometry(8, 8, 1, 8)),
+              random_model(seed=0, k=6, geometry=PlaneGeometry(64, 64, 8, 8))]
+
+    def lower_and_build():
         for model in models:
             prog, plan = lower_model(model)
             cuts = sorted({end for _, end in plan.stage_ranges.values()}
@@ -128,11 +150,24 @@ def test_every_statement_of_build_steps_runs_for_a_lowered_program():
             for a, b in [(0, len(prog)), *plan.stage_ranges.values(),
                          *zip([0] + cuts, cuts)]:
                 steps.build_steps(prog.instructions[a:b], model.geometry.shape)
-    finally:
-        sys.settrace(previous)
-    tree = ast.parse(Path(steps.__file__).read_text())
-    function = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                    and node.name == "build_steps")
-    missed = [first for first, last in _statement_spans(function)
-              if not reached & set(range(first, last + 1))]
+
+    missed = _unreached(steps, "build_steps", lower_and_build)
     assert not missed, f"build_steps lines no lowered program reaches: {missed}"
+
+
+@pytest.mark.parametrize("qualname", ["ServoTimeline._walk", "ServoTimeline.chunks"])
+def test_every_statement_of_the_timeline_walk_runs_for_a_tested_loop(qualname):
+    """The reference property's explicit loops and the 5-servo streamed
+    loop, each written out as CSV."""
+    model = random_model(seed=0)
+    program, _ = lower_model(model)
+    rig = Rig(model, program, uniform_cost_121(program))
+    timelines = [loop_of(rig, case) for case in LOOP_EXAMPLES]
+    timelines.append(streamed_loop(rig)[0])
+
+    def write_out():
+        for tl in timelines:
+            tl.to_csv()
+
+    missed = _unreached(servo, qualname, write_out)
+    assert not missed, f"{qualname} lines no tested loop reaches: {missed}"
