@@ -6,10 +6,10 @@ of the one PWM period, PWM_PERIOD_US, strictly after inference completes
 (last writer wins within a period). At every edge each servo's angle slews
 toward the latched target, bounded by that servo's slew limit (a number
 > 0 deg/s; infinite lands on the target at once). A ServoModel is
-configuration only: run_loop owns the angles, all starting at 0 degrees. A
-servo heads for a class's table angle (finite) clamped to 0..180 degrees,
-and holds its angle for a class outside its table. Time is integer
-microseconds throughout.
+read-only configuration: run_loop owns the angles, all starting at 0
+degrees. A servo heads for a class's table angle (finite) clamped to
+0..180 degrees, and holds its angle for a class outside its table. Time is
+integer microseconds throughout.
 
 run_loop classifies each frame object once per call, by its identity, and
 finds every frame's latch edge or drop in one pass. Its timeline keeps
@@ -29,7 +29,8 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,13 +50,18 @@ class ServoError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServoModel:
-    class_angles: dict[str, float] = field(
+    """One servo's configuration, checked once and read-only after that:
+    class_angles is held as a read-only copy of the mapping passed in."""
+
+    class_angles: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_CLASS_ANGLES))
     slew_limit_deg_per_s: float = 600.0
 
     def __post_init__(self):
+        object.__setattr__(self, "class_angles",
+                           MappingProxyType(dict(self.class_angles)))
         slew = self.slew_limit_deg_per_s
         if isinstance(slew, bool) or not isinstance(slew, (int, float)) or not slew > 0:
             raise ServoError(f"slew limit must be a number > 0 deg/s, got {slew!r}")

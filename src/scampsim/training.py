@@ -14,6 +14,15 @@ valid-region conv gradient. The forward is exact integer arithmetic, so
 the gradients are bit for bit those of a backward that takes a 4-wide
 argmax over the zero-bordered ReLU tensor (but for the sign of a zero),
 and a trained weights file is byte-identical to that backward's.
+
+The kernel gradient sums gvalid * window over only the (image, position)
+pairs that receive a routed gradient (7-14% of them in a minibatch of the
+synthetic gestures), in row-major order. numpy's einsum loop adds each
+output's terms one by one in float32, in that order, whenever k^2 >= 2,
+so the sum equals the dense sum over all pairs: every pair it skips adds
++-0, which changes at most the sign of a zero sum, and the update
+x - lr * g cannot see that sign. At k = 1 numpy runs a vectorised loop
+that is sequential in neither form; every trained model has k = K = 4.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +55,13 @@ class TrainConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        for name in ("seed", "epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TrainingError(f"{name} must be an integer, got {value!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
+            raise TrainingError(f"learning_rate must be a number, got {lr!r}")
         if self.seed < 0:
             raise TrainingError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
@@ -137,12 +154,22 @@ def _forward_backward(latent: LatentModel, xs: np.ndarray, ys: np.ndarray):
     pooled gradient to the first maximum of its 2x2 cell (row-major), only
     where that maximum is > 0, straight into the valid-region conv gradient.
 
-    Every forward value is an exact integer, so the three float32 gradient
-    reductions below see the same values, shapes, dtypes and C-contiguous
-    layouts as those of a dense backward that takes a 4-wide argmax over
-    the zero-bordered ReLU and multiplies by conv > 0. The einsum calls are
-    the same too, so the gradients are bit-equal to that backward's but
-    for the sign of a zero, which the update x - lr * g cannot see.
+    Every forward value is an exact integer, so the two einsums through the
+    FC layer see the same values, shapes, dtypes and C-contiguous layouts as
+    those of a dense backward that takes a 4-wide argmax over the
+    zero-bordered ReLU and multiplies by conv > 0, and give bit-equal results.
+
+    That backward's kernel gradient is einsum("bnp,bpq->nq") over every
+    (image, position) pair p of the valid region, with windows[b, p] the
+    k x k input window there. Here the einsum "nm,mq->nq" takes only the M
+    pairs at which some kernel's gvalid is nonzero, still in row-major
+    (image, position) order. For k^2 >= 2 numpy's sum-of-products loop adds
+    each (n, q) output's terms one at a time in float32, in that order, in
+    both forms; a pair left out adds +-0 to every output, and x + 0 == x.
+    So gkernel is bit-equal but for the sign of a zero sum, which the
+    update x - lr * g cannot see. At k = 1 numpy coalesces the loop into a
+    vectorised one that is sequential in neither form, and the two may
+    differ in the last bits; train() always uses k = K = 4.
     """
     geometry = latent.geometry
     bs = geometry.block_size
@@ -168,13 +195,14 @@ def _forward_backward(latent: LatentModel, xs: np.ndarray, ys: np.ndarray):
 
     gfc = np.einsum("bc,bnij->cnij", gscore, pooled)
     gpooled = np.einsum("bc,cnij->bnij", gscore, bf)
-    v = bs - k + 1
-    gvalid = _route(inter["conv"], pooled, gpooled).reshape(batch, nb, v * v)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        xs.astype(np.float32), (k, k), axis=(1, 2))
-    windows = np.ascontiguousarray(windows).reshape(batch, v * v, k * k)
-    # (nb, v*v) x (v*v, k*k) accumulated over the batch
-    gkernel = np.einsum("bnp,bpq->nq", gvalid, windows).reshape(nb, k, k)
+    gvalid = _route(inter["conv"], pooled, gpooled)
+    # the (image, row, col) positions where some kernel's gradient is nonzero,
+    # in row-major order; every other position adds only +-0 to gkernel
+    img, row, col = np.nonzero(gvalid.any(axis=1))
+    windows = np.lib.stride_tricks.sliding_window_view(xs, (k, k), axis=(1, 2))
+    routed = windows[img, row, col].reshape(-1, k * k).astype(np.float32)
+    grouted = np.ascontiguousarray(gvalid[img, :, row, col].T)
+    gkernel = np.einsum("nm,mq->nq", grouted, routed).reshape(nb, k, k)
     return loss, gkernel.astype(np.float64), gfc
 
 
@@ -201,7 +229,7 @@ def train(data: DatasetSplit,
     rng = np.random.default_rng(config.seed + 1)
     log = TrainingLog()
     best_metric = -1.0
-    best_model = latent.binarize()
+    best_model = None  # epoch 0 always replaces it: every metric is >= 0
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(xs))

@@ -5,6 +5,7 @@ lines. The trained-model fixture is session-scoped; criteria 2 and 6 share
 one training run (a few minutes).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -82,6 +83,14 @@ def test_criterion_2_accuracy_surrogate(trained, synthetic_data):
     print(f"\n  reference accuracy={ref_acc:.4f} lowered accuracy={low_acc:.4f}")
     report(2, "synthetic accuracy surrogate >= 95%",
            ref_acc >= 0.95 and low_acc >= 0.95 and ref_acc == low_acc)
+
+
+def test_default_config_weights_keep_their_bytes(trained):
+    """The fixture's weights file under TrainConfig() (batch 32, 12 epochs),
+    pinned by its sha256 prefix: one changed gradient bit changes it."""
+    model, _ = trained
+    digest = hashlib.sha256(save_weights(model).encode()).hexdigest()
+    assert digest[:16] == "ccf793941a0384ff"
 
 
 def test_criterion_3_timing_reproduction():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -87,6 +88,18 @@ class TestServoBank:
         with pytest.raises(ServoError) as err:
             ServoModel({"paper": 90.0, "rock": angle})
         assert str(err.value) == line
+
+    def test_model_cannot_change_after_its_checks(self):
+        angles = {"rock": 0.0}
+        m = ServoModel(angles, 600.0)
+        angles["rock"] = math.nan   # the model holds its own copy
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.slew_limit_deg_per_s = math.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.class_angles = {"rock": math.nan}
+        with pytest.raises(TypeError):
+            m.class_angles["rock"] = math.nan
+        assert (dict(m.class_angles), m.slew_limit_deg_per_s) == ({"rock": 0.0}, 600.0)
 
     def test_infinite_slew_lands_on_the_target_at_one_edge(self, program, cost_121):
         x = np.ones((64, 64), dtype=np.uint8)   # classified as rock

@@ -1,8 +1,12 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from scampsim import training
 from scampsim.dataset import DatasetSplit, GestureSample, generate, images_labels
 from scampsim.geometry import PlaneGeometry
 from scampsim.model import dense_forward, load_weights, save_weights
@@ -89,6 +93,31 @@ class TestTrain:
         lines = log.to_csv().strip().splitlines()
         assert lines[0] == "epoch,train_acc,test_acc,loss"
         assert len(lines) == 3
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 1.5), ("epochs", "3"), ("epochs", True),
+        ("seed", 1.5), ("seed", True), ("seed", None),
+        ("batch_size", 8.0), ("batch_size", False),
+    ])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(TrainingError) as err:
+            TrainConfig(**{name: value})
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", [True, False, "1000", None])
+    def test_non_number_learning_rate_rejected(self, value):
+        with pytest.raises(TrainingError) as err:
+            TrainConfig(learning_rate=value)
+        assert str(err.value) == f"learning_rate must be a number, got {value!r}"
+
+    def test_numpy_numbers_train_as_python_numbers(self):
+        data = pixel_dataset(2)
+        plain = TrainConfig(seed=2, learning_rate=500.0, epochs=2, batch_size=4)
+        numbers = TrainConfig(seed=np.int64(2), learning_rate=np.float32(500.0),
+                              epochs=np.int32(2), batch_size=np.uint8(4))
+        assert train(data, numbers)[0] == train(data, plain)[0]
 
 
 class TestEvaluate:
@@ -200,3 +229,58 @@ class TestBackward:
         assert {tuple(p) for p in np.argwhere(gvalid != 0)} == routed
         for i, b, r, c in routed:
             assert gvalid[i, b, r, c] == gpooled[i, b, r // 2, c // 2]
+
+
+def routed_gradient(latent, xs, ys):
+    """_forward_backward's kernel gradient and the gvalid it summed."""
+    seen = []
+
+    def route(conv, pooled, gpooled):
+        gvalid = _route(conv, pooled, gpooled)
+        seen.append(gvalid.copy())
+        return gvalid
+
+    with mock.patch.object(training, "_route", route):
+        _, gk, _ = _forward_backward(latent, xs, ys)
+    return gk, seen[0]
+
+
+def sequential_kernel_gradient(gvalid, xs, k):
+    """gk summed one (image, position) pair at a time, in row-major order,
+    in float32, by np.add.accumulate: the order of a dense einsum
+    "bnp,bpq->nq" over every position, without einsum."""
+    n, nb, v = gvalid.shape[:3]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xs.astype(np.float32), (k, k), axis=(1, 2)).reshape(n * v * v, 1, k * k)
+    g = gvalid.reshape(n, nb, v * v).transpose(0, 2, 1).reshape(n * v * v, nb, 1)
+    terms = g * windows    # (pairs, nb, k*k) float32
+    return np.add.accumulate(terms, axis=0, dtype=np.float32)[-1].reshape(nb, k, k)
+
+
+class TestKernelGradientOrder:
+    """gk, summed over routed positions only, against a float32 sum over all
+    of them in row-major (image, position) order. Compared with ==, so +0
+    and -0 count as equal. k = 1 is left out: there numpy's einsum runs a
+    vectorised loop that is sequential in neither form (the trainer's k is
+    4)."""
+
+    @given(k=st.integers(2, 6), batch=st.integers(1, 32),
+           seed=st.integers(0, 2**32 - 1), dead=st.booleans())
+    @example(k=2, batch=32, seed=0, dead=False)
+    @example(k=4, batch=1, seed=1, dead=True)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_sequential_float32_sum(self, k, batch, seed, dead):
+        rng = np.random.default_rng(seed)
+        kernels = rng.uniform(-1, 1, (4, k, k))
+        if dead:
+            # every kernel all -1: conv <= 0, so no pooled value is > 0
+            kernels = -np.abs(kernels) - 0.5
+        latent = LatentModel(kernels, rng.uniform(-1, 1, (3, 4, 4, 4)),
+                             PlaneGeometry(16, 16, 2, 8), ("a", "b", "c"))
+        xs = (rng.random((batch, 8, 8)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        ys = rng.integers(0, 3, batch)
+        gk, gvalid = routed_gradient(latent, xs, ys)
+        if dead:
+            assert not gvalid.any()
+            assert not gk.any()
+        assert np.all(gk == sequential_kernel_gradient(gvalid, xs, k))
