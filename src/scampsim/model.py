@@ -132,7 +132,8 @@ def default_model() -> BnnModel:
 # -- inference -----------------------------------------------------------
 
 
-def dense_forward(kernels: np.ndarray, fc: np.ndarray, xs: np.ndarray):
+def dense_forward(kernels: np.ndarray, fc: np.ndarray, xs: np.ndarray, *,
+                  keep_conv: bool = True):
     """The one dense forward pass, over a batch of binary blocks.
 
     kernels (nb, k, k) and fc (classes, nb, bs/2, bs/2) hold {-1,+1} in any
@@ -142,52 +143,71 @@ def dense_forward(kernels: np.ndarray, fc: np.ndarray, xs: np.ndarray):
     block, is computed; the block's other conv outputs are zero. Then ReLU,
     a 2x2 non-overlapping max-pool and the FC sum per class.
 
-    Returns int64 scores (n, classes) and a dict of the float32 "conv"
-    (n, nb, v, v), the valid region only, and "pooled" (n, nb, bs/2, bs/2).
-    The pool takes the ReLU of each cell's maximum over its valid positions,
-    which equals pooling the ReLU of the zero-bordered conv; a cell with no
-    valid position is 0.
+    Returns int64 scores (n, classes) and a dict of the float32 "pooled"
+    (n, nb, bs/2, bs/2) and, with keep_conv, "conv" (n, nb, v, v), the valid
+    region only; without it every image reuses one conv buffer and the dict
+    holds no "conv". The pool takes the ReLU of each cell's maximum over its
+    valid positions, which equals pooling the ReLU of the zero-bordered
+    conv; a cell with no valid position is 0.
 
-    Every step is exact integer arithmetic. The conv is k plain float32
-    matmuls per image, (nb, k) x (k, v*v), one per kernel row: every partial
-    sum is an integer of magnitude <= k^2, exact below 2^24, so for any
-    k < 4096. The FC sums are one matrix product for the whole batch, whose
-    partial sums are integers of magnitude <= nb * (bs/2)^2 * k^2: in
-    float32 while that is below 2^24 (every 256x256 geometry up to k 31),
-    else in float64, exact below 2^53, so for any plane up to 8192 pixels
-    wide.
+    Every step is exact integer arithmetic. Where k <= nb the conv is one
+    float32 matmul per image, (nb, k*k) x (k*k, v*v), over the image's k*k
+    shifted windows; where k > nb that operand outgrows the k products it
+    replaces, and the conv is k matmuls, (nb, k) x (k, v*v), one per kernel
+    row. Either way every partial sum is an integer of magnitude <= k^2,
+    exact below 2^24 in any summation order, so for any k < 4096. The FC
+    sums are one matrix product for the whole batch, whose partial sums are
+    integers of magnitude <= nb * (bs/2)^2 * k^2: in float32 while that is
+    below 2^24 (every 256x256 geometry up to k 31), else in float64, exact
+    below 2^53, so for any plane up to 8192 pixels wide.
     """
     n, bs = xs.shape[0], xs.shape[1]
     nb, k = kernels.shape[0], kernels.shape[1]
     v, ps = bs - k + 1, bs // 2
     half, pv = v // 2, (v + 1) // 2  # whole cells, cells with a valid position
     rows = kernels.astype(np.float32)
-    conv = np.empty((n, nb, v, v), dtype=np.float32)
+    conv = np.empty((n if keep_conv else 1, nb, v, v), dtype=np.float32)
     pooled = np.zeros((n, nb, ps, ps), dtype=np.float32)
-    # per-image buffers: shifted[dx] is the image moved dx columns left, so
-    # shifted[:, dy:dy + v] is kernel row dy's (k, v*v) operand without a copy
-    shifted = np.empty((k, bs, v), dtype=np.float32)
-    term = np.empty((nb, v * v), dtype=np.float32)
     pairs = np.empty((nb, pv, v), dtype=np.float32)
     exact = np.float32 if nb * ps * ps * k * k < 1 << 24 else np.float64
     weights = fc.reshape(fc.shape[0], -1).astype(exact, copy=False)
+    single = k <= nb
+    if single:
+        # windows[i, dy, dx] is xs[i] moved dy rows up and dx columns left;
+        # taps holds one image's windows as the (k*k, v*v) operand
+        windows = np.lib.stride_tricks.sliding_window_view(xs, (v, v), axis=(1, 2))
+        taps = np.empty((k, k, v, v), dtype=np.float32)
+        flat = rows.reshape(nb, k * k)
+    else:
+        # shifted[dx] is the image moved dx columns left, so
+        # shifted[:, dy:dy + v] is kernel row dy's (k, v*v) operand without a copy
+        shifted = np.empty((k, bs, v), dtype=np.float32)
+        term = np.empty((nb, v * v), dtype=np.float32)
     for i in range(n):
-        for dx in range(k):
-            shifted[dx] = xs[i, :, dx:dx + v]
-        out = conv[i].reshape(nb, v * v)
-        np.matmul(rows[:, 0], shifted[:, :v].reshape(k, v * v), out=out)
-        for dy in range(1, k):
-            np.matmul(rows[:, dy], shifted[:, dy:dy + v].reshape(k, v * v), out=term)
-            out += term
-        # ReLU, then the 2x2 max over the valid region: row pairs, then
-        # column pairs; an odd v leaves a last row and column that pool alone
-        c, p = conv[i], pooled[i, :, :pv, :pv]
-        np.maximum(c[:, 0:v:2], 0, out=pairs)
-        np.maximum(pairs[:, :half], c[:, 1:v:2], out=pairs[:, :half])
+        c = conv[i if keep_conv else 0]
+        out = c.reshape(nb, v * v)
+        if single:
+            taps[...] = windows[i]
+            np.matmul(flat, taps.reshape(k * k, v * v), out=out)
+        else:
+            for dx in range(k):
+                shifted[dx] = xs[i, :, dx:dx + v]
+            np.matmul(rows[:, 0], shifted[:, :v].reshape(k, v * v), out=out)
+            for dy in range(1, k):
+                np.matmul(rows[:, dy], shifted[:, dy:dy + v].reshape(k, v * v),
+                          out=term)
+                out += term
+        # the 2x2 max over the valid region: row pairs, then column pairs;
+        # an odd v leaves a last row and column that pool alone
+        p = pooled[i, :, :pv, :pv]
+        np.maximum(c[:, 0:v - 1:2], c[:, 1:v:2], out=pairs[:, :half])
+        pairs[:, half:] = c[:, 2 * half:]
         p[...] = pairs[..., 0:v:2]
         np.maximum(p[..., :half], pairs[..., 1:v:2], out=p[..., :half])
+    np.maximum(pooled, 0, out=pooled)  # the ReLU of each cell's maximum
     scores = pooled.reshape(n, nb * ps * ps).astype(exact, copy=False) @ weights.T
-    return scores.astype(np.int64), {"conv": conv, "pooled": pooled}
+    inter = {"conv": conv, "pooled": pooled} if keep_conv else {"pooled": pooled}
+    return scores.astype(np.int64), inter
 
 
 @dataclass
@@ -208,15 +228,18 @@ def reference_infer(model: BnnModel, x: np.ndarray) -> ClassScores:
         raise ModelError(f"input must be {bs}x{bs}, got {x.shape}")
     if not is_binary(x):
         raise ModelError("input image must be strictly binary")
-    scores, _ = dense_forward(model.kernels, model.fc_weights, x[None])
+    scores, _ = dense_forward(model.kernels, model.fc_weights, x[None],
+                              keep_conv=False)
     sums = scores[0].tolist()
     return ClassScores(sums, argmax(sums), tuple(model.class_names))
 
 
 def batch_predict(model: BnnModel, xs: np.ndarray,
                   chunk: int = 128) -> np.ndarray:
-    # chunked to bound the transient conv tensor's memory
-    scores = [dense_forward(model.kernels, model.fc_weights, xs[i:i + chunk])[0]
+    # chunked to bound the transient pooled tensor's memory; the conv is
+    # one image's buffer, reused
+    scores = [dense_forward(model.kernels, model.fc_weights, xs[i:i + chunk],
+                            keep_conv=False)[0]
               for i in range(0, len(xs), chunk)]
     return np.concatenate(scores).argmax(axis=1)  # ties -> lowest index
 

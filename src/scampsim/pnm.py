@@ -94,7 +94,7 @@ def decode_pgm(data: bytes) -> np.ndarray:
     if w < 1 or h < 1:
         raise PnmError(f"PGM dims {w}x{h} must be at least 1x1")
     i += 1  # single whitespace byte after maxval
-    raster = data[i:i + w * h]
+    raster = memoryview(data)[i:i + w * h]  # a view: only .copy() copies
     if len(raster) != w * h:
         raise PnmError(f"truncated PGM raster: a {w}x{h} image needs {w * h} "
                        f"bytes, got {len(raster)}")

@@ -47,7 +47,7 @@ class TrainingError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
     learning_rate: float = 1000.0   # scores are pre-scaled by 1/16384
@@ -97,7 +97,7 @@ class TrainingLog:
 
 
 def _sign(latent: np.ndarray) -> np.ndarray:
-    return np.where(latent >= 0, 1, -1).astype(np.int64)
+    return np.where(latent >= 0, 1, -1).astype(np.int64, copy=False)
 
 
 @dataclass

@@ -121,7 +121,8 @@ class TestReferenceInfer:
         assert scores.sums == brute_force_infer(m, x)
 
     # every (grid, k) of perfbench's config-sweep design on the 256x256
-    # plane; an even k gives an odd valid side v = bs - k + 1
+    # plane; an even k gives an odd valid side v = bs - k + 1, and the conv
+    # is one product per image where k <= blocks, k row products elsewhere
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("grid", [1, 2, 4, 8])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -131,14 +132,19 @@ class TestReferenceInfer:
                          geometry=geometry)
         rng = np.random.default_rng(grid * k * n)
         xs = rng.integers(0, 2, (n, geometry.block_size, geometry.block_size))
-        scores, inter = dense_forward(m.kernels, m.fc_weights, xs.astype(np.uint8))
         want_scores, want_conv, want_pooled = tap_loop_forward(
             m.kernels, m.fc_weights, xs)
         v = geometry.block_size - k + 1
-        assert scores.dtype == np.int64
-        assert np.array_equal(scores, want_scores)
-        assert np.array_equal(inter["pooled"], want_pooled)
-        assert np.array_equal(inter["conv"], want_conv[..., :v, :v])
+        for keep_conv in (True, False):
+            scores, inter = dense_forward(m.kernels, m.fc_weights,
+                                          xs.astype(np.uint8), keep_conv=keep_conv)
+            assert scores.dtype == np.int64
+            assert np.array_equal(scores, want_scores)
+            assert np.array_equal(inter["pooled"], want_pooled)
+            if keep_conv:
+                assert np.array_equal(inter["conv"], want_conv[..., :v, :v])
+            else:
+                assert "conv" not in inter  # its buffer holds the last image only
 
     # the FC product runs in float32 while blocks * (bs/2)^2 * k^2 < 2^24,
     # else in float64: k 31 and k 32 on the 256x256 plane sit on either side,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from unittest import mock
 
@@ -111,6 +112,16 @@ class TestTrainConfig:
         with pytest.raises(TrainingError) as err:
             TrainConfig(learning_rate=value)
         assert str(err.value) == f"learning_rate must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", float("nan")), ("epochs", 1.5), ("seed", 3),
+    ])
+    def test_fields_cannot_be_assigned(self, name, value):
+        # the checks run once, at construction
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+        assert config == TrainConfig()
 
     def test_numpy_numbers_train_as_python_numbers(self):
         data = pixel_dataset(2)

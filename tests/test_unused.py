@@ -10,7 +10,9 @@ Likewise every statement of steps.build_steps runs for some lowered
 program: a rule that no lowered program reaches is a guess about traffic,
 not a measured one. And every statement of the servo timeline's edge walk
 and CSV sink runs for a loop the servo tests check against their
-reference, so no special case stays there that no loop reaches.
+reference, so no special case stays there that no loop reaches. And
+every statement of model.dense_forward, both conv paths, runs for the
+config-sweep design's models.
 """
 
 import ast
@@ -19,11 +21,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_servo import (LOOP_EXAMPLES, Rig, loop_of, streamed_loop,
                         uniform_cost_121)
 
-from scampsim import servo, steps
+from scampsim import model, servo, steps
 from scampsim.geometry import PlaneGeometry
 from scampsim.lowering import lower_model
 from scampsim.model import default_model, random_model
@@ -171,3 +174,20 @@ def test_every_statement_of_the_timeline_walk_runs_for_a_tested_loop(qualname):
 
     missed = _unreached(servo, qualname, write_out)
     assert not missed, f"{qualname} lines no tested loop reaches: {missed}"
+
+
+def test_every_statement_of_dense_forward_runs_for_the_sweep_design():
+    """Every (grid, k) of perfbench's config-sweep design on the 256x256
+    plane, through the scores-only oracle and with the conv kept."""
+    models = [random_model(seed=k, k=k,
+                           geometry=PlaneGeometry(256, 256, grid, 256 // grid))
+              for grid in (1, 2, 4, 8) for k in (2, 3, 4, 5, 6)]
+
+    def infer():
+        for m in models:
+            x = np.ones((m.geometry.block_size,) * 2, dtype=np.uint8)
+            model.reference_infer(m, x)
+            model.dense_forward(m.kernels, m.fc_weights, x[None])
+
+    missed = _unreached(model, "dense_forward", infer)
+    assert not missed, f"dense_forward lines the sweep design does not reach: {missed}"
