@@ -137,73 +137,107 @@ def dense_forward(kernels: np.ndarray, fc: np.ndarray, xs: np.ndarray, *,
     """The one dense forward pass, over a batch of binary blocks.
 
     kernels (nb, k, k) and fc (classes, nb, bs/2, bs/2) hold {-1,+1} in any
-    numeric dtype; xs is (n, bs, bs) of {0,1}. conv[i, b, r, c] sums kernel b
-    times the k x k window of xs[i] anchored top-left at (r, c). Only the
+    numeric dtype; xs is (n, bs, bs) of {0,1}. The conv at (r, c) sums kernel
+    b times the k x k window of xs[i] anchored top-left at (r, c). Only the
     v x v valid region (v = bs - k + 1), where the window stays inside the
     block, is computed; the block's other conv outputs are zero. Then ReLU,
     a 2x2 non-overlapping max-pool and the FC sum per class.
 
-    Returns int64 scores (n, classes) and a dict of the float32 "pooled"
-    (n, nb, bs/2, bs/2) and, with keep_conv, "conv" (n, nb, v, v), the valid
-    region only; without it every image reuses one conv buffer and the dict
-    holds no "conv". The pool takes the ReLU of each cell's maximum over its
-    valid positions, which equals pooling the ReLU of the zero-bordered
-    conv; a cell with no valid position is 0.
+    The conv is kept by 2x2 cell offset, as (n, nb, 2, 2, pv, pv) with
+    pv = ceil(v/2) the cells that hold a valid position: conv[i, b, dy, dx,
+    I, J] is the conv at (2I + dy, 2J + dx). Where v is odd, offset 1 of the
+    last cell row and of the last cell column lies past the valid region;
+    those pad slots, and only those, hold 0. The pool is three contiguous
+    maxima over each image's four offset planes, then one ReLU over the
+    batch: a pad's 0 leaves the ReLU of a cell's maximum unchanged, so this
+    equals pooling the ReLU of the zero-bordered conv, and the cells past
+    pv, which hold no valid position, are 0.
 
-    Every step is exact integer arithmetic. Where k <= nb the conv is one
-    float32 matmul per image, (nb, k*k) x (k*k, v*v), over the image's k*k
-    shifted windows; where k > nb that operand outgrows the k products it
-    replaces, and the conv is k matmuls, (nb, k) x (k, v*v), one per kernel
-    row. Either way every partial sum is an integer of magnitude <= k^2,
-    exact below 2^24 in any summation order, so for any k < 4096. The FC
-    sums are one matrix product for the whole batch, whose partial sums are
-    integers of magnitude <= nb * (bs/2)^2 * k^2: in float32 while that is
-    below 2^24 (every 256x256 geometry up to k 31), else in float64, exact
-    below 2^53, so for any plane up to 8192 pixels wide.
+    Returns int64 scores (n, classes) and a dict of the float32 "pooled"
+    (n, nb, bs/2, bs/2) and, with keep_conv, "conv" in the offset layout;
+    without it every image reuses one conv buffer and the dict holds no
+    "conv".
+
+    Every step is exact integer arithmetic. Where k*k < 3*nb the conv is one
+    float32 matmul per image, (nb, k*k) x (k*k, 4*pv*pv), whose operand
+    holds the image's k*k shifted windows in the offset layout, copied from
+    the image split by column parity so that every copy reads a contiguous
+    inner axis. Elsewhere that operand costs more to fill than the k
+    products it replaces, and the conv is k matmuls, (nb, k) x (k, v*v), one
+    per kernel row, scattered by offset. Either way every partial sum is an
+    integer of magnitude <= k^2, exact below 2^24 in any summation order, so
+    for any k < 4096, and the pads are set to 0 after it. The FC sums are
+    one matrix product for the whole batch, whose partial sums are integers
+    of magnitude <= nb * (bs/2)^2 * k^2: in float32 while that is below
+    2^24 (every 256x256 geometry up to k 31), else in float64, exact below
+    2^53, so for any plane up to 8192 pixels wide.
     """
     n, bs = xs.shape[0], xs.shape[1]
     nb, k = kernels.shape[0], kernels.shape[1]
     v, ps = bs - k + 1, bs // 2
-    half, pv = v // 2, (v + 1) // 2  # whole cells, cells with a valid position
+    pv = (v + 1) // 2
+    cut = (pv, v // 2)  # cell rows (or columns) with a valid position, by offset
     rows = kernels.astype(np.float32)
-    conv = np.empty((n if keep_conv else 1, nb, v, v), dtype=np.float32)
-    pooled = np.zeros((n, nb, ps, ps), dtype=np.float32)
-    pairs = np.empty((nb, pv, v), dtype=np.float32)
+    conv = np.empty((n if keep_conv else 1, nb, 2, 2, pv, pv), dtype=np.float32)
+    pooled = np.empty((n, nb, ps, ps), dtype=np.float32)
+    pooled[:, :, pv:] = 0
+    pooled[:, :, :pv, pv:] = 0
+    cell = np.empty((nb, pv, pv), dtype=np.float32)
     exact = np.float32 if nb * ps * ps * k * k < 1 << 24 else np.float64
     weights = fc.reshape(fc.shape[0], -1).astype(exact, copy=False)
-    single = k <= nb
+    single = k * k < 3 * nb
     if single:
-        # windows[i, dy, dx] is xs[i] moved dy rows up and dx columns left;
-        # taps holds one image's windows as the (k*k, v*v) operand
-        windows = np.lib.stride_tricks.sliding_window_view(xs, (v, v), axis=(1, 2))
-        taps = np.empty((k, k, v, v), dtype=np.float32)
+        # cols[p, r, C] = x[r, 2C + p] of one image, 0 past the block. Tap
+        # (ty, tx) at offset (dy, dx), cell (I, J) reads x[ty + dy + 2I,
+        # tx + dx + 2J]; for the taps tx = 2b + f of one column parity f that
+        # is cols[(f + dx) % 2, ty + dy + 2I, b + (f + dx) // 2 + J]. Each
+        # index moves by a fixed stride of cols along each axis, so one
+        # strided view per f, with J contiguous, reads all its taps; its
+        # reads stay inside cols, and those at the pad slots land only in
+        # the conv's pads
+        cols = np.zeros((2, bs + 1, ps + 1), dtype=np.float32)
+        sp, sr, sc = cols.strides
+        taps = np.empty((k, k, 2, 2, pv, pv), dtype=np.float32)
+        copies = [(taps[:, f::2], np.lib.stride_tricks.as_strided(
+                       cols[f], (k, (k - f + 1) // 2, 2, 2, pv, pv),
+                       (sr, sc, sr, sc - sp if f else sp, 2 * sr, sc),
+                       writeable=False))
+                  for f in range(min(k, 2))]
         flat = rows.reshape(nb, k * k)
     else:
         # shifted[dx] is the image moved dx columns left, so
-        # shifted[:, dy:dy + v] is kernel row dy's (k, v*v) operand without a copy
+        # shifted[:, dy:dy + v] is kernel row dy's (k, v*v) operand without a
+        # copy; the products add up in whole, which is then scattered by offset
         shifted = np.empty((k, bs, v), dtype=np.float32)
-        term = np.empty((nb, v * v), dtype=np.float32)
+        whole = np.empty((nb, v * v), dtype=np.float32)
     for i in range(n):
         c = conv[i if keep_conv else 0]
-        out = c.reshape(nb, v * v)
         if single:
-            taps[...] = windows[i]
-            np.matmul(flat, taps.reshape(k * k, v * v), out=out)
+            cols[:, :bs, :ps] = xs[i].reshape(bs, ps, 2).transpose(2, 0, 1)
+            for dst, src in copies:
+                dst[...] = src
+            np.matmul(flat, taps.reshape(k * k, 4 * pv * pv),
+                      out=c.reshape(nb, 4 * pv * pv))
         else:
+            term = c.reshape(-1)[:nb * v * v].reshape(nb, v * v)  # c holds each product
             for dx in range(k):
                 shifted[dx] = xs[i, :, dx:dx + v]
-            np.matmul(rows[:, 0], shifted[:, :v].reshape(k, v * v), out=out)
+            np.matmul(rows[:, 0], shifted[:, :v].reshape(k, v * v), out=whole)
             for dy in range(1, k):
                 np.matmul(rows[:, dy], shifted[:, dy:dy + v].reshape(k, v * v),
                           out=term)
-                out += term
-        # the 2x2 max over the valid region: row pairs, then column pairs;
-        # an odd v leaves a last row and column that pool alone
-        p = pooled[i, :, :pv, :pv]
-        np.maximum(c[:, 0:v - 1:2], c[:, 1:v:2], out=pairs[:, :half])
-        pairs[:, half:] = c[:, 2 * half:]
-        p[...] = pairs[..., 0:v:2]
-        np.maximum(p[..., :half], pairs[..., 1:v:2], out=p[..., :half])
+                whole += term
+            grid = whole.reshape(nb, v, v)
+            for dy in (0, 1):
+                for dx in (0, 1):
+                    c[:, dy, dx, :cut[dy], :cut[dx]] = grid[:, dy::2, dx::2]
+        # the pad slots: an odd v's last cell row and column at offset 1
+        c[:, 1, :, cut[1]:] = 0
+        c[:, :, 1, :, cut[1]:] = 0
+        np.maximum(c[:, 0, 0], c[:, 0, 1], out=cell)
+        np.maximum(cell, c[:, 1, 0], out=cell)
+        np.maximum(cell, c[:, 1, 1], out=cell)
+        pooled[i, :, :pv, :pv] = cell
     np.maximum(pooled, 0, out=pooled)  # the ReLU of each cell's maximum
     scores = pooled.reshape(n, nb * ps * ps).astype(exact, copy=False) @ weights.T
     inter = {"conv": conv, "pooled": pooled} if keep_conv else {"pooled": pooled}

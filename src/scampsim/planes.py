@@ -84,7 +84,7 @@ class PlaneError(ValueError):
     """Unknown analog mode or a bad noise sigma or seed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
     """Additive noise applied at the global summation only.
 

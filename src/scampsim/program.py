@@ -66,7 +66,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -575,14 +576,17 @@ def parse_listing(text: str) -> PpaProgram:
 # -- cost model ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostModel:
-    """Per-opcode execution time in microseconds plus a fixed overhead."""
+    """Per-opcode execution time in microseconds plus a fixed overhead,
+    checked once and read-only after that: costs is held as a read-only
+    copy of the mapping passed in."""
 
-    costs: dict[str, float]
+    costs: Mapping[str, float]
     overhead_us: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "costs", MappingProxyType(dict(self.costs)))
         # `not c >= 0` also refuses NaN, which fails every comparison
         if not self.overhead_us >= 0 or any(not c >= 0 for c in self.costs.values()):
             raise CostError("all costs must be >= 0")

@@ -77,11 +77,14 @@ class ServoModel:
         return self.slew_limit_deg_per_s * PWM_PERIOD_US / 1e6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServoBank:
-    servos: list[ServoModel]
+    """1..MAX_SERVOS servos, held as a tuple of the sequence passed in."""
+
+    servos: tuple[ServoModel, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "servos", tuple(self.servos))
         if not 1 <= len(self.servos) <= MAX_SERVOS:
             raise ServoError(
                 f"servo bank must hold 1..{MAX_SERVOS} servos, got {len(self.servos)}"

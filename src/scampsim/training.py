@@ -9,15 +9,20 @@ the sign to the latents, which are clipped to [-1, 1].
 
 The max-pool's gradient goes to the first position of each 2x2 cell, in
 row-major order, whose ReLU equals the pooled value, and only where that
-value is > 0; four masks over the cell offsets write it straight into the
-valid-region conv gradient. The forward is exact integer arithmetic, so
-the gradients are bit for bit those of a backward that takes a 4-wide
-argmax over the zero-bordered ReLU tensor (but for the sign of a zero),
-and a trained weights file is byte-identical to that backward's.
+value is > 0. The conv gradient gvalid is kept as dense_forward keeps the
+conv, by 2x2 cell offset, (n, nb, 2, 2, pv, pv); four masks, one per
+offset, each a contiguous plane per image and block, write the routed
+gradient straight into it, and its pad slots past the valid region stay 0.
+The forward is exact integer arithmetic, so the gradients are bit for bit
+those of a backward that takes a 4-wide argmax over the zero-bordered ReLU
+tensor (but for the sign of a zero), and a trained weights file is
+byte-identical to that backward's.
 
 The kernel gradient sums gvalid * window over only the (image, position)
 pairs that receive a routed gradient (7-14% of them in a minibatch of the
-synthetic gestures), in row-major order. numpy's einsum loop adds each
+synthetic gestures), in the row-major order of the (image, row, col)
+valid region, into which their mask is moved back from the offset layout
+before they are listed. numpy's einsum loop adds each
 output's terms one by one in float32, in that order, whenever k^2 >= 2,
 so the sum equals the dense sum over all pairs: every pair it skips adds
 +-0, which changes at most the sign of a zero sum, and the update
@@ -96,8 +101,11 @@ class TrainingLog:
         return buf.getvalue()
 
 
-def _sign(latent: np.ndarray) -> np.ndarray:
-    return np.where(latent >= 0, 1, -1).astype(np.int64, copy=False)
+def _sign(latent: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """+1 where latent >= 0, else -1, in dtype."""
+    signs = np.multiply(latent >= 0, 2, dtype=dtype)
+    signs -= 1
+    return signs
 
 
 @dataclass
@@ -124,25 +132,33 @@ class LatentModel:
 
 
 def _route(conv: np.ndarray, pooled: np.ndarray, gpooled: np.ndarray) -> np.ndarray:
-    """The gradient of the valid-region conv, written over conv.
+    """The gradient of the conv, in its cell-offset layout, written over conv.
 
-    conv (n, nb, v, v) and pooled (n, nb, bs/2, bs/2) are dense_forward's;
-    gpooled is the loss gradient of pooled. Four masks, one per 2x2 cell
+    conv (n, nb, 2, 2, pv, pv) and pooled (n, nb, bs/2, bs/2) are
+    dense_forward's; gpooled (n, nb, pv, pv) is the loss gradient of the
+    pooled cells that hold a valid position. Four masks, one per 2x2 cell
     offset in row-major order, route each cell's gradient: a position
     receives it when it is the first in its cell to equal the pooled value
     and that value is > 0, which already implies conv > 0, so ReLU passes
-    it. Every other position receives 0. Each offset reads its own
-    positions before it writes them, and no other offset reads them.
+    it. Every other position is set to 0, and so is every pad slot, whose
+    conv 0 equals no pooled value > 0. The conv values are exact integers
+    in float32, so each comparison is exact, and a routed gradient is
+    copied unchanged. Each offset is one contiguous plane per (image,
+    block); it reads its own positions before it writes them, and no other
+    offset reads them.
     """
-    unrouted = pooled > 0
+    pv = conv.shape[-1]
+    cells = np.ascontiguousarray(pooled[..., :pv, :pv])
+    unrouted = cells > 0
+    first = np.empty_like(unrouted)
     for dy in (0, 1):
         for dx in (0, 1):
-            # positions (2i + dy, 2j + dx) of the valid region, and their cells (i, j)
-            at = conv[..., dy::2, dx::2]
-            cells = (..., slice(at.shape[2]), slice(at.shape[3]))
-            first = (at == pooled[cells]) & unrouted[cells]
-            np.multiply(first, gpooled[cells], out=at)
-            unrouted[cells] &= ~first
+            at = conv[:, :, dy, dx]
+            np.equal(at, cells, out=first)
+            first &= unrouted
+            at[...] = 0
+            np.copyto(at, gpooled, where=first)
+            unrouted ^= first  # first lies inside unrouted
     return conv
 
 
@@ -152,34 +168,42 @@ def _forward_backward(latent: LatentModel, xs: np.ndarray, ys: np.ndarray):
     The forward pass is model.dense_forward on the binarized weights, so the
     trainer scores exactly what reference_infer scores. _route sends each
     pooled gradient to the first maximum of its 2x2 cell (row-major), only
-    where that maximum is > 0, straight into the valid-region conv gradient.
+    where that maximum is > 0, straight into the conv gradient gvalid, kept
+    by cell offset as dense_forward keeps the conv, 0 at every pad slot.
 
     Every forward value is an exact integer, so the two einsums through the
-    FC layer see the same values, shapes, dtypes and C-contiguous layouts as
-    those of a dense backward that takes a 4-wide argmax over the
-    zero-bordered ReLU and multiplies by conv > 0, and give bit-equal results.
+    FC layer see the same values as those of a dense backward that takes a
+    4-wide argmax over the zero-bordered ReLU and multiplies by conv > 0,
+    and give bit-equal results; the pooled gradient is computed only for
+    the pv x pv cells that hold a valid position, each a sum over the
+    classes as before.
 
     That backward's kernel gradient is einsum("bnp,bpq->nq") over every
     (image, position) pair p of the valid region, with windows[b, p] the
     k x k input window there. Here the einsum "nm,mq->nq" takes only the M
     pairs at which some kernel's gvalid is nonzero, still in row-major
-    (image, position) order. For k^2 >= 2 numpy's sum-of-products loop adds
-    each (n, q) output's terms one at a time in float32, in that order, in
-    both forms; a pair left out adds +-0 to every output, and x + 0 == x.
-    So gkernel is bit-equal but for the sign of a zero sum, which the
-    update x - lr * g cannot see. At k = 1 numpy coalesces the loop into a
-    vectorised one that is sequential in neither form, and the two may
-    differ in the last bits; train() always uses k = K = 4.
+    (image, row, col) order: the live mask is moved back from the offset
+    layout to (n, v, v) before np.nonzero lists them, and each pair reads
+    gvalid at offset (row & 1, col & 1), cell (row >> 1, col >> 1). For
+    k^2 >= 2 numpy's sum-of-products loop adds each (n, q) output's terms
+    one at a time in float32, in that order, in both forms; a pair left out
+    adds +-0 to every output, and x + 0 == x. So gkernel is bit-equal but
+    for the sign of a zero sum, which the update x - lr * g cannot see. At
+    k = 1 numpy coalesces the loop into a vectorised one that is sequential
+    in neither form, and the two may differ in the last bits; train()
+    always uses k = K = 4.
     """
     geometry = latent.geometry
     bs = geometry.block_size
     k = latent.kernels.shape[1]
     nb = geometry.num_blocks
     ps = bs // 2
+    v = bs - k + 1
+    pv = (v + 1) // 2
     scale = 1.0 / (nb * ps ** 2)
 
-    bf = _sign(latent.fc_weights).astype(np.float32)
-    sums, inter = dense_forward(_sign(latent.kernels).astype(np.float32), bf, xs)
+    bf = _sign(latent.fc_weights, np.float32)
+    sums, inter = dense_forward(_sign(latent.kernels, np.float32), bf, xs)
     pooled = inter["pooled"]
     batch = xs.shape[0]
 
@@ -194,22 +218,18 @@ def _forward_backward(latent: LatentModel, xs: np.ndarray, ys: np.ndarray):
     gscore *= scale / batch
 
     gfc = np.einsum("bc,bnij->cnij", gscore, pooled)
-    gpooled = np.einsum("bc,cnij->bnij", gscore, bf)
+    gpooled = np.einsum("bc,cnij->bnij", gscore, bf[..., :pv, :pv])
     gvalid = _route(inter["conv"], pooled, gpooled)
     # the (image, row, col) positions where some kernel's gradient is nonzero,
     # in row-major order; every other position adds only +-0 to gkernel
-    img, row, col = np.nonzero(gvalid.any(axis=1))
+    live = gvalid.any(axis=1).transpose(0, 3, 1, 4, 2)
+    img, row, col = np.nonzero(live.reshape(batch, 2 * pv, 2 * pv)[:, :v, :v])
     windows = np.lib.stride_tricks.sliding_window_view(xs, (k, k), axis=(1, 2))
     routed = windows[img, row, col].reshape(-1, k * k).astype(np.float32)
-    grouted = np.ascontiguousarray(gvalid[img, :, row, col].T)
+    grouted = np.ascontiguousarray(
+        gvalid[img, :, row & 1, col & 1, row >> 1, col >> 1].T)
     gkernel = np.einsum("nm,mq->nq", grouted, routed).reshape(nb, k, k)
     return loss, gkernel.astype(np.float64), gfc
-
-
-def _accuracy(model: BnnModel, xs: np.ndarray, ys: np.ndarray) -> float:
-    if len(xs) == 0:
-        return 0.0
-    return float((batch_predict(model, xs) == ys).mean())
 
 
 def train(data: DatasetSplit,
@@ -219,11 +239,10 @@ def train(data: DatasetSplit,
     config = config or TrainConfig()
     if not data.train:
         raise TrainingError("empty training dataset")
-    xs, ys = images_labels(data.train)
-    if data.test:
-        xt, yt = images_labels(data.test)
-    else:
-        xt, yt = xs[:0], ys[:0]
+    # both splits as one stack, scored by one batch_predict per epoch
+    x_all, y_all = images_labels([*data.train, *data.test])
+    split = len(data.train)
+    xs, ys = x_all[:split], y_all[:split]
 
     latent = LatentModel.init(config, len(CLASS_NAMES))
     rng = np.random.default_rng(config.seed + 1)
@@ -243,11 +262,12 @@ def train(data: DatasetSplit,
             latent.fc_weights = np.clip(
                 latent.fc_weights - config.learning_rate * gf, -1.0, 1.0)
         snapshot = latent.binarize()
-        train_acc = _accuracy(snapshot, xs, ys)
-        test_acc = _accuracy(snapshot, xt, yt)
+        hits = batch_predict(snapshot, x_all) == y_all
+        train_acc = float(hits[:split].mean())
+        test_acc = float(hits[split:].mean()) if data.test else 0.0
         log.records.append(EpochRecord(epoch, train_acc, test_acc,
                                        float(np.mean(losses))))
-        metric = test_acc if len(xt) else train_acc
+        metric = test_acc if data.test else train_acc
         if metric > best_metric:
             best_metric = metric
             best_model = snapshot

@@ -30,3 +30,11 @@ def frozen_bits(values) -> np.ndarray:
     """0/1 values as the read-only bool bits an Instruction keeps, which
     are what ArrayState.write_pattern binds."""
     return read_only(np.array(values, dtype=bool))
+
+
+def valid_conv(conv, v: int) -> np.ndarray:
+    """dense_forward's conv, kept by 2x2 cell offset as (n, nb, 2, 2, pv,
+    pv), back as the (n, nb, v, v) valid region: [i, b, r, c] is the conv
+    at (r, c)."""
+    n, nb, pv = conv.shape[0], conv.shape[1], conv.shape[-1]
+    return conv.transpose(0, 1, 4, 2, 5, 3).reshape(n, nb, 2 * pv, 2 * pv)[..., :v, :v]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import valid_conv
 from scampsim.geometry import PlaneGeometry
 from scampsim.model import (BnnModel, ModelError, argmax, batch_predict,
                             dense_forward, load_weights, random_model,
@@ -90,7 +91,7 @@ class TestReferenceInfer:
         _, inter = dense_forward(m.kernels, m.fc_weights,
                                  np.ones((1, 64, 64), dtype=np.uint8))
         k2 = m.k * m.k
-        interior = inter["conv"][0, :, : 64 - m.k + 1, : 64 - m.k + 1]
+        interior = valid_conv(inter["conv"], 64 - m.k + 1)[0]
         assert np.all(interior == k2)
         assert np.all(inter["pooled"][0, :, : 30, : 30] == k2)
 
@@ -122,7 +123,7 @@ class TestReferenceInfer:
 
     # every (grid, k) of perfbench's config-sweep design on the 256x256
     # plane; an even k gives an odd valid side v = bs - k + 1, and the conv
-    # is one product per image where k <= blocks, k row products elsewhere
+    # is one product per image where k*k < 3 * blocks, k row products elsewhere
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("grid", [1, 2, 4, 8])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -142,7 +143,8 @@ class TestReferenceInfer:
             assert np.array_equal(scores, want_scores)
             assert np.array_equal(inter["pooled"], want_pooled)
             if keep_conv:
-                assert np.array_equal(inter["conv"], want_conv[..., :v, :v])
+                assert np.array_equal(valid_conv(inter["conv"], v),
+                                      want_conv[..., :v, :v])
             else:
                 assert "conv" not in inter  # its buffer holds the last image only
 
@@ -182,7 +184,8 @@ class TestReferenceInfer:
         x = rng.integers(0, 2, size=(64, 64))
         _, inter = dense_forward(m.kernels, m.fc_weights, x[None])
         k2 = m.k * m.k
-        assert inter["conv"].min() >= -k2 and inter["conv"].max() <= k2
+        conv = valid_conv(inter["conv"], 64 - m.k + 1)
+        assert conv.min() >= -k2 and conv.max() <= k2
         # ReLU is applied in the pool; no ReLU tensor is kept
         assert inter["pooled"].min() >= 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -335,6 +336,14 @@ class TestGlobalSum:
         with pytest.raises(PlaneError, match=rf"^noise seed must be an integer "
                            rf">= 0, got {seed!r}$"):
             NoiseModel(0.0, seed)
+
+    def test_noise_model_cannot_change_after_its_checks(self):
+        noise = NoiseModel(8.0, seed=7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            noise.sigma = -3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            noise.seed = -1
+        assert (noise.sigma, noise.seed) == (8.0, 7)
 
     def test_gaussian_noise_perturbs(self, geometry):
         draws = {ArrayState(geometry, noise=NoiseModel(100.0, s)).global_sum_of("A")

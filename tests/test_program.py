@@ -1397,6 +1397,19 @@ class TestCostModel:
         with pytest.raises(CostError, match="^all costs must be >= 0$"):
             CostModel(costs, overhead_us=overhead)
 
+    def test_cost_model_cannot_change_after_its_checks(self):
+        costs = {"add": 1.0}
+        cm = CostModel(costs, 2.0)
+        costs["add"] = math.nan   # the model holds its own copy
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cm.overhead_us = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cm.costs = {"add": math.nan}
+        with pytest.raises(TypeError):
+            cm.costs["add"] = math.nan
+        prog = PpaProgram([Instruction("add", dst="A", a="A", b="A")])
+        assert estimate(prog, cm).latency_us == 3.0
+
     def test_from_json_reads_table_and_skips_comments(self):
         text = '{"_note": "us per op", "add": 1.5, "shift": 0.25, "overhead_us": 3}'
         assert CostModel.from_json(text) == CostModel({"add": 1.5, "shift": 0.25},

@@ -63,6 +63,16 @@ class TestServoBank:
         with pytest.raises(ServoError):
             ServoBank([])
 
+    def test_bank_cannot_change_after_its_checks(self):
+        servos = [ServoModel()]
+        bank = ServoBank(servos)
+        servos.extend([ServoModel()] * 6)   # the bank holds its own tuple
+        assert bank.servos == (servos[0],)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bank.servos = servos
+        with pytest.raises(AttributeError):
+            bank.servos.append(ServoModel())
+
     @pytest.mark.parametrize("slew, line", [
         (-600.0, "slew limit must be a number > 0 deg/s, got -600.0"),
         (0, "slew limit must be a number > 0 deg/s, got 0"),

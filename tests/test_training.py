@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import valid_conv
 from scampsim import training
 from scampsim.dataset import DatasetSplit, GestureSample, generate, images_labels
 from scampsim.geometry import PlaneGeometry
-from scampsim.model import dense_forward, load_weights, save_weights
+from scampsim.model import (batch_predict, dense_forward, load_weights, random_model,
+                            save_weights)
 from scampsim.training import (LatentModel, TrainConfig, TrainingError, _route,
                                _forward_backward, _sign, evaluate, train)
 
@@ -94,6 +96,20 @@ class TestTrain:
         lines = log.to_csv().strip().splitlines()
         assert lines[0] == "epoch,train_acc,test_acc,loss"
         assert len(lines) == 3
+
+    def test_each_epoch_scores_both_splits_with_one_call(self, small_split):
+        calls = []
+
+        def predict(model, xs):
+            calls.append(len(xs))
+            return batch_predict(model, xs)
+
+        with mock.patch.object(training, "batch_predict", predict):
+            model, log = train(small_split, TrainConfig(seed=0, epochs=2))
+        assert calls == [len(small_split.train) + len(small_split.test)] * 2
+        best = log.records[log.best_epoch]
+        assert best.train_acc == evaluate(model, small_split.train)[0]
+        assert best.test_acc == evaluate(model, small_split.test)[0]
 
 
 class TestTrainConfig:
@@ -236,14 +252,55 @@ class TestBackward:
         # the routed set, with a pooled gradient that is nowhere zero
         _, inter = dense_forward(_sign(latent.kernels), _sign(latent.fc_weights), xs)
         gpooled = rng.uniform(0.5, 1.5, inter["pooled"].shape).astype(np.float32)
-        gvalid = _route(inter["conv"], inter["pooled"], gpooled)
+        pv = inter["conv"].shape[-1]
+        gvalid = valid_conv(_route(inter["conv"], inter["pooled"],
+                                   gpooled[..., :pv, :pv]), 8 - k + 1)
         assert {tuple(p) for p in np.argwhere(gvalid != 0)} == routed
         for i, b, r, c in routed:
             assert gvalid[i, b, r, c] == gpooled[i, b, r // 2, c // 2]
 
 
+# (geometry, k): even and odd v on both conv paths, one product per image
+# where k*k < 3 * blocks (grid 4, the 32x32 plane at k 1) and k row products
+# elsewhere (grids 1 and 2, the 32x32 plane at k 8)
+@pytest.mark.parametrize("geometry, k", [
+    pytest.param(PlaneGeometry(256, 256, 4, 64), 3, id="grid4-k3"),
+    pytest.param(PlaneGeometry(256, 256, 4, 64), 4, id="grid4-k4"),
+    pytest.param(PlaneGeometry(256, 256, 1, 256), 5, id="grid1-k5"),
+    pytest.param(PlaneGeometry(256, 256, 2, 128), 5, id="grid2-k5"),
+    pytest.param(PlaneGeometry(256, 256, 2, 128), 6, id="grid2-k6"),
+    pytest.param(PlaneGeometry(32, 32, 4, 8), 1, id="bs8-k1"),
+    pytest.param(PlaneGeometry(32, 32, 4, 8), 8, id="bs8-k8"),
+])
+def test_pad_slots_of_the_kept_conv_and_its_gradient_hold_zero(geometry, k):
+    """Slots of the cell-offset layout past the v x v valid region are 0 in
+    dense_forward's conv, and _route leaves them 0."""
+    m = random_model(seed=k, k=k, geometry=geometry)
+    bs, nb = geometry.block_size, geometry.num_blocks
+    v = bs - k + 1
+    rng = np.random.default_rng(k)
+    xs = rng.integers(0, 2, (2, bs, bs)).astype(np.uint8)
+    _, inter = dense_forward(m.kernels, m.fc_weights, xs)
+    conv = inter["conv"]
+    pv = (v + 1) // 2
+    assert conv.shape == (2, nb, 2, 2, pv, pv)
+
+    def pads(c):
+        whole = c.transpose(0, 1, 4, 2, 5, 3).reshape(2, nb, 2 * pv, 2 * pv)
+        return np.concatenate([whole[..., v:, :].ravel(), whole[..., :v, v:].ravel()])
+
+    assert pads(conv).size == 4 * pv * pv * 2 * nb - 2 * nb * v * v
+    assert not pads(conv).any()
+    assert valid_conv(conv, v).any()
+    gpooled = rng.uniform(0.5, 1.5, (2, nb, pv, pv)).astype(np.float32)
+    gvalid = _route(conv, inter["pooled"], gpooled)
+    assert not pads(gvalid).any()
+    assert valid_conv(gvalid, v).any()
+
+
 def routed_gradient(latent, xs, ys):
-    """_forward_backward's kernel gradient and the gvalid it summed."""
+    """_forward_backward's kernel gradient and the gvalid it summed, as the
+    (n, nb, v, v) valid region."""
     seen = []
 
     def route(conv, pooled, gpooled):
@@ -253,7 +310,7 @@ def routed_gradient(latent, xs, ys):
 
     with mock.patch.object(training, "_route", route):
         _, gk, _ = _forward_backward(latent, xs, ys)
-    return gk, seen[0]
+    return gk, valid_conv(seen[0], xs.shape[1] - latent.kernels.shape[1] + 1)
 
 
 def sequential_kernel_gradient(gvalid, xs, k):
